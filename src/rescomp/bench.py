@@ -12,8 +12,8 @@ environment variable ``RESCOMP_SEED`` overrides the configured seed.
 
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
 (unparseable config, dimension mismatches, failed norm gates), 2 on
-tolerance failures (no convergence, oracle mismatch).  File outputs are
-written atomically (temp file then rename).
+tolerance failures (no convergence, a non-finite residual, oracle
+mismatch).  File outputs are written atomically (temp file then rename).
 """
 
 from __future__ import annotations
@@ -404,6 +404,7 @@ class RunReport:
     kind: str
     seed: int
     converged: bool
+    reason: str
     iterations: int
     final_iterate: list
     fp_residual: float
@@ -475,6 +476,7 @@ def execute(spec, unsafe=False):
         kind=inst.kind,
         seed=spec.seed,
         converged=trace.reason == "converged",
+        reason=trace.reason,
         iterations=trace.iterations,
         final_iterate=list(x),
         fp_residual=trace.fp_residual[-1],
@@ -505,6 +507,9 @@ def run(config_path, trace_path=None, unsafe=False, out=print):
     if report_target:
         _atomic_write_text(report_target, report.to_json() + "\n")
     out(report.to_json())
+    if report.reason == "non-finite":
+        out(f"tolerance failure: the residual went non-finite at iteration {report.iterations}")
+        return 2
     if not report.converged:
         out("tolerance failure: did not converge within the iteration budget")
         return 2

@@ -12,6 +12,10 @@ Everything else in the package is built on the three objects defined here:
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
   span of a set of vectors, orthonormalized by Gram-Schmidt.
 
+:func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}`` for a
+monotone ``M``, cached per scale; the linear resolvents and quadratic proxes
+are built on it.
+
 Vectors are plain 1-D ``numpy`` arrays; a space validates them on demand.
 All objects are immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -35,6 +39,10 @@ GRAM_SCHMIDT_DROP_TOL = 1e-10
 
 # Slack allowed on every ||L|| <= 1 gate, absorbing power-iteration noise.
 NORM_GATE_TOL = 1e-9
+
+# Scales whose inverse shifted_inverse keeps; a full cache is emptied, so a
+# caller sweeping many scales holds at most this many matrices.
+INVERSE_CACHE_SIZE = 16
 
 
 def check_contraction(L, unsafe=False, require_nonzero=False):
@@ -224,8 +232,30 @@ def identity_map(space):
     return LinearMap(space, space, np.eye(space.dim))
 
 
-def scaled_identity_map(space, c):
-    return LinearMap(space, space, float(c) * np.eye(space.dim))
+def shifted_inverse(M):
+    """``gamma -> (Id + gamma M)^{-1}`` as a dense matrix, cached per ``gamma``.
+
+    ``M`` must be monotone in some diagonal metric ``W`` (callers check
+    this).  Then ``<(Id + gamma M) x, x>_W >= ||x||_W^2``, so the inverse has
+    W-norm at most 1 and condition number at most ``1 + gamma ||M||``: one
+    explicit inverse per scale is as accurate as a factorization, and each
+    later evaluation is a single matrix-vector product.  Filling the cache
+    twice for one scale is harmless, so concurrent callers need no lock.
+    """
+    M = np.asarray(M, dtype=float)
+    eye = np.eye(M.shape[0])
+    cache = {}
+
+    def inverse(gamma):
+        inv = cache.get(gamma)
+        if inv is None:
+            if len(cache) >= INVERSE_CACHE_SIZE:
+                cache.clear()
+            inv = np.linalg.inv(eye + gamma * M)
+            cache[gamma] = inv
+        return inv
+
+    return inverse
 
 
 def stack(maps, weights):
@@ -293,7 +323,7 @@ class SubspaceProjector:
         """The projector as a LinearMap of the space into itself."""
         return LinearMap(self.space, self.space, self.matrix)
 
-    def is_full(self, tol=1e-12):
+    def is_full(self):
         return self.rank == self.space.dim
 
     def residual_norm(self, x):

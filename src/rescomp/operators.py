@@ -15,8 +15,9 @@ spaces -- are provided as wrappers so the composition calculus can be
 expressed without touching evaluator internals.
 
 Families are immutable after construction and evaluation is pure, so
-they may be shared across threads (the linear catalog member keeps an
-idempotent per-scale factorization cache, which is safe to race).
+they may be shared across threads (the linear catalog member keeps the
+idempotent per-scale inverse cache of :func:`hilbert.shifted_inverse`,
+which is safe to race).
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ScaleRestrictionError, ValidationError
-from .hilbert import block_slices, product_space
+from .hilbert import block_slices, product_space, shifted_inverse
 
 ALL_SCALES = "all"
 
@@ -172,7 +172,8 @@ def linear_monotone(space, M):
     """A monotone linear operator ``M``: the resolvent solves ``(Id + gamma M) x = y``.
 
     Monotonicity in the metric means the symmetric part of ``W M`` is PSD;
-    this is validated at construction.  LU factors are cached per scale.
+    this is validated at construction.  ``(Id + gamma M)^{-1}`` is cached
+    per scale.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
@@ -183,17 +184,8 @@ def linear_monotone(space, M):
     if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
         raise ValidationError("linear operator is not monotone in the metric")
 
-    eye = np.eye(space.dim)
-    factor_cache = {}
-
-    def evaluator(gamma, y):
-        fac = factor_cache.get(gamma)
-        if fac is None:
-            fac = lu_factor(eye + gamma * M)
-            factor_cache[gamma] = fac
-        return lu_solve(fac, y)
-
-    fam = ResolventFamily(space, "linear", evaluator)
+    inverse = shifted_inverse(M)
+    fam = ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y)
     fam.matrix = M
     return fam
 

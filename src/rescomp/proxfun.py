@@ -29,7 +29,13 @@ from .errors import (
     ConvergenceError,
     ValidationError,
 )
-from .hilbert import NORM_GATE_TOL, block_slices, check_contraction, product_space
+from .hilbert import (
+    NORM_GATE_TOL,
+    block_slices,
+    check_contraction,
+    product_space,
+    shifted_inverse,
+)
 from .sets import Ball, Box, ConvexSet, Singleton
 
 # Membership tolerance when an indicator function is asked for its value.
@@ -180,7 +186,8 @@ def quadratic(space, Q, b=None):
     """``g(x) = (1/2)<Qx, x> - <b, x>`` in the metric inner product.
 
     ``Q`` must be self-adjoint positive semidefinite with respect to the
-    metric.  The prox solves ``(Id + gamma Q) p = x + gamma b``.
+    metric.  The prox is ``(Id + gamma Q)^{-1}(x + gamma b)``, with the
+    inverse cached per scale.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (space.dim, space.dim):
@@ -194,10 +201,10 @@ def quadratic(space, Q, b=None):
     if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
         raise ValidationError("quadratic form is not positive semidefinite")
 
-    eye = np.eye(space.dim)
+    inverse = shifted_inverse(Q)
 
     def prox(gamma, x):
-        return np.linalg.solve(eye + gamma * Q, x + gamma * b)
+        return inverse(gamma) @ (x + gamma * b)
 
     def value(x):
         return 0.5 * space.inner(Q @ x, x) - space.inner(b, x)

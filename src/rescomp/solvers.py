@@ -15,14 +15,18 @@ nonexpansive relaxed resolvent
     J(x) = proj_V((Id - L* L + L* J_{gamma B} L)(proj_V x)).
 
 Stopping uses the fixed-point residual ``||proj_V z_n||`` of that
-resolvent, which the loop computes anyway.  A run is single threaded and
-deterministic; its trace is append-only while running and immutable
-afterwards.
+resolvent, which the loop computes anyway; a run whose residual stops being
+finite (it diverges, e.g. with the norm gate bypassed) ends with reason
+``non-finite`` and keeps its trace.  On a diverging run the squared norm
+overflows long before any entry does, so the last iterate is still finite.
+A run is single threaded and deterministic; its trace is append-only while
+running and immutable afterwards.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 import time
@@ -156,6 +160,9 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None,
         if residual <= schedule.tol:
             trace.reason = "converged"
             break
+        if not math.isfinite(residual):
+            trace.reason = "non-finite"
+            break
         if n >= cap:
             trace.reason = "max_iterations"
             break
@@ -258,6 +265,9 @@ def _run_loop(inst, x0, schedule, block_update, reference=None, keep_iterates=Fa
             trace.iterates.append(x.copy())
         if residual <= schedule.tol:
             trace.reason = "converged"
+            break
+        if not math.isfinite(residual):
+            trace.reason = "non-finite"
             break
         if n >= cap:
             trace.reason = "max_iterations"

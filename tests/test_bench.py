@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -331,3 +333,37 @@ class TestCli:
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_run_keeps_trace_and_exits_two(self, tmp_path, capsys):
+        # ||L|| = 3 with the gate bypassed: x <- -8 x + 3 p diverges.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "kind": "split-feasibility",
+            "spaces": {"domain": {"dim": 2}},
+            "maps": [[[3, 0], [0, 3]]],
+            "sets": [{"tag": "singleton", "point": [1, 1]}],
+            "weights": [1],
+            "subspace": [[1, 0], [0, 1]],
+        }))
+        trace = tmp_path / "t.csv"
+        assert main(["solve", str(cfg), "--trace", str(trace), "--unsafe-norm"]) == 2
+        out = capsys.readouterr().out
+        report = json.loads(out[:out.rindex("}") + 1])
+        assert report["reason"] == "non-finite"
+        assert not report["converged"]
+        assert report["verdict"] == "not a solution"
+        assert all(np.isfinite(report["final_iterate"]))
+        rows = trace.read_text().splitlines()
+        assert len(rows) == report["iterations"] + 2  # header + iterations 0..n
+        assert rows[-1].split(",")[1] == "inf"
+        assert "non-finite" in out
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = ("import sys, rescomp.cli; "
+                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"

@@ -5,11 +5,13 @@ import pytest
 
 from rescomp.errors import DimensionMismatchError, ValidationError
 from rescomp.hilbert import (
+    INVERSE_CACHE_SIZE,
     LinearMap,
     Space,
     SubspaceProjector,
     identity_map,
     product_space,
+    shifted_inverse,
     stack,
 )
 from rescomp.properties import (
@@ -225,3 +227,17 @@ class TestProductSpace:
         L = LinearMap(G, K, g.standard_normal((2, 3)))
         x = g.standard_normal(2)
         assert L.compose(Q).apply(x) == pytest.approx(L.apply(Q.apply(x)))
+
+
+class TestShiftedInverse:
+    def test_sweep_past_cache_size_stays_exact(self):
+        M = np.array([[2.0, 1.0], [-1.0, 0.5]])
+        inverse = shifted_inverse(M)
+        gammas = [0.1 * (k + 1) for k in range(2 * INVERSE_CACHE_SIZE + 3)]
+        for gamma in gammas + gammas[::-1]:
+            assert inverse(gamma) @ (np.eye(2) + gamma * M) == pytest.approx(np.eye(2))
+
+    def test_repeated_scale_reuses_matrix(self):
+        inverse = shifted_inverse(np.diag([1.0, 3.0]))
+        assert inverse(0.5) is inverse(0.5)
+        assert inverse(2.0) == pytest.approx(np.diag([1.0 / 3.0, 1.0 / 7.0]))

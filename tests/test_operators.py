@@ -59,6 +59,21 @@ class TestResolvent:
         y = np.array([3.0, 8.0])
         assert B.resolvent(1.0, y) == pytest.approx([1.0, 2.0])
 
+    def test_linear_matches_dense_solve_at_alternating_scales(self):
+        # M = W^-1 (S + K): monotone in the metric W without being symmetric.
+        rng = np.random.default_rng(5)
+        w = np.array([0.5, 1.0, 2.0, 4.0])
+        s = Space(4, w)
+        A = rng.standard_normal((4, 4))
+        K = rng.standard_normal((4, 4))
+        M = (A @ A.T + K - K.T) / w[:, None]
+        B = linear_monotone(s, M)
+        for gamma in (0.5, 2.0, 0.5, 2.0):
+            y = rng.standard_normal(4)
+            want = np.linalg.solve(np.eye(4) + gamma * M, y)
+            got = B.resolvent(gamma, y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_linear_rejects_nonmonotone(self):
         with pytest.raises(ValidationError):
             linear_monotone(Space(2), np.diag([-1.0, 1.0]))

@@ -59,6 +59,21 @@ class TestProxCatalog:
         # (I + Q) p = x + b
         assert g.prox(1.0, [3.0, 8.0]) == pytest.approx([2.0, 2.0])
 
+    def test_quadratic_matches_dense_solve_at_alternating_scales(self):
+        # Q = W^-1 S with S symmetric PSD is self-adjoint PSD in the metric W.
+        rng = np.random.default_rng(6)
+        w = np.array([0.25, 1.0, 3.0])
+        s = Space(3, w)
+        A = rng.standard_normal((3, 3))
+        Q = (A @ A.T) / w[:, None]
+        b = rng.standard_normal(3)
+        g = quadratic(s, Q, b)
+        for gamma in (0.5, 2.0, 0.5, 2.0):
+            x = rng.standard_normal(3)
+            want = np.linalg.solve(np.eye(3) + gamma * Q, x + gamma * b)
+            got = g.prox(gamma, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_quadratic_validation(self):
         with pytest.raises(ValidationError):
             quadratic(R2, np.array([[0.0, 1.0], [-1.0, 0.0]]))  # skew, not self-adjoint

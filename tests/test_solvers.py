@@ -120,6 +120,14 @@ class TestProximalPoint:
         assert trace.reason == "max_iterations"
         assert trace.iterations == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_expansive_map_stops_non_finite(self):
+        x, trace = proximal_point(R1, lambda v: -9.0 * v, np.ones(1), Schedule())
+        assert trace.reason == "non-finite"
+        assert trace.fp_residual[-1] == np.inf
+        assert np.isfinite(x).all()
+        assert len(trace.fp_residual) == trace.iterations + 1
+
 
 class TestBuildRelaxed:
     def test_full_space_identity_map_reduces_to_resolvent(self):
