@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -50,13 +51,14 @@ ORACLE_MATCH_TOL = 1e-6
 EXACTNESS_TOL = 1e-8
 
 
-def _flat_numbers(value):
-    """Yield every leaf number in a nested list structure (None leaves skipped)."""
+def _all_finite(value):
+    """Whether every leaf number of a nested list structure is finite (None leaves skipped)."""
     if isinstance(value, (list, tuple)):
-        for v in value:
-            yield from _flat_numbers(v)
-    elif value is not None:
-        yield float(value)
+        try:  # a row of numbers, in one pass
+            return all(map(math.isfinite, value))
+        except TypeError:  # nested lists, None or numeric strings
+            return all(map(_all_finite, value))
+    return value is None or math.isfinite(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +130,8 @@ class InstanceSpec:
         if not self.subspace and self.kind != "feasibility-product":
             raise ValidationError("field 'subspace': spanning vectors are required")
         for key, value in (("subspace", self.subspace), ("maps", self.maps or [])):
-            for entry in _flat_numbers(value):
-                if not np.isfinite(entry):
-                    raise ValidationError(f"field {key!r}: non-finite entry")
+            if not _all_finite(value):
+                raise ValidationError(f"field {key!r}: non-finite entry")
 
     def to_dict(self):
         return {
@@ -331,6 +332,26 @@ def _stack_or_single(maps, weights):
 # ---------------------------------------------------------------------------
 
 
+def normal_equations(basis, terms):
+    """``M = sum_k a_k A_k* A_k`` and ``rhs = sum_k b_k A_k* p_k`` with ``A_k = L_k U``.
+
+    ``basis`` holds the orthonormal basis ``U`` of V in its rows and
+    ``terms`` yields ``(L_k, p_k, a_k, b_k)``.  Row ``i`` of
+    ``A_k = basis @ L_k.matrix.T`` is ``L_k u_i``, so
+    ``M[i, j] = sum_k a_k <L_k u_i, L_k u_j>_{G_k}`` in the metric of each
+    codomain ``G_k``, and likewise for ``rhs``.
+    """
+    k = basis.shape[0]
+    M = np.zeros((k, k))
+    rhs = np.zeros(k)
+    for L_k, p_k, a_k, b_k in terms:
+        A = basis @ L_k.matrix.T
+        AW = A * L_k.codomain.weights
+        M += a_k * (AW @ A.T)
+        rhs += b_k * (AW @ p_k)
+    return M, rhs
+
+
 def least_squares_oracle(inst):
     """Normal-equations solution of the singleton split-feasibility relaxation.
 
@@ -340,20 +361,14 @@ def least_squares_oracle(inst):
     """
     if inst.kind != "split-feasibility" or not inst.blocks:
         raise ValidationError("least_squares_oracle needs a split-feasibility instance")
-    basis = inst.V.basis  # rows
-    k = basis.shape[0]
-    M = np.zeros((k, k))
-    rhs = np.zeros(k)
+    terms = []
     for L_k, fam, w_k in inst.blocks:
         cset = getattr(fam, "cset", None)
         if not isinstance(cset, Singleton):
             raise ValidationError("least_squares_oracle needs singleton target sets")
-        G = L_k.codomain
-        lb = np.array([L_k.apply(b) for b in basis])  # k x dim_G
-        for i in range(k):
-            rhs[i] += w_k * G.inner(lb[i], cset.point)
-            for j in range(k):
-                M[i, j] += w_k * G.inner(lb[i], lb[j])
+        terms.append((L_k, cset.point, w_k, w_k))
+    basis = inst.V.basis  # rows
+    M, rhs = normal_equations(basis, terms)
     flag = False
     try:
         coeffs = np.linalg.solve(M, rhs)
@@ -378,16 +393,9 @@ def wiener_oracle(inst):
     if scales is None or any(c is None for c in scales):
         raise ValidationError("wiener_oracle needs scaled-identity forward maps")
     basis = inst.V.basis
-    k = basis.shape[0]
-    M = np.zeros((k, k))
-    rhs = np.zeros(k)
-    for (L_k, _fwd, p_k, w_k), c_k in zip(inst.blocks, scales):
-        G = L_k.codomain
-        lb = np.array([L_k.apply(b) for b in basis])
-        for i in range(k):
-            rhs[i] += w_k * G.inner(lb[i], p_k)
-            for j in range(k):
-                M[i, j] += w_k * c_k * G.inner(lb[i], lb[j])
+    M, rhs = normal_equations(basis, [
+        (L_k, p_k, w_k * c_k, w_k) for (L_k, _fwd, p_k, w_k), c_k in zip(inst.blocks, scales)
+    ])
     coeffs = np.linalg.solve(M, rhs)
     return basis.T @ coeffs
 
@@ -417,7 +425,20 @@ class RunReport:
     x0_projected: bool
 
     def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite number is written as ``null``."""
+        return json.dumps(_finite_or_null(dataclasses.asdict(self)), indent=2,
+                          sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside dicts and lists replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _atomic_write_text(path, text):
@@ -442,52 +463,55 @@ def execute(spec, unsafe=False):
     schedule = spec.build_schedule()
     x0 = inst.space.zeros()
     x, trace = solve_relaxed(inst, x0, schedule)
-    report_check = verify_exact_relaxation(inst, x, tol=EXACTNESS_TOL)
-    oracle_entry = None
-    if inst.kind == "split-feasibility":
-        try:
-            ref, flag = least_squares_oracle(inst)
-            oracle_entry = {
-                "point": list(ref),
-                "distance": inst.space.norm(x - ref),
-                "rank_deficient": bool(flag),
-            }
-        except ValidationError:
-            oracle_entry = None
-    elif inst.kind == "wiener":
-        try:
-            ref = wiener_oracle(inst)
-            oracle_entry = {
-                "point": list(ref),
-                "distance": inst.space.norm(x - ref),
-                "rank_deficient": False,
-            }
-        except ValidationError:
-            oracle_entry = None
+    # After a non-finite run the residuals of the (finite, huge) last iterate
+    # overflow too; the report carries them as null, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report_check = verify_exact_relaxation(inst, x, tol=EXACTNESS_TOL)
+        oracle_entry = None
+        if inst.kind == "split-feasibility":
+            try:
+                ref, flag = least_squares_oracle(inst)
+                oracle_entry = {
+                    "point": list(ref),
+                    "distance": inst.space.norm(x - ref),
+                    "rank_deficient": bool(flag),
+                }
+            except ValidationError:
+                oracle_entry = None
+        elif inst.kind == "wiener":
+            try:
+                ref = wiener_oracle(inst)
+                oracle_entry = {
+                    "point": list(ref),
+                    "distance": inst.space.norm(x - ref),
+                    "rank_deficient": False,
+                }
+            except ValidationError:
+                oracle_entry = None
 
-    verdict = report_check.verdict
-    if report_check.is_relaxed_solution:
-        verdict = (
-            "S1 attained"
-            if report_check.original_residual <= EXACTNESS_TOL
-            else "relaxed only"
+        verdict = report_check.verdict
+        if report_check.is_relaxed_solution:
+            verdict = (
+                "S1 attained"
+                if report_check.original_residual <= EXACTNESS_TOL
+                else "relaxed only"
+            )
+        report = RunReport(
+            kind=inst.kind,
+            seed=spec.seed,
+            converged=trace.reason == "converged",
+            reason=trace.reason,
+            iterations=trace.iterations,
+            final_iterate=list(x),
+            fp_residual=trace.fp_residual[-1],
+            var_residual=variational_residual(inst, x),
+            original_residual=report_check.original_residual,
+            membership_defect=report_check.membership_defect,
+            verdict=verdict,
+            oracle=oracle_entry,
+            trace_path=None,
+            x0_projected=trace.x0_projected,
         )
-    report = RunReport(
-        kind=inst.kind,
-        seed=spec.seed,
-        converged=trace.reason == "converged",
-        reason=trace.reason,
-        iterations=trace.iterations,
-        final_iterate=list(x),
-        fp_residual=trace.fp_residual[-1],
-        var_residual=variational_residual(inst, x),
-        original_residual=report_check.original_residual,
-        membership_defect=report_check.membership_defect,
-        verdict=verdict,
-        oracle=oracle_entry,
-        trace_path=None,
-        x0_projected=trace.x0_projected,
-    )
     return report, trace
 
 

@@ -16,12 +16,22 @@ Everything else in the package is built on the three objects defined here:
 monotone ``M``, cached per scale; the linear resolvents and quadratic proxes
 are built on it.
 
-Vectors are plain 1-D ``numpy`` arrays; a space validates them on demand.
+Vectors are plain 1-D ``numpy`` arrays, validated once at the public
+boundary: public methods and constructors pass them through
+:meth:`Space.validate` (shape, finiteness, float64).  The kernels behind
+them -- power iteration, Gram-Schmidt, the solver loops, the catalog
+evaluators -- work on raw arrays through ``matrix``/``adjoint_matrix`` and the
+unchecked :meth:`Space._inner` / :meth:`Space._norm`.  A value that goes
+non-finite inside a loop is caught by the loop's finiteness test on its
+residual scalar.
+
 All objects are immutable after construction and all operations are pure,
 so values can be shared freely between threads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,24 +88,35 @@ class Space:
         self.weights = weights
 
     def validate(self, x):
-        """Return ``x`` as a float array after checking it belongs to this space."""
-        x = np.asarray(x, dtype=float)
+        """Return ``x`` as a float array after checking it belongs to this space.
+
+        A float64 ``ndarray`` of the right shape is returned as is (no copy).
+        """
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"vector of shape {x.shape} does not live in a space of dimension {self.dim}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValidationError("vector has non-finite entries")
         return x
 
     def inner(self, x, y):
         """Metric inner product ``sum_i w_i x_i y_i``."""
-        x = self.validate(x)
-        y = self.validate(y)
-        return float(np.dot(self.weights * x, y))
+        return self._inner(self.validate(x), self.validate(y))
 
     def norm(self, x):
-        return float(np.sqrt(self.inner(x, x)))
+        return self._norm(self.validate(x))
+
+    # Raw forms for kernels: the caller guarantees validated arrays.
+    # ``ndarray.dot`` is ``np.dot`` without the dispatch wrapper.
+
+    def _inner(self, x, y):
+        return float((self.weights * x).dot(y))
+
+    def _norm(self, x):
+        return math.sqrt((self.weights * x).dot(x))
 
     def zeros(self):
         return np.zeros(self.dim)
@@ -190,22 +211,26 @@ class LinearMap:
 
     def _power_norm(self):
         # Power iteration on L* L, which is self-adjoint PSD in the domain
-        # metric; the Rayleigh quotient converges to ||L||^2.
+        # metric; the Rayleigh quotient converges to ||L||^2.  The matrix was
+        # validated on entry, so the loop runs on raw vectors.
         gram = self.adjoint_matrix @ self.matrix
+        dom = self.domain
         rng = np.random.default_rng(POWER_ITERATION_SEED)
-        v = rng.standard_normal(self.domain.dim)
-        nv = self.domain.norm(v)
+        v = rng.standard_normal(dom.dim)
+        nv = dom._norm(v)
         if nv == 0.0:
-            v = np.ones(self.domain.dim)
-            nv = self.domain.norm(v)
+            v = np.ones(dom.dim)
+            nv = dom._norm(v)
         v = v / nv
         lam = 0.0
         for _ in range(_POWER_MAXIT):
             w = gram @ v
-            lam_new = self.domain.inner(v, w)
-            nw = self.domain.norm(w)
+            lam_new = dom._inner(v, w)
+            nw = dom._norm(w)
             if nw == 0.0:
                 return 0.0
+            if not math.isfinite(nw):
+                raise ValidationError("matrix entries overflow the norm computation")
             v = w / nw
             if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
                 lam = lam_new
@@ -293,13 +318,13 @@ class SubspaceProjector:
         basis = []
         for v in spanning_vectors:
             v = space.validate(v).copy()
-            scale = space.norm(v)
+            scale = space._norm(v)
             for b in basis:
-                v -= space.inner(v, b) * b
+                v -= space._inner(v, b) * b
             # second pass stabilizes near-dependent inputs
             for b in basis:
-                v -= space.inner(v, b) * b
-            nv = space.norm(v)
+                v -= space._inner(v, b) * b
+            nv = space._norm(v)
             if nv > GRAM_SCHMIDT_DROP_TOL * max(1.0, scale):
                 basis.append(v / nv)
         if not basis:
@@ -328,7 +353,8 @@ class SubspaceProjector:
 
     def residual_norm(self, x):
         """Metric distance from ``x`` to the subspace."""
-        return self.space.norm(x - self.apply(x))
+        x = self.space.validate(x)
+        return self.space._norm(x - self.matrix @ x)
 
     def __repr__(self):
         return f"SubspaceProjector(rank={self.rank} in dim {self.space.dim})"

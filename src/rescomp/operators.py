@@ -14,6 +14,9 @@ Derived families -- inverses, positive rescalings, products on product
 spaces -- are provided as wrappers so the composition calculus can be
 expressed without touching evaluator internals.
 
+Only :meth:`ResolventFamily.resolvent` validates; derived and product
+families call their factors' raw ``_evaluator``.
+
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
 idempotent per-scale inverse cache of :func:`hilbert.shifted_inverse`,
@@ -77,21 +80,26 @@ class ResolventFamily:
         y = self.space.validate(y)
         return self._evaluator(float(gamma), y)
 
+    def _resolve(self, gamma, y):
+        """``J_{gamma B}(y)`` for a validated ``y``: checks the scale only."""
+        self._check_scale(gamma)
+        return self._evaluator(float(gamma), y)
+
     def yosida(self, gamma, x):
         """``(x - J_{gamma B} x) / gamma``; gamma-cocoercive."""
         x = self.space.validate(x)
-        return (x - self.resolvent(gamma, x)) / gamma
+        return (x - self._resolve(gamma, x)) / gamma
 
     def inverse_resolvent(self, gamma, x):
         """``J_{gamma B^{-1}}(x) = x - gamma J_{B/gamma}(x/gamma)``."""
         x = self.space.validate(x)
-        return x - gamma * self.resolvent(1.0 / gamma, x / gamma)
+        return x - gamma * self._resolve(1.0 / gamma, x / gamma)
 
     def graph_contains(self, point, tol):
         """Whether ``xstar in B(x)``, tested as ``x == J_B(x + xstar)``."""
         x = self.space.validate(point.x)
         xstar = self.space.validate(point.xstar)
-        return self.space.norm(x - self.resolvent(1.0, x + xstar)) <= tol
+        return self.space._norm(x - self._resolve(1.0, x + xstar)) <= tol
 
     def sample_graph(self, n, seed=0, scale=1.0):
         """``n`` pairs ``(J_B z, z - J_B z)``, which always lie in gra B."""
@@ -162,7 +170,7 @@ def normal_cone(cset):
     fam = ResolventFamily(
         cset.space,
         f"normal-cone({cset.tag})",
-        lambda gamma, y: cset.project(y),
+        lambda gamma, y: cset._project(y),
     )
     fam.cset = cset
     return fam
@@ -193,7 +201,7 @@ def linear_monotone(space, M):
 def subdifferential(g):
     """The subdifferential of a ProxFunction: ``J_{gamma B} = prox_{gamma g}``."""
     return ResolventFamily(
-        g.space, f"subdifferential({g.tag})", lambda gamma, y: g.prox(gamma, y)
+        g.space, f"subdifferential({g.tag})", lambda gamma, y: g._prox(gamma, y)
     )
 
 
@@ -210,8 +218,10 @@ def make_wiener(space, F, p, rng_seed=0):
     for _ in range(_WIENER_SPOT_CHECKS):
         a = space.random(rng)
         b = space.random(rng)
-        lhs = space.norm(F(a) - F(b)) ** 2 + space.norm((a - F(a)) - (b - F(b))) ** 2
-        if lhs > space.norm(a - b) ** 2 + _WIENER_TOL:
+        fa = space.validate(F(a))
+        fb = space.validate(F(b))
+        lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
+        if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
             raise ValidationError(
                 "supplied map failed the firm-nonexpansiveness spot check"
             )
@@ -229,7 +239,8 @@ def product_family(families, weights=None):
     """Blockwise operator ``B(y) = B_1 y_1 x ... x B_p y_p`` on the product space.
 
     The resolvent acts block by block; the product supports a scale exactly
-    when every factor does.
+    when every factor does, so one scale check on the product covers the
+    factors' raw evaluators.
     """
     families = list(families)
     if not families:
@@ -249,7 +260,7 @@ def product_family(families, weights=None):
     def evaluator(gamma, y):
         out = np.empty_like(y)
         for fam, sl in zip(families, slices):
-            out[sl] = fam.resolvent(gamma, y[sl])
+            out[sl] = fam._evaluator(gamma, y[sl])
         return out
 
     prod = ResolventFamily(space, "product", evaluator, scale_domain=scale_domain)

@@ -17,6 +17,9 @@ space: closed forms are per-coordinate with weight-adjusted thresholds
 (the l1 soft threshold at coordinate i is ``gamma / w_i``).  Functions are
 immutable and evaluation is pure; the inner solver behind
 :func:`proximal_composition_value` allocates all of its state per call.
+
+Public entry points validate their vectors once; what runs behind them
+calls the raw ``_prox`` / ``_value`` evaluators and raw norms.
 """
 
 from __future__ import annotations
@@ -116,14 +119,14 @@ def indicator(cset: ConvexSet):
     space = cset.space
 
     def value(x):
-        return 0.0 if cset.contains(x, INDICATOR_TOL) else np.inf
+        return 0.0 if cset._distance(x) <= INDICATOR_TOL else np.inf
 
     conj = _support_function(cset)
     minimizer = cset.any_point()
     return ProxFunction(
         space,
         f"indicator({cset.tag})",
-        lambda gamma, x: cset.project(x),
+        lambda gamma, x: cset._project(x),
         value=value,
         conjugate_value=conj,
         minimizer=minimizer,
@@ -136,7 +139,7 @@ def _support_function(cset):
     w = space.weights
     if isinstance(cset, Singleton):
         p = cset.point
-        return lambda y: space.inner(p, y)
+        return lambda y: space._inner(p, y)
     if isinstance(cset, Box):
         lo, hi = cset.lower, cset.upper
 
@@ -156,7 +159,7 @@ def _support_function(cset):
         return sup_box
     if isinstance(cset, Ball):
         c, r = cset.center, cset.radius
-        return lambda y: space.inner(c, y) + r * space.norm(y)
+        return lambda y: space._inner(c, y) + r * space._norm(y)
     return None
 
 
@@ -207,7 +210,7 @@ def quadratic(space, Q, b=None):
         return inverse(gamma) @ (x + gamma * b)
 
     def value(x):
-        return 0.5 * space.inner(Q @ x, x) - space.inner(b, x)
+        return 0.5 * space._inner(Q @ x, x) - space._inner(b, x)
 
     conj_value = None
     minimizer = None
@@ -215,7 +218,7 @@ def quadratic(space, Q, b=None):
 
         def conj_value(y):
             z = np.linalg.solve(Q, y + b)
-            return 0.5 * space.inner(y + b, z)
+            return 0.5 * space._inner(y + b, z)
 
         minimizer = np.linalg.solve(Q, b)
 
@@ -234,8 +237,8 @@ def half_squared_distance(space, p):
         space,
         "half-sq-dist",
         prox,
-        value=lambda x: 0.5 * space.norm(x - p) ** 2,
-        conjugate_value=lambda y: 0.5 * space.norm(y) ** 2 + space.inner(p, y),
+        value=lambda x: 0.5 * space._norm(x - p) ** 2,
+        conjugate_value=lambda y: 0.5 * space._norm(y) ** 2 + space._inner(p, y),
         minimizer=p,
     )
 
@@ -255,14 +258,14 @@ def separable(gs, weights):
     def prox(gamma, x):
         out = np.empty_like(x)
         for g, sl in zip(gs, slices):
-            out[sl] = g.prox(gamma, x[sl])
+            out[sl] = g._prox(gamma, x[sl])
         return out
 
     value = None
     if all(g.has_value for g in gs):
 
         def value(x):
-            return float(sum(w * g.value(x[sl]) for g, w, sl in zip(gs, weights, slices)))
+            return float(sum(w * float(g._value(x[sl])) for g, w, sl in zip(gs, weights, slices)))
 
     minimizer = None
     if all(g._minimizer is not None for g in gs):
@@ -283,7 +286,7 @@ def conjugate_prox(g, gamma, x):
     if gamma <= 0.0:
         raise ValidationError(f"prox scale must be positive, got {gamma}")
     x = g.space.validate(x)
-    return x - gamma * g.prox(1.0 / gamma, x / gamma)
+    return x - gamma * g._prox(float(1.0 / gamma), x / gamma)
 
 
 def moreau_envelope(g, gamma, x):
@@ -297,8 +300,8 @@ def moreau_envelope(g, gamma, x):
     if not g.has_value:
         raise CapabilityError("moreau_envelope needs a value oracle")
     x = g.space.validate(x)
-    p = g.prox(gamma, x)
-    return g.value(p) + g.space.norm(x - p) ** 2 / (2.0 * gamma)
+    p = g._prox(float(gamma), x)
+    return float(g._value(p)) + g.space._norm(x - p) ** 2 / (2.0 * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +315,7 @@ def proximal_composition_prox(L, g, x, unsafe=False):
     if L.codomain != g.space:
         raise ValidationError("L must map into the space of g")
     x = L.domain.validate(x)
-    return L.adjoint_apply(g.prox(1.0, L.apply(x)))
+    return L.adjoint_matrix @ g._prox(1.0, L.matrix @ x)
 
 
 def proximal_cocomposition_prox(L, g, x, unsafe=False):
@@ -321,8 +324,8 @@ def proximal_cocomposition_prox(L, g, x, unsafe=False):
     if L.codomain != g.space:
         raise ValidationError("L must map into the space of g")
     x = L.domain.validate(x)
-    y = L.apply(x)
-    return x - L.adjoint_apply(y) + L.adjoint_apply(g.prox(1.0, y))
+    y = L.matrix @ x
+    return x - L.adjoint_matrix @ y + L.adjoint_matrix @ g._prox(1.0, y)
 
 
 def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
@@ -350,7 +353,7 @@ def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
             raise ValidationError("mixture maps must share their domain")
         if L.codomain != g.space:
             raise ValidationError("each map must land in its function's space")
-        out += w * L.adjoint_apply(g.prox(1.0, L.apply(x)))
+        out += w * (L.adjoint_matrix @ g._prox(1.0, L.matrix @ x))
     return out
 
 
@@ -390,7 +393,7 @@ def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,
 
     def prox_g_plus_q(v):
         # prox_{g + Q} at step 1: prox_{g/2}(v/2)
-        return g.prox(0.5, 0.5 * v)
+        return g._prox(0.5, 0.5 * v)
 
     def dr_map(z):
         p = proj_affine(z)

@@ -6,13 +6,16 @@ and indicator function built from them well behaved.
 
 Box projections clip per coordinate (valid because metrics are diagonal);
 balls and halfspaces are defined with respect to the metric norm.
+
+:meth:`ConvexSet.project` validates, then calls the subclass's raw
+``_project``, which product sets, normal cones and indicators call directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .hilbert import SubspaceProjector
 
 
@@ -25,19 +28,25 @@ class ConvexSet:
         self.space = space
 
     def project(self, x):
+        """The metric projection of ``x`` onto the set."""
+        return self._project(self.space.validate(x))
+
+    def _project(self, x):
+        """Projection of a validated vector (no checks)."""
         raise NotImplementedError
 
     def contains(self, x, tol=1e-8):
-        x = self.space.validate(x)
-        return self.space.norm(x - self.project(x)) <= tol
+        return self._distance(self.space.validate(x)) <= tol
 
     def distance(self, x):
-        x = self.space.validate(x)
-        return self.space.norm(x - self.project(x))
+        return self._distance(self.space.validate(x))
+
+    def _distance(self, x):
+        return self.space._norm(x - self._project(x))
 
     def any_point(self):
         """Some point of the set (used to seed feasibility tests)."""
-        return self.project(self.space.zeros())
+        return self._project(self.space.zeros())
 
 
 class Box(ConvexSet):
@@ -52,8 +61,7 @@ class Box(ConvexSet):
         if np.any(self.lower > self.upper):
             raise ValidationError("empty box: lower > upper somewhere")
 
-    def project(self, x):
-        x = self.space.validate(x)
+    def _project(self, x):
         return np.clip(x, self.lower, self.upper)
 
 
@@ -69,10 +77,9 @@ class Ball(ConvexSet):
         if self.radius < 0:
             raise ValidationError("negative ball radius")
 
-    def project(self, x):
-        x = self.space.validate(x)
+    def _project(self, x):
         d = x - self.center
-        nd = self.space.norm(d)
+        nd = self.space._norm(d)
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
@@ -92,9 +99,8 @@ class Halfspace(ConvexSet):
             raise ValidationError("halfspace normal must be nonzero")
         self._nn = nn
 
-    def project(self, x):
-        x = self.space.validate(x)
-        excess = self.space.inner(self.normal, x) - self.offset
+    def _project(self, x):
+        excess = self.space._inner(self.normal, x) - self.offset
         if excess <= 0.0:
             return x.copy()
         return x - (excess / self._nn) * self.normal
@@ -110,9 +116,8 @@ class AffineSubspace(ConvexSet):
         self.anchor = space.validate(anchor).copy()
         self.projector = SubspaceProjector(space, directions)
 
-    def project(self, x):
-        x = self.space.validate(x)
-        return self.anchor + self.projector.apply(x - self.anchor)
+    def _project(self, x):
+        return self.anchor + self.projector.matrix @ (x - self.anchor)
 
 
 class Singleton(ConvexSet):
@@ -124,8 +129,7 @@ class Singleton(ConvexSet):
         super().__init__(space)
         self.point = space.validate(point).copy()
 
-    def project(self, x):
-        self.space.validate(x)
+    def _project(self, x):
         return self.point.copy()
 
 
@@ -138,12 +142,14 @@ class ProductSet(ConvexSet):
         super().__init__(space)
         if len(sets) != len(slices):
             raise ValidationError("one block slice per factor set is required")
+        for s, sl in zip(sets, slices):
+            if len(range(space.dim)[sl]) != s.space.dim:
+                raise DimensionMismatchError("a block slice does not match its set's dimension")
         self.sets = list(sets)
         self.slices = list(slices)
 
-    def project(self, x):
-        x = self.space.validate(x)
+    def _project(self, x):
         out = np.empty_like(x)
         for s, sl in zip(self.sets, self.slices):
-            out[sl] = s.project(x[sl])
+            out[sl] = s._project(x[sl])
         return out

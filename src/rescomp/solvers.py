@@ -18,7 +18,12 @@ Stopping uses the fixed-point residual ``||proj_V z_n||`` of that
 resolvent, which the loop computes anyway; a run whose residual stops being
 finite (it diverges, e.g. with the norm gate bypassed) ends with reason
 ``non-finite`` and keeps its trace.  On a diverging run the squared norm
-overflows long before any entry does, so the last iterate is still finite.
+overflows long before any entry does, so the last iterate is still finite;
+the loops run under one ``np.errstate`` that silences numpy's overflow and
+invalid-value warnings, since the trace already records the reason.
+
+The loops validate ``x0`` and ``reference`` once, then iterate on raw
+matrices and ``B._evaluator``; the residual's finiteness is the only check.
 A run is single threaded and deterministic; its trace is append-only while
 running and immutable afterwards.
 """
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compositions import resolvent_composition, resolvent_cocomposition
-from .errors import ContractionConditionError, ValidationError
+from .errors import ContractionConditionError, DimensionMismatchError, ValidationError
 from .hilbert import NORM_GATE_TOL
 
 _LAMBDA_EPS = 1e-3
@@ -134,7 +139,9 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None,
     ``sum lambda_n ||c_n||`` is logged in the trace -- summability is the
     caller's responsibility and is reported, never enforced.
 
-    Returns ``(x_final, trace)``.
+    Returns ``(x_final, trace)``.  ``x0``, ``reference`` and each error
+    ``c_n`` are validated; the step ``J x_n - x_n`` is only checked for its
+    shape, and a non-finite one ends the run with reason ``non-finite``.
     """
     x = space.validate(x0).copy()
     ref = None if reference is None else space.validate(reference)
@@ -142,35 +149,41 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None,
     start = time.perf_counter_ns()
     n = 0
     cap = schedule.update_cap()
-    while True:
-        jx = J(x)
-        c = None
-        if errors is not None:
-            c = errors(n) if callable(errors) else (
-                errors[n] if n < len(errors) else space.zeros()
-            )
-            jx = jx + c
-        residual = space.norm(jx - x)
-        trace.fp_residual.append(residual)
-        trace.var_residual.append(None if var_residual_fn is None else var_residual_fn(x))
-        trace.dist_ref.append(None if ref is None else space.norm(x - ref))
-        trace.wall_ns.append(time.perf_counter_ns() - start)
-        if keep_iterates:
-            trace.iterates.append(x.copy())
-        if residual <= schedule.tol:
-            trace.reason = "converged"
-            break
-        if not math.isfinite(residual):
-            trace.reason = "non-finite"
-            break
-        if n >= cap:
-            trace.reason = "max_iterations"
-            break
-        lam = schedule.lambda_at(n)
-        if c is not None:
-            trace.inexact_weighted_sum += lam * space.norm(c)
-        x = x + lam * (jx - x)
-        n += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            jx = J(x)
+            c = None
+            if errors is not None:
+                c = errors(n) if callable(errors) else (
+                    errors[n] if n < len(errors) else space.zeros()
+                )
+                jx = jx + c
+            step = jx - x
+            if step.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"J returned a step of shape {step.shape} in a space of dimension {space.dim}"
+                )
+            residual = space._norm(step)
+            trace.fp_residual.append(residual)
+            trace.var_residual.append(None if var_residual_fn is None else var_residual_fn(x))
+            trace.dist_ref.append(None if ref is None else space._norm(x - ref))
+            trace.wall_ns.append(time.perf_counter_ns() - start)
+            if keep_iterates:
+                trace.iterates.append(x.copy())
+            if residual <= schedule.tol:
+                trace.reason = "converged"
+                break
+            if not math.isfinite(residual):
+                trace.reason = "non-finite"
+                break
+            if n >= cap:
+                trace.reason = "max_iterations"
+                break
+            lam = schedule.lambda_at(n)
+            if c is not None:
+                trace.inexact_weighted_sum += lam * space.norm(c)
+            x = x + lam * step
+            n += 1
     trace.iterations = n
     return x, trace
 
@@ -209,14 +222,20 @@ class RelaxedInstance:
 
     def inner_resolvent(self, x):
         """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""
-        y = self.L.apply(x)
-        return x - self.L.adjoint_apply(y) + self.L.adjoint_apply(
-            self.B.resolvent(self.gamma, y)
-        )
+        return self._inner_resolvent(self.space.validate(x))
+
+    def _inner_resolvent(self, x):
+        M, Mt = self.L.matrix, self.L.adjoint_matrix
+        y = M @ x
+        return x - Mt @ y + Mt @ self.B._resolve(self.gamma, y)
 
     def relaxed_resolvent(self, x):
         """The firmly nonexpansive map whose fixed points solve the relaxation."""
-        return self.V.apply(self.inner_resolvent(self.V.apply(x)))
+        return self._relaxed_resolvent(self.space.validate(x))
+
+    def _relaxed_resolvent(self, x):
+        P = self.V.matrix
+        return P @ self._inner_resolvent(P @ x)
 
     def relaxed_family(self):
         """The relaxed operator built through the composition calculus."""
@@ -224,12 +243,13 @@ class RelaxedInstance:
         return resolvent_composition(self.V.as_map(), coco, 1.0)
 
     def fixed_point_residual(self, x):
-        return self.space.norm(self.relaxed_resolvent(x) - x)
+        x = self.space.validate(x)
+        return self.space._norm(self._relaxed_resolvent(x) - x)
 
     def original_residual(self, x):
         """``||L x - J_{gamma B}(L x)||`` -- zero iff ``x`` solves the original problem."""
-        y = self.L.apply(x)
-        return self.L.codomain.norm(y - self.B.resolvent(self.gamma, y))
+        y = self.L.matrix @ self.space.validate(x)
+        return self.L.codomain._norm(y - self.B._resolve(self.gamma, y))
 
 
 def build_relaxed(V, L, B, gamma):
@@ -238,42 +258,49 @@ def build_relaxed(V, L, B, gamma):
 
 
 def _prepare_start(inst, x0, trace):
-    x = inst.space.validate(x0).copy()
-    if inst.V.residual_norm(x) > _MEMBERSHIP_TOL * (1.0 + inst.space.norm(x)):
-        x = inst.V.apply(x)
+    space, P = inst.space, inst.V.matrix
+    x = space.validate(x0).copy()
+    if space._norm(x - P @ x) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
+        x = P @ x
         trace.x0_projected = True
     return x
 
 
 def _run_loop(inst, x0, schedule, block_update, reference=None, keep_iterates=False):
-    """Shared driver for the stacked and blockwise recursions."""
-    space = inst.space
+    """Shared driver for the stacked and blockwise recursions.
+
+    ``block_update`` maps a raw iterate to the unprojected step
+    ``L* (J_{gamma B}(L x) - L x)``.
+    """
+    space, P, gamma = inst.space, inst.V.matrix, inst.gamma
+    norm = space._norm
     trace = Trace()
     x = _prepare_start(inst, x0, trace)
     ref = None if reference is None else space.validate(reference)
     start = time.perf_counter_ns()
     n = 0
     cap = schedule.update_cap()
-    while True:
-        pz = inst.V.apply(block_update(x))
-        residual = space.norm(pz)
-        trace.fp_residual.append(residual)
-        trace.var_residual.append(space.norm(x - inst.V.apply(x)) + residual / inst.gamma)
-        trace.dist_ref.append(None if ref is None else space.norm(x - ref))
-        trace.wall_ns.append(time.perf_counter_ns() - start)
-        if keep_iterates:
-            trace.iterates.append(x.copy())
-        if residual <= schedule.tol:
-            trace.reason = "converged"
-            break
-        if not math.isfinite(residual):
-            trace.reason = "non-finite"
-            break
-        if n >= cap:
-            trace.reason = "max_iterations"
-            break
-        x = x + schedule.lambda_at(n) * pz
-        n += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            pz = P @ block_update(x)
+            residual = norm(pz)
+            trace.fp_residual.append(residual)
+            trace.var_residual.append(norm(x - P @ x) + residual / gamma)
+            trace.dist_ref.append(None if ref is None else norm(x - ref))
+            trace.wall_ns.append(time.perf_counter_ns() - start)
+            if keep_iterates:
+                trace.iterates.append(x.copy())
+            if residual <= schedule.tol:
+                trace.reason = "converged"
+                break
+            if not math.isfinite(residual):
+                trace.reason = "non-finite"
+                break
+            if n >= cap:
+                trace.reason = "max_iterations"
+                break
+            x = x + schedule.lambda_at(n) * pz
+            n += 1
     trace.iterations = n
     return x, trace
 
@@ -287,11 +314,13 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     schedule tolerance.
     """
     schedule = schedule or Schedule()
+    M, Mt, gamma = inst.L.matrix, inst.L.adjoint_matrix, inst.gamma
+    inst.B._check_scale(gamma)
+    resolve = inst.B._evaluator
 
     def update(x):
-        y = inst.L.apply(x)
-        q = inst.B.resolvent(inst.gamma, y) - y
-        return inst.L.adjoint_apply(q)
+        y = M @ x
+        return Mt @ (resolve(gamma, y) - y)
 
     return _run_loop(inst, x0, schedule, update,
                      reference=reference, keep_iterates=keep_iterates)
@@ -308,22 +337,24 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
         raise ValidationError("instance carries no block structure")
     schedule = schedule or Schedule()
 
+    gamma = inst.gamma
     if inst.kind == "wiener":
 
         def update(x):
             z = inst.space.zeros()
             for L_k, F_k, p_k, w_k in inst.blocks:
-                y_k = L_k.apply(x)
-                z += w_k * L_k.adjoint_apply(p_k - F_k(y_k))
+                z += w_k * (L_k.adjoint_matrix @ (p_k - F_k(L_k.matrix @ x)))
             return z
 
     else:
+        for _L_k, B_k, _w_k in inst.blocks:
+            B_k._check_scale(gamma)
 
         def update(x):
             z = inst.space.zeros()
             for L_k, B_k, w_k in inst.blocks:
-                y_k = L_k.apply(x)
-                z += w_k * L_k.adjoint_apply(B_k.resolvent(inst.gamma, y_k) - y_k)
+                y_k = L_k.matrix @ x
+                z += w_k * (L_k.adjoint_matrix @ (B_k._evaluator(gamma, y_k) - y_k))
             return z
 
     return _run_loop(inst, x0, schedule, update,
@@ -337,9 +368,10 @@ def variational_residual(inst, x):
     ``N_V + L* o yosida o L``).
     """
     x = inst.space.validate(x)
-    yos = inst.B.yosida(inst.gamma, inst.L.apply(x))
-    pulled = inst.L.adjoint_apply(yos)
-    return inst.V.residual_norm(x) + inst.space.norm(inst.V.apply(pulled))
+    y = inst.L.matrix @ x
+    yos = (y - inst.B._resolve(inst.gamma, y)) / inst.gamma
+    P = inst.V.matrix
+    return inst.space._norm(x - P @ x) + inst.space._norm(P @ (inst.L.adjoint_matrix @ yos))
 
 
 @dataclass

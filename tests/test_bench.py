@@ -1,5 +1,6 @@
 """Configuration parsing, instance generation, oracles, runner, CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from rescomp.bench import (
     execute,
     generate_instance,
     least_squares_oracle,
+    normal_equations,
     run,
     wiener_oracle,
 )
@@ -24,6 +26,21 @@ from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
 from rescomp.sets import Singleton
 from rescomp.solvers import RelaxedInstance, Schedule, solve_relaxed
+
+
+# ||L|| = 3 with the gate bypassed (--unsafe-norm): x <- -8 x + 3 p diverges.
+NONFINITE_SPEC_DICT = {
+    "kind": "split-feasibility",
+    "spaces": {"domain": {"dim": 2}},
+    "maps": [[[3, 0], [0, 3]]],
+    "sets": [{"tag": "singleton", "point": [1, 1]}],
+    "weights": [1],
+    "subspace": [[1, 0], [0, 1]],
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def acceptance_dict(**overrides):
@@ -205,6 +222,38 @@ class TestOracle:
         assert res.passed, res.line()
 
 
+class TestNormalEquations:
+    def test_matches_loop_formula_in_weighted_metric(self):
+        rng = np.random.default_rng(5)
+        H = Space(5, rng.uniform(0.5, 2.0, size=5))
+        V = SubspaceProjector(H, [H.random(rng) for _ in range(3)])
+        terms = []
+        for dim in (2, 4):
+            G = Space(dim, rng.uniform(0.5, 2.0, size=dim))
+            L = LinearMap(H, G, rng.standard_normal((dim, 5)))
+            terms.append((L, G.random(rng), float(rng.uniform(0.1, 1.0)),
+                          float(rng.uniform(0.1, 1.0))))
+        M, rhs = normal_equations(V.basis, terms)
+        k = V.rank
+        M_ref, rhs_ref = np.zeros((k, k)), np.zeros(k)
+        for L, p, a, b in terms:
+            G = L.codomain
+            lb = [L.apply(u) for u in V.basis]
+            for i in range(k):
+                rhs_ref[i] += b * G.inner(lb[i], p)
+                for j in range(k):
+                    M_ref[i, j] += a * G.inner(lb[i], lb[j])
+        assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
+
+
+class TestReportJson:
+    def test_finite_report_unchanged(self):
+        report, _ = execute(InstanceSpec.from_dict(acceptance_dict()))
+        expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+        assert report.to_json() == expected
+
+
 class TestRun:
     def write_config(self, tmp_path, data, name="config.json"):
         path = tmp_path / name
@@ -334,18 +383,10 @@ class TestCli:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_run_keeps_trace_and_exits_two(self, tmp_path, capsys):
-        # ||L|| = 3 with the gate bypassed: x <- -8 x + 3 p diverges.
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "kind": "split-feasibility",
-            "spaces": {"domain": {"dim": 2}},
-            "maps": [[[3, 0], [0, 3]]],
-            "sets": [{"tag": "singleton", "point": [1, 1]}],
-            "weights": [1],
-            "subspace": [[1, 0], [0, 1]],
-        }))
+        cfg.write_text(json.dumps(NONFINITE_SPEC_DICT))
         trace = tmp_path / "t.csv"
         assert main(["solve", str(cfg), "--trace", str(trace), "--unsafe-norm"]) == 2
         out = capsys.readouterr().out
@@ -358,6 +399,26 @@ class TestCli:
         assert len(rows) == report["iterations"] + 2  # header + iterations 0..n
         assert rows[-1].split(",")[1] == "inf"
         assert "non-finite" in out
+
+    def test_nonfinite_run_is_silent_and_strict_json(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(NONFINITE_SPEC_DICT))
+        trace = tmp_path / "t.csv"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rescomp.cli", "solve", str(cfg),
+             "--trace", str(trace), "--unsafe-norm"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert trace.exists()
+        out = proc.stdout
+        report = json.loads(out[:out.rindex("}") + 1], parse_constant=_reject_constant)
+        assert report["reason"] == "non-finite"
+        assert report["fp_residual"] is None
+        assert report["var_residual"] is None
 
     def test_cli_import_does_not_load_scipy(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

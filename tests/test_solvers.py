@@ -120,7 +120,7 @@ class TestProximalPoint:
         assert trace.reason == "max_iterations"
         assert trace.iterations == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_expansive_map_stops_non_finite(self):
         x, trace = proximal_point(R1, lambda v: -9.0 * v, np.ones(1), Schedule())
         assert trace.reason == "non-finite"
