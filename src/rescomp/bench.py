@@ -7,8 +7,7 @@ A run is described by one JSON document with the top-level keys
 where ``kind`` is one of ``split-feasibility``, ``common-zero``,
 ``feasibility-product``, ``wiener`` or ``prox-mixture`` and the entries of
 ``sets`` are block descriptors whose meaning depends on the kind (convex
-sets, operators, Wiener blocks or convex functions; see README).  The
-environment variable ``RESCOMP_SEED`` overrides the configured seed.
+sets, operators, Wiener blocks or convex functions; see README).
 
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
 (unparseable config, dimension mismatches, failed norm gates), 2 on
@@ -295,7 +294,6 @@ def generate_instance(spec, unsafe=False):
             blocks=list(zip(maps, forwards, points, weights)), unsafe=unsafe,
         )
         inst.wiener_scales = scales
-        inst.wiener_points = points
         return inst
 
     if spec.kind == "split-feasibility":
@@ -456,9 +454,6 @@ def _atomic_write_text(path, text):
 
 def execute(spec, unsafe=False):
     """Build, solve and verify an instance; returns ``(report, trace)``."""
-    env_seed = os.environ.get("RESCOMP_SEED")
-    if env_seed is not None:
-        spec.seed = int(env_seed)
     inst = generate_instance(spec, unsafe=unsafe)
     schedule = spec.build_schedule()
     x0 = inst.space.zeros()
@@ -489,13 +484,6 @@ def execute(spec, unsafe=False):
             except ValidationError:
                 oracle_entry = None
 
-        verdict = report_check.verdict
-        if report_check.is_relaxed_solution:
-            verdict = (
-                "S1 attained"
-                if report_check.original_residual <= EXACTNESS_TOL
-                else "relaxed only"
-            )
         report = RunReport(
             kind=inst.kind,
             seed=spec.seed,
@@ -507,7 +495,7 @@ def execute(spec, unsafe=False):
             var_residual=variational_residual(inst, x),
             original_residual=report_check.original_residual,
             membership_defect=report_check.membership_defect,
-            verdict=verdict,
+            verdict=report_check.verdict,
             oracle=oracle_entry,
             trace_path=None,
             x0_projected=trace.x0_projected,
@@ -550,9 +538,6 @@ def oracle_command(config_path, out=print):
     """CLI body for ``rescomp oracle``: print the closed-form reference."""
     try:
         spec = load_spec(config_path)
-        env_seed = os.environ.get("RESCOMP_SEED")
-        if env_seed is not None:
-            spec.seed = int(env_seed)
         inst = generate_instance(spec)
         if inst.kind == "split-feasibility":
             ref, flag = least_squares_oracle(inst)

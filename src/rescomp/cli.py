@@ -7,7 +7,6 @@
 ``solve`` runs one configuration end to end (build, iterate, verify) and
 prints the run report; ``props`` executes the randomized property suites;
 ``oracle`` prints the closed-form reference solution when one exists.
-The environment variable ``RESCOMP_SEED`` overrides the config seed.
 
 Exit codes: 0 success, 1 structural error, 2 tolerance failure.
 """

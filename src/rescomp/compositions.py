@@ -24,12 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ContractionConditionError,
-    DimensionMismatchError,
-    InternalConsistencyError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
 from .hilbert import NORM_GATE_TOL, check_contraction, stack
 from .operators import ResolventFamily, product_family
 
@@ -61,7 +56,7 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction(L, unsafe=unsafe)
+    check_contraction([L], unsafe=unsafe)
     if not B.supports_scale(gamma):
         B._check_scale(gamma)  # raises with the precise message
     g = float(gamma)
@@ -76,7 +71,7 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction(L, unsafe=unsafe)
+    check_contraction([L], unsafe=unsafe)
     if not B.supports_scale(gamma):
         B._check_scale(gamma)
     g = float(gamma)
@@ -102,13 +97,7 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     for B, L in zip(Bs, Ls):
         if L.codomain != B.space:
             raise DimensionMismatchError("each map must land in its operator's space")
-    total = sum(w * L.op_norm() ** 2 for w, L in zip(weights, Ls))
-    if total <= 0.0:
-        raise ContractionConditionError("mixture requires a nonzero stacked map")
-    if total > 1.0 + NORM_GATE_TOL and not unsafe:
-        raise ContractionConditionError(
-            f"sum_k w_k ||L_k||^2 = {total:.6g} exceeds 1; pass unsafe=True to override"
-        )
+    check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
     stacked = stack(Ls, weights)
     prod = product_family(Bs, weights)
     if not prod.supports_scale(gamma):
@@ -142,8 +131,8 @@ def compose_chain(Q, L, B, unsafe=False):
     checks that their resolvents agree on fixed random probes (they are
     equal in exact arithmetic), and returns the single-composition form.
     """
-    check_contraction(Q, unsafe=unsafe)
-    check_contraction(L, unsafe=unsafe)
+    check_contraction([Q], unsafe=unsafe)
+    check_contraction([L], unsafe=unsafe)
     nested = resolvent_composition(Q, resolvent_composition(L, B, unsafe=unsafe),
                                    unsafe=unsafe)
     flat = resolvent_composition(L.compose(Q), B, unsafe=unsafe)

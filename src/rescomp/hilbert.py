@@ -7,10 +7,13 @@ Everything else in the package is built on the three objects defined here:
   product spaces (used by mixtures and averages) stay diagonal, which is
   why no general Gram matrix is supported.
 * :class:`LinearMap` -- a dense matrix between two spaces, with the
-  metric-aware adjoint ``W_dom^-1 M^T W_cod`` and a cached, deterministic
-  power-iteration estimate of the operator norm.
+  metric-aware adjoint ``W_dom^-1 M^T W_cod`` and its operator norm, the
+  largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once.
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
-  span of a set of vectors, orthonormalized by Gram-Schmidt.
+  span of a set of vectors, with an orthonormal basis from one SVD.
+
+:func:`check_contraction` is the one gate on the theory's hypothesis
+``sum_k w_k ||L_k||^2 <= 1`` (``||L|| <= 1`` for a single map).
 
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}`` for a
 monotone ``M``, cached per scale; the linear resolvents and quadratic proxes
@@ -19,9 +22,9 @@ are built on it.
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
 :meth:`Space.validate` (shape, finiteness, float64).  The kernels behind
-them -- power iteration, Gram-Schmidt, the solver loops, the catalog
-evaluators -- work on raw arrays through ``matrix``/``adjoint_matrix`` and the
-unchecked :meth:`Space._inner` / :meth:`Space._norm`.  A value that goes
+them -- the solver loops, the catalog evaluators -- work on raw arrays
+through ``matrix``/``adjoint_matrix`` and the unchecked
+:meth:`Space._inner` / :meth:`Space._norm`.  A value that goes
 non-finite inside a loop is caught by the loop's finiteness test on its
 residual scalar.
 
@@ -37,17 +40,12 @@ import numpy as np
 
 from .errors import ContractionConditionError, DimensionMismatchError, ValidationError
 
-# Seed for the power-iteration start vector; fixed so norm certificates
-# are reproducible across runs.
-POWER_ITERATION_SEED = 1729
-_POWER_TOL = 1e-12
-_POWER_MAXIT = 10_000
+# Singular values of the normalised spanning set below this fraction of the
+# largest one are dropped as linear dependence.  The cutoff is relative, so
+# the rank of V does not depend on the scale of the spanning vectors.
+RANK_RTOL = 1e-10
 
-# Vectors with metric norm below the drop tolerance are discarded during
-# Gram-Schmidt as linearly dependent.
-GRAM_SCHMIDT_DROP_TOL = 1e-10
-
-# Slack allowed on every ||L|| <= 1 gate, absorbing power-iteration noise.
+# Slack on sum_k w_k ||L_k||^2 <= 1, absorbing rounding in the computed norms.
 NORM_GATE_TOL = 1e-9
 
 # Scales whose inverse shifted_inverse keeps; a full cache is emptied, so a
@@ -55,14 +53,25 @@ NORM_GATE_TOL = 1e-9
 INVERSE_CACHE_SIZE = 16
 
 
-def check_contraction(L, unsafe=False, require_nonzero=False):
-    """Gate ``||L|| <= 1 + tol`` (and optionally ``L != 0``) or raise."""
-    n = L.op_norm()
-    if require_nonzero and n == 0.0:
+def check_contraction(maps, weights=None, unsafe=False, require_nonzero=False):
+    """Gate ``sum_k w_k ||L_k||^2 <= 1 + NORM_GATE_TOL`` or raise.
+
+    ``weights=None`` gives every map weight 1, so one map is gated on
+    ``||L||^2``.  Weights must be finite and positive.  ``require_nonzero``
+    also rejects a zero sum, even when ``unsafe`` lifts the bound.
+    """
+    if weights is None:
+        weights = [1.0] * len(maps)
+    if not all(0.0 < w < math.inf for w in weights):
+        raise ValidationError("mixture weights must be finite and strictly positive")
+    # n * n, not n ** 2: a float product overflows to inf instead of raising.
+    total = sum(w * n * n for w, n in zip(weights, (L.op_norm() for L in maps)))
+    if require_nonzero and total == 0.0:
         raise ContractionConditionError("a nonzero map is required here")
-    if n > 1.0 + NORM_GATE_TOL and not unsafe:
+    if total > 1.0 + NORM_GATE_TOL and not unsafe:
+        name = "||L||^2" if len(maps) == 1 else "sum_k w_k ||L_k||^2"
         raise ContractionConditionError(
-            f"operator norm {n:.6g} exceeds 1; pass unsafe=True to override"
+            f"{name} = {total!r} exceeds 1; pass unsafe=True to override"
         )
 
 
@@ -206,37 +215,22 @@ class LinearMap:
         return self.adjoint_matrix @ y
 
     def op_norm(self):
-        """Certified operator norm (cached at construction)."""
+        """Operator norm between the metrics (cached at construction)."""
         return self.norm_estimate
 
     def _power_norm(self):
-        # Power iteration on L* L, which is self-adjoint PSD in the domain
-        # metric; the Rayleigh quotient converges to ||L||^2.  The matrix was
-        # validated on entry, so the loop runs on raw vectors.
-        gram = self.adjoint_matrix @ self.matrix
-        dom = self.domain
-        rng = np.random.default_rng(POWER_ITERATION_SEED)
-        v = rng.standard_normal(dom.dim)
-        nv = dom._norm(v)
-        if nv == 0.0:
-            v = np.ones(dom.dim)
-            nv = dom._norm(v)
-        v = v / nv
-        lam = 0.0
-        for _ in range(_POWER_MAXIT):
-            w = gram @ v
-            lam_new = dom._inner(v, w)
-            nw = dom._norm(w)
-            if nw == 0.0:
-                return 0.0
-            if not math.isfinite(nw):
-                raise ValidationError("matrix entries overflow the norm computation")
-            v = w / nw
-            if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-                lam = lam_new
-                break
-            lam = lam_new
-        return float(np.sqrt(max(lam, 0.0)))
+        """The operator norm, exact to rounding.
+
+        It is the largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``,
+        the matrix of L between the Euclidean images of the two metrics.
+        Raises ``ValidationError`` when the norm overflows.
+        """
+        root = np.sqrt(self.codomain.weights)[:, None] / np.sqrt(self.domain.weights)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.svd(self.matrix * root, compute_uv=False)[0])
+        if not math.isfinite(norm):
+            raise ValidationError("matrix entries overflow the norm computation")
+        return norm
 
     def compose(self, inner):
         """The map ``self o inner`` (apply ``inner`` first)."""
@@ -309,28 +303,30 @@ def stack(maps, weights):
 class SubspaceProjector:
     """Metric-orthogonal projector onto the span of the given vectors.
 
-    The spanning set may be redundant; Gram-Schmidt in the space metric
-    drops dependent vectors (tolerance ``GRAM_SCHMIDT_DROP_TOL``).
+    The spanning set may be redundant.  Each vector is taken into the
+    metric (``* sqrt(W)``) and scaled to unit length, so only directions
+    count; an SVD keeps the right singular vectors whose singular value
+    exceeds ``RANK_RTOL`` times the largest.  Exact zero vectors are dropped.
     """
 
     def __init__(self, space, spanning_vectors):
         self.space = space
-        basis = []
-        for v in spanning_vectors:
-            v = space.validate(v).copy()
-            scale = space._norm(v)
-            for b in basis:
-                v -= space._inner(v, b) * b
-            # second pass stabilizes near-dependent inputs
-            for b in basis:
-                v -= space._inner(v, b) * b
-            nv = space._norm(v)
-            if nv > GRAM_SCHMIDT_DROP_TOL * max(1.0, scale):
-                basis.append(v / nv)
-        if not basis:
-            raise ValidationError("spanning set only contains (numerically) zero vectors")
-        self.basis = np.array(basis)  # rows are orthonormal basis vectors
-        self.rank = len(basis)
+        vectors = np.array([space.validate(v) for v in spanning_vectors]).reshape(-1, space.dim)
+        # Dividing by the largest entry first keeps the squares below from
+        # overflowing or underflowing, whatever the scale of the vector.
+        peak = np.abs(vectors).max(axis=1, initial=0.0)
+        root = np.sqrt(space.weights)
+        rows = vectors[peak > 0.0] / peak[peak > 0.0, None] * root
+        if not len(rows):
+            raise ValidationError("spanning set only contains zero vectors")
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        # The kept singular vectors are orthonormal only to about 1e-13; one
+        # QR restores working precision, so the projector is firmly
+        # nonexpansive to rounding.
+        q, _ = np.linalg.qr(vt[s > RANK_RTOL * s[0]].T)
+        self.basis = q.T / root  # rows are W-orthonormal basis vectors
+        self.rank = len(self.basis)
         # P x = sum_j <x, b_j> b_j, as a dense matrix
         self.matrix = self.basis.T @ (self.basis * space.weights[None, :])
 

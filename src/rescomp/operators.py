@@ -193,9 +193,7 @@ def linear_monotone(space, M):
         raise ValidationError("linear operator is not monotone in the metric")
 
     inverse = shifted_inverse(M)
-    fam = ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y)
-    fam.matrix = M
-    return fam
+    return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y)
 
 
 def subdifferential(g):
@@ -229,10 +227,7 @@ def make_wiener(space, F, p, rng_seed=0):
     def evaluator(gamma, y):
         return y - F(y) + p
 
-    fam = ResolventFamily(space, "wiener", evaluator, scale_domain=1.0)
-    fam.forward = F
-    fam.target = p
-    return fam
+    return ResolventFamily(space, "wiener", evaluator, scale_domain=1.0)
 
 
 def product_family(families, weights=None):
@@ -263,7 +258,4 @@ def product_family(families, weights=None):
             out[sl] = fam._evaluator(gamma, y[sl])
         return out
 
-    prod = ResolventFamily(space, "product", evaluator, scale_domain=scale_domain)
-    prod.factors = families
-    prod.slices = slices
-    return prod
+    return ResolventFamily(space, "product", evaluator, scale_domain=scale_domain)

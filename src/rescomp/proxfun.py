@@ -26,14 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ContractionConditionError,
-    ConvergenceError,
-    ValidationError,
-)
+from .errors import CapabilityError, ConvergenceError, ValidationError
 from .hilbert import (
-    NORM_GATE_TOL,
     block_slices,
     check_contraction,
     product_space,
@@ -271,9 +265,7 @@ def separable(gs, weights):
     if all(g._minimizer is not None for g in gs):
         minimizer = np.concatenate([g.minimizer() for g in gs])
 
-    f = ProxFunction(space, "separable", prox, value=value, minimizer=minimizer)
-    f.blocks = list(zip(gs, weights, slices))
-    return f
+    return ProxFunction(space, "separable", prox, value=value, minimizer=minimizer)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +303,7 @@ def moreau_envelope(g, gamma, x):
 
 def proximal_composition_prox(L, g, x, unsafe=False):
     """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``."""
-    check_contraction(L, unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe, require_nonzero=True)
     if L.codomain != g.space:
         raise ValidationError("L must map into the space of g")
     x = L.domain.validate(x)
@@ -320,7 +312,7 @@ def proximal_composition_prox(L, g, x, unsafe=False):
 
 def proximal_cocomposition_prox(L, g, x, unsafe=False):
     """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``."""
-    check_contraction(L, unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe, require_nonzero=True)
     if L.codomain != g.space:
         raise ValidationError("L must map into the space of g")
     x = L.domain.validate(x)
@@ -338,13 +330,7 @@ def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
     weights = [float(w) for w in weights]
     if not (len(gs) == len(Ls) == len(weights)):
         raise ValidationError("mixture needs matching functions, maps, weights")
-    total = sum(w * L.op_norm() ** 2 for w, L in zip(weights, Ls))
-    if total <= 0.0:
-        raise ContractionConditionError("mixture requires a nonzero stacked map")
-    if total > 1.0 + NORM_GATE_TOL and not unsafe:
-        raise ContractionConditionError(
-            f"sum_k w_k ||L_k||^2 = {total:.6g} exceeds 1; pass unsafe=True to override"
-        )
+    check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
     domain = Ls[0].domain
     x = domain.validate(x)
     out = np.zeros(domain.dim)
@@ -371,7 +357,7 @@ def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,
     """
     from .solvers import Schedule, proximal_point  # deferred: avoids an import cycle
 
-    check_contraction(L, unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe, require_nonzero=True)
     if not g.has_value:
         raise CapabilityError("proximal_composition_value needs a value oracle")
     H, G = L.domain, L.codomain

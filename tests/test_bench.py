@@ -25,7 +25,7 @@ from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
 from rescomp.sets import Singleton
-from rescomp.solvers import RelaxedInstance, Schedule, solve_relaxed
+from rescomp.solvers import RelaxedInstance, Schedule, solve_relaxed, verify_exact_relaxation
 
 
 # ||L|| = 3 with the gate bypassed (--unsafe-norm): x <- -8 x + 3 p diverges.
@@ -285,6 +285,15 @@ class TestRun:
         assert report["verdict"] == "S1 attained"
         assert report["original_residual"] <= EXACTNESS_TOL
 
+    def test_run_and_verification_give_one_verdict(self):
+        cfg = acceptance_dict()
+        cfg["sets"][1] = {"tag": "singleton", "point": [1.0]}
+        spec = InstanceSpec.from_dict(cfg)
+        report, _ = execute(spec)
+        check = verify_exact_relaxation(generate_instance(spec), report.final_iterate,
+                                        EXACTNESS_TOL)
+        assert report.verdict == check.verdict == "S1 attained"
+
     def test_feasibility_product_run(self, tmp_path):
         cfg = {
             "kind": "feasibility-product",
@@ -321,12 +330,6 @@ class TestRun:
         lines = []
         assert run(str(bad), out=lines.append) == 1
         assert "error" in lines[0]
-
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RESCOMP_SEED", "7")
-        spec = InstanceSpec.from_dict(acceptance_dict())
-        report, _ = execute(spec)
-        assert report.seed == 7
 
     def test_determinism(self):
         res = suite_determinism(np.random.default_rng([23, 1]), 1)

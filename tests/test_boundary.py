@@ -197,22 +197,19 @@ class TestValidationBudget:
         assert counts[0] == counts[1]
         assert counts[0] <= 2
 
-    def test_linear_map_validations_do_not_grow_with_power_steps(self, monkeypatch):
+    def test_linear_map_validations_do_not_depend_on_the_spectrum(self, monkeypatch):
         rng = np.random.default_rng(3)
         q1, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         q2, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         easy = np.diag([1.0] + [0.01] * 19)
         clustered = (q1 * np.linspace(1.0, 0.999, 20)) @ q2.T
         dom = Space(20, rng.uniform(0.5, 2.0, size=20))
-        validations, steps = [], []
+        validations = []
         for matrix in (easy, clustered):
             v = _Counter(monkeypatch, Space, "validate")
-            s = _Counter(monkeypatch, Space, "_norm")
             LinearMap(dom, Space(20), matrix)
             validations.append(v.calls)
-            steps.append(s.calls)
             monkeypatch.undo()
-        assert steps[1] > 10 * steps[0]
         assert validations[0] == validations[1]
         assert validations[0] <= 2
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from rescomp.errors import DimensionMismatchError, ValidationError
+from rescomp.errors import ContractionConditionError, DimensionMismatchError, ValidationError
 from rescomp.hilbert import (
     INVERSE_CACHE_SIZE,
     LinearMap,
     Space,
     SubspaceProjector,
+    check_contraction,
     identity_map,
     product_space,
     shifted_inverse,
@@ -23,6 +24,14 @@ from rescomp.properties import (
 
 def rng():
     return np.random.default_rng(42)
+
+
+def clustered_matrix(m, n, top):
+    """An m x n matrix (m <= n) with singular values evenly spread over [0.999 top, top]."""
+    g = rng()
+    u, _ = np.linalg.qr(g.standard_normal((m, m)))
+    v, _ = np.linalg.qr(g.standard_normal((n, m)))
+    return (u * np.linspace(top, 0.999 * top, m)) @ v.T
 
 
 class TestSpace:
@@ -118,6 +127,59 @@ class TestOpNorm:
                     ratio = G.norm(L.apply(x)) / H.norm(x)
                     assert L.norm_estimate >= ratio * (1 - 1e-9)
 
+    def test_clustered_spectrum_norm_is_exact(self):
+        L = LinearMap(Space(500), Space(200), clustered_matrix(200, 500, 1.0))
+        assert L.op_norm() == pytest.approx(1.0, abs=1e-14)
+
+    def test_weighted_metrics(self):
+        g = rng()
+        wd, wc = g.uniform(0.3, 2.0, size=30), g.uniform(0.3, 2.0, size=20)
+        M = clustered_matrix(20, 30, 0.9) * np.sqrt(wd) / np.sqrt(wc)[:, None]
+        L = LinearMap(Space(30, wd), Space(20, wc), M)
+        assert L.op_norm() == pytest.approx(0.9, abs=1e-14)
+
+    def test_norm_overflow_rejected(self):
+        s = Space(2)
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(s, s, np.full((2, 2), 1.7e308))
+
+    def test_huge_entries_get_their_norm_and_fail_the_gate(self):
+        s = Space(3)
+        L = LinearMap(s, s, np.full((3, 3), 1e200))
+        assert L.op_norm() == pytest.approx(3e200, rel=1e-12)
+        with pytest.raises(ContractionConditionError):
+            check_contraction([L])
+
+
+class TestGate:
+    def test_mixture_sum(self):
+        H = Space(2)
+        maps = [LinearMap(H, Space(1), [[1.0, 0.0]]), identity_map(H)]
+        check_contraction(maps, [0.5, 0.5])
+        with pytest.raises(ContractionConditionError, match="sum_k w_k"):
+            check_contraction(maps, [0.5, 0.6])
+        check_contraction(maps, [0.5, 0.6], unsafe=True)
+
+    def test_weights_must_be_positive_and_finite(self):
+        I = identity_map(Space(1))
+        for weights in ([-1.0, 1.5], [float("nan"), 0.5], [0.0, 1.0]):
+            with pytest.raises(ValidationError, match="weights"):
+                check_contraction([I, I], weights)
+
+    def test_norm_just_above_one_is_printed_in_full(self):
+        L = LinearMap(Space(20), Space(20), clustered_matrix(20, 20, 1 + 1.5e-8))
+        with pytest.raises(ContractionConditionError, match="exceeds 1") as info:
+            check_contraction([L])
+        total = L.op_norm() ** 2
+        assert total > 1.00000002
+        assert repr(total) in str(info.value)
+
+    def test_zero_map_needs_require_nonzero(self):
+        L = LinearMap(Space(2), Space(2), np.zeros((2, 2)))
+        check_contraction([L])
+        with pytest.raises(ContractionConditionError, match="nonzero"):
+            check_contraction([L], unsafe=True, require_nonzero=True)
+
 
 class TestProjector:
     def test_projection_onto_diagonal(self):
@@ -161,6 +223,18 @@ class TestProjector:
     def test_rejects_zero_spanning_set(self):
         with pytest.raises(ValidationError):
             SubspaceProjector(Space(2), [[0.0, 0.0]])
+
+    def test_tiny_spanning_vector_is_kept(self):
+        P = SubspaceProjector(Space(2), [[1e-11, 1e-11]])
+        assert P.rank == 1
+        assert P.apply([2.0, 0.0]) == pytest.approx([1.0, 1.0])
+
+    def test_rank_does_not_depend_on_vector_scale(self):
+        s = Space(2, [4.0, 0.25])
+        for spanning in ([[1e-11, 1e-11], [1.0, 0.0]], [[1e-170, 0.0], [1e150, 1e150]]):
+            P = SubspaceProjector(s, spanning)
+            assert P.rank == 2
+            assert P.apply([3.0, -5.0]) == pytest.approx([3.0, -5.0])
 
     def test_firmly_nonexpansive(self):
         res = suite_projector_firm(np.random.default_rng([7, 1]), 500)

@@ -253,6 +253,12 @@ class TestProximalMixtureProx:
         out = proximal_mixture_prox([g1, g2], [identity_map(R1)] * 2, [0.5, 0.5], [x])
         assert out == pytest.approx([0.5 * (x + a) / 2 + 0.5 * (x + b) / 2])
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValidationError):
+            proximal_mixture_prox(
+                [one_norm(R1)] * 2, [identity_map(R1)] * 2, [-1.0, 1.5], [3.0]
+            )
+
     def test_norm_condition_gate(self):
         with pytest.raises(ContractionConditionError):
             proximal_mixture_prox(

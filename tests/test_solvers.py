@@ -155,6 +155,16 @@ class TestBuildRelaxed:
         with pytest.raises(ContractionConditionError):
             build_relaxed(V, L, scaled_identity(R2, 1.0), 1.0)
 
+    def test_norm_just_above_one_rejected(self):
+        # singular values spread over [0.999, 1] (1 + 1.5e-8)
+        g = np.random.default_rng(0)
+        u, _ = np.linalg.qr(g.standard_normal((20, 20)))
+        v, _ = np.linalg.qr(g.standard_normal((20, 20)))
+        H = Space(20)
+        L = LinearMap(H, H, (u * np.linspace(1.0, 0.999, 20) * (1 + 1.5e-8)) @ v.T)
+        with pytest.raises(ContractionConditionError, match="exceeds 1"):
+            RelaxedInstance(SubspaceProjector.full(H), L, scaled_identity(H, 1.0), 1.0)
+
     def test_zero_map_rejected(self):
         V = SubspaceProjector.full(R2)
         L = LinearMap(R2, R2, np.zeros((2, 2)))
