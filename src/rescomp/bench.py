@@ -263,11 +263,8 @@ def generate_instance(spec, unsafe=False):
         cset = ProductSet(prod, base_sets, slices)
         diag = [np.tile(e, m) for e in np.eye(domain.dim)]
         V = SubspaceProjector(prod, diag)
-        inst = RelaxedInstance(
-            V, identity_map(prod), operators.normal_cone(cset), spec.gamma,
-            kind=spec.kind, sets=base_sets, unsafe=unsafe,
-        )
-        return inst
+        return RelaxedInstance(V, identity_map(prod), operators.normal_cone(cset), spec.gamma,
+                               kind=spec.kind, unsafe=unsafe)
 
     block_descs = spec.spaces.get("blocks")
     if block_descs is None:
@@ -278,34 +275,21 @@ def generate_instance(spec, unsafe=False):
         raise ValidationError("field 'spaces.blocks': one space per block is required")
     maps = _build_maps(spec, domain, block_spaces)
 
+    wiener_terms = None
     if spec.kind == "wiener":
-        forwards, scales, points, fams = [], [], [], []
+        fams, wiener_terms = [], []
         for desc, g in zip(spec.sets, block_spaces):
             fwd, scale = _build_wiener_forward(desc.get("f", desc), g)
             p = g.validate(desc["point"])
-            forwards.append(fwd)
-            scales.append(scale)
-            points.append(p)
             fams.append(operators.make_wiener(g, fwd, p))
-        stacked_L = _stack_or_single(maps, weights)
-        B = operators.product_family(fams, weights) if len(fams) > 1 else fams[0]
-        inst = RelaxedInstance(
-            V, stacked_L, B, spec.gamma, kind="wiener",
-            blocks=list(zip(maps, forwards, points, weights)), unsafe=unsafe,
-        )
-        inst.wiener_scales = scales
-        return inst
-
-    if spec.kind == "split-feasibility":
-        csets = [_build_set(d, g) for d, g in zip(spec.sets, block_spaces)]
-        fams = [operators.normal_cone(c) for c in csets]
+            wiener_terms.append((scale, p))
+    elif spec.kind == "split-feasibility":
+        fams = [operators.normal_cone(_build_set(d, g)) for d, g in zip(spec.sets, block_spaces)]
     elif spec.kind == "common-zero":
         fams = [_build_operator(d, g) for d, g in zip(spec.sets, block_spaces)]
-        csets = None
     elif spec.kind == "prox-mixture":
         gs = [_build_function(d, g) for d, g in zip(spec.sets, block_spaces)]
         fams = [operators.subdifferential(g) for g in gs]
-        csets = None
     else:  # pragma: no cover - kinds are validated upstream
         raise ValidationError(f"unknown kind {spec.kind!r}")
 
@@ -313,7 +297,7 @@ def generate_instance(spec, unsafe=False):
     B = operators.product_family(fams, weights) if len(fams) > 1 else fams[0]
     return RelaxedInstance(
         V, stacked_L, B, spec.gamma, kind=spec.kind,
-        blocks=list(zip(maps, fams, weights)), sets=csets, unsafe=unsafe,
+        blocks=list(zip(maps, fams, weights)), wiener_terms=wiener_terms, unsafe=unsafe,
     )
 
 
@@ -361,10 +345,9 @@ def least_squares_oracle(inst):
         raise ValidationError("least_squares_oracle needs a split-feasibility instance")
     terms = []
     for L_k, fam, w_k in inst.blocks:
-        cset = getattr(fam, "cset", None)
-        if not isinstance(cset, Singleton):
+        if not isinstance(fam.cset, Singleton):
             raise ValidationError("least_squares_oracle needs singleton target sets")
-        terms.append((L_k, cset.point, w_k, w_k))
+        terms.append((L_k, fam.cset.point, w_k, w_k))
     basis = inst.V.basis  # rows
     M, rhs = normal_equations(basis, terms)
     flag = False
@@ -387,15 +370,25 @@ def wiener_oracle(inst):
     """
     if inst.kind != "wiener":
         raise ValidationError("wiener_oracle needs a wiener instance")
-    scales = getattr(inst, "wiener_scales", None)
-    if scales is None or any(c is None for c in scales):
+    terms = inst.wiener_terms
+    if terms is None or any(c_k is None for c_k, _p_k in terms):
         raise ValidationError("wiener_oracle needs scaled-identity forward maps")
     basis = inst.V.basis
     M, rhs = normal_equations(basis, [
-        (L_k, p_k, w_k * c_k, w_k) for (L_k, _fwd, p_k, w_k), c_k in zip(inst.blocks, scales)
+        (L_k, p_k, w_k * c_k, w_k) for (L_k, _B_k, w_k), (c_k, p_k) in zip(inst.blocks, terms)
     ])
     coeffs = np.linalg.solve(M, rhs)
     return basis.T @ coeffs
+
+
+def _oracle(inst):
+    """``(point, rank_deficient)`` from the closed-form oracle, or None for kinds without one."""
+    if inst.kind == "split-feasibility":
+        ref, flag = least_squares_oracle(inst)
+        return ref, bool(flag)
+    if inst.kind == "wiener":
+        return wiener_oracle(inst), False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +414,7 @@ class RunReport:
     oracle: dict | None
     trace_path: str | None
     x0_projected: bool
+    certificates: dict
 
     def to_json(self):
         """Strict JSON: a non-finite number is written as ``null``."""
@@ -452,6 +446,18 @@ def _atomic_write_text(path, text):
         raise
 
 
+def certificates(inst):
+    """The rank r of V and ``sigma_min(L U)``, which sets the solver's rate.
+
+    ``sigma_min`` is the smallest singular value of ``A = L U`` from ``R^r``
+    into the codomain metric (0 when ``A`` has fewer than r rows); a run
+    with ``lambda = 1`` contracts by about ``1 - sigma_min^2`` per step.
+    """
+    r = inst.V.rank
+    s = np.linalg.svd(inst.A * np.sqrt(inst.L.codomain.weights)[:, None], compute_uv=False)
+    return {"rank_V": r, "sigma_min_LU": float(s[-1]) if len(s) == r else 0.0, "method": "svd"}
+
+
 def execute(spec, unsafe=False):
     """Build, solve and verify an instance; returns ``(report, trace)``."""
     inst = generate_instance(spec, unsafe=unsafe)
@@ -462,27 +468,15 @@ def execute(spec, unsafe=False):
     # overflow too; the report carries them as null, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         report_check = verify_exact_relaxation(inst, x, tol=EXACTNESS_TOL)
-        oracle_entry = None
-        if inst.kind == "split-feasibility":
-            try:
-                ref, flag = least_squares_oracle(inst)
-                oracle_entry = {
-                    "point": list(ref),
-                    "distance": inst.space.norm(x - ref),
-                    "rank_deficient": bool(flag),
-                }
-            except ValidationError:
-                oracle_entry = None
-        elif inst.kind == "wiener":
-            try:
-                ref = wiener_oracle(inst)
-                oracle_entry = {
-                    "point": list(ref),
-                    "distance": inst.space.norm(x - ref),
-                    "rank_deficient": False,
-                }
-            except ValidationError:
-                oracle_entry = None
+        try:
+            found = _oracle(inst)
+        except ValidationError:
+            found = None
+        oracle_entry = None if found is None else {
+            "point": list(found[0]),
+            "distance": inst.space.norm(x - found[0]),
+            "rank_deficient": found[1],
+        }
 
         report = RunReport(
             kind=inst.kind,
@@ -499,6 +493,7 @@ def execute(spec, unsafe=False):
             oracle=oracle_entry,
             trace_path=None,
             x0_projected=trace.x0_projected,
+            certificates=certificates(inst),
         )
     return report, trace
 
@@ -539,15 +534,11 @@ def oracle_command(config_path, out=print):
     try:
         spec = load_spec(config_path)
         inst = generate_instance(spec)
-        if inst.kind == "split-feasibility":
-            ref, flag = least_squares_oracle(inst)
-            out(json.dumps({"point": list(ref), "rank_deficient": bool(flag)}))
-        elif inst.kind == "wiener":
-            ref = wiener_oracle(inst)
-            out(json.dumps({"point": list(ref), "rank_deficient": False}))
-        else:
+        found = _oracle(inst)
+        if found is None:
             out(f"error: no closed-form oracle for kind {inst.kind!r}")
             return 1
+        out(json.dumps({"point": list(found[0]), "rank_deficient": found[1]}))
     except (RescompError, OSError, KeyError, TypeError) as exc:
         out(f"error: {exc}")
         return 1

@@ -46,13 +46,17 @@ class GraphPoint(NamedTuple):
 
 
 class ResolventFamily:
-    """An operator ``B`` given by ``gamma -> J_{gamma B}``."""
+    """An operator ``B`` given by ``gamma -> J_{gamma B}``.
 
-    def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES):
+    ``cset`` is the convex set of a normal cone (None for other operators).
+    """
+
+    def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None):
         self.space = space
         self.kind = kind
         self._evaluator = evaluator
         self.scale_domain = scale_domain
+        self.cset = cset
 
     # -- scale bookkeeping ----------------------------------------------
 
@@ -167,13 +171,12 @@ def scaled_identity(space, c):
 
 def normal_cone(cset):
     """Normal cone of a convex set: the resolvent is the projection, at any scale."""
-    fam = ResolventFamily(
+    return ResolventFamily(
         cset.space,
         f"normal-cone({cset.tag})",
         lambda gamma, y: cset._project(y),
+        cset=cset,
     )
-    fam.cset = cset
-    return fam
 
 
 def linear_monotone(space, M):

@@ -825,19 +825,18 @@ def _random_wiener_instance(rng):
     w = rng.uniform(0.2, 1.0, size=p)
     total = sum(wk * L.op_norm() ** 2 for wk, L in zip(w, Ls))
     w = list(w / total * rng.uniform(0.6, 1.0))
-    forwards, points, fams = [], [], []
+    terms, fams = [], []
     for g in spaces:
         c = float(rng.uniform(0.2, 0.9))
         fwd = (lambda cc: (lambda y: cc * y))(c)
         pt = g.random(rng)
-        forwards.append(fwd)
-        points.append(pt)
+        terms.append((c, pt))
         fams.append(ops.make_wiener(g, fwd, pt))
     stacked = stack(Ls, w)
     B = ops.product_family(fams, w)
     return RelaxedInstance(
         V, stacked, B, 1.0, kind="wiener",
-        blocks=list(zip(Ls, forwards, points, w)),
+        blocks=list(zip(Ls, fams, w)), wiener_terms=terms,
     )
 
 

@@ -1,36 +1,39 @@
 """Proximal point engine and the relaxed constrained-inclusion solver.
 
 The relaxation machinery takes data ``(V, L, B, gamma)`` -- a subspace, a
-linear map with ``0 < ||L|| <= 1`` and a maximally monotone operator --
-and iterates
+linear map with ``0 < ||L|| <= 1`` and a maximally monotone operator -- and
+runs the proximal point algorithm on the firmly nonexpansive relaxed
+resolvent ``J = proj_V o (Id - L* L + L* J_{gamma B} L) o proj_V``.  Its
+iterates lie in V, so the solvers iterate on the coordinates ``c`` of
+``x = U c`` in V's W-orthonormal basis ``U`` (n x r).  With ``A = L U``
+(``RelaxedInstance.A``) and ``A* = A^T W_G``:
 
-    y_n = L x_n
-    q_n = J_{gamma B} y_n - y_n
-    z_n = L* q_n
-    x_{n+1} = x_n + lambda_n proj_V z_n
+    y_n = A c_n
+    g_n = A* (J_{gamma B} y_n - y_n)
+    c_{n+1} = c_n + lambda_n g_n
 
-which is exactly the proximal point algorithm applied to the firmly
-nonexpansive relaxed resolvent
+``U g_n = proj_V L* (J_{gamma B} y_n - y_n)`` is the step on ``x``, and as
+``U`` is W-orthonormal, ``||g_n||_2 = ||J x_n - x_n||_W`` is the
+fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
+lifted at the end, and per step only for kept iterates or a reference.
 
-    J(x) = proj_V((Id - L* L + L* J_{gamma B} L)(proj_V x)).
+One private loop drives these solvers and :func:`proximal_point`.  A run
+whose residual stops being finite (it diverges, e.g. with the norm gate
+bypassed) ends with reason ``non-finite`` and keeps its trace.  The squared
+norm overflows long before any entry does, so the last iterate is still
+finite; the loop silences numpy's overflow and invalid-value warnings,
+since the trace records the reason.
 
-Stopping uses the fixed-point residual ``||proj_V z_n||`` of that
-resolvent, which the loop computes anyway; a run whose residual stops being
-finite (it diverges, e.g. with the norm gate bypassed) ends with reason
-``non-finite`` and keeps its trace.  On a diverging run the squared norm
-overflows long before any entry does, so the last iterate is still finite;
-the loops run under one ``np.errstate`` that silences numpy's overflow and
-invalid-value warnings, since the trace already records the reason.
-
-The loops validate ``x0`` and ``reference`` once, then iterate on raw
-matrices and ``B._evaluator``; the residual's finiteness is the only check.
-A run is single threaded and deterministic; its trace is append-only while
-running and immutable afterwards.
+The solvers validate ``x0`` and ``reference`` once, then iterate on raw
+matrices and ``B._evaluator``.  A run is single threaded and
+deterministic; its trace is append-only while running and immutable
+afterwards.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import tempfile
@@ -129,6 +132,48 @@ class Trace:
             raise
 
 
+def _iterate(step, z, schedule, norm, trace, var_residual=None, distance=None, lift=None):
+    """The one relaxed fixed-point loop ``z <- z + lambda_n step(z)``.
+
+    ``norm(step(z))`` is the residual that stops the run;
+    ``var_residual(z, residual)`` and ``distance(z)`` fill the optional
+    trace columns, and when ``lift`` is given the trace keeps the iterates
+    ``lift(z)``.  Returns ``(z, trace)``.
+    """
+    if np.isscalar(schedule.lam):
+        lams = itertools.repeat(float(schedule.lam))
+    else:
+        lams = iter(schedule.lam)
+    cap = schedule.update_cap()
+    fp, var, dist, wall = (trace.fp_residual.append, trace.var_residual.append,
+                           trace.dist_ref.append, trace.wall_ns.append)
+    start = time.perf_counter_ns()
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            s = step(z)
+            residual = norm(s)
+            fp(residual)
+            var(None if var_residual is None else var_residual(z, residual))
+            dist(None if distance is None else distance(z))
+            wall(time.perf_counter_ns() - start)
+            if lift is not None:
+                trace.iterates.append(lift(z))
+            if residual <= schedule.tol:
+                trace.reason = "converged"
+                break
+            if not math.isfinite(residual):
+                trace.reason = "non-finite"
+                break
+            if n >= cap:
+                trace.reason = "max_iterations"
+                break
+            z = z + next(lams) * s
+            n += 1
+    trace.iterations = n
+    return z, trace
+
+
 def proximal_point(space, J, x0, schedule, errors=None, reference=None,
                    keep_iterates=False, var_residual_fn=None):
     """Relaxed fixed-point iteration ``x <- x + lambda_n (J x - x)``.
@@ -145,46 +190,34 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None,
     """
     x = space.validate(x0).copy()
     ref = None if reference is None else space.validate(reference)
-    trace = Trace()
-    start = time.perf_counter_ns()
-    n = 0
-    cap = schedule.update_cap()
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            jx = J(x)
-            c = None
-            if errors is not None:
-                c = errors(n) if callable(errors) else (
-                    errors[n] if n < len(errors) else space.zeros()
-                )
-                jx = jx + c
-            step = jx - x
-            if step.shape != x.shape:
-                raise DimensionMismatchError(
-                    f"J returned a step of shape {step.shape} in a space of dimension {space.dim}"
-                )
-            residual = space._norm(step)
-            trace.fp_residual.append(residual)
-            trace.var_residual.append(None if var_residual_fn is None else var_residual_fn(x))
-            trace.dist_ref.append(None if ref is None else space._norm(x - ref))
-            trace.wall_ns.append(time.perf_counter_ns() - start)
-            if keep_iterates:
-                trace.iterates.append(x.copy())
-            if residual <= schedule.tol:
-                trace.reason = "converged"
-                break
-            if not math.isfinite(residual):
-                trace.reason = "non-finite"
-                break
-            if n >= cap:
-                trace.reason = "max_iterations"
-                break
-            lam = schedule.lambda_at(n)
-            if c is not None:
-                trace.inexact_weighted_sum += lam * space.norm(c)
-            x = x + lam * step
-            n += 1
-    trace.iterations = n
+    drawn = []  # the errors c_0, c_1, ... in the order the steps used them
+
+    def step(x):
+        jx = J(x)
+        if errors is not None:
+            n = len(drawn)
+            c = errors(n) if callable(errors) else (
+                errors[n] if n < len(errors) else space.zeros()
+            )
+            drawn.append(c)
+            jx = jx + c
+        s = jx - x
+        if s.shape != x.shape:
+            raise DimensionMismatchError(
+                f"J returned a step of shape {s.shape} in a space of dimension {space.dim}"
+            )
+        return s
+
+    x, trace = _iterate(
+        step, x, schedule, space._norm, Trace(),
+        var_residual=None if var_residual_fn is None else (lambda x, _r: var_residual_fn(x)),
+        distance=None if ref is None else (lambda x: space._norm(x - ref)),
+        lift=np.copy if keep_iterates else None,
+    )
+    trace.inexact_weighted_sum = sum(
+        (schedule.lambda_at(n) * space.norm(c) for n, c in enumerate(drawn[:trace.iterations])),
+        0.0,
+    )
     return x, trace
 
 
@@ -193,10 +226,13 @@ class RelaxedInstance:
 
     ``kind`` tags how the instance was generated (generic, mixture,
     wiener, split-feasibility, common-zero, feasibility-product); block
-    structure, when present, enables the blockwise solver.
+    structure ``(L_k, B_k, w_k)``, when present, enables the blockwise
+    solver.  ``wiener_terms`` gives the Wiener oracle ``(c_k, p_k)`` per
+    block, ``c_k`` None unless the forward map is ``c_k Id``.  ``A`` is the
+    matrix of ``L U``, ``U`` the W-orthonormal basis of V in columns.
     """
 
-    def __init__(self, V, L, B, gamma, kind="generic", blocks=None, sets=None,
+    def __init__(self, V, L, B, gamma, kind="generic", blocks=None, wiener_terms=None,
                  unsafe=False):
         if L.domain != V.space:
             raise ValidationError("V must live in the domain of L")
@@ -211,8 +247,9 @@ class RelaxedInstance:
         self.gamma = float(gamma)
         self.kind = kind
         self.blocks = blocks
-        self.sets = sets
+        self.wiener_terms = wiener_terms
         self.space = L.domain
+        self.A = L.matrix @ V.basis.T
 
     def inner_resolvent(self, x):
         """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""
@@ -251,52 +288,26 @@ def build_relaxed(V, L, B, gamma):
     return RelaxedInstance(V, L, B, gamma)
 
 
-def _prepare_start(inst, x0, trace):
-    space, P = inst.space, inst.V.matrix
-    x = space.validate(x0).copy()
-    if space._norm(x - P @ x) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
-        x = P @ x
-        trace.x0_projected = True
-    return x
+def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates):
+    """Run ``c <- c + lambda_n step(c)`` from the coordinates of ``proj_V x0``.
 
-
-def _run_loop(inst, x0, schedule, block_update, reference=None, keep_iterates=False):
-    """Shared driver for the stacked and blockwise recursions.
-
-    ``block_update`` maps a raw iterate to the unprojected step
-    ``L* (J_{gamma B}(L x) - L x)``.
+    Returns ``(U c, trace)``; the trace is flagged when ``x0`` is off V.
     """
-    space, P, gamma = inst.space, inst.V.matrix, inst.gamma
-    norm = space._norm
-    trace = Trace()
-    x = _prepare_start(inst, x0, trace)
+    space, basis = inst.space, inst.V.basis  # basis = U^T
+    x = space.validate(x0)
     ref = None if reference is None else space.validate(reference)
-    start = time.perf_counter_ns()
-    n = 0
-    cap = schedule.update_cap()
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            pz = P @ block_update(x)
-            residual = norm(pz)
-            trace.fp_residual.append(residual)
-            trace.var_residual.append(norm(x - P @ x) + residual / gamma)
-            trace.dist_ref.append(None if ref is None else norm(x - ref))
-            trace.wall_ns.append(time.perf_counter_ns() - start)
-            if keep_iterates:
-                trace.iterates.append(x.copy())
-            if residual <= schedule.tol:
-                trace.reason = "converged"
-                break
-            if not math.isfinite(residual):
-                trace.reason = "non-finite"
-                break
-            if n >= cap:
-                trace.reason = "max_iterations"
-                break
-            x = x + schedule.lambda_at(n) * pz
-            n += 1
-    trace.iterations = n
-    return x, trace
+    trace = Trace()
+    c = basis @ (space.weights * x)
+    if space._norm(x - c @ basis) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
+        trace.x0_projected = True
+    gamma = inst.gamma
+    c, trace = _iterate(
+        step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
+        var_residual=lambda _c, residual: residual / gamma,
+        distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
+        lift=basis.T.dot if keep_iterates else None,
+    )
+    return c @ basis, trace
 
 
 def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
@@ -305,54 +316,48 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     ``x0`` should lie in V; if it does not, it is projected and the trace
     is flagged.  Returns ``(x, trace)``; at convergence ``x`` satisfies
     the fixed-point characterization of the relaxed problem within the
-    schedule tolerance.
+    schedule tolerance.  ``var_residual`` is ``fp_residual / gamma``: the
+    membership term of :func:`variational_residual` vanishes on iterates
+    ``U c``.
     """
     schedule = schedule or Schedule()
-    M, Mt, gamma = inst.L.matrix, inst.L.adjoint_matrix, inst.gamma
+    gamma = inst.gamma
     inst.B._check_scale(gamma)
     resolve = inst.B._evaluator
+    A = inst.A
+    A_adj = A.T * inst.L.codomain.weights
 
-    def update(x):
-        y = M @ x
-        return Mt @ (resolve(gamma, y) - y)
+    def step(c):
+        y = A @ c
+        return A_adj @ (resolve(gamma, y) - y)
 
-    return _run_loop(inst, x0, schedule, update,
-                     reference=reference, keep_iterates=keep_iterates)
+    return _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates)
 
 
 def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     """Blockwise variant of :func:`solve_relaxed` for structured instances.
 
-    Mixture-style blocks evaluate ``q_k = J_{gamma B_k}(L_k x) - L_k x``;
-    Wiener blocks evaluate ``q_k = p_k - F_k(L_k x)`` directly.  The
-    iterates agree with the stacked formulation pointwise.
+    With ``A_k = L_k U`` the step is ``sum_k w_k A_k* (J_{gamma B_k}(A_k c) - A_k c)``;
+    the iterates agree with the stacked formulation pointwise.
     """
     if not inst.blocks:
         raise ValidationError("instance carries no block structure")
     schedule = schedule or Schedule()
+    gamma, U = inst.gamma, inst.V.basis.T
+    terms = []
+    for L_k, B_k, w_k in inst.blocks:
+        B_k._check_scale(gamma)
+        A_k = L_k.matrix @ U
+        terms.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k._evaluator))
 
-    gamma = inst.gamma
-    if inst.kind == "wiener":
+    def step(c):
+        g = np.zeros(len(c))
+        for A_k, A_k_adj, resolve in terms:
+            y = A_k @ c
+            g += A_k_adj @ (resolve(gamma, y) - y)
+        return g
 
-        def update(x):
-            z = inst.space.zeros()
-            for L_k, F_k, p_k, w_k in inst.blocks:
-                z += w_k * (L_k.adjoint_matrix @ (p_k - F_k(L_k.matrix @ x)))
-            return z
-
-    else:
-        for _L_k, B_k, _w_k in inst.blocks:
-            B_k._check_scale(gamma)
-
-        def update(x):
-            z = inst.space.zeros()
-            for L_k, B_k, w_k in inst.blocks:
-                y_k = L_k.matrix @ x
-                z += w_k * (L_k.adjoint_matrix @ (B_k._evaluator(gamma, y_k) - y_k))
-            return z
-
-    return _run_loop(inst, x0, schedule, update,
-                     reference=reference, keep_iterates=keep_iterates)
+    return _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates)
 
 
 def variational_residual(inst, x):

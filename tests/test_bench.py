@@ -254,6 +254,23 @@ class TestReportJson:
         assert report.to_json() == expected
 
 
+    def test_certificates_present_and_strict(self):
+        report, _ = execute(InstanceSpec.from_dict(acceptance_dict()))
+        parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+        # V = span{(1, 1)}, L = diag(1, 1) into the (1/2, 1/2)-weighted metric
+        assert parsed["certificates"] == {
+            "rank_V": 1, "sigma_min_LU": pytest.approx(np.sqrt(0.5), abs=1e-15),
+            "method": "svd",
+        }
+
+    def test_certificates_of_nonfinite_run_are_strict(self):
+        report, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
+        assert trace.reason == "non-finite"
+        parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+        assert parsed["certificates"]["rank_V"] == 2
+        assert parsed["certificates"]["sigma_min_LU"] == pytest.approx(3.0)
+
+
 class TestRun:
     def write_config(self, tmp_path, data, name="config.json"):
         path = tmp_path / name

@@ -14,7 +14,7 @@ from rescomp.properties import (
     suite_fejer,
     suite_residual_agreement,
 )
-from rescomp.sets import Singleton
+from rescomp.sets import Ball, Box, Halfspace, Singleton
 from rescomp.solvers import (
     RelaxedInstance,
     Schedule,
@@ -53,8 +53,28 @@ def wiener_instance():
     fwd = lambda y: 0.5 * y
     B = make_wiener(R2, fwd, p)
     return RelaxedInstance(
-        V, identity_map(R2), B, 1.0, kind="wiener", blocks=[(identity_map(R2), fwd, p, 1.0)]
+        V, identity_map(R2), B, 1.0, kind="wiener", blocks=[(identity_map(R2), B, 1.0)],
+        wiener_terms=[(0.5, p)],
     )
+
+
+def coordinate_instance():
+    """Weighted metrics, n = 50, rank(V) = 25, m = 100 (four blocks of 25 rows)."""
+    rng = np.random.default_rng(2024)
+    n, m, p, r = 50, 25, 4, 25
+    H = Space(n, rng.uniform(0.5, 2.0, size=n))
+    spaces = [Space(m, rng.uniform(0.5, 2.0, size=m)) for _ in range(p)]
+    maps = [LinearMap(H, g, rng.standard_normal((m, n)) / np.sqrt(n)) for g in spaces]
+    w = rng.uniform(0.5, 1.0, size=p)
+    w = list(0.9 * w / sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps)))
+    sets = [Box(spaces[0], -0.1, 0.1), Ball(spaces[1], np.ones(m), 0.2),
+            Singleton(spaces[2], rng.standard_normal(m)), Halfspace(spaces[3], np.ones(m), -1.0)]
+    fams = [normal_cone(s) for s in sets]
+    V = SubspaceProjector(H, rng.standard_normal((r, n)))
+    inst = RelaxedInstance(V, stack(maps, w), product_family(fams, w), 0.8,
+                           kind="split-feasibility", blocks=list(zip(maps, fams, w)))
+    assert (V.rank, inst.L.matrix.shape) == (r, (p * m, n))
+    return inst, V.apply(H.random(rng))
 
 
 class TestSchedule:
@@ -279,6 +299,57 @@ class TestSolveBlocks:
     def test_block_stacked_suite(self):
         res = suite_block_stacked(np.random.default_rng([19, 2]), 300)
         assert res.passed, res.line()
+
+
+class TestCoordinateKernel:
+    """The solvers iterate on V's coordinates and lift ``x = U c``."""
+
+    SCHEDULE = Schedule(lam=1.3, max_iterations=80, tol=0.0)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_iterates_stay_in_v(self, solver):
+        inst, x0 = coordinate_instance()
+        _, trace = solver(inst, x0, self.SCHEDULE, keep_iterates=True)
+        assert len(trace.iterates) == 81
+        for x in trace.iterates:
+            assert inst.V.residual_norm(x) <= 1e-14 * (1.0 + inst.space.norm(x))
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_var_residual_is_scaled_fp_residual(self, solver):
+        inst, x0 = coordinate_instance()
+        _, trace = solver(inst, x0, self.SCHEDULE)
+        assert trace.var_residual == [r / inst.gamma for r in trace.fp_residual]
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_matches_proximal_point_on_relaxed_resolvent(self, solver):
+        inst, x0 = coordinate_instance()
+        _, ta = solver(inst, x0, self.SCHEDULE, keep_iterates=True)
+        _, tb = proximal_point(inst.space, inst.relaxed_resolvent, x0, self.SCHEDULE,
+                               keep_iterates=True)
+        assert ta.iterations == tb.iterations == 80
+        for u, v in zip(ta.iterates, tb.iterates):
+            assert inst.space.norm(u - v) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_constant_lambda_equals_list(self, solver):
+        inst, x0 = coordinate_instance()
+        xa, ta = solver(inst, x0, Schedule(lam=1.3, max_iterations=40, tol=0.0),
+                        keep_iterates=True)
+        xb, tb = solver(inst, x0, Schedule(lam=[1.3] * 40, tol=0.0), keep_iterates=True)
+        assert np.array_equal(xa, xb)
+        assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
+        assert ta.reason == tb.reason and ta.iterations == tb.iterations == 40
+        assert all(np.array_equal(u, v) for u, v in zip(ta.iterates, tb.iterates))
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_x0_off_v_is_projected_and_flagged(self, solver):
+        inst, x0 = coordinate_instance()
+        _, inside = solver(inst, x0, Schedule(max_iterations=2), keep_iterates=True)
+        assert not inside.x0_projected
+        off = x0 + np.random.default_rng(1).standard_normal(inst.space.dim)
+        _, trace = solver(inst, off, Schedule(max_iterations=2), keep_iterates=True)
+        assert trace.x0_projected
+        assert trace.iterates[0] == pytest.approx(inst.V.apply(off), abs=1e-13)
 
 
 class TestResidualsAndVerification:
