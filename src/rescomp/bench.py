@@ -281,7 +281,7 @@ def generate_instance(spec, unsafe=False):
         for desc, g in zip(spec.sets, block_spaces):
             fwd, scale = _build_wiener_forward(desc.get("f", desc), g)
             p = g.validate(desc["point"])
-            fams.append(operators.make_wiener(g, fwd, p))
+            fams.append(operators.make_wiener(g, fwd, p, scale=scale))
             wiener_terms.append((scale, p))
     elif spec.kind == "split-feasibility":
         fams = [operators.normal_cone(_build_set(d, g)) for d, g in zip(spec.sets, block_spaces)]

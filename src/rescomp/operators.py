@@ -14,6 +14,12 @@ Derived families -- inverses, positive rescalings, products on product
 spaces -- are provided as wrappers so the composition calculus can be
 expressed without touching evaluator internals.
 
+Catalog constructors whose resolvent is an affine map declare it:
+``affine(gamma) -> (M, b)`` with ``J_{gamma B}(y) = M y + b``, ``M`` a
+scalar or a matrix.  The relaxed solvers fold such blocks into one fixed
+matrix per solve.  Derived families declare nothing (``affine`` is None);
+a product lists its ``factors`` as ``(family, slice)`` pairs instead.
+
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.
 
@@ -36,6 +42,7 @@ ALL_SCALES = "all"
 
 _WIENER_SPOT_CHECKS = 100
 _WIENER_TOL = 1e-8
+_WIENER_REJECTED = "supplied map failed the firm-nonexpansiveness spot check"
 
 
 class GraphPoint(NamedTuple):
@@ -48,15 +55,21 @@ class GraphPoint(NamedTuple):
 class ResolventFamily:
     """An operator ``B`` given by ``gamma -> J_{gamma B}``.
 
-    ``cset`` is the convex set of a normal cone (None for other operators).
+    ``cset`` is the convex set of a normal cone, ``affine(gamma) -> (M, b)``
+    the affine form ``J_{gamma B}(y) = M y + b`` of a catalog resolvent, and
+    ``factors`` the ``(family, slice)`` blocks of a product (each None when
+    it does not apply).
     """
 
-    def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None):
+    def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None,
+                 affine=None, factors=None):
         self.space = space
         self.kind = kind
         self._evaluator = evaluator
         self.scale_domain = scale_domain
         self.cset = cset
+        self.affine = affine
+        self.factors = factors
 
     # -- scale bookkeeping ----------------------------------------------
 
@@ -156,7 +169,8 @@ class ResolventFamily:
 
 def zero_operator(space):
     """``B = 0``: the resolvent is the identity at every scale."""
-    return ResolventFamily(space, "zero", lambda gamma, y: y.copy())
+    return ResolventFamily(space, "zero", lambda gamma, y: y.copy(),
+                           affine=lambda gamma: (1.0, 0.0))
 
 
 def scaled_identity(space, c):
@@ -165,17 +179,20 @@ def scaled_identity(space, c):
     if c < 0.0:
         raise ValidationError("scaled identity needs c >= 0 to stay monotone")
     return ResolventFamily(
-        space, f"identity-scaled({c:g})", lambda gamma, y: y / (1.0 + gamma * c)
+        space, f"identity-scaled({c:g})", lambda gamma, y: y / (1.0 + gamma * c),
+        affine=lambda gamma: (1.0 / (1.0 + gamma * c), 0.0),
     )
 
 
 def normal_cone(cset):
     """Normal cone of a convex set: the resolvent is the projection, at any scale."""
+    form = cset.affine_projection()
     return ResolventFamily(
         cset.space,
         f"normal-cone({cset.tag})",
         lambda gamma, y: cset._project(y),
         cset=cset,
+        affine=None if form is None else (lambda gamma: form),
     )
 
 
@@ -196,41 +213,51 @@ def linear_monotone(space, M):
         raise ValidationError("linear operator is not monotone in the metric")
 
     inverse = shifted_inverse(M)
-    return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y)
+    return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y,
+                           affine=lambda gamma: (inverse(gamma), 0.0))
 
 
 def subdifferential(g):
     """The subdifferential of a ProxFunction: ``J_{gamma B} = prox_{gamma g}``."""
     return ResolventFamily(
-        g.space, f"subdifferential({g.tag})", lambda gamma, y: g._prox(gamma, y)
+        g.space, f"subdifferential({g.tag})", lambda gamma, y: g._prox(gamma, y),
+        affine=g.affine,
     )
 
 
-def make_wiener(space, F, p, rng_seed=0):
+def make_wiener(space, F, p, rng_seed=0, scale=None):
     """The operator ``(Id - F + p)^{-1} - Id`` for firmly nonexpansive ``F``.
 
     Its resolvent exists in closed form only at scale one:
-    ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  Firm
-    nonexpansiveness of ``F`` is the caller's responsibility; it is spot
-    checked here on random pairs, which validates without proving.
+    ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  ``scale=c``
+    declares ``F = c Id``; firm nonexpansiveness is then decided exactly
+    (``0 <= c <= 1``) and the resolvent is the affine map ``(1 - c) y + p``.
+    Any other ``F`` is the caller's responsibility; it is spot checked
+    here on random pairs, which validates without proving.
     """
     p = space.validate(p).copy()
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(_WIENER_SPOT_CHECKS):
-        a = space.random(rng)
-        b = space.random(rng)
-        fa = space.validate(F(a))
-        fb = space.validate(F(b))
-        lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
-        if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
-            raise ValidationError(
-                "supplied map failed the firm-nonexpansiveness spot check"
-            )
+    form = None
+    if scale is not None:
+        c = float(scale)
+        if not 0.0 <= c <= 1.0:
+            raise ValidationError(_WIENER_REJECTED)
+        form = (1.0 - c, p)
+    else:
+        rng = np.random.default_rng(rng_seed)
+        for _ in range(_WIENER_SPOT_CHECKS):
+            a = space.random(rng)
+            b = space.random(rng)
+            fa = space.validate(F(a))
+            fb = space.validate(F(b))
+            lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
+            if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
+                raise ValidationError(_WIENER_REJECTED)
 
     def evaluator(gamma, y):
         return y - F(y) + p
 
-    return ResolventFamily(space, "wiener", evaluator, scale_domain=1.0)
+    return ResolventFamily(space, "wiener", evaluator, scale_domain=1.0,
+                           affine=None if form is None else (lambda gamma: form))
 
 
 def product_family(families, weights=None):
@@ -255,10 +282,13 @@ def product_family(families, weights=None):
             raise ValidationError("factors pin incompatible resolvent scales")
         scale_domain = fixed.pop()
 
+    factors = list(zip(families, slices))
+
     def evaluator(gamma, y):
         out = np.empty_like(y)
-        for fam, sl in zip(families, slices):
+        for fam, sl in factors:
             out[sl] = fam._evaluator(gamma, y[sl])
         return out
 
-    return ResolventFamily(space, "product", evaluator, scale_domain=scale_domain)
+    return ResolventFamily(space, "product", evaluator, scale_domain=scale_domain,
+                           factors=factors)

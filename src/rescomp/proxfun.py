@@ -40,13 +40,19 @@ INDICATOR_TOL = 1e-8
 
 
 class ProxFunction:
-    """A proper lsc convex function represented by its prox family."""
+    """A proper lsc convex function represented by its prox family.
+
+    Catalog constructors whose prox is affine declare it as
+    ``affine(gamma) -> (M, b)`` with ``prox_{gamma g}(x) = M x + b``
+    (``M`` a scalar or a matrix); derived functions leave it None.
+    """
 
     def __init__(self, space, tag, prox_evaluator, value=None,
-                 conjugate_value=None, minimizer=None):
+                 conjugate_value=None, minimizer=None, affine=None):
         self.space = space
         self.tag = tag
         self._prox = prox_evaluator
+        self.affine = affine
         self._value = value
         self._conjugate_value = conjugate_value
         self._minimizer = None if minimizer is None else space.validate(minimizer).copy()
@@ -117,6 +123,7 @@ def indicator(cset: ConvexSet):
 
     conj = _support_function(cset)
     minimizer = cset.any_point()
+    form = cset.affine_projection()
     return ProxFunction(
         space,
         f"indicator({cset.tag})",
@@ -124,6 +131,7 @@ def indicator(cset: ConvexSet):
         value=value,
         conjugate_value=conj,
         minimizer=minimizer,
+        affine=None if form is None else (lambda gamma: form),
     )
 
 
@@ -217,7 +225,8 @@ def quadratic(space, Q, b=None):
         minimizer = np.linalg.solve(Q, b)
 
     return ProxFunction(space, "quadratic", prox, value=value,
-                        conjugate_value=conj_value, minimizer=minimizer)
+                        conjugate_value=conj_value, minimizer=minimizer,
+                        affine=lambda gamma: (inverse(gamma), gamma * (inverse(gamma) @ b)))
 
 
 def half_squared_distance(space, p):
@@ -234,6 +243,7 @@ def half_squared_distance(space, p):
         value=lambda x: 0.5 * space._norm(x - p) ** 2,
         conjugate_value=lambda y: 0.5 * space._norm(y) ** 2 + space._inner(p, y),
         minimizer=p,
+        affine=lambda gamma: (1.0 / (1.0 + gamma), (gamma / (1.0 + gamma)) * p),
     )
 
 

@@ -9,6 +9,8 @@ balls and halfspaces are defined with respect to the metric norm.
 
 :meth:`ConvexSet.project` validates, then calls the subclass's raw
 ``_project``, which product sets, normal cones and indicators call directly.
+Singletons and affine subspaces give their projection as an affine map
+``(M, b)`` through :meth:`ConvexSet.affine_projection`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class ConvexSet:
         """Some point of the set (used to seed feasibility tests)."""
         return self._project(self.space.zeros())
 
+    def affine_projection(self):
+        """``(M, b)`` with ``project(x) = M x + b`` when the projection is affine, else None."""
+        return None
+
 
 class Box(ConvexSet):
     """``{x : lower <= x <= upper}`` coordinatewise (entries may be +-inf)."""
@@ -62,7 +68,7 @@ class Box(ConvexSet):
             raise ValidationError("empty box: lower > upper somewhere")
 
     def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 class Ball(ConvexSet):
@@ -119,6 +125,10 @@ class AffineSubspace(ConvexSet):
     def _project(self, x):
         return self.anchor + self.projector.matrix @ (x - self.anchor)
 
+    def affine_projection(self):
+        P = self.projector.matrix
+        return P, self.anchor - P @ self.anchor
+
 
 class Singleton(ConvexSet):
     """The one-point set ``{point}``."""
@@ -131,6 +141,9 @@ class Singleton(ConvexSet):
 
     def _project(self, x):
         return self.point.copy()
+
+    def affine_projection(self):
+        return 0.0, self.point
 
 
 class ProductSet(ConvexSet):

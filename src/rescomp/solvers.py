@@ -24,10 +24,18 @@ norm overflows long before any entry does, so the last iterate is still
 finite; the loop silences numpy's overflow and invalid-value warnings,
 since the trace records the reason.
 
+A block of ``B`` whose resolvent is affine, ``J(y) = M y + b`` (declared
+by the catalog constructor as ``affine``), needs no evaluation per step:
+its part of ``g_n`` is ``G c_n + h`` with ``G = A* (M - I) A`` and
+``h = A* b``, summed over such blocks once per solve.  Only the nonlinear
+blocks, stacked into ``A_N``, are evaluated:
+
+    g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)
+
 The solvers validate ``x0`` and ``reference`` once, then iterate on raw
-matrices and ``B._evaluator``.  A run is single threaded and
-deterministic; its trace is append-only while running and immutable
-afterwards.
+matrices and the nonlinear blocks' ``_evaluator``.  A run is single
+threaded and deterministic; its trace is append-only while running and
+immutable afterwards.
 """
 
 from __future__ import annotations
@@ -288,6 +296,45 @@ def build_relaxed(V, L, B, gamma):
     return RelaxedInstance(V, L, B, gamma)
 
 
+def _coordinate_step(pieces, gamma, r):
+    """The coordinate step ``c -> sum_k A_k* (J_{gamma B_k}(A_k c) - A_k c)``.
+
+    ``pieces`` yields ``(A_k, A_k*, B_k)``.  A block with an affine
+    resolvent ``M_k y + b_k`` contributes the fixed ``G_k c + h_k``, with
+    ``G_k = A_k* (M_k - I) A_k`` and ``h_k = A_k* b_k``, summed once here;
+    the other blocks are stacked into one ``A_N`` and evaluated per step
+    through their raw evaluators.  Every block's scale is checked.
+    """
+    G, h = np.zeros((r, r)), np.zeros(r)
+    rows, adjs, evaluators = [], [], []
+    start = 0
+    for A_k, A_k_adj, B_k in pieces:
+        B_k._check_scale(gamma)
+        if B_k.affine is not None:
+            M, b = B_k.affine(gamma)
+            G += A_k_adj @ (M @ A_k - A_k if np.ndim(M) else (M - 1.0) * A_k)
+            h += A_k_adj @ np.broadcast_to(b, A_k.shape[:1])
+            continue
+        rows.append(A_k)
+        adjs.append(A_k_adj)
+        evaluators.append((B_k._evaluator, slice(start, start + len(A_k))))
+        start += len(A_k)
+    if not evaluators:
+        return lambda c: G @ c + h
+    A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
+
+    def nonlinear(c):
+        y = A_N @ c
+        z = np.empty_like(y)
+        for resolve, sl in evaluators:
+            z[sl] = resolve(gamma, y[sl])
+        return A_N_adj @ (z - y)
+
+    if len(evaluators) == len(pieces):  # nothing folded
+        return nonlinear
+    return lambda c: G @ c + h + nonlinear(c)
+
+
 def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates):
     """Run ``c <- c + lambda_n step(c)`` from the coordinates of ``proj_V x0``.
 
@@ -320,18 +367,13 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     membership term of :func:`variational_residual` vanishes on iterates
     ``U c``.
     """
-    schedule = schedule or Schedule()
-    gamma = inst.gamma
-    inst.B._check_scale(gamma)
-    resolve = inst.B._evaluator
     A = inst.A
     A_adj = A.T * inst.L.codomain.weights
-
-    def step(c):
-        y = A @ c
-        return A_adj @ (resolve(gamma, y) - y)
-
-    return _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates)
+    factors = inst.B.factors or [(inst.B, slice(None))]
+    step = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
+                            inst.gamma, A.shape[1])
+    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
+                                 keep_iterates)
 
 
 def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
@@ -342,22 +384,14 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     """
     if not inst.blocks:
         raise ValidationError("instance carries no block structure")
-    schedule = schedule or Schedule()
-    gamma, U = inst.gamma, inst.V.basis.T
-    terms = []
+    U = inst.V.basis.T
+    pieces = []
     for L_k, B_k, w_k in inst.blocks:
-        B_k._check_scale(gamma)
         A_k = L_k.matrix @ U
-        terms.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k._evaluator))
-
-    def step(c):
-        g = np.zeros(len(c))
-        for A_k, A_k_adj, resolve in terms:
-            y = A_k @ c
-            g += A_k_adj @ (resolve(gamma, y) - y)
-        return g
-
-    return _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates)
+        pieces.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k))
+    step = _coordinate_step(pieces, inst.gamma, U.shape[1])
+    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
+                                 keep_iterates)
 
 
 def variational_residual(inst, x):

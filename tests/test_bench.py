@@ -124,6 +124,22 @@ class TestGenerate:
         assert x == pytest.approx([6.0, 0.0], abs=1e-8)
         assert wiener_oracle(inst) == pytest.approx([6.0, 0.0], abs=1e-12)
 
+    def test_wiener_scale_forward_is_declared_affine(self):
+        def spec(forward):
+            return InstanceSpec.from_dict({
+                "kind": "wiener",
+                "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 2}]},
+                "sets": [{"f": forward, "point": [3.0, 1.0]}],
+                "weights": [1.0],
+                "subspace": [[1.0, 0.0]],
+            })
+
+        assert generate_instance(spec({"tag": "scale", "c": 0.5})).B.affine is not None
+        box = {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        assert generate_instance(spec({"tag": "projection", "set": box})).B.affine is None
+        with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
+            generate_instance(spec({"tag": "scale", "c": 1.5}))
+
     def test_default_identity_maps_respect_domain_metric(self):
         spec = InstanceSpec.from_dict({
             "kind": "wiener",
@@ -262,6 +278,14 @@ class TestReportJson:
             "rank_V": 1, "sigma_min_LU": pytest.approx(np.sqrt(0.5), abs=1e-15),
             "method": "svd",
         }
+
+    def test_nonfinite_config_takes_the_folded_step(self):
+        inst = generate_instance(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
+        assert inst.B.affine is not None
+        _, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
+        assert trace.reason == "non-finite"
+        assert trace.fp_residual[-1] == np.inf
+        assert len(trace.fp_residual) == trace.iterations + 1
 
     def test_certificates_of_nonfinite_run_are_strict(self):
         report, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from rescomp.compositions import (
+    resolvent_average,
+    resolvent_cocomposition,
+    resolvent_composition,
+    resolvent_mixture,
+)
 from rescomp.errors import ScaleRestrictionError, ValidationError
-from rescomp.hilbert import Space
+from rescomp.hilbert import LinearMap, Space
 from rescomp.operators import (
     GraphPoint,
     linear_monotone,
@@ -15,14 +21,14 @@ from rescomp.operators import (
     subdifferential,
     zero_operator,
 )
-from rescomp.proxfun import half_squared_distance, one_norm
+from rescomp.proxfun import half_squared_distance, indicator, one_norm, quadratic
 from rescomp.properties import (
     suite_monotone_graph,
     suite_moreau_identity,
     suite_yosida_cocoercive,
     suite_zeros_fixed_points,
 )
-from rescomp.sets import Box, Singleton
+from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 
 R1 = Space(1)
 
@@ -199,6 +205,107 @@ class TestWienerConstruction:
     def test_spot_check_rejects_expansive_map(self):
         with pytest.raises(ValidationError):
             make_wiener(R1, lambda y: 2.0 * y, [0.0])
+
+    @pytest.mark.parametrize("c", [-0.5, 1.5])
+    def test_declared_scale_outside_unit_interval_rejected(self, c):
+        with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
+            make_wiener(R1, lambda y: c * y, [0.0], scale=c)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_declared_scale_at_interval_ends_accepted(self, c):
+        B = make_wiener(R1, lambda y: c * y, [0.5], scale=c)
+        assert B.resolvent(1.0, [4.0]) == pytest.approx([(1.0 - c) * 4.0 + 0.5])
+
+    def test_declared_scale_skips_the_spot_checks(self):
+        calls = []
+
+        def forward(y):
+            calls.append(y)
+            return 0.5 * y
+
+        make_wiener(R1, forward, [0.0], scale=0.5)
+        assert calls == []
+        make_wiener(R1, forward, [0.0])
+        assert len(calls) > 0
+
+
+W3 = Space(3, [0.5, 1.0, 2.0])
+
+
+def _apply_affine(form, y):
+    M, b = form
+    return (M @ y if np.ndim(M) else M * y) + b
+
+
+def affine_catalog():
+    """Every operator constructor that declares an affine resolvent, on a weighted space."""
+    rng = np.random.default_rng(17)
+    w = W3.weights
+    K = rng.standard_normal((3, 3))
+    R = rng.standard_normal((3, 3))
+    return [
+        zero_operator(W3),
+        scaled_identity(W3, 1.7),
+        linear_monotone(W3, (K - K.T + 0.5 * np.eye(3)) / w[:, None]),
+        normal_cone(Singleton(W3, rng.standard_normal(3))),
+        normal_cone(AffineSubspace(W3, rng.standard_normal(3), [rng.standard_normal(3)])),
+        subdifferential(quadratic(W3, (R @ R.T) / w[:, None], rng.standard_normal(3))),
+        subdifferential(half_squared_distance(W3, rng.standard_normal(3))),
+        subdifferential(indicator(Singleton(W3, rng.standard_normal(3)))),
+    ]
+
+
+class TestAffineForms:
+    @pytest.mark.parametrize("B", affine_catalog(), ids=lambda B: B.kind)
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_affine_form_matches_evaluator(self, B, gamma):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            y = 3.0 * rng.standard_normal(3)
+            want = B._evaluator(gamma, y)
+            got = _apply_affine(B.affine(gamma), y)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_scale_forward_wiener_matches_evaluator(self):
+        p = np.array([0.3, -1.2, 2.0])
+        B = make_wiener(W3, lambda y: 0.6 * y, p, scale=0.6)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            y = 3.0 * rng.standard_normal(3)
+            want = B._evaluator(1.0, y)
+            assert np.max(np.abs(_apply_affine(B.affine(1.0), y) - want)) <= (
+                1e-14 * np.max(np.abs(want))
+            )
+
+    def test_nonlinear_catalog_members_declare_nothing(self):
+        rng = np.random.default_rng(6)
+        for cset in (Box(W3, -np.ones(3), np.ones(3)), Ball(W3, np.zeros(3), 1.0),
+                     Halfspace(W3, np.ones(3), 0.5)):
+            assert normal_cone(cset).affine is None
+        assert subdifferential(one_norm(W3)).affine is None
+        assert make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3)).affine is None
+
+    def test_derived_families_declare_nothing(self):
+        B = scaled_identity(W3, 1.0)
+        L = LinearMap(W3, W3, 0.5 * np.eye(3))
+        derived = [
+            B.scaled(2.0),
+            B.inverse(),
+            product_family([B, zero_operator(W3)], [0.5, 0.5]),
+            resolvent_composition(L, B),
+            resolvent_cocomposition(L, B),
+            resolvent_mixture([B, B], [L, L], [0.5, 0.5]),
+            resolvent_average([B, B], [0.5, 0.5]),
+        ]
+        for fam in derived:
+            assert fam.affine is None, fam.kind
+
+    def test_product_lists_its_factors(self):
+        s1, s2 = Space(1), Space(2)
+        A, C = scaled_identity(s1, 1.0), normal_cone(Singleton(s2, [1.0, 2.0]))
+        fam = product_family([A, C], [0.5, 0.5])
+        assert fam.factors == [(A, slice(0, 1)), (C, slice(1, 3))]
+        assert A.factors is None and C.factors is None
 
 
 class TestZerosAndScaling:

@@ -27,7 +27,7 @@ from rescomp.properties import (
     suite_moreau_decomposition,
     suite_prox_firm,
 )
-from rescomp.sets import Ball, Box, Singleton
+from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 
 R1 = Space(1)
 R2 = Space(2)
@@ -111,6 +111,50 @@ class TestProxCatalog:
         assert g.minimizer() == pytest.approx([1.0, -1.0])
         with pytest.raises(CapabilityError):
             quadratic(R2, np.zeros((2, 2))).minimizer()
+
+
+W3 = Space(3, [0.5, 1.0, 2.0])
+
+
+def affine_prox_catalog():
+    """Every prox constructor that declares an affine prox, on a weighted space."""
+    rng = np.random.default_rng(23)
+    R = rng.standard_normal((3, 3))
+    return [
+        indicator(Singleton(W3, rng.standard_normal(3))),
+        indicator(AffineSubspace(W3, rng.standard_normal(3), [rng.standard_normal(3)])),
+        quadratic(W3, (R @ R.T) / W3.weights[:, None], rng.standard_normal(3)),
+        half_squared_distance(W3, rng.standard_normal(3)),
+    ]
+
+
+class TestAffineProx:
+    @pytest.mark.parametrize("g", affine_prox_catalog(), ids=lambda g: g.tag)
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_affine_form_matches_prox(self, g, gamma):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            x = 3.0 * rng.standard_normal(3)
+            M, b = g.affine(gamma)
+            got = (M @ x if np.ndim(M) else M * x) + b
+            want = g._prox(gamma, x)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("g", affine_prox_catalog(), ids=lambda g: g.tag)
+    def test_subdifferential_inherits_the_form(self, g):
+        assert subdifferential(g).affine is g.affine
+
+    def test_nonlinear_and_derived_functions_declare_nothing(self):
+        nonlinear = [
+            one_norm(W3),
+            indicator(Box(W3, -np.ones(3), np.ones(3))),
+            indicator(Ball(W3, np.zeros(3), 1.0)),
+            indicator(Halfspace(W3, np.ones(3), 0.5)),
+        ]
+        affine = half_squared_distance(W3, np.ones(3))
+        derived = [affine.conjugate(), separable([affine, affine], [0.5, 0.5])]
+        for g in nonlinear + derived:
+            assert g.affine is None, g.tag
 
 
 class TestConjugate:

@@ -97,6 +97,30 @@ class TestSpecificSets:
         )
         assert cset.project([2.0, 0.0]) == pytest.approx([1.0, 3.0])
 
+    def test_box_projection_bit_identical_to_clip(self):
+        rng = np.random.default_rng(12)
+        space = Space(8)
+        lower = np.array([-np.inf, -1.0, 0.0, -np.inf, 2.0, -0.5, -np.inf, 1.0])
+        upper = np.array([np.inf, 1.0, np.inf, 0.0, 2.0, 0.5, -1.0, np.inf])
+        cset = Box(space, lower, upper)
+        for scale in (1e-3, 1.0, 1e3, 1e300):
+            for _ in range(50):
+                x = scale * rng.standard_normal(8)
+                assert np.array_equal(cset.project(x), np.clip(x, lower, upper))
+
+    def test_only_singletons_and_affine_subspaces_project_affinely(self):
+        rng = np.random.default_rng(13)
+        space = Space(3, [0.5, 1.0, 2.5])
+        for cset in all_sets(space, rng):
+            form = cset.affine_projection()
+            if cset.tag not in ("singleton", "affine"):
+                assert form is None, cset.tag
+                continue
+            M, b = form
+            x = space.random(rng, scale=3.0)
+            got = (M @ x if np.ndim(M) else M * x) + b
+            assert got == pytest.approx(cset.project(x), abs=1e-14)
+
     def test_unbounded_box(self):
         space = Space(2)
         cset = Box(space, [0.0, -np.inf], [np.inf, 0.0])

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from rescomp.errors import ContractionConditionError, ValidationError
+from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, stack
 from rescomp.operators import make_wiener, normal_cone, product_family, scaled_identity
 from rescomp.properties import (
@@ -18,6 +18,8 @@ from rescomp.sets import Ball, Box, Halfspace, Singleton
 from rescomp.solvers import (
     RelaxedInstance,
     Schedule,
+    _coordinate_step,
+    _solve_in_coordinates,
     build_relaxed,
     proximal_point,
     solve_blocks,
@@ -58,8 +60,9 @@ def wiener_instance():
     )
 
 
-def coordinate_instance():
-    """Weighted metrics, n = 50, rank(V) = 25, m = 100 (four blocks of 25 rows)."""
+def coordinate_instance(tags=("box", "ball", "point", "half")):
+    """Weighted metrics, n = 50, rank(V) = 25, m = 100: four blocks of 25 rows, block k
+    the normal cone of a set of kind ``tags[k]``."""
     rng = np.random.default_rng(2024)
     n, m, p, r = 50, 25, 4, 25
     H = Space(n, rng.uniform(0.5, 2.0, size=n))
@@ -67,14 +70,30 @@ def coordinate_instance():
     maps = [LinearMap(H, g, rng.standard_normal((m, n)) / np.sqrt(n)) for g in spaces]
     w = rng.uniform(0.5, 1.0, size=p)
     w = list(0.9 * w / sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps)))
-    sets = [Box(spaces[0], -0.1, 0.1), Ball(spaces[1], np.ones(m), 0.2),
-            Singleton(spaces[2], rng.standard_normal(m)), Halfspace(spaces[3], np.ones(m), -1.0)]
-    fams = [normal_cone(s) for s in sets]
+    make = {
+        "box": lambda g: Box(g, -0.1, 0.1),
+        "ball": lambda g: Ball(g, np.ones(m), 0.2),
+        "point": lambda g: Singleton(g, rng.standard_normal(m)),
+        "half": lambda g: Halfspace(g, np.ones(m), -1.0),
+    }
+    fams = [normal_cone(make[tag](g)) for tag, g in zip(tags, spaces)]
     V = SubspaceProjector(H, rng.standard_normal((r, n)))
     inst = RelaxedInstance(V, stack(maps, w), product_family(fams, w), 0.8,
                            kind="split-feasibility", blocks=list(zip(maps, fams, w)))
     assert (V.rank, inst.L.matrix.shape) == (r, (p * m, n))
     return inst, V.apply(H.random(rng))
+
+
+def solve_unfolded(inst, x0, schedule):
+    """The coordinate iteration with the step ``A* (J_{gamma B}(A c) - A c)``, nothing folded."""
+    A, gamma, evaluate = inst.A, inst.gamma, inst.B._evaluator
+    A_adj = A.T * inst.L.codomain.weights
+
+    def step(c):
+        y = A @ c
+        return A_adj @ (evaluate(gamma, y) - y)
+
+    return _solve_in_coordinates(inst, x0, schedule, step, None, True)
 
 
 class TestSchedule:
@@ -350,6 +369,57 @@ class TestCoordinateKernel:
         _, trace = solver(inst, off, Schedule(max_iterations=2), keep_iterates=True)
         assert trace.x0_projected
         assert trace.iterates[0] == pytest.approx(inst.V.apply(off), abs=1e-13)
+
+
+class TestAffineFold:
+    """Affine blocks are folded into ``G c + h``; the iteration is unchanged."""
+
+    VARIANTS = [("point",) * 4, ("box", "ball", "point", "ball"), ("box", "ball", "half", "ball")]
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    @pytest.mark.parametrize("tags", VARIANTS, ids=["affine", "mixed", "nonlinear"])
+    def test_matches_unfolded_step(self, solver, tags):
+        inst, x0 = coordinate_instance(tags)
+        schedule = Schedule(lam=1.3, max_iterations=80, tol=0.0)
+        _, ta = solver(inst, x0, schedule, keep_iterates=True)
+        _, tb = solve_unfolded(inst, x0, schedule)
+        assert ta.iterations == tb.iterations == 80
+        for u, v in zip(ta.iterates, tb.iterates):
+            assert inst.space.norm(u - v) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    @pytest.mark.parametrize("tags", VARIANTS, ids=["affine", "mixed", "nonlinear"])
+    def test_same_iterations_to_tolerance(self, solver, tags):
+        inst, x0 = coordinate_instance(tags)
+        schedule = Schedule(lam=1.0, max_iterations=3000, tol=1e-9)
+        xa, ta = solver(inst, x0, schedule)
+        xb, tb = solve_unfolded(inst, x0, schedule)
+        assert (ta.reason, ta.iterations) == (tb.reason, tb.iterations)
+        assert inst.space.norm(xa - xb) <= 1e-12 * (1.0 + inst.space.norm(xb))
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_affine_blocks_are_not_evaluated(self, solver, monkeypatch):
+        inst, x0 = coordinate_instance(self.VARIANTS[1])
+        calls = {}
+        for k, (_L, fam, _w) in enumerate(inst.blocks):
+            if fam.affine is not None:
+                monkeypatch.setattr(fam, "_evaluator", lambda gamma, y: 1 / 0)
+            else:
+                def counted(gamma, y, k=k, evaluate=fam._evaluator):
+                    calls[k] = calls.get(k, 0) + 1
+                    return evaluate(gamma, y)
+                monkeypatch.setattr(fam, "_evaluator", counted)
+        solver(inst, x0, Schedule(max_iterations=10, tol=0.0))
+        assert calls == {0: 11, 1: 11, 3: 11}
+
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    def test_scale_checked_on_every_block(self, scale):
+        A, A_adj = np.ones((1, 2)), np.ones((2, 1))
+        pieces = [(A, A_adj, normal_cone(Singleton(R1, [1.0]))),
+                  (A, A_adj, make_wiener(R1, lambda y: 0.5 * y, [0.0], scale=scale))]
+        _coordinate_step(pieces, 1.0, 2)
+        with pytest.raises(ScaleRestrictionError):
+            _coordinate_step(pieces, 2.0, 2)
 
 
 class TestResidualsAndVerification:
