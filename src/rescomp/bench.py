@@ -507,12 +507,16 @@ def run(config_path, trace_path=None, unsafe=False, out=print):
         out(f"error: {exc}")
         return 1
     trace_target = trace_path or spec.output.get("trace")
-    if trace_target:
-        trace.to_csv(trace_target)
-        report.trace_path = trace_target
     report_target = spec.output.get("report")
-    if report_target:
-        _atomic_write_text(report_target, report.to_json() + "\n")
+    try:
+        if trace_target:
+            trace.to_csv(trace_target)
+            report.trace_path = trace_target
+        if report_target:
+            _atomic_write_text(report_target, report.to_json() + "\n")
+    except OSError as exc:
+        out(f"error: {exc}")
+        return 1
     out(report.to_json())
     if report.reason == "non-finite":
         out(f"tolerance failure: the residual went non-finite at iteration {report.iterations}")

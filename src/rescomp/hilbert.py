@@ -135,7 +135,7 @@ class Space:
         return scale * rng.standard_normal(self.dim)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Space)
             and self.dim == other.dim
             and np.array_equal(self.weights, other.weights)
@@ -247,8 +247,18 @@ class LinearMap:
         return f"LinearMap({self.domain.dim} -> {self.codomain.dim}, norm~{self.norm_estimate:.3g})"
 
 
+class _IdentityMap(LinearMap):
+    """The identity of a space, whose norm needs no SVD.
+
+    In a diagonal metric ``W^{1/2} I W^{-1/2} = I``, so the norm is exactly 1.
+    """
+
+    def _power_norm(self):
+        return 1.0
+
+
 def identity_map(space):
-    return LinearMap(space, space, np.eye(space.dim))
+    return _IdentityMap(space, space, np.eye(space.dim))
 
 
 def shifted_inverse(M):

@@ -17,25 +17,25 @@ iterates lie in V, so the solvers iterate on the coordinates ``c`` of
 fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
 lifted at the end, and per step only for kept iterates or a reference.
 
-One private loop drives these solvers and :func:`proximal_point`.  A run
-whose residual stops being finite (it diverges, e.g. with the norm gate
-bypassed) ends with reason ``non-finite`` and keeps its trace.  The squared
-norm overflows long before any entry does, so the last iterate is still
-finite; the loop silences numpy's overflow and invalid-value warnings,
-since the trace records the reason.
-
 A block of ``B`` whose resolvent is affine, ``J(y) = M y + b`` (declared
 by the catalog constructor as ``affine``), needs no evaluation per step:
 its part of ``g_n`` is ``G c_n + h`` with ``G = A* (M - I) A`` and
 ``h = A* b``, summed over such blocks once per solve.  Only the nonlinear
-blocks, stacked into ``A_N``, are evaluated:
+blocks, stacked into ``A_N``, are evaluated, a single one directly with no
+scatter into a stacked vector:
 
     g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)
 
-The solvers validate ``x0`` and ``reference`` once, then iterate on raw
-matrices and the nonlinear blocks' ``_evaluator``.  A run is single
-threaded and deterministic; its trace is append-only while running and
-immutable afterwards.
+One private loop drives these solvers and :func:`proximal_point`.  A step
+records only ``fp_residual`` and ``wall_ns`` (and ``dist_ref`` and kept
+iterates on request); ``var_residual`` (``fp_residual / gamma``, or None
+for :func:`proximal_point`) and a reference-free ``dist_ref`` are filled
+after the loop.  A run whose residual stops being finite (it diverges,
+e.g. with the norm gate bypassed) ends with reason ``non-finite`` and
+keeps its trace; the squared norm overflows long before any entry does,
+so the last iterate is still finite, and the loop silences numpy's
+overflow and invalid-value warnings.  Inputs are validated once; a run
+is single threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class Trace:
     """Per-iteration diagnostics of a single solver run."""
 
     fp_residual: list = field(default_factory=list)
-    var_residual: list = field(default_factory=list)  # None entries when not tracked
-    dist_ref: list = field(default_factory=list)      # None entries when no reference
+    var_residual: list = field(default_factory=list)  # all None for proximal_point
+    dist_ref: list = field(default_factory=list)      # all None without a reference
     wall_ns: list = field(default_factory=list)
     iterates: list = field(default_factory=list)      # kept only on request
     reason: str = "running"
@@ -123,16 +123,9 @@ class Trace:
             with os.fdopen(fd, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["iter", "fp_residual", "var_residual", "dist_ref", "wall_ns"])
-                for i, r in enumerate(self.fp_residual):
-                    var = self.var_residual[i] if i < len(self.var_residual) else None
-                    ref = self.dist_ref[i] if i < len(self.dist_ref) else None
-                    writer.writerow([
-                        i,
-                        repr(r),
-                        "" if var is None else repr(var),
-                        "" if ref is None else repr(ref),
-                        self.wall_ns[i],
-                    ])
+                columns = zip(self.fp_residual, self.var_residual, self.dist_ref, strict=True)
+                for i, (values, ns) in enumerate(zip(columns, self.wall_ns, strict=True)):
+                    writer.writerow([i, *("" if v is None else repr(v) for v in values), ns])
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -140,34 +133,33 @@ class Trace:
             raise
 
 
-def _iterate(step, z, schedule, norm, trace, var_residual=None, distance=None, lift=None):
+def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
     """The one relaxed fixed-point loop ``z <- z + lambda_n step(z)``.
 
-    ``norm(step(z))`` is the residual that stops the run;
-    ``var_residual(z, residual)`` and ``distance(z)`` fill the optional
-    trace columns, and when ``lift`` is given the trace keeps the iterates
-    ``lift(z)``.  Returns ``(z, trace)``.
+    ``norm(step(z))`` is the residual that stops the run.  A step records
+    ``fp_residual``, ``wall_ns`` and, when given, ``distance(z)`` and the
+    kept iterate ``lift(z)``.  Without ``distance``, ``dist_ref`` is filled
+    with None after the loop; the caller fills ``var_residual``.  Returns
+    ``(z, trace)``.
     """
-    if np.isscalar(schedule.lam):
-        lams = itertools.repeat(float(schedule.lam))
-    else:
-        lams = iter(schedule.lam)
-    cap = schedule.update_cap()
-    fp, var, dist, wall = (trace.fp_residual.append, trace.var_residual.append,
-                           trace.dist_ref.append, trace.wall_ns.append)
-    start = time.perf_counter_ns()
+    lam = schedule.lam
+    unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
+    lams = itertools.repeat(float(lam)) if np.isscalar(lam) else iter(lam)
+    cap, tol, clock = schedule.update_cap(), schedule.tol, time.perf_counter_ns
+    fp, wall = trace.fp_residual.append, trace.wall_ns.append
+    start = clock()
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             s = step(z)
             residual = norm(s)
             fp(residual)
-            var(None if var_residual is None else var_residual(z, residual))
-            dist(None if distance is None else distance(z))
-            wall(time.perf_counter_ns() - start)
+            if distance is not None:
+                trace.dist_ref.append(distance(z))
+            wall(clock() - start)
             if lift is not None:
                 trace.iterates.append(lift(z))
-            if residual <= schedule.tol:
+            if residual <= tol:
                 trace.reason = "converged"
                 break
             if not math.isfinite(residual):
@@ -176,14 +168,15 @@ def _iterate(step, z, schedule, norm, trace, var_residual=None, distance=None, l
             if n >= cap:
                 trace.reason = "max_iterations"
                 break
-            z = z + next(lams) * s
+            z = z + s if unit else z + next(lams) * s
             n += 1
     trace.iterations = n
+    if distance is None:
+        trace.dist_ref = [None] * (n + 1)
     return z, trace
 
 
-def proximal_point(space, J, x0, schedule, errors=None, reference=None,
-                   keep_iterates=False, var_residual_fn=None):
+def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_iterates=False):
     """Relaxed fixed-point iteration ``x <- x + lambda_n (J x - x)``.
 
     ``J`` must be firmly nonexpansive (resolvents and norm-gated composed
@@ -218,10 +211,10 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None,
 
     x, trace = _iterate(
         step, x, schedule, space._norm, Trace(),
-        var_residual=None if var_residual_fn is None else (lambda x, _r: var_residual_fn(x)),
         distance=None if ref is None else (lambda x: space._norm(x - ref)),
         lift=np.copy if keep_iterates else None,
     )
+    trace.var_residual = [None] * (trace.iterations + 1)
     trace.inexact_weighted_sum = sum(
         (schedule.lambda_at(n) * space.norm(c) for n, c in enumerate(drawn[:trace.iterations])),
         0.0,
@@ -322,13 +315,19 @@ def _coordinate_step(pieces, gamma, r):
     if not evaluators:
         return lambda c: G @ c + h
     A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
+    if len(evaluators) == 1:
+        resolve = evaluators[0][0]
 
-    def nonlinear(c):
-        y = A_N @ c
-        z = np.empty_like(y)
-        for resolve, sl in evaluators:
-            z[sl] = resolve(gamma, y[sl])
-        return A_N_adj @ (z - y)
+        def nonlinear(c):
+            y = A_N @ c
+            return A_N_adj @ (resolve(gamma, y) - y)
+    else:
+        def nonlinear(c):
+            y = A_N @ c
+            z = np.empty_like(y)
+            for resolve, sl in evaluators:
+                z[sl] = resolve(gamma, y[sl])
+            return A_N_adj @ (z - y)
 
     if len(evaluators) == len(pieces):  # nothing folded
         return nonlinear
@@ -347,13 +346,12 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates):
     c = basis @ (space.weights * x)
     if space._norm(x - c @ basis) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
         trace.x0_projected = True
-    gamma = inst.gamma
     c, trace = _iterate(
         step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
-        var_residual=lambda _c, residual: residual / gamma,
         distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
         lift=basis.T.dot if keep_iterates else None,
     )
+    trace.var_residual = [r / inst.gamma for r in trace.fp_residual]
     return c @ basis, trace
 
 

@@ -427,6 +427,22 @@ class TestCli:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
+    def test_missing_trace_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_SPEC_DICT))
+        trace = tmp_path / "missing" / "t.csv"
+        assert main(["solve", str(cfg), "--trace", str(trace)]) == 1
+        assert capsys.readouterr().out.startswith("error: ")
+        assert not trace.parent.exists()
+
+    def test_missing_report_directory(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(output={"report": str(report)})))
+        assert main(["solve", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("error: ")
+        assert not report.parent.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_run_keeps_trace_and_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

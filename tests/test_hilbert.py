@@ -59,6 +59,16 @@ class TestSpace:
         with pytest.raises(ValidationError):
             Space(2, [1.0, -1.0])
 
+    def test_equality_short_circuits_on_identity(self, monkeypatch):
+        s, t = Space(3, [1.0, 2.0, 3.0]), Space(3, [1.0, 2.0, 3.0])
+        assert s == t and s != Space(3) and s != Space(2, [1.0, 2.0])
+
+        def no_compare(*args, **kwargs):
+            raise AssertionError("compared the weights of a space with itself")
+
+        monkeypatch.setattr(np, "array_equal", no_compare)
+        assert s == s
+
     def test_rejects_nonfinite_vector(self):
         s = Space(2)
         with pytest.raises(ValidationError):
@@ -142,6 +152,15 @@ class TestOpNorm:
         s = Space(2)
         with pytest.raises(ValidationError, match="overflow"):
             LinearMap(s, s, np.full((2, 2), 1.7e308))
+
+    def test_weighted_identity_norm_is_one_without_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("identity_map took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        I = identity_map(Space(4, [0.3, 2.0, 1e-8, 7e5]))
+        assert I.op_norm() == 1.0
+        assert np.array_equal(I.matrix, np.eye(4))
 
     def test_huge_entries_get_their_norm_and_fail_the_gate(self):
         s = Space(3)

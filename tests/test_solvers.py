@@ -18,6 +18,7 @@ from rescomp.sets import Ball, Box, Halfspace, Singleton
 from rescomp.solvers import (
     RelaxedInstance,
     Schedule,
+    Trace,
     _coordinate_step,
     _solve_in_coordinates,
     build_relaxed,
@@ -61,10 +62,10 @@ def wiener_instance():
 
 
 def coordinate_instance(tags=("box", "ball", "point", "half")):
-    """Weighted metrics, n = 50, rank(V) = 25, m = 100: four blocks of 25 rows, block k
+    """Weighted metrics, n = 50, rank(V) = 25: one block of 25 rows per tag, block k
     the normal cone of a set of kind ``tags[k]``."""
     rng = np.random.default_rng(2024)
-    n, m, p, r = 50, 25, 4, 25
+    n, m, p, r = 50, 25, len(tags), 25
     H = Space(n, rng.uniform(0.5, 2.0, size=n))
     spaces = [Space(m, rng.uniform(0.5, 2.0, size=m)) for _ in range(p)]
     maps = [LinearMap(H, g, rng.standard_normal((m, n)) / np.sqrt(n)) for g in spaces]
@@ -74,6 +75,7 @@ def coordinate_instance(tags=("box", "ball", "point", "half")):
         "box": lambda g: Box(g, -0.1, 0.1),
         "ball": lambda g: Ball(g, np.ones(m), 0.2),
         "point": lambda g: Singleton(g, rng.standard_normal(m)),
+        "origin": lambda g: Singleton(g, np.zeros(m)),
         "half": lambda g: Halfspace(g, np.ones(m), -1.0),
     }
     fams = [normal_cone(make[tag](g)) for tag, g in zip(tags, spaces)]
@@ -349,16 +351,24 @@ class TestCoordinateKernel:
         for u, v in zip(ta.iterates, tb.iterates):
             assert inst.space.norm(u - v) <= 1e-12
 
-    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_constant_lambda_equals_list(self, solver):
+    @staticmethod
+    def check_constant_equals_list(solver, lam):
         inst, x0 = coordinate_instance()
-        xa, ta = solver(inst, x0, Schedule(lam=1.3, max_iterations=40, tol=0.0),
+        xa, ta = solver(inst, x0, Schedule(lam=lam, max_iterations=40, tol=0.0),
                         keep_iterates=True)
-        xb, tb = solver(inst, x0, Schedule(lam=[1.3] * 40, tol=0.0), keep_iterates=True)
+        xb, tb = solver(inst, x0, Schedule(lam=[lam] * 40, tol=0.0), keep_iterates=True)
         assert np.array_equal(xa, xb)
         assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
         assert ta.reason == tb.reason and ta.iterations == tb.iterations == 40
         assert all(np.array_equal(u, v) for u, v in zip(ta.iterates, tb.iterates))
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_constant_lambda_equals_list(self, solver):
+        self.check_constant_equals_list(solver, 1.3)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_unit_lambda_equals_list(self, solver):
+        self.check_constant_equals_list(solver, 1.0)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_x0_off_v_is_projected_and_flagged(self, solver):
@@ -375,9 +385,14 @@ class TestAffineFold:
     """Affine blocks are folded into ``G c + h``; the iteration is unchanged."""
 
     VARIANTS = [("point",) * 4, ("box", "ball", "point", "ball"), ("box", "ball", "half", "ball")]
+    IDS = ["affine", "mixed", "nonlinear"]
+    # One nonlinear block (evaluated with no scatter), and affine blocks with h = 0.
+    MORE = [("point", "box", "point", "point"), ("ball",), ("origin",) * 4,
+            ("origin", "box", "origin", "origin")]
+    MORE_IDS = ["one-nonlinear", "single-block", "affine-no-offset", "mixed-no-offset"]
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    @pytest.mark.parametrize("tags", VARIANTS, ids=["affine", "mixed", "nonlinear"])
+    @pytest.mark.parametrize("tags", VARIANTS + MORE, ids=IDS + MORE_IDS)
     def test_matches_unfolded_step(self, solver, tags):
         inst, x0 = coordinate_instance(tags)
         schedule = Schedule(lam=1.3, max_iterations=80, tol=0.0)
@@ -388,7 +403,7 @@ class TestAffineFold:
             assert inst.space.norm(u - v) <= 1e-12
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    @pytest.mark.parametrize("tags", VARIANTS, ids=["affine", "mixed", "nonlinear"])
+    @pytest.mark.parametrize("tags", VARIANTS + MORE, ids=IDS + MORE_IDS)
     def test_same_iterations_to_tolerance(self, solver, tags):
         inst, x0 = coordinate_instance(tags)
         schedule = Schedule(lam=1.0, max_iterations=3000, tol=1e-9)
@@ -411,6 +426,14 @@ class TestAffineFold:
                 monkeypatch.setattr(fam, "_evaluator", counted)
         solver(inst, x0, Schedule(max_iterations=10, tol=0.0))
         assert calls == {0: 11, 1: 11, 3: 11}
+
+    def test_single_block_step_is_the_unfolded_step(self):
+        inst, x0 = coordinate_instance(("ball",))
+        schedule = Schedule(lam=1.0, max_iterations=60, tol=0.0)
+        xa, ta = solve_relaxed(inst, x0, schedule, keep_iterates=True)
+        xb, tb = solve_unfolded(inst, x0, schedule)
+        assert ta.fp_residual == tb.fp_residual
+        assert np.array_equal(xa, xb)
 
     @pytest.mark.parametrize("scale", [None, 0.5])
     def test_scale_checked_on_every_block(self, scale):
@@ -467,6 +490,43 @@ class TestResidualsAndVerification:
         assert res.passed, res.line()
 
 
+def divergent_instance():
+    """||L|| = 3 with the gate bypassed: ``c <- -8 c + h`` diverges."""
+    L = LinearMap(R2, R2, 3.0 * np.eye(2))
+    B = normal_cone(Singleton(R2, [1.0, 1.0]))
+    return RelaxedInstance(SubspaceProjector.full(R2), L, B, 1.0, blocks=[(L, B, 1.0)],
+                           unsafe=True)
+
+
+class TestTraceInvariants:
+    """Every column has one row per evaluated iterate, whatever stopped the run."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("reference", [None, [2.0, 2.0]], ids=["no-ref", "ref"])
+    @pytest.mark.parametrize("reason", ["converged", "max_iterations", "non-finite"])
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks, proximal_point])
+    def test_columns(self, solver, reason, reference):
+        inst = divergent_instance() if reason == "non-finite" else acceptance_instance()
+        schedule = Schedule(max_iterations=5, tol=0.0) if reason == "max_iterations" else Schedule()
+        if solver is proximal_point:
+            _, trace = proximal_point(inst.space, inst.relaxed_resolvent, R2.zeros(), schedule,
+                                      reference=reference)
+        else:
+            _, trace = solver(inst, R2.zeros(), schedule, reference=reference)
+        assert trace.reason == reason
+        rows = trace.iterations + 1
+        for column in (trace.fp_residual, trace.var_residual, trace.dist_ref, trace.wall_ns):
+            assert len(column) == rows
+        if solver is proximal_point:
+            assert trace.var_residual == [None] * rows
+        else:
+            assert trace.var_residual == [r / inst.gamma for r in trace.fp_residual]
+        if reference is None:
+            assert trace.dist_ref == [None] * rows
+        else:
+            assert all(np.isfinite(trace.dist_ref))
+
+
 class TestTrace:
     def test_csv_round_trip(self, tmp_path):
         inst = acceptance_instance()
@@ -488,3 +548,13 @@ class TestTrace:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][2] == "" and rows[1][3] == ""
+
+    @pytest.mark.parametrize("short", ["var_residual", "dist_ref", "wall_ns"])
+    def test_ragged_columns_raise(self, tmp_path, short):
+        trace = Trace(fp_residual=[1.0, 0.5], var_residual=[None, None],
+                      dist_ref=[None, None], wall_ns=[10, 20])
+        setattr(trace, short, [])
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            trace.to_csv(path)
+        assert list(tmp_path.iterdir()) == []
