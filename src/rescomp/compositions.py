@@ -9,10 +9,16 @@ Three constructions, all of which expose their resolvent in closed form:
   mixture *is* a composition (the blockwise formula is kept only as a
   test oracle elsewhere).
 
-Every constructor gates on ``||L|| <= 1`` (or the weighted-sum condition
-for mixtures) because that is what makes the composed resolvent firmly
-nonexpansive and the composed operator monotone; an ``unsafe`` flag allows
-exploration past the gate.  The scale parameter is frozen at construction:
+These are the only places the formulas are written: the proximal
+composition, cocomposition and mixture of :mod:`proxfun` are these
+constructions applied to ``subdifferential(g)``, and
+:func:`graph_residual_composed` is the one composed-graph test.
+
+Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
+condition for mixtures) because that is what makes the composed resolvent
+firmly nonexpansive and the composed operator monotone; an ``unsafe`` flag
+lifts the upper bound for exploration, never the lower one.  The scale
+parameter is frozen at construction:
 the family parametrized by gamma is a different operator for each gamma,
 so a composed operator only answers for its native resolvent at scale 1.
 The inner scale is checked at construction, so composed evaluators call
@@ -22,15 +28,9 @@ Composed operators are immutable and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DimensionMismatchError, InternalConsistencyError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .hilbert import NORM_GATE_TOL, check_contraction, stack
 from .operators import ResolventFamily, product_family
-
-_CHAIN_PROBES = 100
-_CHAIN_SEED = 20_23
-_CHAIN_TOL = 1e-12
 
 
 class ComposedOperator(ResolventFamily):
@@ -56,7 +56,7 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe)
+    check_contraction([L], unsafe=unsafe, require_nonzero=True)
     if not B.supports_scale(gamma):
         B._check_scale(gamma)  # raises with the precise message
     g = float(gamma)
@@ -71,7 +71,7 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe)
+    check_contraction([L], unsafe=unsafe, require_nonzero=True)
     if not B.supports_scale(gamma):
         B._check_scale(gamma)
     g = float(gamma)
@@ -127,37 +127,24 @@ def resolvent_average(Bs, weights, gamma=1.0, unsafe=False):
 def compose_chain(Q, L, B, unsafe=False):
     """Chained composition of ``B`` first with ``L``, then with ``Q``.
 
-    Builds both the nested form and the single composition with ``L o Q``,
-    checks that their resolvents agree on fixed random probes (they are
-    equal in exact arithmetic), and returns the single-composition form.
+    Both factors are gated; the chain is the single composition with
+    ``L o Q``, whose resolvent equals the nested one in exact arithmetic
+    (the ``compositions/chaining`` property suite checks the identity).
     """
     check_contraction([Q], unsafe=unsafe)
     check_contraction([L], unsafe=unsafe)
-    nested = resolvent_composition(Q, resolvent_composition(L, B, unsafe=unsafe),
-                                   unsafe=unsafe)
-    flat = resolvent_composition(L.compose(Q), B, unsafe=unsafe)
-    rng = np.random.default_rng(_CHAIN_SEED)
-    space = Q.domain
-    for _ in range(_CHAIN_PROBES):
-        x = space.random(rng)
-        a = nested._evaluator(1.0, x)
-        b = flat._evaluator(1.0, x)
-        if space._norm(a - b) > _CHAIN_TOL * (1.0 + space._norm(x)):
-            raise InternalConsistencyError(
-                "chained and flattened compositions disagree on a probe point"
-            )
-    return flat
+    return resolvent_composition(L.compose(Q), B, unsafe=unsafe)
 
 
-def graph_contains_composed(A, point, tol):
-    """Graph membership for a composed operator, through its inner pieces.
+def graph_residual_composed(A, point):
+    """Residual of ``(x, x*)`` against the graph of a composed operator.
 
-    For compositions and mixtures, ``(x, x*)`` is in the graph iff
-    ``x = L*(J_{gamma B}(L(x + x*)))``; for cocompositions iff
-    ``L*(L(x+x*)) - x* = L*(J_{gamma B}(L(x+x*)))``.
+    Zero iff the pair is in the graph: for compositions and mixtures the
+    residual is ``||x - L*(J_{gamma B}(L(x + x*)))||``, for cocompositions
+    ``||L*(L(x+x*)) - x* - L*(J_{gamma B}(L(x+x*)))||``.
     """
     if not isinstance(A, ComposedOperator):
-        raise ValidationError("graph_contains_composed needs a ComposedOperator")
+        raise ValidationError("a composed-graph residual needs a ComposedOperator")
     space = A.space
     x = space.validate(point.x)
     xstar = space.validate(point.xstar)
@@ -165,8 +152,13 @@ def graph_contains_composed(A, point, tol):
     M, Mt, B, gamma = A.outer.matrix, A.outer.adjoint_matrix, A.inner, A.gamma
     inner_res = Mt @ B._resolve(gamma, M @ z)
     if A.variant in ("composition", "mixture"):
-        return space._norm(x - inner_res) <= tol
-    return space._norm(Mt @ (M @ z) - xstar - inner_res) <= tol
+        return space._norm(x - inner_res)
+    return space._norm(Mt @ (M @ z) - xstar - inner_res)
+
+
+def graph_contains_composed(A, point, tol):
+    """Graph membership for a composed operator: residual at most ``tol``."""
+    return graph_residual_composed(A, point) <= tol
 
 
 def strong_monotonicity_modulus(alpha, norm_l):

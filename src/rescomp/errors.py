@@ -27,7 +27,3 @@ class ValidationError(RescompError, ValueError):
 
 class ConvergenceError(RescompError, RuntimeError):
     """An inner iterative computation did not reach its tolerance in time."""
-
-
-class InternalConsistencyError(RescompError, RuntimeError):
-    """Two computation routes that must agree exactly did not (test hook)."""

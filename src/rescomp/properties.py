@@ -22,6 +22,7 @@ from . import proxfun as pf
 from .bench import execute, least_squares_oracle, InstanceSpec
 from .compositions import (
     compose_chain,
+    graph_residual_composed,
     resolvent_average,
     resolvent_composition,
     resolvent_cocomposition,
@@ -48,8 +49,27 @@ class SuiteResult:
         return f"{status}  {self.name:<36} worst defect {self.worst:.3e}  tol {self.threshold:.0e}{extra}"
 
 
-def _vacuous(name, threshold):
-    return SuiteResult(name, 0.0, threshold, True, "vacuous: zero trials requested")
+def _suite(name, tol):
+    """Turn a check returning its worst defect into a suite returning a SuiteResult.
+
+    The suite passes when the worst defect is at most ``tol``; zero trials
+    pass vacuously without running the check.  Keyword arguments pass
+    through to the check.
+    """
+
+    def decorate(check):
+        def suite(rng, trials, **kwargs):
+            if trials == 0:
+                return SuiteResult(name, 0.0, tol, True, "vacuous: zero trials requested")
+            worst = check(rng, trials, **kwargs)
+            return SuiteResult(name, worst, tol, worst <= tol)
+
+        # No ``__wrapped__``: unwrapping one level must give the suite back.
+        suite.__name__, suite.__qualname__ = check.__name__, check.__qualname__
+        suite.__doc__ = check.__doc__
+        return suite
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +175,6 @@ def _random_composed(rng, variant=None):
     return resolvent_cocomposition(L, B, gamma=gamma)
 
 
-def _graph_residual_composed(A, point):
-    """Residual of the composed-graph membership test (0 == member)."""
-    space = A.space
-    z = space.validate(point.x) + space.validate(point.xstar)
-    inner_res = A.outer.adjoint_apply(A.inner.resolvent(A.gamma, A.outer.apply(z)))
-    if A.variant in ("composition", "mixture"):
-        return space.norm(point.x - inner_res)
-    return space.norm(A.outer.adjoint_apply(A.outer.apply(z)) - point.xstar - inner_res)
-
-
 def _firm_defect(space, T, x1, x2):
     t1, t2 = T(x1), T(x2)
     lhs = space.norm(t1 - t2) ** 2 + space.norm((x1 - t1) - (x2 - t2)) ** 2
@@ -176,11 +186,8 @@ def _firm_defect(space, T, x1, x2):
 # ---------------------------------------------------------------------------
 
 
+@_suite("hilbert/adjoint-identity", 1e-10)
 def suite_adjoint_identity(rng, trials, corruption=0.0):
-    name = "hilbert/adjoint-identity"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng)
@@ -193,14 +200,11 @@ def suite_adjoint_identity(rng, trials, corruption=0.0):
             lstar_y[0] += corruption
         err = abs(G.inner(L.apply(x), y) - H.inner(x, lstar_y))
         worst = max(worst, err / (1.0 + H.norm(x) * G.norm(y)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("hilbert/projector-firm", 1e-12)
 def suite_projector_firm(rng, trials):
-    name = "hilbert/projector-firm"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     for _ in range(trials):
         H = _random_space(rng, max_dim=6, min_dim=2)
@@ -208,14 +212,11 @@ def suite_projector_firm(rng, trials):
         P = SubspaceProjector(H, [H.random(rng) for _ in range(k)])
         defect = _firm_defect(H, P.apply, H.random(rng), H.random(rng))
         worst = max(worst, defect)
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("hilbert/stack-norm", 1e-9)
 def suite_stack_norm(rng, trials):
-    name = "hilbert/stack-norm"
-    tol = 1e-9
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     for _ in range(max(1, trials // 10)):
         H = _random_space(rng, max_dim=4)
@@ -224,7 +225,7 @@ def suite_stack_norm(rng, trials):
         w = rng.uniform(0.2, 1.5, size=p)
         bound = sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps))
         worst = max(worst, stack(maps, list(w)).op_norm() ** 2 - bound)
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,8 @@ def suite_stack_norm(rng, trials):
 # ---------------------------------------------------------------------------
 
 
+@_suite("operators/monotone-graph", 1e-10)
 def suite_monotone_graph(rng, trials):
-    name = "operators/monotone-graph"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     pairs_per_op = 10
     for i in range(max(1, trials // pairs_per_op)):
@@ -245,14 +243,11 @@ def suite_monotone_graph(rng, trials):
         pts = B.sample_graph(pairs_per_op + 1, seed=int(rng.integers(0, 2**31)))
         for a, b in zip(pts, pts[1:]):
             worst = max(worst, -space.inner(a.x - b.x, a.xstar - b.xstar))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("operators/moreau-identity", 1e-12)
 def suite_moreau_identity(rng, trials):
-    name = "operators/moreau-identity"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         space = _random_space(rng)
@@ -260,14 +255,11 @@ def suite_moreau_identity(rng, trials):
         x = space.random(rng)
         recon = B.resolvent(1.0, x) + B.inverse_resolvent(1.0, x)
         worst = max(worst, space.norm(recon - x) / (1.0 + space.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("operators/zeros-vs-fixed-points", 1e-10)
 def suite_zeros_fixed_points(rng, trials):
-    name = "operators/zeros-vs-fixed-points"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     scales = (0.1, 1.0, 10.0)
     for _ in range(max(1, trials // 6)):
@@ -296,7 +288,7 @@ def suite_zeros_fixed_points(rng, trials):
                 worst = max(worst, space.norm(zero - B.resolvent(gamma, zero)))
                 if nonzero is not None and space.norm(nonzero - B.resolvent(gamma, nonzero)) <= 1e-6:
                     worst = max(worst, 1.0)  # a non-zero point claimed to be fixed
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 def _unit(rng, space):
@@ -304,11 +296,8 @@ def _unit(rng, space):
     return v / max(space.norm(v), 1e-9)
 
 
+@_suite("operators/yosida-cocoercive", 1e-10)
 def suite_yosida_cocoercive(rng, trials):
-    name = "operators/yosida-cocoercive"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     for _ in range(trials):
         space = _random_space(rng)
@@ -320,7 +309,7 @@ def suite_yosida_cocoercive(rng, trials):
             worst,
             gamma * space.norm(y1 - y2) ** 2 - space.inner(x1 - x2, y1 - y2),
         )
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +317,9 @@ def suite_yosida_cocoercive(rng, trials):
 # ---------------------------------------------------------------------------
 
 
+@_suite("compositions/resolvent-rule", 1e-10)
 def suite_resolvent_rule(rng, trials):
     """Composed resolvent against the parallel-composition definition route."""
-    name = "compositions/resolvent-rule"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for i in range(trials):
         if i % 2 == 0:
@@ -362,14 +348,11 @@ def suite_resolvent_rule(rng, trials):
             x = H.random(rng)
             err = H.norm(A.resolvent(1.0, x) - direct.resolvent(1.0, x))
         worst = max(worst, err)
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/firmly-nonexpansive", 1e-10)
 def suite_composed_firm(rng, trials):
-    name = "compositions/firmly-nonexpansive"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     pairs_per_op = 10
     for _ in range(max(1, trials // pairs_per_op)):
@@ -380,14 +363,11 @@ def suite_composed_firm(rng, trials):
                 space, lambda v: A.resolvent(1.0, v), space.random(rng), space.random(rng)
             )
             worst = max(worst, defect)
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/monotone-graph", 1e-10)
 def suite_composed_monotone(rng, trials):
-    name = "compositions/monotone-graph"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     pairs_per_op = 10
     for _ in range(max(1, trials // pairs_per_op)):
@@ -395,15 +375,12 @@ def suite_composed_monotone(rng, trials):
         pts = A.sample_graph(pairs_per_op + 1, seed=int(rng.integers(0, 2**31)))
         for a, b in zip(pts, pts[1:]):
             worst = max(worst, -A.space.inner(a.x - b.x, a.xstar - b.xstar))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/inverse-duality", 1e-10)
 def suite_inverse_duality(rng, trials):
     """Graph of the composition against the cocomposition of the inverse."""
-    name = "compositions/inverse-duality"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4)
@@ -416,15 +393,12 @@ def suite_inverse_duality(rng, trials):
         z = H.random(rng)
         jz = A.resolvent(1.0, z)
         point = GraphPoint(jz, z - jz)
-        worst = max(worst, _graph_residual_composed(dual, GraphPoint(point.xstar, point.x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+        worst = max(worst, graph_residual_composed(dual, GraphPoint(point.xstar, point.x)))
+    return worst
 
 
+@_suite("compositions/isometry-collapse", 1e-12)
 def suite_isometry_collapse(rng, trials):
-    name = "compositions/isometry-collapse"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4)
@@ -441,14 +415,11 @@ def suite_isometry_collapse(rng, trials):
         x = H.random(rng)
         diff = H.norm(comp.resolvent(1.0, x) - coco.resolvent(1.0, x))
         worst = max(worst, diff / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/chaining", 1e-12)
 def suite_chaining(rng, trials):
-    name = "compositions/chaining"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(max(1, trials // 10)):
         H = _random_space(rng, max_dim=3)
@@ -463,14 +434,11 @@ def suite_chaining(rng, trials):
             x = H.random(rng)
             diff = H.norm(flat.resolvent(1.0, x) - nested.resolvent(1.0, x))
             worst = max(worst, diff / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/zero-transport", 1e-10)
 def suite_zero_transport(rng, trials):
-    name = "compositions/zero-transport"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4, min_dim=2)
@@ -482,14 +450,11 @@ def suite_zero_transport(rng, trials):
         x = np.linalg.solve(L.matrix, target)
         coco = resolvent_cocomposition(L, B, gamma=rng.uniform(0.4, 2.0))
         worst = max(worst, H.norm(coco.resolvent(1.0, x) - x) / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/strong-monotonicity", 1e-8)
 def suite_strong_monotonicity(rng, trials):
-    name = "compositions/strong-monotonicity"
-    tol = 1e-8
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     pairs_per_op = 10
     for _ in range(max(1, trials // pairs_per_op)):
@@ -509,14 +474,11 @@ def suite_strong_monotonicity(rng, trials):
                 worst,
                 beta * space.norm(dx) ** 2 - space.inner(dx, a.xstar - b.xstar),
             )
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("compositions/resolvent-average", 1e-12)
 def suite_resolvent_average(rng, trials):
-    name = "compositions/resolvent-average"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4)
@@ -529,7 +491,7 @@ def suite_resolvent_average(rng, trials):
         x = H.random(rng)
         expected = sum(wk * B.resolvent(gamma, x) for wk, B in zip(w, Bs))
         worst = max(worst, H.norm(A.resolvent(1.0, x) - expected) / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +499,8 @@ def suite_resolvent_average(rng, trials):
 # ---------------------------------------------------------------------------
 
 
+@_suite("proxfun/moreau-decomposition", 1e-12)
 def suite_moreau_decomposition(rng, trials):
-    name = "proxfun/moreau-decomposition"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for i in range(trials):
         space = _random_space(rng)
@@ -555,14 +514,11 @@ def suite_moreau_decomposition(rng, trials):
             dual = pf.conjugate_prox(pf.one_norm(space), gamma, x)
             box = np.clip(x, -1.0 / space.weights, 1.0 / space.weights)
             worst = max(worst, space.norm(dual - box) / (1.0 + space.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("proxfun/envelope-sum", 1e-10)
 def suite_envelope_sum(rng, trials):
-    name = "proxfun/envelope-sum"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         space = _random_space(rng)
@@ -587,14 +543,11 @@ def suite_envelope_sum(rng, trials):
         x = space.random(rng)
         total = pf.moreau_envelope(g, 1.0, x) + pf.moreau_envelope(g.conjugate(), 1.0, x)
         worst = max(worst, abs(total - 0.5 * space.norm(x) ** 2) / (1.0 + space.norm(x) ** 2))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("proxfun/cocomposition-gradient", 1e-12)
 def suite_cocomposition_gradient(rng, trials):
-    name = "proxfun/cocomposition-gradient"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4)
@@ -606,14 +559,11 @@ def suite_cocomposition_gradient(rng, trials):
         y = L.apply(x)
         rhs = L.adjoint_apply(y - g.prox(1.0, y))
         worst = max(worst, H.norm(lhs - rhs) / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("proxfun/argmin-transport", 1e-10)
 def suite_argmin_transport(rng, trials):
-    name = "proxfun/argmin-transport"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(trials):
         H = _random_space(rng, max_dim=4, min_dim=2)
@@ -624,15 +574,12 @@ def suite_argmin_transport(rng, trials):
         x = np.linalg.solve(L.matrix, m)
         fixed = pf.proximal_cocomposition_prox(L, g, x)
         worst = max(worst, H.norm(fixed - x) / (1.0 + H.norm(x)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("proxfun/argmin-composition", 1e-8)
 def suite_argmin_composition(rng, trials):
     """Fixed points of the composition prox against a direct linear solve."""
-    name = "proxfun/argmin-composition"
-    tol = 1e-8
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(max(1, trials // 20)):
         H = _random_space(rng, max_dim=3, min_dim=2)
@@ -661,14 +608,11 @@ def suite_argmin_composition(rng, trials):
                 break
             x = nxt
         worst = max(worst, H.norm(x - x_star))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("proxfun/prox-firm", 1e-10)
 def suite_prox_firm(rng, trials):
-    name = "proxfun/prox-firm"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     pairs_per_fn = 10
     for i in range(max(1, trials // pairs_per_fn)):
@@ -698,7 +642,7 @@ def suite_prox_firm(rng, trials):
                 )
         for _ in range(pairs_per_fn):
             worst = max(worst, _firm_defect(space, T, space.random(rng), space.random(rng)))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -734,11 +678,8 @@ def _random_split_instance(rng, consistent=False, p_max=3):
     return inst, xbar
 
 
+@_suite("solvers/engine-equivalence", 1e-12)
 def suite_engine_equivalence(rng, trials):
-    name = "solvers/engine-equivalence"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(max(1, trials // 100)):
         inst, _ = _random_split_instance(rng)
@@ -752,14 +693,11 @@ def suite_engine_equivalence(rng, trials):
         n = min(len(ta.iterates), len(tb.iterates))
         for u, v in zip(ta.iterates[:n], tb.iterates[:n]):
             worst = max(worst, inst.space.norm(u - v))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("solvers/fejer-monotone", 1e-9)
 def suite_fejer(rng, trials):
-    name = "solvers/fejer-monotone"
-    tol = 1e-9
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = -np.inf
     for _ in range(max(1, trials // 100)):
         inst, _ = _random_split_instance(rng)
@@ -772,14 +710,11 @@ def suite_fejer(rng, trials):
         dists = [d for d in trace.dist_ref if d is not None]
         for a, b in zip(dists, dists[1:]):
             worst = max(worst, b - a)
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
+@_suite("solvers/residual-agreement", 1e-10)
 def suite_residual_agreement(rng, trials):
-    name = "solvers/residual-agreement"
-    tol = 1e-10
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(max(1, trials // 200)):
         inst, _ = _random_split_instance(rng)
@@ -789,15 +724,12 @@ def suite_residual_agreement(rng, trials):
         fam = inst.relaxed_family()
         worst = max(worst, inst.fixed_point_residual(x))
         worst = max(worst, variational_residual(inst, x))
-        worst = max(worst, _graph_residual_composed(fam, GraphPoint(x, inst.space.zeros())))
-    return SuiteResult(name, worst, tol, worst <= tol)
+        worst = max(worst, graph_residual_composed(fam, GraphPoint(x, inst.space.zeros())))
+    return worst
 
 
+@_suite("solvers/block-stacked", 1e-12)
 def suite_block_stacked(rng, trials, instances=10):
-    name = "solvers/block-stacked"
-    tol = 1e-12
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for i in range(instances):
         if i % 3 == 2:
@@ -811,7 +743,7 @@ def suite_block_stacked(rng, trials, instances=10):
         n = min(len(ta.iterates), len(tb.iterates))
         for u, v in zip(ta.iterates[:n], tb.iterates[:n]):
             worst = max(worst, inst.space.norm(u - v))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 def _random_wiener_instance(rng):
@@ -845,18 +777,15 @@ def _random_wiener_instance(rng):
 # ---------------------------------------------------------------------------
 
 
+@_suite("bench/oracle-agreement", 1e-6)
 def suite_oracle_agreement(rng, trials):
-    name = "bench/oracle-agreement"
-    tol = 1e-6
-    if trials == 0:
-        return _vacuous(name, tol)
     worst = 0.0
     for _ in range(max(1, trials // 100)):
         inst, _ = _random_split_instance(rng)
         ref, _flag = least_squares_oracle(inst)
         x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12))
         worst = max(worst, inst.space.norm(x - ref))
-    return SuiteResult(name, worst, tol, worst <= tol)
+    return worst
 
 
 ACCEPTANCE_SPEC_DICT = {
@@ -875,11 +804,8 @@ ACCEPTANCE_SPEC_DICT = {
 }
 
 
+@_suite("bench/determinism", 0.0)
 def suite_determinism(rng, trials):
-    name = "bench/determinism"
-    tol = 0.0
-    if trials == 0:
-        return _vacuous(name, tol)
     spec1 = InstanceSpec.from_dict(ACCEPTANCE_SPEC_DICT)
     spec2 = InstanceSpec.from_dict(ACCEPTANCE_SPEC_DICT)
     r1, t1 = execute(spec1)
@@ -893,7 +819,7 @@ def suite_determinism(rng, trials):
         and t1.fp_residual == t2.fp_residual
         and t1.var_residual == t2.var_residual
     )
-    return SuiteResult(name, 0.0 if same else 1.0, tol, same)
+    return 0.0 if same else 1.0
 
 
 # ---------------------------------------------------------------------------

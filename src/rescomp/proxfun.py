@@ -10,7 +10,10 @@ half squared distances to a point, separable sums on weighted product
 spaces, and conjugates.  On top of the catalog this module implements the
 Moreau calculus (conjugate prox, envelopes) and the proximal composition,
 cocomposition, mixture and value operations for a linear map with
-``0 < ||L|| <= 1``.
+``0 < ||L|| <= 1``.  The subdifferential of a proximal composition is the
+resolvent composition of ``subdifferential(g)``, so the three prox
+operations are the resolvents of the matching constructions of
+:mod:`compositions`, which hold the only copy of each formula.
 
 Proximity operators are taken with respect to the metric of the function's
 space: closed forms are per-coordinate with weight-adjusted thresholds
@@ -26,6 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .compositions import (
+    resolvent_cocomposition,
+    resolvent_composition,
+    resolvent_mixture,
+)
 from .errors import CapabilityError, ConvergenceError, ValidationError
 from .hilbert import (
     block_slices,
@@ -33,6 +41,7 @@ from .hilbert import (
     product_space,
     shifted_inverse,
 )
+from .operators import subdifferential
 from .sets import Ball, Box, ConvexSet, Singleton
 
 # Membership tolerance when an indicator function is asked for its value.
@@ -313,44 +322,22 @@ def moreau_envelope(g, gamma, x):
 
 def proximal_composition_prox(L, g, x, unsafe=False):
     """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``."""
-    check_contraction([L], unsafe=unsafe, require_nonzero=True)
-    if L.codomain != g.space:
-        raise ValidationError("L must map into the space of g")
-    x = L.domain.validate(x)
-    return L.adjoint_matrix @ g._prox(1.0, L.matrix @ x)
+    return resolvent_composition(L, subdifferential(g), unsafe=unsafe).resolvent(1.0, x)
 
 
 def proximal_cocomposition_prox(L, g, x, unsafe=False):
     """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``."""
-    check_contraction([L], unsafe=unsafe, require_nonzero=True)
-    if L.codomain != g.space:
-        raise ValidationError("L must map into the space of g")
-    x = L.domain.validate(x)
-    y = L.matrix @ x
-    return x - L.adjoint_matrix @ y + L.adjoint_matrix @ g._prox(1.0, y)
+    return resolvent_cocomposition(L, subdifferential(g), unsafe=unsafe).resolvent(1.0, x)
 
 
 def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
     """Prox of the mixture: ``sum_k w_k L_k*(prox_{g_k}(L_k x))``.
 
     Requires the stacked-map norm condition
-    ``sum_k w_k ||L_k||^2 <= 1``.
+    ``0 < sum_k w_k ||L_k||^2 <= 1``.
     """
-    gs, Ls = list(gs), list(Ls)
-    weights = [float(w) for w in weights]
-    if not (len(gs) == len(Ls) == len(weights)):
-        raise ValidationError("mixture needs matching functions, maps, weights")
-    check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
-    domain = Ls[0].domain
-    x = domain.validate(x)
-    out = np.zeros(domain.dim)
-    for g, L, w in zip(gs, Ls, weights):
-        if L.domain != domain:
-            raise ValidationError("mixture maps must share their domain")
-        if L.codomain != g.space:
-            raise ValidationError("each map must land in its function's space")
-        out += w * (L.adjoint_matrix @ g._prox(1.0, L.matrix @ x))
-    return out
+    Bs = [subdifferential(g) for g in gs]
+    return resolvent_mixture(Bs, Ls, weights, unsafe=unsafe).resolvent(1.0, x)
 
 
 def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,

@@ -252,11 +252,8 @@ class RelaxedInstance:
         self.space = L.domain
         self.A = L.matrix @ V.basis.T
 
-    def inner_resolvent(self, x):
-        """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""
-        return self._inner_resolvent(self.space.validate(x))
-
     def _inner_resolvent(self, x):
+        """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""
         M, Mt = self.L.matrix, self.L.adjoint_matrix
         y = M @ x
         return x - Mt @ y + Mt @ self.B._resolve(self.gamma, y)

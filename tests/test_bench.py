@@ -377,12 +377,38 @@ class TestRun:
         assert res.passed, res.line()
 
 
+SUITE_NAMES = [
+    "hilbert/adjoint-identity", "hilbert/projector-firm", "hilbert/stack-norm",
+    "operators/monotone-graph", "operators/moreau-identity",
+    "operators/zeros-vs-fixed-points", "operators/yosida-cocoercive",
+    "compositions/resolvent-rule", "compositions/firmly-nonexpansive",
+    "compositions/monotone-graph", "compositions/inverse-duality",
+    "compositions/isometry-collapse", "compositions/chaining",
+    "compositions/zero-transport", "compositions/strong-monotonicity",
+    "compositions/resolvent-average",
+    "proxfun/moreau-decomposition", "proxfun/envelope-sum",
+    "proxfun/cocomposition-gradient", "proxfun/argmin-transport",
+    "proxfun/argmin-composition", "proxfun/prox-firm",
+    "solvers/engine-equivalence", "solvers/fejer-monotone",
+    "solvers/residual-agreement", "solvers/block-stacked",
+    "bench/oracle-agreement", "bench/determinism",
+]
+
+
 class TestProperties:
     def test_zero_trials_vacuous_pass(self):
         lines = []
         assert run_properties(seed=0, trials=0, out=lines.append) == 0
         assert any("vacuous" in line for line in lines)
         assert any("warning" in line for line in lines)
+
+    def test_zero_trials_lists_every_suite_in_order(self):
+        lines = []
+        run_properties(seed=0, trials=0, out=lines.append)
+        suites = lines[1:-1]
+        assert [line.split()[1] for line in suites] == SUITE_NAMES
+        assert all(line.startswith("PASS") and "vacuous" in line for line in suites)
+        assert lines[-1] == "28/28 property suites passed"
 
     def test_corrupted_adjoint_fails(self):
         lines = []

@@ -94,6 +94,12 @@ class TestComposition:
         with pytest.raises(DimensionMismatchError):
             resolvent_composition(L, scaled_identity(R1, 1.0))
 
+    def test_zero_map_rejected(self):
+        L = LinearMap(R1, R1, [[0.0]])
+        for unsafe in (False, True):
+            with pytest.raises(ContractionConditionError):
+                resolvent_composition(L, scaled_identity(R1, 1.0), unsafe=unsafe)
+
     def test_frozen_scale(self):
         A = resolvent_composition(identity_map(R1), scaled_identity(R1, 1.0), gamma=0.5)
         with pytest.raises(ScaleRestrictionError):
@@ -125,6 +131,12 @@ class TestCocomposition:
         for _ in range(20):
             x = H.random(g)
             assert comp.resolvent(1.0, x) == pytest.approx(coco.resolvent(1.0, x), abs=1e-13)
+
+    def test_zero_map_rejected(self):
+        L = LinearMap(R1, R1, [[0.0]])
+        for unsafe in (False, True):
+            with pytest.raises(ContractionConditionError):
+                resolvent_cocomposition(L, scaled_identity(R1, 1.0), unsafe=unsafe)
 
     def test_zero_operator_gives_identity_resolvent(self):
         s = Space(2, [2.0, 0.5])

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from rescomp.errors import CapabilityError, ContractionConditionError, ValidationError
+from rescomp.errors import (
+    CapabilityError,
+    ContractionConditionError,
+    DimensionMismatchError,
+    ValidationError,
+)
 from rescomp.hilbert import LinearMap, Space, identity_map, stack
 from rescomp.proxfun import (
     conjugate_prox,
@@ -20,6 +25,9 @@ from rescomp.proxfun import (
 )
 from rescomp.operators import subdifferential
 from rescomp.properties import (
+    _random_map,
+    _random_prox_function,
+    _random_space,
     suite_argmin_composition,
     suite_argmin_transport,
     suite_cocomposition_gradient,
@@ -308,6 +316,47 @@ class TestProximalMixtureProx:
             proximal_mixture_prox(
                 [one_norm(R1)] * 2, [identity_map(R1)] * 2, [1.0, 1.0], [1.0]
             )
+
+
+class TestProxCompositionFormulas:
+    """The prox compositions are resolvents of composed subdifferentials;
+    the closed forms they replaced are written out here as references."""
+
+    def test_match_written_out_formulas(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            H = _random_space(rng, max_dim=4)
+            G = _random_space(rng, max_dim=4)
+            L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
+            g = _random_prox_function(rng, G)
+            x = H.random(rng)
+            y = L.apply(x)
+            # unchanged arithmetic: equal to the last bit
+            assert np.array_equal(proximal_composition_prox(L, g, x),
+                                  L.adjoint_apply(g.prox(1.0, y)))
+            assert np.array_equal(proximal_cocomposition_prox(L, g, x),
+                                  x - L.adjoint_apply(y) + L.adjoint_apply(g.prox(1.0, y)))
+            # the mixture runs the stacked map: equal up to rounding
+            p = int(rng.integers(1, 4))
+            spaces = [_random_space(rng, max_dim=3) for _ in range(p)]
+            Ls = [_random_map(rng, H, Gk, norm=rng.uniform(0.3, 1.0)) for Gk in spaces]
+            gs = [_random_prox_function(rng, Gk) for Gk in spaces]
+            w = rng.uniform(0.2, 1.0, size=p)
+            w = list(w / sum(wk * Lk.op_norm() ** 2 for wk, Lk in zip(w, Ls)))
+            blockwise = sum(wk * Lk.adjoint_apply(gk.prox(1.0, Lk.apply(x)))
+                            for gk, Lk, wk in zip(gs, Ls, w))
+            got = proximal_mixture_prox(gs, Ls, w, x)
+            assert H.norm(got - blockwise) <= 1e-13 * (1.0 + H.norm(blockwise))
+
+    def test_codomain_mismatch(self):
+        L = LinearMap(R1, R2, [[0.5], [0.5]])
+        g = one_norm(R1)
+        with pytest.raises(DimensionMismatchError):
+            proximal_composition_prox(L, g, [1.0])
+        with pytest.raises(DimensionMismatchError):
+            proximal_cocomposition_prox(L, g, [1.0])
+        with pytest.raises(DimensionMismatchError):
+            proximal_mixture_prox([g], [L], [1.0], [1.0])
 
 
 class TestProximalCompositionValue:
