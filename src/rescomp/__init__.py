@@ -32,9 +32,7 @@ from .operators import (
     zero_operator,
 )
 from .compositions import (
-    ComposedOperator,
     compose_chain,
-    graph_contains_composed,
     resolvent_average,
     resolvent_composition,
     resolvent_cocomposition,
@@ -59,7 +57,6 @@ from .solvers import (
     RelaxedInstance,
     Schedule,
     Trace,
-    build_relaxed,
     proximal_point,
     solve_blocks,
     solve_relaxed,

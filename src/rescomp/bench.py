@@ -11,8 +11,8 @@ sets, operators, Wiener blocks or convex functions; see README).
 
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
 (unparseable config, dimension mismatches, failed norm gates), 2 on
-tolerance failures (no convergence, a non-finite residual, oracle
-mismatch).  File outputs are written atomically (temp file then rename).
+tolerance failures (no convergence, a non-finite residual, a verdict of
+"not a solution", oracle mismatch).  File outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +34,7 @@ from .solvers import (
     solve_relaxed,
     variational_residual,
     verify_exact_relaxation,
+    write_atomically,
 )
 
 INSTANCE_KINDS = (
@@ -131,20 +130,6 @@ class InstanceSpec:
         for key, value in (("subspace", self.subspace), ("maps", self.maps or [])):
             if not _all_finite(value):
                 raise ValidationError(f"field {key!r}: non-finite entry")
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "spaces": self.spaces,
-            "maps": self.maps,
-            "sets": self.sets,
-            "weights": list(self.weights),
-            "subspace": self.subspace,
-            "gamma": self.gamma,
-            "schedule": dict(self.schedule),
-            "seed": self.seed,
-            "output": dict(self.output),
-        }
 
     def build_schedule(self):
         return Schedule(
@@ -433,19 +418,6 @@ def _finite_or_null(value):
     return value
 
 
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def certificates(inst):
     """The rank r of V and ``sigma_min(L U)``, which sets the solver's rate.
 
@@ -513,7 +485,7 @@ def run(config_path, trace_path=None, unsafe=False, out=print):
             trace.to_csv(trace_target)
             report.trace_path = trace_target
         if report_target:
-            _atomic_write_text(report_target, report.to_json() + "\n")
+            write_atomically(report_target, lambda fh: fh.write(report.to_json() + "\n"))
     except OSError as exc:
         out(f"error: {exc}")
         return 1
@@ -523,6 +495,9 @@ def run(config_path, trace_path=None, unsafe=False, out=print):
         return 2
     if not report.converged:
         out("tolerance failure: did not converge within the iteration budget")
+        return 2
+    if report.verdict == "not a solution":
+        out(f"tolerance failure: the output is not a relaxed solution within {EXACTNESS_TOL}")
         return 2
     if report.oracle is not None and report.oracle["distance"] > ORACLE_MATCH_TOL:
         out(

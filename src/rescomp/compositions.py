@@ -11,8 +11,9 @@ Three constructions, all of which expose their resolvent in closed form:
 
 These are the only places the formulas are written: the proximal
 composition, cocomposition and mixture of :mod:`proxfun` are these
-constructions applied to ``subdifferential(g)``, and
-:func:`graph_residual_composed` is the one composed-graph test.
+constructions applied to ``subdifferential(g)``.  Each returns a plain
+:class:`ResolventFamily` of kind ``composed(<variant>)``, whose graph test
+is ``graph_residual`` like any other family's.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures) because that is what makes the composed resolvent
@@ -33,38 +34,18 @@ from .hilbert import NORM_GATE_TOL, check_contraction, stack
 from .operators import ResolventFamily, product_family
 
 
-class ComposedOperator(ResolventFamily):
-    """A composition/cocomposition/mixture with its construction record."""
-
-    def __init__(self, space, variant, outer, inner, gamma, evaluator, blocks=None):
-        super().__init__(space, f"composed({variant})", evaluator, scale_domain=1.0)
-        self.variant = variant
-        self.outer = outer
-        self.inner = inner
-        self.gamma = float(gamma)
-        self.norm_certificate = outer.op_norm()
-        self.blocks = blocks
-
-    def __repr__(self):
-        return (
-            f"ComposedOperator({self.variant}, dim {self.space.dim}, "
-            f"gamma={self.gamma:g}, |L|~{self.norm_certificate:.3g})"
-        )
-
-
 def resolvent_composition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe, require_nonzero=True)
-    if not B.supports_scale(gamma):
-        B._check_scale(gamma)  # raises with the precise message
+    B._check_scale(gamma)
     g = float(gamma)
 
     def evaluator(_one, x):
         return L.adjoint_matrix @ B._evaluator(g, L.matrix @ x)
 
-    return ComposedOperator(L.domain, "composition", L, B, gamma, evaluator)
+    return ResolventFamily(L.domain, "composed(composition)", evaluator, scale_domain=1.0)
 
 
 def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
@@ -72,15 +53,14 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe, require_nonzero=True)
-    if not B.supports_scale(gamma):
-        B._check_scale(gamma)
+    B._check_scale(gamma)
     g = float(gamma)
 
     def evaluator(_one, x):
         y = L.matrix @ x
         return x - L.adjoint_matrix @ y + L.adjoint_matrix @ B._evaluator(g, y)
 
-    return ComposedOperator(L.domain, "cocomposition", L, B, gamma, evaluator)
+    return ResolventFamily(L.domain, "composed(cocomposition)", evaluator, scale_domain=1.0)
 
 
 def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
@@ -100,17 +80,13 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
     stacked = stack(Ls, weights)
     prod = product_family(Bs, weights)
-    if not prod.supports_scale(gamma):
-        prod._check_scale(gamma)
+    prod._check_scale(gamma)
     g = float(gamma)
 
     def evaluator(_one, x):
         return stacked.adjoint_matrix @ prod._evaluator(g, stacked.matrix @ x)
 
-    return ComposedOperator(
-        stacked.domain, "mixture", stacked, prod, gamma, evaluator,
-        blocks=list(zip(Ls, Bs, weights)),
-    )
+    return ResolventFamily(stacked.domain, "composed(mixture)", evaluator, scale_domain=1.0)
 
 
 def resolvent_average(Bs, weights, gamma=1.0, unsafe=False):
@@ -134,31 +110,6 @@ def compose_chain(Q, L, B, unsafe=False):
     check_contraction([Q], unsafe=unsafe)
     check_contraction([L], unsafe=unsafe)
     return resolvent_composition(L.compose(Q), B, unsafe=unsafe)
-
-
-def graph_residual_composed(A, point):
-    """Residual of ``(x, x*)`` against the graph of a composed operator.
-
-    Zero iff the pair is in the graph: for compositions and mixtures the
-    residual is ``||x - L*(J_{gamma B}(L(x + x*)))||``, for cocompositions
-    ``||L*(L(x+x*)) - x* - L*(J_{gamma B}(L(x+x*)))||``.
-    """
-    if not isinstance(A, ComposedOperator):
-        raise ValidationError("a composed-graph residual needs a ComposedOperator")
-    space = A.space
-    x = space.validate(point.x)
-    xstar = space.validate(point.xstar)
-    z = x + xstar
-    M, Mt, B, gamma = A.outer.matrix, A.outer.adjoint_matrix, A.inner, A.gamma
-    inner_res = Mt @ B._resolve(gamma, M @ z)
-    if A.variant in ("composition", "mixture"):
-        return space._norm(x - inner_res)
-    return space._norm(Mt @ (M @ z) - xstar - inner_res)
-
-
-def graph_contains_composed(A, point, tol):
-    """Graph membership for a composed operator: residual at most ``tol``."""
-    return graph_residual_composed(A, point) <= tol
 
 
 def strong_monotonicity_modulus(alpha, norm_l):

@@ -296,11 +296,6 @@ def stack(maps, weights):
     maps = list(maps)
     if not maps:
         raise ValidationError("cannot stack an empty list of maps")
-    weights = [float(w) for w in weights]
-    if len(weights) != len(maps):
-        raise DimensionMismatchError("one weight per stacked map is required")
-    if any(not np.isfinite(w) or w <= 0.0 for w in weights):
-        raise ValidationError("stack weights must be strictly positive")
     domain = maps[0].domain
     for L in maps[1:]:
         if L.domain != domain:
@@ -353,9 +348,6 @@ class SubspaceProjector:
     def as_map(self):
         """The projector as a LinearMap of the space into itself."""
         return LinearMap(self.space, self.space, self.matrix)
-
-    def is_full(self):
-        return self.rank == self.space.dim
 
     def residual_norm(self, x):
         """Metric distance from ``x`` to the subspace."""

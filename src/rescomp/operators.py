@@ -3,7 +3,10 @@
 An operator ``B`` never appears as a set-valued map here: the only thing
 algorithms ever evaluate is ``J_{gamma B} = (gamma B + Id)^{-1}``, so a
 :class:`ResolventFamily` carries exactly that evaluator, together with the
-set of scales at which it is valid.  Catalog members with closed forms
+set of scales at which it is valid.  The resolvent also fixes the graph
+(``xstar in B x`` iff ``x = J_B(x + xstar)``, the Minty parametrization),
+so :meth:`ResolventFamily.graph_residual` is the one graph test for every
+family, composed ones included.  Catalog members with closed forms
 (zero, scaled identity, normal cones, monotone linear maps,
 subdifferentials) support every ``gamma > 0``; constructions pinned to one
 scale (Wiener-type operators, compositions) support a single fixed scale
@@ -12,7 +15,8 @@ rescaled family is a different operator.
 
 Derived families -- inverses, positive rescalings, products on product
 spaces -- are provided as wrappers so the composition calculus can be
-expressed without touching evaluator internals.
+expressed without touching evaluator internals; ``inverse`` holds the
+Moreau identity.
 
 Catalog constructors whose resolvent is an affine map declare it:
 ``affine(gamma) -> (M, b)`` with ``J_{gamma B}(y) = M y + b``, ``M`` a
@@ -73,17 +77,11 @@ class ResolventFamily:
 
     # -- scale bookkeeping ----------------------------------------------
 
-    def supports_scale(self, gamma):
-        if gamma <= 0.0:
-            return False
-        if self.scale_domain == ALL_SCALES:
-            return True
-        return abs(gamma - self.scale_domain) <= 1e-12 * max(1.0, abs(gamma))
-
     def _check_scale(self, gamma):
         if gamma <= 0.0:
             raise ScaleRestrictionError(f"resolvent scale must be positive, got {gamma}")
-        if not self.supports_scale(gamma):
+        if self.scale_domain != ALL_SCALES and not (  # not <=, so a NaN fails too
+                abs(gamma - self.scale_domain) <= 1e-12 * max(1.0, abs(gamma))):
             raise ScaleRestrictionError(
                 f"operator {self.kind!r} only supports scale {self.scale_domain}, "
                 f"got {gamma}"
@@ -108,15 +106,18 @@ class ResolventFamily:
         return (x - self._resolve(gamma, x)) / gamma
 
     def inverse_resolvent(self, gamma, x):
-        """``J_{gamma B^{-1}}(x) = x - gamma J_{B/gamma}(x/gamma)``."""
-        x = self.space.validate(x)
-        return x - gamma * self._resolve(1.0 / gamma, x / gamma)
+        """``J_{gamma B^{-1}}(x)``: the resolvent of :meth:`inverse`."""
+        return self.inverse().resolvent(gamma, x)
 
-    def graph_contains(self, point, tol):
-        """Whether ``xstar in B(x)``, tested as ``x == J_B(x + xstar)``."""
+    def graph_residual(self, point):
+        """``||x - J_B(x + xstar)||``, zero exactly when ``xstar in B(x)``."""
         x = self.space.validate(point.x)
         xstar = self.space.validate(point.xstar)
-        return self.space._norm(x - self._resolve(1.0, x + xstar)) <= tol
+        return self.space._norm(x - self._resolve(1.0, x + xstar))
+
+    def graph_contains(self, point, tol):
+        """Whether ``xstar in B(x)`` up to ``tol`` on :meth:`graph_residual`."""
+        return self.graph_residual(point) <= tol
 
     def sample_graph(self, n, seed=0, scale=1.0):
         """``n`` pairs ``(J_B z, z - J_B z)``, which always lie in gra B."""

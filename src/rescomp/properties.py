@@ -22,7 +22,6 @@ from . import proxfun as pf
 from .bench import execute, least_squares_oracle, InstanceSpec
 from .compositions import (
     compose_chain,
-    graph_residual_composed,
     resolvent_average,
     resolvent_composition,
     resolvent_cocomposition,
@@ -393,7 +392,7 @@ def suite_inverse_duality(rng, trials):
         z = H.random(rng)
         jz = A.resolvent(1.0, z)
         point = GraphPoint(jz, z - jz)
-        worst = max(worst, graph_residual_composed(dual, GraphPoint(point.xstar, point.x)))
+        worst = max(worst, dual.graph_residual(GraphPoint(point.xstar, point.x)))
     return worst
 
 
@@ -724,7 +723,7 @@ def suite_residual_agreement(rng, trials):
         fam = inst.relaxed_family()
         worst = max(worst, inst.fixed_point_residual(x))
         worst = max(worst, variational_residual(inst, x))
-        worst = max(worst, graph_residual_composed(fam, GraphPoint(x, inst.space.zeros())))
+        worst = max(worst, fam.graph_residual(GraphPoint(x, inst.space.zeros())))
     return worst
 
 

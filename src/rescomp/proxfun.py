@@ -86,10 +86,6 @@ class ProxFunction:
         x = self.space.validate(x)
         return float(self._value(x))
 
-    @property
-    def has_conjugate_value(self):
-        return self._conjugate_value is not None
-
     def minimizer(self):
         """One global minimizer, when the catalog knows it."""
         if self._minimizer is None:
@@ -293,11 +289,8 @@ def separable(gs, weights):
 
 
 def conjugate_prox(g, gamma, x):
-    """``prox_{gamma g*}(x) = x - gamma prox_{g/gamma}(x/gamma)``."""
-    if gamma <= 0.0:
-        raise ValidationError(f"prox scale must be positive, got {gamma}")
-    x = g.space.validate(x)
-    return x - gamma * g._prox(float(1.0 / gamma), x / gamma)
+    """``prox_{gamma g*}(x)``: the prox of :meth:`ProxFunction.conjugate`."""
+    return g.conjugate().prox(gamma, x)
 
 
 def moreau_envelope(g, gamma, x):

@@ -35,7 +35,8 @@ e.g. with the norm gate bypassed) ends with reason ``non-finite`` and
 keeps its trace; the squared norm overflows long before any entry does,
 so the last iterate is still finite, and the loop silences numpy's
 overflow and invalid-value warnings.  Inputs are validated once; a run
-is single threaded and deterministic.
+is single threaded and deterministic.  :class:`RelaxedInstance` checks the
+hypotheses; :func:`write_atomically` writes traces and run reports.
 """
 
 from __future__ import annotations
@@ -117,20 +118,28 @@ class Trace:
 
     def to_csv(self, path):
         """Write ``iter, fp_residual, var_residual, dist_ref, wall_ns`` rows atomically."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iter", "fp_residual", "var_residual", "dist_ref", "wall_ns"])
-                columns = zip(self.fp_residual, self.var_residual, self.dist_ref, strict=True)
-                for i, (values, ns) in enumerate(zip(columns, self.wall_ns, strict=True)):
-                    writer.writerow([i, *("" if v is None else repr(v) for v in values), ns])
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        def rows(fh):
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "fp_residual", "var_residual", "dist_ref", "wall_ns"])
+            columns = zip(self.fp_residual, self.var_residual, self.dist_ref, strict=True)
+            for i, (values, ns) in enumerate(zip(columns, self.wall_ns, strict=True)):
+                writer.writerow([i, *("" if v is None else repr(v) for v in values), ns])
+
+        write_atomically(path, rows)
+
+
+def write_atomically(path, write):
+    """Replace ``path`` atomically by a temp file that ``write(fh)`` fills, text as given."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
@@ -240,8 +249,7 @@ class RelaxedInstance:
         if B.space != L.codomain:
             raise ValidationError("B must live in the codomain of L")
         check_contraction([L], unsafe=unsafe, require_nonzero=True)
-        if not B.supports_scale(gamma):
-            B._check_scale(gamma)
+        B._check_scale(gamma)
         self.V = V
         self.L = L
         self.B = B
@@ -279,11 +287,6 @@ class RelaxedInstance:
         """``||L x - J_{gamma B}(L x)||`` -- zero iff ``x`` solves the original problem."""
         y = self.L.matrix @ self.space.validate(x)
         return self.L.codomain._norm(y - self.B._resolve(self.gamma, y))
-
-
-def build_relaxed(V, L, B, gamma):
-    """Bundle problem data after checking the standing hypotheses."""
-    return RelaxedInstance(V, L, B, gamma)
 
 
 def _coordinate_step(pieces, gamma, r):

@@ -52,7 +52,7 @@ def acceptance_dict(**overrides):
 class TestInstanceSpec:
     def test_round_trip(self):
         spec = InstanceSpec.from_dict(acceptance_dict())
-        again = InstanceSpec.from_dict(spec.to_dict())
+        again = InstanceSpec.from_dict(dataclasses.asdict(spec))
         assert again == spec
 
     def test_unknown_field_rejected(self):
@@ -468,6 +468,23 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 1
         assert capsys.readouterr().out.startswith("error: ")
         assert not report.parent.exists()
+
+    def test_converged_run_that_is_not_a_solution_exits_two(self, tmp_path, capsys):
+        # The README config with targets 1e7 and 3e7 converges, but its
+        # relaxed residual stays above EXACTNESS_TOL: verdict "not a solution".
+        report = tmp_path / "report.json"
+        trace = tmp_path / "t.csv"
+        cfg = acceptance_dict(output={"report": str(report), "trace": str(trace)})
+        cfg["sets"] = [{"tag": "singleton", "point": [1e7]},
+                       {"tag": "singleton", "point": [3e7]}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path)]) == 2
+        written = json.loads(report.read_text())
+        assert written["converged"]
+        assert written["verdict"] == "not a solution"
+        assert len(trace.read_text().splitlines()) == written["iterations"] + 2
+        assert capsys.readouterr().out.splitlines()[-1].startswith("tolerance failure: ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_run_keeps_trace_and_exits_two(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from rescomp.compositions import (
     compose_chain,
-    graph_contains_composed,
     resolvent_average,
     resolvent_composition,
     resolvent_cocomposition,
@@ -55,9 +54,9 @@ class TestComposition:
         L = LinearMap(R1, R1, [[0.5]])
         A = resolvent_composition(L, scaled_identity(R1, 1.0))
         assert A.resolvent(1.0, [8.0]) == pytest.approx([1.0])
-        assert graph_contains_composed(A, GraphPoint(np.array([1.0]), np.array([7.0])), 1e-10)
-        assert not graph_contains_composed(
-            A, GraphPoint(np.array([1.0]), np.array([6.9])), 1e-10
+        assert A.graph_contains(GraphPoint(np.array([1.0]), np.array([7.0])), 1e-10)
+        assert not A.graph_contains(
+            GraphPoint(np.array([1.0]), np.array([6.9])), 1e-10
         )
 
     def test_surjective_isometry_conjugates(self):
@@ -165,7 +164,7 @@ class TestMixture:
         A = resolvent_mixture([B1, B2], [identity_map(R1)] * 2, [0.5, 0.5])
         # the mixture resolvent is x/2, so the operator itself is Id
         assert A.resolvent(1.0, [4.0]) == pytest.approx([2.0])
-        assert graph_contains_composed(A, GraphPoint(np.array([1.5]), np.array([1.5])), 1e-12)
+        assert A.graph_contains(GraphPoint(np.array([1.5]), np.array([1.5])), 1e-12)
 
     def test_single_block_reduces_to_composition(self):
         H, G = Space(2), Space(2)
@@ -245,7 +244,7 @@ class TestComposedGraphs:
         A = resolvent_composition(identity_map(s), B)
         g = np.random.default_rng(6)
         for pt in B.sample_graph(15, seed=8):
-            assert graph_contains_composed(A, pt, 1e-10) == B.graph_contains(pt, 1e-10)
+            assert A.graph_contains(pt, 1e-10) == B.graph_contains(pt, 1e-10)
 
     def test_sampled_pairs_belong(self):
         g = np.random.default_rng(7)
@@ -256,7 +255,36 @@ class TestComposedGraphs:
             for variant in (resolvent_composition, resolvent_cocomposition):
                 A = variant(L, B, gamma=0.7)
                 for pt in A.sample_graph(10, seed=int(g.integers(0, 100))):
-                    assert graph_contains_composed(A, pt, 1e-10)
+                    assert A.graph_contains(pt, 1e-10)
+
+    def test_graph_residual_matches_the_composed_formulas(self):
+        # With z = x + xstar: ||x - L*(J_{gamma B}(L z))|| for a composition or
+        # a mixture (L stacked, B the product), and for a cocomposition
+        # ||L*(L z) - xstar - L*(J_{gamma B}(L z))||.
+        g = np.random.default_rng(9)
+        H = Space(3, [0.5, 1.0, 2.0])
+        G1, G2 = Space(2, [1.5, 0.25]), Space(3, [0.4, 1.0, 3.0])
+        L1 = LinearMap(H, G1, g.standard_normal((2, 3)))
+        L1 = LinearMap(H, G1, 0.8 * L1.matrix / L1.op_norm())
+        L2 = LinearMap(H, G2, g.standard_normal((3, 3)))
+        L2 = LinearMap(H, G2, 0.8 * L2.matrix / L2.op_norm())
+        B1 = normal_cone(Ball(G1, [0.3, -0.2], 0.5))
+        B2 = subdifferential(half_squared_distance(G2, [1.0, 0.0, -1.0]))
+        gamma, w = 0.7, [0.6, 0.4]
+        cases = [
+            (resolvent_composition(L1, B1, gamma), L1, B1, False),
+            (resolvent_cocomposition(L1, B1, gamma), L1, B1, True),
+            (resolvent_mixture([B1, B2], [L1, L2], w, gamma),
+             stack([L1, L2], w), product_family([B1, B2], w), False),
+        ]
+        for A, L, B, cocomposition in cases:
+            for _ in range(20):
+                x, xstar = H.random(g), H.random(g)
+                z = x + xstar
+                inner = L.adjoint_apply(B.resolvent(gamma, L.apply(z)))
+                ref = L.adjoint_apply(L.apply(z)) - xstar - inner if cocomposition else x - inner
+                residual = A.graph_residual(GraphPoint(x, xstar))
+                assert residual == pytest.approx(H.norm(ref), rel=1e-13, abs=0.0), A.kind
 
     def test_firmness_and_monotonicity_suites(self):
         assert suite_composed_firm(np.random.default_rng([13, 6]), 400).passed

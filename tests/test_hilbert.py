@@ -217,7 +217,7 @@ class TestProjector:
         P = SubspaceProjector.full(s)
         x = np.array([1.0, -2.0, 5.0])
         assert P.apply(x) == pytest.approx(x)
-        assert P.is_full()
+        assert P.rank == s.dim
 
     def test_residual_metric_orthogonal_to_basis(self):
         g = rng()

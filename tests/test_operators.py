@@ -130,6 +130,35 @@ class TestInverseResolvent:
         res = suite_moreau_identity(np.random.default_rng([11, 1]), 500)
         assert res.passed, res.line()
 
+    def test_inverse_resolvent_is_the_written_out_moreau_identity(self):
+        # J_{gamma B^{-1}}(x) = x - gamma J_{B/gamma}(x/gamma), bit for bit
+        w = np.array([0.5, 1.0, 2.0])
+        s = Space(3, w)
+        skew = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]]) / w[:, None]
+        catalog = [
+            zero_operator(s),
+            scaled_identity(s, 1.5),
+            normal_cone(Ball(s, [0.2, 0.0, -0.1], 0.8)),
+            normal_cone(Singleton(s, [1.0, -1.0, 0.5])),
+            linear_monotone(s, np.diag([1.0, 2.0, 0.5]) + skew),
+            subdifferential(one_norm(s)),
+        ]
+        g = np.random.default_rng(5)
+        for B in catalog:
+            for gamma in (0.5, 1.0, 2.0):
+                x = s.random(g)
+                expected = x - gamma * B.resolvent(1.0 / gamma, x / gamma)
+                assert np.array_equal(B.inverse_resolvent(gamma, x), expected), B.kind
+
+    def test_fixed_scale_family_inverts_at_its_own_scale_only(self):
+        s = Space(2, [0.5, 2.0])
+        B = make_wiener(s, lambda y: 0.5 * y, [1.0, -1.0], scale=0.5)
+        x = np.array([0.3, 0.7])
+        expected = x - 1.0 * B.resolvent(1.0, x / 1.0)
+        assert np.array_equal(B.inverse_resolvent(1.0, x), expected)
+        with pytest.raises(ScaleRestrictionError, match=r"inverse\(wiener\)"):
+            B.inverse_resolvent(2.0, x)
+
     def test_inverse_family_matches_inverse_resolvent(self):
         g = np.random.default_rng(3)
         s = Space(3, g.uniform(0.4, 2.0, size=3))

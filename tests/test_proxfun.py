@@ -179,6 +179,23 @@ class TestConjugate:
         g = one_norm(R1)
         assert conjugate_prox(g, 2.0, [0.5]) == pytest.approx([0.5])
 
+    def test_conjugate_prox_is_the_written_out_moreau_identity(self):
+        # prox_{gamma g*}(x) = x - gamma prox_{g/gamma}(x/gamma), bit for bit
+        s = Space(3, [0.5, 1.0, 2.0])
+        catalog = [
+            indicator(Box(s, [-1.0, -2.0, 0.0], [1.0, 0.5, 3.0])),
+            indicator(Ball(s, [0.1, 0.2, 0.3], 0.7)),
+            one_norm(s),
+            quadratic(s, np.diag([1.0, 0.5, 2.0]), [0.3, -0.2, 1.0]),
+            half_squared_distance(s, [1.0, 2.0, -1.0]),
+        ]
+        rng = np.random.default_rng(6)
+        for g in catalog:
+            for gamma in (0.5, 1.0, 2.0):
+                x = s.random(rng)
+                expected = x - gamma * g.prox(1.0 / gamma, x / gamma)
+                assert np.array_equal(conjugate_prox(g, gamma, x), expected), g.tag
+
     def test_decomposition_suite(self):
         res = suite_moreau_decomposition(np.random.default_rng([17, 0]), 500)
         assert res.passed, res.line()

@@ -21,7 +21,6 @@ from rescomp.solvers import (
     Trace,
     _coordinate_step,
     _solve_in_coordinates,
-    build_relaxed,
     proximal_point,
     solve_blocks,
     solve_relaxed,
@@ -174,7 +173,7 @@ class TestBuildRelaxed:
     def test_full_space_identity_map_reduces_to_resolvent(self):
         V = SubspaceProjector.full(R2)
         B = scaled_identity(R2, 2.0)
-        inst = build_relaxed(V, identity_map(R2), B, 0.7)
+        inst = RelaxedInstance(V, identity_map(R2), B, 0.7)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = R2.random(rng)
@@ -194,7 +193,7 @@ class TestBuildRelaxed:
         V = SubspaceProjector.full(R2)
         L = LinearMap(R2, R2, 2.0 * np.eye(2))
         with pytest.raises(ContractionConditionError):
-            build_relaxed(V, L, scaled_identity(R2, 1.0), 1.0)
+            RelaxedInstance(V, L, scaled_identity(R2, 1.0), 1.0)
 
     def test_norm_just_above_one_rejected(self):
         # singular values spread over [0.999, 1] (1 + 1.5e-8)
@@ -210,12 +209,12 @@ class TestBuildRelaxed:
         V = SubspaceProjector.full(R2)
         L = LinearMap(R2, R2, np.zeros((2, 2)))
         with pytest.raises(ContractionConditionError):
-            build_relaxed(V, L, scaled_identity(R2, 1.0), 1.0)
+            RelaxedInstance(V, L, scaled_identity(R2, 1.0), 1.0)
 
     def test_space_mismatch(self):
         V = SubspaceProjector.full(R2)
         with pytest.raises(ValidationError):
-            build_relaxed(V, identity_map(R2), scaled_identity(Space(3), 1.0), 1.0)
+            RelaxedInstance(V, identity_map(R2), scaled_identity(Space(3), 1.0), 1.0)
 
 
 class TestSolveRelaxed:
@@ -313,7 +312,7 @@ class TestSolveBlocks:
 
     def test_requires_block_structure(self):
         V = SubspaceProjector.full(R2)
-        inst = build_relaxed(V, identity_map(R2), scaled_identity(R2, 1.0), 1.0)
+        inst = RelaxedInstance(V, identity_map(R2), scaled_identity(R2, 1.0), 1.0)
         with pytest.raises(ValidationError):
             solve_blocks(inst, R2.zeros(), Schedule())
 
