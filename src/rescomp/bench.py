@@ -8,6 +8,10 @@ where ``kind`` is one of ``split-feasibility``, ``common-zero``,
 ``feasibility-product``, ``wiener`` or ``prox-mixture`` and the entries of
 ``sets`` are block descriptors whose meaning depends on the kind (convex
 sets, operators, Wiener blocks or convex functions; see README).
+``schedule`` holds ``lambda``, ``max_iterations`` and ``tol``, each
+validated when the config is read.  A run takes the Anderson stage of the
+solver, except with the norm gate bypassed (``unsafe``), where the steps
+need not be nonexpansive and the plain relaxed steps run instead.
 
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
 (unparseable config, dimension mismatches, failed norm gates), 2 on
@@ -29,6 +33,7 @@ from .errors import RescompError, ValidationError
 from .hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
 from .sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
 from .solvers import (
+    ANDERSON_MEMORY,
     RelaxedInstance,
     Schedule,
     solve_relaxed,
@@ -94,6 +99,8 @@ class InstanceSpec:
         for field_name in required:
             if field_name not in data:
                 raise ValidationError(f"missing config field {field_name!r}")
+        if not isinstance(data.get("schedule", {}), dict):
+            raise ValidationError("field 'schedule': must be a JSON object")
         spec = cls(
             kind=data["kind"],
             spaces=data["spaces"],
@@ -130,12 +137,26 @@ class InstanceSpec:
         for key, value in (("subspace", self.subspace), ("maps", self.maps or [])):
             if not _all_finite(value):
                 raise ValidationError(f"field {key!r}: non-finite entry")
+        try:
+            self.build_schedule()
+        except ValidationError as exc:
+            raise ValidationError(f"field 'schedule': {exc}") from exc
 
-    def build_schedule(self):
+    def build_schedule(self, unsafe=False):
+        """The run's :class:`Schedule`: Anderson, or the plain steps when ``unsafe``.
+
+        With the norm gate bypassed the step need not be nonexpansive, so
+        the safeguard's convergence guarantee does not hold, and the plain
+        steps show what the unchecked data do (e.g. diverge).
+        """
+        unknown = set(self.schedule) - {"lambda", "max_iterations", "tol"}
+        if unknown:
+            raise ValidationError(f"unknown fields {sorted(unknown)}")
         return Schedule(
             lam=self.schedule.get("lambda", 1.0),
-            max_iterations=int(self.schedule.get("max_iterations", 100_000)),
-            tol=float(self.schedule.get("tol", 1e-10)),
+            max_iterations=self.schedule.get("max_iterations", 100_000),
+            tol=self.schedule.get("tol", 1e-10),
+            anderson=not unsafe,
         )
 
 
@@ -400,6 +421,8 @@ class RunReport:
     trace_path: str | None
     x0_projected: bool
     certificates: dict
+    memory: int     # the Anderson window of the run; 0: the plain relaxed steps
+    fallbacks: int  # Anderson candidates the safeguard rejected
 
     def to_json(self):
         """Strict JSON: a non-finite number is written as ``null``."""
@@ -419,11 +442,14 @@ def _finite_or_null(value):
 
 
 def certificates(inst):
-    """The rank r of V and ``sigma_min(L U)``, which sets the solver's rate.
+    """The rank r of V and ``sigma_min(L U)``, which gives the plain steps' rate.
 
     ``sigma_min`` is the smallest singular value of ``A = L U`` from ``R^r``
-    into the codomain metric (0 when ``A`` has fewer than r rows); a run
-    with ``lambda = 1`` contracts by about ``1 - sigma_min^2`` per step.
+    into the codomain metric (0 when ``A`` has fewer than r rows).  A run
+    of plain steps (``--unsafe-norm``) with ``lambda = 1`` contracts by
+    about ``1 - sigma_min^2`` per step, or more slowly when the blocks have
+    less curvature; the Anderson stage of the other runs usually needs far
+    fewer steps.
     """
     r = inst.V.rank
     s = np.linalg.svd(inst.A * np.sqrt(inst.L.codomain.weights)[:, None], compute_uv=False)
@@ -433,7 +459,7 @@ def certificates(inst):
 def execute(spec, unsafe=False):
     """Build, solve and verify an instance; returns ``(report, trace)``."""
     inst = generate_instance(spec, unsafe=unsafe)
-    schedule = spec.build_schedule()
+    schedule = spec.build_schedule(unsafe=unsafe)
     x0 = inst.space.zeros()
     x, trace = solve_relaxed(inst, x0, schedule)
     # After a non-finite run the residuals of the (finite, huge) last iterate
@@ -466,6 +492,8 @@ def execute(spec, unsafe=False):
             trace_path=None,
             x0_projected=trace.x0_projected,
             certificates=certificates(inst),
+            memory=ANDERSON_MEMORY if schedule.anderson else 0,
+            fallbacks=trace.fallbacks,
         )
     return report, trace
 

@@ -32,7 +32,8 @@ def build_parser():
     solve.add_argument("--trace", default=None, help="write the iteration trace to this CSV")
     solve.add_argument(
         "--unsafe-norm", action="store_true",
-        help="bypass the ||L|| <= 1 gate (exploration only; theory unsupported)",
+        help="bypass the ||L|| <= 1 gate and run the plain steps "
+             "(exploration only; theory unsupported)",
     )
 
     props = sub.add_parser("props", help="run the property suites")

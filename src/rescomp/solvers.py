@@ -37,6 +37,20 @@ so the last iterate is still finite, and the loop silences numpy's
 overflow and invalid-value warnings.  Inputs are validated once; a run
 is single threaded and deterministic.  :class:`RelaxedInstance` checks the
 hypotheses; :func:`write_atomically` writes traces and run reports.
+
+``Schedule(anderson=True)`` adds a safeguarded type-II Anderson stage to
+the one loop for the coordinate solvers (on an affine step it is GMRES;
+Walker & Ni 2011).  The last ``min(ANDERSON_MEMORY, r)`` differences of
+``f = lambda_n g`` and of ``c + f`` sit in preallocated buffers.  A
+candidate from their Tikhonov-regularized least-squares fit (the weight
+is relative, so no decision depends on the scale of the data) is taken
+only if its residual is at most ``D ||g_0|| (i + 1)^-(1 + eps)``, ``i``
+the candidates taken so far (Zhang, O'Donoghue & Boyd 2020).  Otherwise
+the loop takes the plain step and drops the differences, and
+``Trace.fallbacks`` counts the rejection.  A non-finite candidate never
+passes, and a plain step that goes non-finite still ends the run with
+``non-finite``.  ``anderson=False``, the library default, is the plain
+iteration, bit for bit; :func:`proximal_point` refuses Anderson.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -57,6 +72,16 @@ from .hilbert import check_contraction
 
 _LAMBDA_EPS = 1e-3
 _MEMBERSHIP_TOL = 1e-10
+# The Anderson safeguard ||step(c)|| <= D ||step(c_0)|| (i + 1)^-(1 + eps) of
+# Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020), with their D and eps: the
+# bounds are summable, so a run keeps the global convergence of plain steps.
+_SAFEGUARD_D = 1e6
+_SAFEGUARD_EPS = 1e-6
+# Tikhonov weight of the Anderson least-squares solve, relative to the trace
+# of its normal matrix, so that scaling the data by t changes nothing.
+_ANDERSON_REG = 1e-10
+# Anderson window: the differences kept (capped at the rank of V).
+ANDERSON_MEMORY = 10
 
 
 @dataclass
@@ -66,22 +91,27 @@ class Schedule:
     ``lam`` is either one constant or an explicit per-iteration sequence;
     every value must lie in ``[1e-3, 2 - 1e-3]``, which keeps the sum of
     ``lambda_n (2 - lambda_n)`` divergent.  When a finite sequence is
-    given, its length caps the number of updates.
+    given, its length caps the number of updates.  ``anderson`` turns on
+    the Anderson stage of the coordinate solvers (False, the default, runs
+    the plain relaxed steps).  ``max_iterations`` must be a nonnegative
+    integer (an integral float is accepted, a bool is not) and ``tol`` a
+    nonnegative number; anything else raises ``ValidationError``.
     """
 
     lam: float | list = 1.0
     max_iterations: int = 100_000
     tol: float = 1e-10
+    anderson: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValidationError("max_iterations must be nonnegative")
-        if self.tol < 0:
-            raise ValidationError("tolerance must be nonnegative")
+        self.max_iterations = _count("max_iterations", self.max_iterations)
+        self.tol = _real("tolerance", self.tol)
+        if not self.tol >= 0:  # NaN too
+            raise ValidationError(f"tolerance must be nonnegative, got {self.tol!r}")
         if np.isscalar(self.lam):
-            values = [float(self.lam)]
+            values = [_real("relaxation parameter", self.lam)]
         else:
-            self.lam = [float(v) for v in self.lam]
+            self.lam = [_real("relaxation parameter", v) for v in self.lam]
             values = self.lam
             if not values:
                 raise ValidationError("empty relaxation schedule")
@@ -102,6 +132,20 @@ class Schedule:
         return self.lam[n]
 
 
+def _real(name, value):
+    """``value`` as a float; a bool or a non-number raises ``ValidationError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(name, value):
+    """``value`` as an int; a bool, a non-number, a negative number or a fraction raises."""
+    if not (_real(name, value) >= 0 and float(value).is_integer()):
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Trace:
     """Per-iteration diagnostics of a single solver run."""
@@ -114,6 +158,7 @@ class Trace:
     reason: str = "running"
     iterations: int = 0
     x0_projected: bool = False
+    fallbacks: int = 0  # Anderson candidates the safeguard rejected
     inexact_weighted_sum: float = 0.0  # sum of lambda_n ||c_n|| when perturbed
 
     def to_csv(self, path):
@@ -150,18 +195,30 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
     kept iterate ``lift(z)``.  Without ``distance``, ``dist_ref`` is filled
     with None after the loop; the caller fills ``var_residual``.  Returns
     ``(z, trace)``.
+
+    With ``schedule.anderson`` each update first tries the Anderson
+    candidate of :func:`_anderson_candidate` on ``z -> z + f(z)``,
+    ``f = lambda_n step`` (see the module docstring).  ``step`` must then
+    be a pure function of ``z``: a rejected candidate costs one evaluation
+    that is not a step.
     """
     lam = schedule.lam
     unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
     lams = itertools.repeat(float(lam)) if np.isscalar(lam) else iter(lam)
     cap, tol, clock = schedule.update_cap(), schedule.tol, time.perf_counter_ns
     fp, wall = trace.fp_residual.append, trace.wall_ns.append
+    m = min(ANDERSON_MEMORY, len(z)) if schedule.anderson else 0
+    if m:  # circular buffers of the last m differences, one a row; k in use, row j next
+        dF, dG = np.empty((m, len(z))), np.empty((m, len(z)))
+        f_last = g_last = None
+        k = j = accepted = 0
     start = clock()
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        s = step(z)
+        residual = norm(s)
+        first = residual
         while True:
-            s = step(z)
-            residual = norm(s)
             fp(residual)
             if distance is not None:
                 trace.dist_ref.append(distance(z))
@@ -177,12 +234,49 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
             if n >= cap:
                 trace.reason = "max_iterations"
                 break
-            z = z + s if unit else z + next(lams) * s
+            f = s if unit else next(lams) * s
             n += 1
+            if not m:
+                z = z + f
+            else:
+                g = z + f
+                if f_last is not None:
+                    dF[j] = f - f_last
+                    dG[j] = g - g_last
+                    j = (j + 1) % m
+                    k = min(k + 1, m)
+                f_last, g_last = f, g
+                candidate = _anderson_candidate(dF[:k], dG[:k], f, g) if k else None
+                if candidate is not None:
+                    s = step(candidate)
+                    residual = norm(s)
+                    if residual <= _SAFEGUARD_D * first * (accepted + 1) ** -(1 + _SAFEGUARD_EPS):
+                        accepted += 1
+                        z = candidate
+                        continue
+                    trace.fallbacks += 1
+                    k = j = 0
+                z = g
+            s = step(z)
+            residual = norm(s)
     trace.iterations = n
     if distance is None:
         trace.dist_ref = [None] * (n + 1)
     return z, trace
+
+
+def _anderson_candidate(dF, dG, f, g):
+    """``g - dG^T gamma`` with ``gamma`` the regularized least-squares fit of ``dF^T gamma ~ f``.
+
+    The rows of ``dF`` and ``dG`` are the differences; None when they all vanished.
+    """
+    M = dF @ dF.T
+    diagonal = M.ravel()[::len(M) + 1]  # a view into M
+    diagonal += _ANDERSON_REG * diagonal.sum()
+    try:
+        return g - np.linalg.solve(M, dF @ f) @ dG
+    except np.linalg.LinAlgError:  # singular: every difference is zero (or underflowed)
+        return None
 
 
 def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_iterates=False):
@@ -197,7 +291,11 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_ite
     Returns ``(x_final, trace)``.  ``x0``, ``reference`` and each error
     ``c_n`` are validated; the step ``J x_n - x_n`` is only checked for its
     shape, and a non-finite one ends the run with reason ``non-finite``.
+    The iteration is the plain one: an ``anderson`` schedule raises
+    ``ValidationError``.
     """
+    if schedule.anderson:
+        raise ValidationError("proximal_point runs the plain steps only; use anderson=False")
     x = space.validate(x0).copy()
     ref = None if reference is None else space.validate(reference)
     drawn = []  # the errors c_0, c_1, ... in the order the steps used them

@@ -25,7 +25,13 @@ from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
 from rescomp.sets import Singleton
-from rescomp.solvers import RelaxedInstance, Schedule, solve_relaxed, verify_exact_relaxation
+from rescomp.solvers import (
+    ANDERSON_MEMORY,
+    RelaxedInstance,
+    Schedule,
+    solve_relaxed,
+    verify_exact_relaxation,
+)
 
 
 # ||L|| = 3 with the gate bypassed (--unsafe-norm): x <- -8 x + 3 p diverges.
@@ -37,6 +43,13 @@ NONFINITE_SPEC_DICT = {
     "weights": [1],
     "subspace": [[1, 0], [0, 1]],
 }
+
+
+# Schedules that the config boundary refuses with ValidationError.
+BAD_SCHEDULES = [
+    {"max_iterations": "abc"}, {"lambda": "abc"}, {"tol": float("nan")}, {"max_iterations": 2.7},
+    {"memory": 0}, {"anderson": False}, [1.0],
+]
 
 
 def _reject_constant(name):
@@ -82,6 +95,16 @@ class TestInstanceSpec:
     def test_nonfinite_entries(self):
         with pytest.raises(ValidationError, match="subspace"):
             InstanceSpec.from_dict(acceptance_dict(subspace=[[1.0, float("nan")]]))
+
+    @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+    def test_bad_schedule(self, schedule):
+        with pytest.raises(ValidationError, match="schedule"):
+            InstanceSpec.from_dict(acceptance_dict(schedule=schedule))
+
+    def test_config_runs_anderson_unless_unsafe(self):
+        spec = InstanceSpec.from_dict(acceptance_dict(schedule={}))
+        assert spec.build_schedule() == Schedule(anderson=True)
+        assert spec.build_schedule(unsafe=True) == Schedule()
 
 
 class TestGenerate:
@@ -287,6 +310,30 @@ class TestReportJson:
         assert trace.fp_residual[-1] == np.inf
         assert len(trace.fp_residual) == trace.iterations + 1
 
+    def test_report_names_the_path_that_ran(self):
+        # The gate passes either way; unsafe only switches to the plain steps.
+        spec = InstanceSpec.from_dict(acceptance_dict())
+        finals = []
+        for unsafe, memory in ((False, ANDERSON_MEMORY), (True, 0)):
+            report, trace = execute(spec, unsafe=unsafe)
+            parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+            assert parsed["memory"] == memory
+            assert parsed["fallbacks"] == trace.fallbacks
+            assert parsed["converged"] and parsed["oracle"]["distance"] <= 1e-6
+            finals.append(np.array(parsed["final_iterate"]))
+        assert parsed["fallbacks"] == 0 and parsed["iterations"] == 34
+        assert np.linalg.norm(finals[0] - finals[1]) <= 1e-8
+
+    def test_anderson_solves_the_expansive_instance(self):
+        # The Anderson stage, which config runs take only with the gate in
+        # force, converges where the plain steps of the unsafe run diverge.
+        spec = InstanceSpec.from_dict(NONFINITE_SPEC_DICT)
+        inst = generate_instance(spec, unsafe=True)
+        x, trace = solve_relaxed(inst, inst.space.zeros(), Schedule(anderson=True))
+        assert trace.reason == "converged"
+        assert x == pytest.approx([1 / 3, 1 / 3], abs=1e-10)
+        assert verify_exact_relaxation(inst, x, EXACTNESS_TOL).verdict == "S1 attained"
+
     def test_certificates_of_nonfinite_run_are_strict(self):
         report, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
         assert trace.reason == "non-finite"
@@ -449,6 +496,14 @@ class TestCli:
 
     def test_props_negative_control(self, capsys):
         assert main(["props", "--trials", "20", "--corrupt-adjoint"]) == 2
+
+    @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+    def test_bad_schedule_exits_one(self, tmp_path, capsys, schedule):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(schedule=schedule)))
+        assert main(["solve", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and "schedule" in out
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1

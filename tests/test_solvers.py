@@ -1,14 +1,18 @@
 """Proximal point engine, relaxed instances, residuals, verification."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
+from rescomp import solvers
+from rescomp.bench import InstanceSpec, certificates, generate_instance, least_squares_oracle
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, stack
 from rescomp.operators import make_wiener, normal_cone, product_family, scaled_identity
 from rescomp.properties import (
+    _random_split_instance,
     suite_block_stacked,
     suite_engine_equivalence,
     suite_fejer,
@@ -20,6 +24,7 @@ from rescomp.solvers import (
     Schedule,
     Trace,
     _coordinate_step,
+    _iterate,
     _solve_in_coordinates,
     proximal_point,
     solve_blocks,
@@ -60,9 +65,9 @@ def wiener_instance():
     )
 
 
-def coordinate_instance(tags=("box", "ball", "point", "half")):
+def coordinate_instance(tags=("box", "ball", "point", "half"), scale=1.0):
     """Weighted metrics, n = 50, rank(V) = 25: one block of 25 rows per tag, block k
-    the normal cone of a set of kind ``tags[k]``."""
+    the normal cone of a set of kind ``tags[k]``; the sets and ``x0`` are scaled by ``scale``."""
     rng = np.random.default_rng(2024)
     n, m, p, r = 50, 25, len(tags), 25
     H = Space(n, rng.uniform(0.5, 2.0, size=n))
@@ -71,18 +76,18 @@ def coordinate_instance(tags=("box", "ball", "point", "half")):
     w = rng.uniform(0.5, 1.0, size=p)
     w = list(0.9 * w / sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps)))
     make = {
-        "box": lambda g: Box(g, -0.1, 0.1),
-        "ball": lambda g: Ball(g, np.ones(m), 0.2),
-        "point": lambda g: Singleton(g, rng.standard_normal(m)),
+        "box": lambda g: Box(g, -0.1 * scale, 0.1 * scale),
+        "ball": lambda g: Ball(g, scale * np.ones(m), 0.2 * scale),
+        "point": lambda g: Singleton(g, scale * rng.standard_normal(m)),
         "origin": lambda g: Singleton(g, np.zeros(m)),
-        "half": lambda g: Halfspace(g, np.ones(m), -1.0),
+        "half": lambda g: Halfspace(g, np.ones(m), -1.0 * scale),
     }
     fams = [normal_cone(make[tag](g)) for tag, g in zip(tags, spaces)]
     V = SubspaceProjector(H, rng.standard_normal((r, n)))
     inst = RelaxedInstance(V, stack(maps, w), product_family(fams, w), 0.8,
                            kind="split-feasibility", blocks=list(zip(maps, fams, w)))
     assert (V.rank, inst.L.matrix.shape) == (r, (p * m, n))
-    return inst, V.apply(H.random(rng))
+    return inst, V.apply(scale * H.random(rng))
 
 
 def solve_unfolded(inst, x0, schedule):
@@ -95,6 +100,74 @@ def solve_unfolded(inst, x0, schedule):
         return A_adj @ (evaluate(gamma, y) - y)
 
     return _solve_in_coordinates(inst, x0, schedule, step, None, True)
+
+
+KINDS = ("split-feasibility", "common-zero", "feasibility-product", "wiener", "prox-mixture")
+
+
+def kind_instance(kind, n):
+    """A config-built instance of ``kind`` in weighted metrics: the domain of dimension n,
+    four blocks of dimension n/2 with ``||L_k|| = 0.95``, and V spanned by n/2 vectors."""
+    rng = np.random.default_rng([n, KINDS.index(kind)])
+    m, p = n // 2, 4
+    H = Space(n, rng.uniform(0.5, 2.0, size=n))
+    config = {"kind": kind, "weights": [1.0 / p] * p,
+              "spaces": {"domain": {"dim": n, "weights": H.weights.tolist()}}}
+    if kind == "feasibility-product":
+        config["sets"] = [{"tag": "ball", "center": H.random(rng).tolist(),
+                           "radius": 0.25 * np.sqrt(n)} for _ in range(p)]
+        return generate_instance(InstanceSpec.from_dict(config))
+    blocks = [Space(m, rng.uniform(0.5, 2.0, size=m)) for _ in range(p)]
+    maps = []
+    for G in blocks:
+        M = rng.standard_normal((m, n))
+        maps.append((0.95 / LinearMap(H, G, M).op_norm() * M).tolist())
+
+    def point(G):
+        return G.random(rng).tolist()
+
+    def ball(G):
+        return {"tag": "ball", "center": point(G), "radius": 0.5}
+
+    def box(G):
+        c = G.random(rng)
+        return {"tag": "box", "lower": (c - 0.5).tolist(), "upper": (c + 0.5).tolist()}
+
+    def in_metric(G, P):  # W^-1 P: monotone (self-adjoint when P is) in G's metric
+        return (P / G.weights[:, None]).tolist()
+
+    S = rng.standard_normal((m, m))
+    sets = {
+        "split-feasibility": lambda: [box(blocks[0]), ball(blocks[1]),
+                                      {"tag": "singleton", "point": point(blocks[2])},
+                                      ball(blocks[3])],
+        "common-zero": lambda: [
+            {"tag": "linear", "matrix": in_metric(blocks[0], 0.5 * (S - S.T) + 0.1 * np.eye(m))},
+            {"tag": "scaled-identity", "c": 0.5},
+            {"tag": "normal-cone", "set": ball(blocks[2])},
+            {"tag": "zero"},
+        ],
+        "wiener": lambda: [{"f": {"tag": "scale", "c": 0.6}, "point": point(G)} for G in blocks],
+        "prox-mixture": lambda: [
+            {"tag": "abs"},
+            {"tag": "quadratic", "q": in_metric(blocks[1], S @ S.T / m + 0.1 * np.eye(m)),
+             "b": point(blocks[1])},
+            {"tag": "half-sq-dist", "point": point(blocks[2])},
+            {"tag": "indicator", "set": box(blocks[3])},
+        ],
+    }[kind]()
+    config["spaces"]["blocks"] = [{"dim": m, "weights": G.weights.tolist()} for G in blocks]
+    config.update(maps=maps, sets=sets, subspace=[H.random(rng).tolist() for _ in range(m)])
+    return generate_instance(InstanceSpec.from_dict(config))
+
+
+def affine_singleton_instances():
+    """All-affine split-feasibility instances with singleton targets, weighted metrics:
+    the property-suite draws on which the plain steps stall (their seeds fail
+    ``residual-agreement`` and ``oracle-agreement``), five more draws, and n = 50."""
+    draws = [[1061143462, 24], [1112293236, 24], [1155723359, 26]] + [[7, i] for i in range(5)]
+    out = [_random_split_instance(np.random.default_rng(d))[0] for d in draws]
+    return out + [coordinate_instance(("point",) * 4)[0]]
 
 
 class TestSchedule:
@@ -118,6 +191,19 @@ class TestSchedule:
     def test_rejects_empty_list(self):
         with pytest.raises(ValidationError):
             Schedule(lam=[])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": "abc"}, {"max_iterations": 2.7}, {"max_iterations": -1},
+        {"max_iterations": True}, {"lam": "abc"}, {"lam": [1.0, "abc"]},
+        {"tol": float("nan")}, {"tol": "1e-10"},
+    ])
+    def test_rejects_malformed_values(self, kwargs):
+        with pytest.raises(ValidationError):
+            Schedule(**kwargs)
+
+    def test_integral_floats_are_counts(self):
+        s = Schedule(max_iterations=1e5)
+        assert s.max_iterations == 100_000 and type(s.max_iterations) is int
 
 
 class TestProximalPoint:
@@ -442,6 +528,174 @@ class TestAffineFold:
         _coordinate_step(pieces, 1.0, 2)
         with pytest.raises(ScaleRestrictionError):
             _coordinate_step(pieces, 2.0, 2)
+
+
+def coordinate_norm(g):
+    return math.sqrt(g.dot(g))
+
+
+class TestAnderson:
+    """``Schedule(anderson=True)``: safeguarded type-II Anderson on the coordinate step."""
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_default_schedule_is_the_plain_steps(self, solver):
+        inst, x0 = coordinate_instance()
+        ref = inst.V.apply(np.ones(inst.space.dim))
+        xa, ta = solver(inst, x0, Schedule(), reference=ref, keep_iterates=True)
+        xb, tb = solver(inst, x0, Schedule(anderson=False), reference=ref, keep_iterates=True)
+        assert np.array_equal(xa, xb)
+        assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
+        assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
+        assert ta.dist_ref == tb.dist_ref
+        assert all(np.array_equal(u, v) for u, v in zip(ta.iterates, tb.iterates, strict=True))
+
+    # feasibility-product has no block structure for solve_blocks
+    @pytest.mark.parametrize("kind, n, solver", [
+        (kind, n, solver) for kind in KINDS for n in (4, 50)
+        for solver in (solve_relaxed, solve_blocks)
+        if kind != "feasibility-product" or solver is solve_relaxed
+    ])
+    def test_ends_near_the_plain_steps_on_every_kind(self, kind, n, solver):
+        # The plain steps, run to tol / 1000, contract by q per step at the end:
+        # a point with residual tol lies within tol / (1 - q) of the fixed point.
+        # 1 - q is sigma_min(L U)^2 for singleton targets and smaller when a
+        # block's resolvent displacement has less curvature (zero, scaled
+        # identity, boxes, the l1 norm).
+        inst = kind_instance(kind, n)
+        tol = 1e-10
+        x_km, km = solver(inst, inst.space.zeros(), Schedule(tol=tol / 1000))
+        x, trace = solver(inst, inst.space.zeros(), Schedule(tol=tol, anderson=True))
+        assert km.reason == trace.reason == "converged"
+        assert trace.iterations < km.iterations
+        q = km.fp_residual[-1] / km.fp_residual[-2]
+        sigma = certificates(inst)["sigma_min_LU"]
+        assert 1.0 - q <= sigma**2 * (1.0 + 1e-6)
+        assert inst.space.norm(x - x_km) <= tol / (1.0 - q)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_reaches_the_least_squares_oracle_on_affine_instances(self, solver):
+        for inst in affine_singleton_instances():
+            ref, _ = least_squares_oracle(inst)
+            x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
+            assert trace.reason == "converged"
+            assert inst.space.norm(x - ref) <= 1e-10 * inst.space.norm(ref)
+
+    @pytest.mark.parametrize("D", [solvers._SAFEGUARD_D, 0.1], ids=["default", "binding"])
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_accepted_candidates_meet_the_safeguard(self, solver, D, monkeypatch):
+        evaluations = []  # every (c, step(c)) in the order the loop asked for them
+        build = solvers._coordinate_step
+
+        def recording(*args):
+            step = build(*args)
+
+            def recorded(c):
+                s = step(c)
+                evaluations.append((c.copy(), s))
+                return s
+            return recorded
+
+        monkeypatch.setattr(solvers, "_coordinate_step", recording)
+        monkeypatch.setattr(solvers, "_SAFEGUARD_D", D)
+        inst, x0 = coordinate_instance(("box", "ball", "point", "ball"))
+        _, trace = solver(inst, x0, Schedule(anderson=True))
+        # Replay: from an iterate (z, s) the loop evaluates either the plain
+        # step z + s, or a candidate, followed by z + s when it is rejected.
+        (z, s), rest = evaluations[0], evaluations[1:]
+        first, steps, accepted, rejected = coordinate_norm(s), 0, 0, 0
+        for i, (c, sc) in enumerate(rest):
+            plain = z + s
+            if not np.array_equal(c, plain):
+                if i + 1 < len(rest) and np.array_equal(rest[i + 1][0], plain):
+                    rejected += 1
+                    continue
+                bound = D * first * (accepted + 1) ** -(1 + solvers._SAFEGUARD_EPS)
+                assert coordinate_norm(sc) <= bound
+                accepted += 1
+            z, s = c, sc
+            steps += 1
+        assert trace.reason == "converged"
+        assert (steps, rejected) == (trace.iterations, trace.fallbacks)
+        assert accepted > 0
+        assert (rejected > 0) == (D < 1.0)
+
+    def test_non_finite_candidate_is_never_accepted(self, monkeypatch):
+        # The plain map z -> (z + b) / 2 whose step is NaN away from its plain iterates.
+        b = np.array([1.0, -2.0])
+        last = []
+
+        def step(z):
+            if last and not np.array_equal(z, last[-1][0] + last[-1][1]):
+                return np.full_like(z, np.nan)
+            s = 0.5 * (b - z)
+            last.append((z, s))
+            return s
+
+        monkeypatch.setattr(solvers, "ANDERSON_MEMORY", 5)
+        z, trace = _iterate(step, np.zeros(2), Schedule(anderson=True), coordinate_norm, Trace())
+        last.clear()
+        z_km, km = _iterate(step, np.zeros(2), Schedule(), coordinate_norm, Trace())
+        assert trace.reason == km.reason == "converged"
+        assert np.array_equal(z, z_km) and trace.fp_residual == km.fp_residual
+        assert trace.fallbacks == trace.iterations - 1 > 0
+
+    def test_rejection_clears_the_memory(self, monkeypatch):
+        # step(z) = b - M z; the first candidate is NaN, so it is rejected and
+        # the next candidate is fitted to the one difference made after it.
+        M, b = np.array([[0.6, 0.2], [0.1, 0.3]]), np.array([1.0, -1.0])
+        points = []
+
+        def step(z):
+            points.append(z)
+            return np.full(2, np.nan) if len(points) == 3 else b - M @ z
+
+        monkeypatch.setattr(solvers, "ANDERSON_MEMORY", 2)
+        schedule = Schedule(anderson=True, max_iterations=3, tol=0.0)
+        _, trace = _iterate(step, np.zeros(2), schedule, coordinate_norm, Trace())
+        z1, z2, candidate = points[1], points[3], points[4]
+        s1, s2 = b - M @ z1, b - M @ z2
+        assert trace.fallbacks == 1 and np.array_equal(z2, z1 + s1)
+        expected = solvers._anderson_candidate((s2 - s1)[None], (z2 + s2 - (z1 + s1))[None],
+                                               s2, z2 + s2)
+        assert np.array_equal(candidate, expected)
+
+    @pytest.mark.parametrize("step, reason", [(lambda z: np.array([1.0, 0.0]), "max_iterations"),
+                                              (lambda z: -0.5 * z, "converged")],
+                             ids=["constant", "underflow"])
+    def test_vanishing_differences_take_the_plain_step(self, step, reason):
+        # Zero differences (a constant step), and differences that underflow on
+        # the way to the fixed point 0 at tol 0, leave nothing to fit.
+        schedule = Schedule(tol=0.0, max_iterations=3000, anderson=True)
+        z, trace = _iterate(step, np.array([1.0, 2.0]), schedule, coordinate_norm, Trace())
+        assert trace.reason == reason
+        assert np.all(np.isfinite(z)) and trace.fallbacks == 0
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    @pytest.mark.parametrize("tags", TestAffineFold.VARIANTS, ids=TestAffineFold.IDS)
+    def test_scaling_the_data_changes_no_decision(self, solver, tags):
+        # Powers of two near 1e-6 and 1e6 scale every float exactly, so any
+        # absolute threshold in the Anderson stage would show as a changed step.
+        inst, x0 = coordinate_instance(tags)
+        x, trace = solver(inst, x0, Schedule(anderson=True))
+        for scale in (2.0**-20, 2.0**20):
+            inst_t, x0_t = coordinate_instance(tags, scale=scale)
+            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * scale, anderson=True))
+            assert (trace_t.reason, trace_t.iterations, trace_t.fallbacks) == \
+                (trace.reason, trace.iterations, trace.fallbacks)
+            assert np.array_equal(x_t, scale * x)
+
+    @pytest.mark.parametrize("tags", TestAffineFold.VARIANTS, ids=TestAffineFold.IDS)
+    def test_stacked_and_blockwise_agree_at_convergence(self, tags):
+        inst, x0 = coordinate_instance(tags)
+        schedule = Schedule(tol=1e-13, anderson=True)
+        xa, ta = solve_relaxed(inst, x0, schedule)
+        xb, tb = solve_blocks(inst, x0, schedule)
+        assert ta.reason == tb.reason == "converged"
+        assert inst.space.norm(xa - xb) <= 1e-10
+
+    def test_proximal_point_refuses_anderson(self):
+        with pytest.raises(ValidationError, match="anderson"):
+            proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(anderson=True))
 
 
 class TestResidualsAndVerification:
