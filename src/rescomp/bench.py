@@ -36,6 +36,8 @@ from .solvers import (
     ANDERSON_MEMORY,
     RelaxedInstance,
     Schedule,
+    _count,
+    _real,
     solve_relaxed,
     variational_residual,
     verify_exact_relaxation,
@@ -108,9 +110,9 @@ class InstanceSpec:
             sets=data["sets"],
             weights=data.get("weights", [1.0] * len(data["sets"])),
             subspace=data.get("subspace", []),
-            gamma=float(data.get("gamma", 1.0)),
+            gamma=_real("field 'gamma'", data.get("gamma", 1.0)),
             schedule=dict(data.get("schedule", {})),
-            seed=int(data.get("seed", 0)),
+            seed=_count("field 'seed'", data.get("seed", 0)),
             output=dict(data.get("output", {})),
         )
         spec.validate()
@@ -128,14 +130,14 @@ class InstanceSpec:
         if len(self.weights) != len(self.sets):
             raise ValidationError("field 'weights': one weight per block is required")
         for i, w in enumerate(self.weights):
-            if not np.isfinite(w) or w <= 0:
+            if not np.isfinite(_real(f"field 'weights[{i}]'", w)) or w <= 0:
                 raise ValidationError(f"field 'weights[{i}]': must be finite and positive")
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValidationError("field 'gamma': must be finite and positive")
         if not self.subspace and self.kind != "feasibility-product":
             raise ValidationError("field 'subspace': spanning vectors are required")
         for key, value in (("subspace", self.subspace), ("maps", self.maps or [])):
-            if not _all_finite(value):
+            if not _field(key, _all_finite, value):
                 raise ValidationError(f"field {key!r}: non-finite entry")
         try:
             self.build_schedule()
@@ -174,8 +176,16 @@ def load_spec(path):
 # ---------------------------------------------------------------------------
 
 
+def _field(name, build, *args):
+    """``build(*args)``; a value it cannot read raises a ``ValidationError`` naming the field."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field {name!r}: {exc}") from exc
+
+
 def _build_space(desc):
-    return Space(int(desc["dim"]), desc.get("weights"))
+    return Space(_count("dim", desc["dim"]), desc.get("weights"))
 
 
 def _build_set(desc, space):
@@ -185,9 +195,9 @@ def _build_set(desc, space):
     if tag == "box":
         return Box(space, desc["lower"], desc["upper"])
     if tag == "ball":
-        return Ball(space, desc["center"], float(desc["radius"]))
+        return Ball(space, desc["center"], _real("radius", desc["radius"]))
     if tag == "halfspace":
-        return Halfspace(space, desc["normal"], float(desc["offset"]))
+        return Halfspace(space, desc["normal"], _real("offset", desc["offset"]))
     if tag == "affine":
         return AffineSubspace(space, desc["anchor"], desc["directions"])
     raise ValidationError(f"unknown set tag {tag!r}")
@@ -198,9 +208,9 @@ def _build_operator(desc, space):
     if tag == "zero":
         return operators.zero_operator(space)
     if tag == "scaled-identity":
-        return operators.scaled_identity(space, float(desc["c"]))
+        return operators.scaled_identity(space, _real("c", desc["c"]))
     if tag == "linear":
-        return operators.linear_monotone(space, np.asarray(desc["matrix"], dtype=float))
+        return operators.linear_monotone(space, desc["matrix"])
     if tag == "normal-cone":
         return operators.normal_cone(_build_set(desc["set"], space))
     return operators.normal_cone(_build_set(desc, space))
@@ -211,7 +221,7 @@ def _build_function(desc, space):
     if tag == "abs":
         return proxfun.one_norm(space)
     if tag == "quadratic":
-        return proxfun.quadratic(space, np.asarray(desc["q"], dtype=float), desc.get("b"))
+        return proxfun.quadratic(space, desc["q"], desc.get("b"))
     if tag == "half-sq-dist":
         return proxfun.half_squared_distance(space, desc["point"])
     if tag == "indicator":
@@ -222,12 +232,28 @@ def _build_function(desc, space):
 def _build_wiener_forward(desc, space):
     tag = desc.get("tag", "scale")
     if tag == "scale":
-        c = float(desc["c"])
+        c = _real("c", desc["c"])
         return (lambda y: c * y), c
     if tag == "projection":
         cset = _build_set(desc["set"], space)
         return cset.project, None
     raise ValidationError(f"unknown wiener forward tag {tag!r}")
+
+
+def _build_wiener(desc, space):
+    """A Wiener block and its oracle term ``(c, p)``; ``c`` is None unless the map is ``c Id``."""
+    fwd, scale = _build_wiener_forward(desc.get("f", desc), space)
+    p = space.validate(desc["point"])
+    return operators.make_wiener(space, fwd, p, scale=scale), (scale, p)
+
+
+# The block operator of each kind but feasibility-product, from its descriptor.
+_BLOCK_BUILDERS = {
+    "split-feasibility": lambda desc, space: operators.normal_cone(_build_set(desc, space)),
+    "common-zero": _build_operator,
+    "wiener": _build_wiener,
+    "prox-mixture": lambda desc, space: operators.subdifferential(_build_function(desc, space)),
+}
 
 
 def _build_maps(spec, domain, block_spaces):
@@ -244,7 +270,7 @@ def _build_maps(spec, domain, block_spaces):
                 )
             out.append(LinearMap(domain, g, np.eye(g.dim)))
         else:
-            out.append(LinearMap(domain, g, np.asarray(desc, dtype=float)))
+            out.append(_field(f"maps[{i}]", LinearMap, domain, g, desc))
     return out
 
 
@@ -255,15 +281,12 @@ def _build_maps(spec, domain, block_spaces):
 
 def generate_instance(spec, unsafe=False):
     """Build the relaxed instance described by ``spec`` (deterministic)."""
-    domain = _build_space(spec.spaces["domain"])
+    domain = _field("spaces.domain", _build_space, spec.spaces["domain"])
     weights = [float(w) for w in spec.weights]
-
-    if spec.kind != "feasibility-product":
-        V = SubspaceProjector(domain, np.asarray(spec.subspace, dtype=float))
 
     if spec.kind == "feasibility-product":
         m = len(spec.sets)
-        base_sets = [_build_set(d, domain) for d in spec.sets]
+        base_sets = [_field(f"sets[{i}]", _build_set, d, domain) for i, d in enumerate(spec.sets)]
         prod = product_space([domain] * m, weights)
         slices = [slice(k * domain.dim, (k + 1) * domain.dim) for k in range(m)]
         cset = ProductSet(prod, base_sets, slices)
@@ -272,47 +295,23 @@ def generate_instance(spec, unsafe=False):
         return RelaxedInstance(V, identity_map(prod), operators.normal_cone(cset), spec.gamma,
                                kind=spec.kind, unsafe=unsafe)
 
+    V = _field("subspace", SubspaceProjector, domain, spec.subspace)
     block_descs = spec.spaces.get("blocks")
     if block_descs is None:
         block_spaces = [domain] * len(spec.sets)
     else:
-        block_spaces = [_build_space(d) for d in block_descs]
+        block_spaces = [_field(f"spaces.blocks[{i}]", _build_space, d)
+                        for i, d in enumerate(block_descs)]
     if len(block_spaces) != len(spec.sets):
         raise ValidationError("field 'spaces.blocks': one space per block is required")
     maps = _build_maps(spec, domain, block_spaces)
-
+    fams = [_field(f"sets[{i}]", _BLOCK_BUILDERS[spec.kind], d, g)
+            for i, (d, g) in enumerate(zip(spec.sets, block_spaces))]
     wiener_terms = None
     if spec.kind == "wiener":
-        fams, wiener_terms = [], []
-        for desc, g in zip(spec.sets, block_spaces):
-            fwd, scale = _build_wiener_forward(desc.get("f", desc), g)
-            p = g.validate(desc["point"])
-            fams.append(operators.make_wiener(g, fwd, p, scale=scale))
-            wiener_terms.append((scale, p))
-    elif spec.kind == "split-feasibility":
-        fams = [operators.normal_cone(_build_set(d, g)) for d, g in zip(spec.sets, block_spaces)]
-    elif spec.kind == "common-zero":
-        fams = [_build_operator(d, g) for d, g in zip(spec.sets, block_spaces)]
-    elif spec.kind == "prox-mixture":
-        gs = [_build_function(d, g) for d, g in zip(spec.sets, block_spaces)]
-        fams = [operators.subdifferential(g) for g in gs]
-    else:  # pragma: no cover - kinds are validated upstream
-        raise ValidationError(f"unknown kind {spec.kind!r}")
-
-    stacked_L = _stack_or_single(maps, weights)
-    B = operators.product_family(fams, weights) if len(fams) > 1 else fams[0]
-    return RelaxedInstance(
-        V, stacked_L, B, spec.gamma, kind=spec.kind,
-        blocks=list(zip(maps, fams, weights)), wiener_terms=wiener_terms, unsafe=unsafe,
-    )
-
-
-def _stack_or_single(maps, weights):
-    from .hilbert import stack
-
-    if len(maps) == 1 and abs(weights[0] - 1.0) < 1e-15:
-        return maps[0]
-    return stack(maps, weights)
+        fams, wiener_terms = map(list, zip(*fams))
+    return RelaxedInstance.from_blocks(V, zip(maps, fams, weights), spec.gamma, kind=spec.kind,
+                                       wiener_terms=wiener_terms, unsafe=unsafe)
 
 
 # ---------------------------------------------------------------------------

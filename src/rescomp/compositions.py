@@ -4,27 +4,27 @@ Three constructions, all of which expose their resolvent in closed form:
 
 * composition: resolvent ``x -> L*(J_{gamma B}(L x))``;
 * cocomposition: resolvent ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``;
-* mixture: resolvent ``x -> sum_k w_k L_k*(J_{gamma B_k}(L_k x))``,
-  realized by stacking the maps into a weighted product space so the
-  mixture *is* a composition (the blockwise formula is kept only as a
-  test oracle elsewhere).
+* mixture: resolvent ``x -> sum_k w_k L_k*(J_{gamma B_k}(L_k x))``, which
+  *is* the composition of ``product_family(Bs, w)`` with ``stack(Ls, w)``
+  and is built as one (the blockwise formula is a test oracle elsewhere).
 
-These are the only places the formulas are written: the proximal
+The first two are the only places the formulas are written: the proximal
 composition, cocomposition and mixture of :mod:`proxfun` are these
 constructions applied to ``subdifferential(g)``.  Each returns a plain
 :class:`ResolventFamily` of kind ``composed(<variant>)``, whose graph test
 is ``graph_residual`` like any other family's.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
-condition for mixtures) because that is what makes the composed resolvent
-firmly nonexpansive and the composed operator monotone; an ``unsafe`` flag
-lifts the upper bound for exploration, never the lower one.  The scale
-parameter is frozen at construction:
-the family parametrized by gamma is a different operator for each gamma,
-so a composed operator only answers for its native resolvent at scale 1.
-The inner scale is checked at construction, so composed evaluators call
-the raw matrices and the inner ``_evaluator`` directly.
-Composed operators are immutable and safe to evaluate concurrently.
+condition for mixtures, which bounds the stacked map's norm) because that
+is what makes the composed resolvent firmly nonexpansive and the composed
+operator monotone; an ``unsafe`` flag lifts the upper bound for
+exploration, never the lower one.  The scale parameter is frozen at
+construction: the family parametrized by gamma is a different operator
+for each gamma, so a composed operator only answers for its native
+resolvent at scale 1.  The inner scale is checked at construction, so
+composed evaluators call the raw matrices and the inner ``_evaluator``
+directly.  Composed operators are immutable and safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -78,15 +78,8 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
         if L.codomain != B.space:
             raise DimensionMismatchError("each map must land in its operator's space")
     check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
-    stacked = stack(Ls, weights)
-    prod = product_family(Bs, weights)
-    prod._check_scale(gamma)
-    g = float(gamma)
-
-    def evaluator(_one, x):
-        return stacked.adjoint_matrix @ prod._evaluator(g, stacked.matrix @ x)
-
-    return ResolventFamily(stacked.domain, "composed(mixture)", evaluator, scale_domain=1.0)
+    return resolvent_composition(stack(Ls, weights), product_family(Bs, weights), gamma,
+                                 unsafe=unsafe)
 
 
 def resolvent_average(Bs, weights, gamma=1.0, unsafe=False):

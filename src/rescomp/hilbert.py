@@ -15,9 +15,9 @@ Everything else in the package is built on the three objects defined here:
 :func:`check_contraction` is the one gate on the theory's hypothesis
 ``sum_k w_k ||L_k||^2 <= 1`` (``||L|| <= 1`` for a single map).
 
-:func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}`` for a
-monotone ``M``, cached per scale; the linear resolvents and quadratic proxes
-are built on it.
+:func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
+:func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
+scale; the linear resolvents and quadratic proxes are built on both.
 
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
@@ -261,15 +261,29 @@ def identity_map(space):
     return _IdentityMap(space, space, np.eye(space.dim))
 
 
+def check_monotone(space, M, what):
+    """``(M, least eigenvalue of the symmetric part of W M)``; raises unless M is monotone in W."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (space.dim, space.dim):
+        raise ValidationError(f"{what} has wrong shape")
+    WM = space.weights[:, None] * M
+    sym = 0.5 * (WM + WM.T)
+    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+    if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
+        raise ValidationError(f"{what} is not monotone in the metric")
+    return M, min_eig
+
+
 def shifted_inverse(M):
     """``gamma -> (Id + gamma M)^{-1}`` as a dense matrix, cached per ``gamma``.
 
     ``M`` must be monotone in some diagonal metric ``W`` (callers check
-    this).  Then ``<(Id + gamma M) x, x>_W >= ||x||_W^2``, so the inverse has
-    W-norm at most 1 and condition number at most ``1 + gamma ||M||``: one
-    explicit inverse per scale is as accurate as a factorization, and each
-    later evaluation is a single matrix-vector product.  Filling the cache
-    twice for one scale is harmless, so concurrent callers need no lock.
+    this with :func:`check_monotone`).  Then
+    ``<(Id + gamma M) x, x>_W >= ||x||_W^2``, so the inverse has W-norm at
+    most 1 and condition number at most ``1 + gamma ||M||``: one explicit
+    inverse per scale is as accurate as a factorization, and each later
+    evaluation is a single matrix-vector product.  Filling the cache twice
+    for one scale is harmless, so concurrent callers need no lock.
     """
     M = np.asarray(M, dtype=float)
     eye = np.eye(M.shape[0])

@@ -15,8 +15,12 @@ rescaled family is a different operator.
 
 Derived families -- inverses, positive rescalings, products on product
 spaces -- are provided as wrappers so the composition calculus can be
-expressed without touching evaluator internals; ``inverse`` holds the
-Moreau identity.
+expressed without touching evaluator internals.
+
+A :class:`~rescomp.proxfun.ProxFunction` is built on the family of its
+subdifferential, which :func:`subdifferential` returns: an indicator on a
+normal cone, a conjugate on ``inverse`` (the one Moreau identity) and a
+separable sum on ``product_family``.
 
 Catalog constructors whose resolvent is an affine map declare it:
 ``affine(gamma) -> (M, b)`` with ``J_{gamma B}(y) = M y + b``, ``M`` a
@@ -40,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScaleRestrictionError, ValidationError
-from .hilbert import block_slices, product_space, shifted_inverse
+from .hilbert import block_slices, check_monotone, product_space, shifted_inverse
 
 ALL_SCALES = "all"
 
@@ -204,26 +208,15 @@ def linear_monotone(space, M):
     this is validated at construction.  ``(Id + gamma M)^{-1}`` is cached
     per scale.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (space.dim, space.dim):
-        raise ValidationError("linear operator has wrong shape")
-    WM = space.weights[:, None] * M
-    sym = 0.5 * (WM + WM.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
-        raise ValidationError("linear operator is not monotone in the metric")
-
+    M, _ = check_monotone(space, M, "linear operator")
     inverse = shifted_inverse(M)
     return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y,
                            affine=lambda gamma: (inverse(gamma), 0.0))
 
 
 def subdifferential(g):
-    """The subdifferential of a ProxFunction: ``J_{gamma B} = prox_{gamma g}``."""
-    return ResolventFamily(
-        g.space, f"subdifferential({g.tag})", lambda gamma, y: g._prox(gamma, y),
-        affine=g.affine,
-    )
+    """The subdifferential of ``g``, the family it carries: ``J_{gamma B} = prox_{gamma g}``."""
+    return g.subdifferential
 
 
 def make_wiener(space, F, p, rng_seed=0, scale=None):

@@ -668,12 +668,8 @@ def _random_split_instance(rng, consistent=False, p_max=3):
         xbar = None
         points = [g.random(rng) for g in spaces]
     fams = [ops.normal_cone(Singleton(g, pt)) for g, pt in zip(spaces, points)]
-    stacked = stack(Ls, w)
-    B = ops.product_family(fams, w)
-    inst = RelaxedInstance(
-        V, stacked, B, rng.uniform(0.5, 2.0), kind="split-feasibility",
-        blocks=list(zip(Ls, fams, w)),
-    )
+    inst = RelaxedInstance.from_blocks(V, zip(Ls, fams, w), rng.uniform(0.5, 2.0),
+                                       kind="split-feasibility")
     return inst, xbar
 
 
@@ -763,12 +759,8 @@ def _random_wiener_instance(rng):
         pt = g.random(rng)
         terms.append((c, pt))
         fams.append(ops.make_wiener(g, fwd, pt))
-    stacked = stack(Ls, w)
-    B = ops.product_family(fams, w)
-    return RelaxedInstance(
-        V, stacked, B, 1.0, kind="wiener",
-        blocks=list(zip(Ls, fams, w)), wiener_terms=terms,
-    )
+    return RelaxedInstance.from_blocks(V, zip(Ls, fams, w), 1.0, kind="wiener",
+                                       wiener_terms=terms)
 
 
 # ---------------------------------------------------------------------------

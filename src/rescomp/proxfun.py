@@ -1,17 +1,20 @@
-"""Convex functions represented by their proximity operators.
+"""Convex functions represented by the resolvent families of their subdifferentials.
 
-A :class:`ProxFunction` is a proper lsc convex function ``g`` carried
-computationally as the family ``gamma -> prox_{gamma g}``, optionally with
-a value oracle ``x -> g(x)`` (extended reals, ``inf`` allowed) and a
-conjugate value oracle when a closed form exists.
+A :class:`ProxFunction` is a proper lsc convex function ``g`` carried as
+one :class:`~rescomp.operators.ResolventFamily`, that of ``dg``, whose
+resolvent ``J_{gamma dg}`` is ``prox_{gamma g}``; optionally with a value
+oracle ``x -> g(x)`` (extended reals, ``inf`` allowed) and a conjugate
+value oracle when a closed form exists.
 
 The catalog covers indicators of convex sets, the l1 norm, quadratics,
 half squared distances to a point, separable sums on weighted product
-spaces, and conjugates.  On top of the catalog this module implements the
-Moreau calculus (conjugate prox, envelopes) and the proximal composition,
-cocomposition, mixture and value operations for a linear map with
-``0 < ||L|| <= 1``.  The subdifferential of a proximal composition is the
-resolvent composition of ``subdifferential(g)``, so the three prox
+spaces, and conjugates, built with the operator side's constructions:
+``d(iota_C) = N_C`` (``normal_cone``), ``dg* = (dg)^{-1}`` (``inverse``,
+the one Moreau identity) and the product of the members' subdifferentials.
+On top of the catalog this module implements Moreau envelopes and the
+proximal composition, cocomposition, mixture and value operations for a
+linear map with ``0 < ||L|| <= 1``.  The subdifferential of a proximal
+composition is the resolvent composition of ``dg``, so the three prox
 operations are the resolvents of the matching constructions of
 :mod:`compositions`, which hold the only copy of each formula.
 
@@ -35,13 +38,8 @@ from .compositions import (
     resolvent_mixture,
 )
 from .errors import CapabilityError, ConvergenceError, ValidationError
-from .hilbert import (
-    block_slices,
-    check_contraction,
-    product_space,
-    shifted_inverse,
-)
-from .operators import subdifferential
+from .hilbert import check_contraction, check_monotone, shifted_inverse
+from .operators import ResolventFamily, normal_cone, product_family
 from .sets import Ball, Box, ConvexSet, Singleton
 
 # Membership tolerance when an indicator function is asked for its value.
@@ -49,22 +47,23 @@ INDICATOR_TOL = 1e-8
 
 
 class ProxFunction:
-    """A proper lsc convex function represented by its prox family.
+    """A proper lsc convex function given by the resolvent family of its subdifferential.
 
-    Catalog constructors whose prox is affine declare it as
-    ``affine(gamma) -> (M, b)`` with ``prox_{gamma g}(x) = M x + b``
-    (``M`` a scalar or a matrix); derived functions leave it None.
+    The resolvent of ``subdifferential`` is the prox, and its ``affine``
+    form, ``affine(gamma) -> (M, b)`` with ``prox_{gamma g}(x) = M x + b``
+    when the catalog declares one, is the function's.
     """
 
-    def __init__(self, space, tag, prox_evaluator, value=None,
-                 conjugate_value=None, minimizer=None, affine=None):
-        self.space = space
+    def __init__(self, tag, subdifferential, value=None, conjugate_value=None,
+                 minimizer=None):
+        self.space = subdifferential.space
         self.tag = tag
-        self._prox = prox_evaluator
-        self.affine = affine
+        self.subdifferential = subdifferential
+        self._prox = subdifferential._evaluator
+        self.affine = subdifferential.affine
         self._value = value
         self._conjugate_value = conjugate_value
-        self._minimizer = None if minimizer is None else space.validate(minimizer).copy()
+        self._minimizer = None if minimizer is None else self.space.validate(minimizer).copy()
 
     # -- evaluation ----------------------------------------------------
 
@@ -92,20 +91,11 @@ class ProxFunction:
             raise CapabilityError(f"function {self.tag!r} has no recorded minimizer")
         return self._minimizer.copy()
 
-    # -- conjugation ---------------------------------------------------
-
     def conjugate(self):
-        """The conjugate function, with prox given by the Moreau identity."""
-        base = self
-
-        def conj_prox(gamma, x):
-            # prox_{gamma g*}(x) = x - gamma prox_{g / gamma}(x / gamma)
-            return x - gamma * base._prox(1.0 / gamma, x / gamma)
-
+        """The conjugate function: ``dg* = (dg)^{-1}``, whose resolvent is the Moreau identity."""
         return ProxFunction(
-            self.space,
             f"conjugate-of({self.tag})",
-            conj_prox,
+            self.subdifferential.inverse(),
             value=self._conjugate_value,
             conjugate_value=self._value,  # g** = g for catalog functions
         )
@@ -120,23 +110,20 @@ class ProxFunction:
 
 
 def indicator(cset: ConvexSet):
-    """Indicator function of a convex set; prox is the projection."""
-    space = cset.space
+    """Indicator function of a convex set; its subdifferential is the normal cone."""
 
     def value(x):
         return 0.0 if cset._distance(x) <= INDICATOR_TOL else np.inf
 
-    conj = _support_function(cset)
-    minimizer = cset.any_point()
-    form = cset.affine_projection()
+    tag = f"indicator({cset.tag})"
+    cone = normal_cone(cset)  # its resolvent and form, and its set, under the function's name
     return ProxFunction(
-        space,
-        f"indicator({cset.tag})",
-        lambda gamma, x: cset._project(x),
+        tag,
+        ResolventFamily(cset.space, f"subdifferential({tag})", cone._evaluator, cset=cset,
+                        affine=cone.affine),
         value=value,
-        conjugate_value=conj,
-        minimizer=minimizer,
-        affine=None if form is None else (lambda gamma: form),
+        conjugate_value=_support_function(cset),
+        minimizer=cset.any_point(),
     )
 
 
@@ -183,9 +170,8 @@ def one_norm(space):
         return 0.0 if np.max(np.abs(w * y)) <= 1.0 + INDICATOR_TOL else np.inf
 
     return ProxFunction(
-        space,
         "abs-l1",
-        prox,
+        ResolventFamily(space, "subdifferential(abs-l1)", prox),
         value=lambda x: float(np.sum(np.abs(x))),
         conjugate_value=conj_value,
         minimizer=space.zeros(),
@@ -199,18 +185,11 @@ def quadratic(space, Q, b=None):
     metric.  The prox is ``(Id + gamma Q)^{-1}(x + gamma b)``, with the
     inverse cached per scale.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (space.dim, space.dim):
-        raise ValidationError("quadratic form has wrong shape")
-    b = space.zeros() if b is None else space.validate(b).copy()
+    Q, min_eig = check_monotone(space, Q, "quadratic form")
     WQ = space.weights[:, None] * Q
     if np.max(np.abs(WQ - WQ.T)) > 1e-10 * max(1.0, np.max(np.abs(WQ))):
         raise ValidationError("quadratic form is not self-adjoint in the metric")
-    sym = 0.5 * (WQ + WQ.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
-        raise ValidationError("quadratic form is not positive semidefinite")
-
+    b = space.zeros() if b is None else space.validate(b).copy()
     inverse = shifted_inverse(Q)
 
     def prox(gamma, x):
@@ -229,9 +208,12 @@ def quadratic(space, Q, b=None):
 
         minimizer = np.linalg.solve(Q, b)
 
-    return ProxFunction(space, "quadratic", prox, value=value,
-                        conjugate_value=conj_value, minimizer=minimizer,
-                        affine=lambda gamma: (inverse(gamma), gamma * (inverse(gamma) @ b)))
+    family = ResolventFamily(
+        space, "subdifferential(quadratic)", prox,
+        affine=lambda gamma: (inverse(gamma), gamma * (inverse(gamma) @ b)),
+    )
+    return ProxFunction("quadratic", family, value=value, conjugate_value=conj_value,
+                        minimizer=minimizer)
 
 
 def half_squared_distance(space, p):
@@ -241,46 +223,42 @@ def half_squared_distance(space, p):
     def prox(gamma, x):
         return (x + gamma * p) / (1.0 + gamma)
 
+    family = ResolventFamily(
+        space, "subdifferential(half-sq-dist)", prox,
+        affine=lambda gamma: (1.0 / (1.0 + gamma), (gamma / (1.0 + gamma)) * p),
+    )
     return ProxFunction(
-        space,
         "half-sq-dist",
-        prox,
+        family,
         value=lambda x: 0.5 * space._norm(x - p) ** 2,
         conjugate_value=lambda y: 0.5 * space._norm(y) ** 2 + space._inner(p, y),
         minimizer=p,
-        affine=lambda gamma: (1.0 / (1.0 + gamma), (gamma / (1.0 + gamma)) * p),
     )
 
 
 def separable(gs, weights):
     """``g(y) = sum_k w_k g_k(y_k)`` on the weighted product space.
 
-    The prox is blockwise (the block weights cancel inside each block), so
-    the mixture machinery can treat the product function like any other
-    catalog member.
+    Its subdifferential is the product of the members' (the block weights
+    cancel inside each block), so the prox is blockwise and the mixture
+    machinery can treat the product function like any other catalog member.
     """
     gs = list(gs)
     weights = [float(w) for w in weights]
-    space = product_space([g.space for g in gs], weights)
-    slices = block_slices([g.space for g in gs])
-
-    def prox(gamma, x):
-        out = np.empty_like(x)
-        for g, sl in zip(gs, slices):
-            out[sl] = g._prox(gamma, x[sl])
-        return out
+    family = product_family([g.subdifferential for g in gs], weights)
 
     value = None
     if all(g.has_value for g in gs):
 
         def value(x):
-            return float(sum(w * float(g._value(x[sl])) for g, w, sl in zip(gs, weights, slices)))
+            return float(sum(w * float(g._value(x[sl]))
+                             for g, w, (_fam, sl) in zip(gs, weights, family.factors)))
 
     minimizer = None
     if all(g._minimizer is not None for g in gs):
         minimizer = np.concatenate([g.minimizer() for g in gs])
 
-    return ProxFunction(space, "separable", prox, value=value, minimizer=minimizer)
+    return ProxFunction("separable", family, value=value, minimizer=minimizer)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +293,12 @@ def moreau_envelope(g, gamma, x):
 
 def proximal_composition_prox(L, g, x, unsafe=False):
     """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``."""
-    return resolvent_composition(L, subdifferential(g), unsafe=unsafe).resolvent(1.0, x)
+    return resolvent_composition(L, g.subdifferential, unsafe=unsafe).resolvent(1.0, x)
 
 
 def proximal_cocomposition_prox(L, g, x, unsafe=False):
     """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``."""
-    return resolvent_cocomposition(L, subdifferential(g), unsafe=unsafe).resolvent(1.0, x)
+    return resolvent_cocomposition(L, g.subdifferential, unsafe=unsafe).resolvent(1.0, x)
 
 
 def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
@@ -329,7 +307,7 @@ def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
     Requires the stacked-map norm condition
     ``0 < sum_k w_k ||L_k||^2 <= 1``.
     """
-    Bs = [subdifferential(g) for g in gs]
+    Bs = [g.subdifferential for g in gs]
     return resolvent_mixture(Bs, Ls, weights, unsafe=unsafe).resolvent(1.0, x)
 
 

@@ -68,7 +68,8 @@ import numpy as np
 
 from .compositions import resolvent_composition, resolvent_cocomposition
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import check_contraction
+from .hilbert import check_contraction, stack
+from .operators import product_family
 
 _LAMBDA_EPS = 1e-3
 _MEMBERSHIP_TOL = 1e-10
@@ -357,6 +358,24 @@ class RelaxedInstance:
         self.wiener_terms = wiener_terms
         self.space = L.domain
         self.A = L.matrix @ V.basis.T
+
+    @classmethod
+    def from_blocks(cls, V, blocks, gamma, kind="generic", wiener_terms=None, unsafe=False):
+        """The instance of ``blocks = [(L_k, B_k, w_k)]``.
+
+        ``L`` stacks the maps and ``B`` is the product of the operators, both
+        on the codomains weighted by ``w_k``, so ``L``, ``B`` and ``blocks``
+        agree by construction.  One block of weight 1 is its own ``L`` and
+        ``B``, as the one-factor product with that weight is the factor.
+        """
+        blocks = list(blocks)
+        maps, fams, weights = zip(*blocks)
+        if len(blocks) == 1 and weights[0] == 1.0:
+            L, B = maps[0], fams[0]
+        else:
+            L, B = stack(maps, weights), product_family(fams, weights)
+        return cls(V, L, B, gamma, kind=kind, blocks=blocks, wiener_terms=wiener_terms,
+                   unsafe=unsafe)
 
     def _inner_resolvent(self, x):
         """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""

@@ -52,6 +52,22 @@ BAD_SCHEDULES = [
 ]
 
 
+# Configs whose values do not convert: each is a structural error at the config
+# boundary, not a ValueError traceback, and none runs with a silently changed value.
+BAD_VALUES = {
+    "gamma-string": {"gamma": "abc"},
+    "gamma-bool": {"gamma": True},
+    "seed-string": {"seed": "x"},
+    "seed-fraction": {"seed": 2.7},
+    "block-dim-string": {"spaces": {"domain": {"dim": 2}, "blocks": [{"dim": "abc"}, {"dim": 1}]}},
+    "ball-radius-string": {"sets": [{"tag": "ball", "center": [1.0], "radius": "abc"},
+                                    {"tag": "singleton", "point": [3.0]}]},
+    "point-string": {"sets": [{"tag": "singleton", "point": ["a"]},
+                              {"tag": "singleton", "point": [3.0]}]},
+    "map-string": {"maps": [[["a", 0.0]], [[0.0, 1.0]]]},
+}
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -504,6 +520,23 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("error: ") and "schedule" in out
+
+    @pytest.mark.parametrize("overrides", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_value_exits_one(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(**overrides)))
+        assert main(["solve", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error: field ")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_one_weighted_block_solves(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(
+            spaces={"domain": {"dim": 2}, "blocks": [{"dim": 1}]}, maps=[[[1.0, 0.0]]],
+            sets=[{"tag": "singleton", "point": [1.0]}], weights=[0.5])))
+        assert main(["solve", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["final_iterate"] == pytest.approx([1.0, 1.0])
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "missing.json")]) == 1

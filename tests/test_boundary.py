@@ -11,7 +11,7 @@ import pytest
 
 from rescomp.compositions import resolvent_composition
 from rescomp.errors import DimensionMismatchError, ValidationError
-from rescomp.hilbert import LinearMap, Space, SubspaceProjector, stack
+from rescomp.hilbert import LinearMap, Space, SubspaceProjector
 from rescomp.operators import (
     linear_monotone,
     normal_cone,
@@ -91,8 +91,7 @@ def _split_instance():
             Halfspace(blocks[3], np.ones(m), -1.0)]
     fams = [normal_cone(s) for s in sets]
     V = SubspaceProjector(dom, rng.standard_normal((4, n)))
-    return RelaxedInstance(V, stack(maps, w), product_family(fams, w), 1.0,
-                           kind="split-feasibility", blocks=list(zip(maps, fams, w)))
+    return RelaxedInstance.from_blocks(V, zip(maps, fams, w), 1.0, kind="split-feasibility")
 
 
 class TestRejectsBadInput:

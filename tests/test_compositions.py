@@ -198,6 +198,24 @@ class TestMixture:
             expected = np.concatenate([omega * L11.T @ jy, omega * L12.T @ jy])
             assert A.resolvent(1.0, x) == pytest.approx(expected, abs=1e-13)
 
+    def test_mixture_is_the_composition_with_the_stacked_map(self):
+        # the formula the mixture used to write out, unchanged to the last bit
+        rng = np.random.default_rng(5)
+        H = Space(3, [0.5, 1.0, 2.0])
+        spaces = [Space(2, [0.7, 1.3]), Space(1, [2.5])]
+        Ls = [LinearMap(H, G, 0.3 * rng.standard_normal((G.dim, 3))) for G in spaces]
+        Bs = [normal_cone(Ball(spaces[0], [0.2, -0.1], 0.3)),
+              subdifferential(half_squared_distance(spaces[1], [1.0]))]
+        w = [0.6, 0.8]
+        gamma = 1.3
+        mix = resolvent_mixture(Bs, Ls, w, gamma=gamma)
+        assert mix.kind == "composed(composition)"
+        stacked, prod = stack(Ls, w), product_family(Bs, w)
+        for _ in range(10):
+            x = H.random(rng)
+            expected = stacked.adjoint_matrix @ prod._evaluator(gamma, stacked.matrix @ x)
+            assert np.array_equal(mix.resolvent(1.0, x), expected)
+
     def test_weight_norm_gate(self):
         with pytest.raises(ContractionConditionError):
             resolvent_mixture(

@@ -165,6 +165,36 @@ class TestAffineProx:
             assert g.affine is None, g.tag
 
 
+class TestSubdifferentialIsTheFamily:
+    """A function carries one family, that of its subdifferential; the
+    conjugate, separable and indicator constructions are the operator side's."""
+
+    def test_subdifferential_is_one_object(self):
+        for g in affine_prox_catalog() + [one_norm(W3), one_norm(W3).conjugate()]:
+            assert subdifferential(g) is subdifferential(g) is g.subdifferential, g.tag
+
+    def test_indicator_family_carries_its_set(self):
+        for cset in (Singleton(W3, np.ones(3)), Box(W3, -np.ones(3), np.ones(3)),
+                     Ball(W3, np.zeros(3), 1.0), Halfspace(W3, np.ones(3), 0.5)):
+            assert subdifferential(indicator(cset)).cset is cset
+
+    def test_conjugates_declare_no_affine_form(self):
+        for g in affine_prox_catalog() + [one_norm(W3)]:
+            assert g.conjugate().affine is None, g.tag
+
+    def test_separable_prox_is_the_written_out_blockwise_prox(self):
+        rng = np.random.default_rng(12)
+        gs = [one_norm(Space(2, [0.5, 2.0])), half_squared_distance(Space(1, [3.0]), [1.5]),
+              indicator(Ball(W3, np.ones(3), 0.4))]
+        g = separable(gs, [0.3, 1.7, 0.9])
+        for gamma in (0.5, 1.0, 2.0):
+            x = g.space.random(rng)
+            expected = np.empty_like(x)
+            for gk, sl in zip(gs, (slice(0, 2), slice(2, 3), slice(3, 6))):
+                expected[sl] = gk._prox(gamma, x[sl])
+            assert np.array_equal(g.prox(gamma, x), expected)
+
+
 class TestConjugate:
     def test_box_conjugate_is_soft_threshold_complement(self):
         g = indicator(Box(R1, [-1.0], [1.0]))

@@ -1,8 +1,10 @@
-"""The README's library tour runs as written."""
+"""The README's library tour and configuration example run as written."""
 
+import json
 import os
 import re
 
+from rescomp.cli import main
 from rescomp.operators import GraphPoint
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -18,3 +20,17 @@ def test_library_tour_runs_to_convergence():
     A, z, xstar = namespace["A"], namespace["z"], namespace["xstar"]
     assert A.graph_residual(GraphPoint(z - xstar, xstar)) <= 1e-10
     assert namespace["trace"].reason == "converged"
+
+
+def test_configuration_example_solves(tmp_path, monkeypatch, capsys):
+    with open(README) as fh:
+        text = fh.read()
+    section = text[text.index("### Configuration"):]
+    config = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    (tmp_path / "config.json").write_text(config)
+    monkeypatch.chdir(tmp_path)  # the example writes its report and trace relative to the cwd
+    assert main(["solve", "config.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "relaxed only"
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+    assert (tmp_path / "trace.csv").exists()

@@ -9,8 +9,8 @@ import pytest
 from rescomp import solvers
 from rescomp.bench import InstanceSpec, certificates, generate_instance, least_squares_oracle
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, stack
-from rescomp.operators import make_wiener, normal_cone, product_family, scaled_identity
+from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
+from rescomp.operators import make_wiener, normal_cone, scaled_identity
 from rescomp.properties import (
     _random_split_instance,
     suite_block_stacked,
@@ -46,12 +46,8 @@ def acceptance_instance(second_target=3.0):
         normal_cone(Singleton(G1, [1.0])),
         normal_cone(Singleton(G2, [second_target])),
     ]
-    stacked = stack([L1, L2], [0.5, 0.5])
-    B = product_family(fams, [0.5, 0.5])
-    return RelaxedInstance(
-        V, stacked, B, 1.0, kind="split-feasibility",
-        blocks=[(L1, fams[0], 0.5), (L2, fams[1], 0.5)],
-    )
+    return RelaxedInstance.from_blocks(V, [(L1, fams[0], 0.5), (L2, fams[1], 0.5)], 1.0,
+                                       kind="split-feasibility")
 
 
 def wiener_instance():
@@ -84,8 +80,7 @@ def coordinate_instance(tags=("box", "ball", "point", "half"), scale=1.0):
     }
     fams = [normal_cone(make[tag](g)) for tag, g in zip(tags, spaces)]
     V = SubspaceProjector(H, rng.standard_normal((r, n)))
-    inst = RelaxedInstance(V, stack(maps, w), product_family(fams, w), 0.8,
-                           kind="split-feasibility", blocks=list(zip(maps, fams, w)))
+    inst = RelaxedInstance.from_blocks(V, zip(maps, fams, w), 0.8, kind="split-feasibility")
     assert (V.rank, inst.L.matrix.shape) == (r, (p * m, n))
     return inst, V.apply(scale * H.random(rng))
 
@@ -301,6 +296,27 @@ class TestBuildRelaxed:
         V = SubspaceProjector.full(R2)
         with pytest.raises(ValidationError):
             RelaxedInstance(V, identity_map(R2), scaled_identity(Space(3), 1.0), 1.0)
+
+    def test_blocks_agree_with_the_stacked_map_and_the_product(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            inst, _ = _random_split_instance(rng)
+            maps, fams, w = zip(*inst.blocks)
+            assert np.array_equal(inst.L.matrix, np.vstack([L.matrix for L in maps]))
+            assert [fam for fam, _sl in inst.B.factors] == list(fams)
+            assert inst.L.codomain == inst.B.space == product_space([L.codomain for L in maps], w)
+
+    def test_one_weighted_block_is_stacked(self):
+        L = LinearMap(R2, R1, [[1.0, 0.0]])
+        fam = normal_cone(Singleton(R1, [1.0]))
+        V = SubspaceProjector(R2, [[1.0, 1.0]])
+        inst = RelaxedInstance.from_blocks(V, [(L, fam, 0.5)], 1.0)
+        assert inst.L.codomain == inst.B.space == Space(1, [0.5])
+        x, trace = solve_relaxed(inst, R2.zeros(), Schedule(tol=1e-12))
+        assert trace.reason == "converged" and x == pytest.approx([1.0, 1.0])
+        # weight 1: the one-factor product is the factor itself
+        alone = RelaxedInstance.from_blocks(V, [(L, fam, 1.0)], 1.0)
+        assert alone.L is L and alone.B is fam
 
 
 class TestSolveRelaxed:
