@@ -24,20 +24,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators, proxfun
 from .errors import RescompError, ValidationError
-from .hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
+from .hilbert import (
+    LinearMap, Space, SubspaceProjector, _count, _real, identity_map, product_space,
+)
 from .sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
 from .solvers import (
     ANDERSON_MEMORY,
     RelaxedInstance,
     Schedule,
-    _count,
-    _real,
     solve_relaxed,
     variational_residual,
     verify_exact_relaxation,
@@ -56,14 +57,26 @@ ORACLE_MATCH_TOL = 1e-6
 EXACTNESS_TOL = 1e-8
 
 
+def _numbers(value):
+    """``value``, None or a number or nested lists of numbers, read as strictly as a scalar.
+
+    A bool, a string or a None inside it raises ``TypeError``, which
+    :func:`_field` turns into an error naming the field.
+    """
+    if value is not None and not _numeric(value):
+        raise TypeError("expected a number or a list of numbers; a string or a bool is neither")
+    return value
+
+
+def _numeric(value):
+    if isinstance(value, list):  # a row of plain numbers is checked in one pass
+        return {*map(type, value)} <= {int, float} or all(map(_numeric, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _all_finite(value):
-    """Whether every leaf number of a nested list structure is finite (None leaves skipped)."""
-    if isinstance(value, (list, tuple)):
-        try:  # a row of numbers, in one pass
-            return all(map(math.isfinite, value))
-        except TypeError:  # nested lists, None or numeric strings
-            return all(map(_all_finite, value))
-    return value is None or math.isfinite(float(value))
+    """Whether every number of ``value``, read by :func:`_numbers`, is finite."""
+    return bool(np.isfinite(np.asarray(_numbers(value), dtype=float)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +138,8 @@ class InstanceSpec:
             )
         if not isinstance(self.spaces, dict) or "domain" not in self.spaces:
             raise ValidationError("field 'spaces': needs a 'domain' entry")
-        if not self.sets:
-            raise ValidationError("field 'sets': at least one block is required")
+        if not isinstance(self.sets, list) or not self.sets:
+            raise ValidationError("field 'sets': a list of at least one block is required")
         if len(self.weights) != len(self.sets):
             raise ValidationError("field 'weights': one weight per block is required")
         for i, w in enumerate(self.weights):
@@ -136,9 +149,10 @@ class InstanceSpec:
             raise ValidationError("field 'gamma': must be finite and positive")
         if not self.subspace and self.kind != "feasibility-product":
             raise ValidationError("field 'subspace': spanning vectors are required")
-        for key, value in (("subspace", self.subspace), ("maps", self.maps or [])):
-            if not _field(key, _all_finite, value):
-                raise ValidationError(f"field {key!r}: non-finite entry")
+        if not _field("subspace", _all_finite, self.subspace):
+            raise ValidationError("field 'subspace': non-finite entry")
+        for i, m in enumerate(self.maps or []):  # finiteness: LinearMap checks it
+            _field(f"maps[{i}]", _numbers, m)
         try:
             self.build_schedule()
         except ValidationError as exc:
@@ -184,67 +198,71 @@ def _field(name, build, *args):
         raise ValidationError(f"field {name!r}: {exc}") from exc
 
 
+def _object(desc):
+    """``desc`` if it is a JSON object; a descriptor of another type raises ``TypeError``."""
+    if not isinstance(desc, dict):
+        raise TypeError(f"a descriptor must be a JSON object, got {desc!r}")
+    return desc
+
+
 def _build_space(desc):
-    return Space(_count("dim", desc["dim"]), desc.get("weights"))
+    return Space(_count("dim", _object(desc)["dim"]), _numbers(desc.get("weights")))
 
 
 def _build_set(desc, space):
-    tag = desc.get("tag")
+    tag = _object(desc).get("tag")
     if tag == "singleton":
-        return Singleton(space, desc["point"])
+        return Singleton(space, _numbers(desc["point"]))
     if tag == "box":
-        return Box(space, desc["lower"], desc["upper"])
+        return Box(space, _numbers(desc["lower"]), _numbers(desc["upper"]))
     if tag == "ball":
-        return Ball(space, desc["center"], _real("radius", desc["radius"]))
+        return Ball(space, _numbers(desc["center"]), _real("radius", desc["radius"]))
     if tag == "halfspace":
-        return Halfspace(space, desc["normal"], _real("offset", desc["offset"]))
+        return Halfspace(space, _numbers(desc["normal"]), _real("offset", desc["offset"]))
     if tag == "affine":
-        return AffineSubspace(space, desc["anchor"], desc["directions"])
+        return AffineSubspace(space, _numbers(desc["anchor"]), _numbers(desc["directions"]))
     raise ValidationError(f"unknown set tag {tag!r}")
 
 
 def _build_operator(desc, space):
-    tag = desc.get("tag")
+    tag = _object(desc).get("tag")
     if tag == "zero":
         return operators.zero_operator(space)
     if tag == "scaled-identity":
         return operators.scaled_identity(space, _real("c", desc["c"]))
     if tag == "linear":
-        return operators.linear_monotone(space, desc["matrix"])
+        return operators.linear_monotone(space, _numbers(desc["matrix"]))
     if tag == "normal-cone":
         return operators.normal_cone(_build_set(desc["set"], space))
-    return operators.normal_cone(_build_set(desc, space))
+    raise ValidationError(f"unknown operator tag {tag!r}")
 
 
 def _build_function(desc, space):
-    tag = desc.get("tag")
+    tag = _object(desc).get("tag")
     if tag == "abs":
         return proxfun.one_norm(space)
     if tag == "quadratic":
-        return proxfun.quadratic(space, desc["q"], desc.get("b"))
+        return proxfun.quadratic(space, _numbers(desc["q"]), _numbers(desc.get("b")))
     if tag == "half-sq-dist":
-        return proxfun.half_squared_distance(space, desc["point"])
+        return proxfun.half_squared_distance(space, _numbers(desc["point"]))
     if tag == "indicator":
         return proxfun.indicator(_build_set(desc["set"], space))
-    return proxfun.indicator(_build_set(desc, space))
+    raise ValidationError(f"unknown function tag {tag!r}")
 
 
 def _build_wiener_forward(desc, space):
-    tag = desc.get("tag", "scale")
+    """The forward map of a Wiener block: the number ``c`` of ``c Id``, or a projection."""
+    tag = _object(desc).get("tag", "scale")
     if tag == "scale":
-        c = _real("c", desc["c"])
-        return (lambda y: c * y), c
+        return _real("c", desc["c"])
     if tag == "projection":
-        cset = _build_set(desc["set"], space)
-        return cset.project, None
+        return _build_set(desc["set"], space).project
     raise ValidationError(f"unknown wiener forward tag {tag!r}")
 
 
 def _build_wiener(desc, space):
-    """A Wiener block and its oracle term ``(c, p)``; ``c`` is None unless the map is ``c Id``."""
-    fwd, scale = _build_wiener_forward(desc.get("f", desc), space)
-    p = space.validate(desc["point"])
-    return operators.make_wiener(space, fwd, p, scale=scale), (scale, p)
+    forward = _build_wiener_forward(_object(desc).get("f", desc), space)
+    return operators.make_wiener(space, forward, _numbers(desc["point"]))
 
 
 # The block operator of each kind but feasibility-product, from its descriptor.
@@ -307,11 +325,8 @@ def generate_instance(spec, unsafe=False):
     maps = _build_maps(spec, domain, block_spaces)
     fams = [_field(f"sets[{i}]", _BLOCK_BUILDERS[spec.kind], d, g)
             for i, (d, g) in enumerate(zip(spec.sets, block_spaces))]
-    wiener_terms = None
-    if spec.kind == "wiener":
-        fams, wiener_terms = map(list, zip(*fams))
     return RelaxedInstance.from_blocks(V, zip(maps, fams, weights), spec.gamma, kind=spec.kind,
-                                       wiener_terms=wiener_terms, unsafe=unsafe)
+                                       unsafe=unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +384,21 @@ def least_squares_oracle(inst):
 def wiener_oracle(inst):
     """Direct solve of the Wiener stationarity system over V, for linear blocks.
 
-    Only available when every forward map is a scaled identity; the
-    stationarity condition restricted to V's basis is then a small linear
-    system.
+    Only available when every forward map is a scaled identity ``c_k Id``,
+    whose family declares the affine resolvent ``(1 - c_k) y + p_k``; the
+    stationarity condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0``
+    restricted to V's basis is then a small linear system.
     """
-    if inst.kind != "wiener":
-        raise ValidationError("wiener_oracle needs a wiener instance")
-    terms = inst.wiener_terms
-    if terms is None or any(c_k is None for c_k, _p_k in terms):
+    if inst.kind != "wiener" or not inst.blocks:
+        raise ValidationError("wiener_oracle needs a wiener instance built from blocks")
+    if any(B_k.affine is None for _L_k, B_k, _w_k in inst.blocks):
         raise ValidationError("wiener_oracle needs scaled-identity forward maps")
+    terms = []
+    for L_k, B_k, w_k in inst.blocks:
+        M_k, p_k = B_k.affine(1.0)
+        terms.append((L_k, p_k, w_k * (1.0 - M_k), w_k))
     basis = inst.V.basis
-    M, rhs = normal_equations(basis, [
-        (L_k, p_k, w_k * c_k, w_k) for (L_k, _B_k, w_k), (c_k, p_k) in zip(inst.blocks, terms)
-    ])
-    coeffs = np.linalg.solve(M, rhs)
+    coeffs = np.linalg.solve(*normal_equations(basis, terms))
     return basis.T @ coeffs
 
 

@@ -39,10 +39,6 @@ def build_parser():
     props = sub.add_parser("props", help="run the property suites")
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--trials", type=int, default=1000)
-    props.add_argument(
-        "--corrupt-adjoint", action="store_true",
-        help=argparse.SUPPRESS,  # negative-control test hook
-    )
 
     oracle = sub.add_parser("oracle", help="print the least-squares reference solution")
     oracle.add_argument("config", help="path to a JSON configuration")
@@ -54,9 +50,7 @@ def main(argv=None):
     if args.command == "solve":
         return run(args.config, trace_path=args.trace, unsafe=args.unsafe_norm)
     if args.command == "props":
-        return run_properties(
-            seed=args.seed, trials=args.trials, corrupt_adjoint=args.corrupt_adjoint
-        )
+        return run_properties(seed=args.seed, trials=args.trials)
     if args.command == "oracle":
         return oracle_command(args.config)
     return 1  # pragma: no cover

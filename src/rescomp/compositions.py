@@ -38,7 +38,7 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe)
     B._check_scale(gamma)
     g = float(gamma)
 
@@ -52,7 +52,7 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     """The operator whose resolvent is ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe)
     B._check_scale(gamma)
     g = float(gamma)
 
@@ -77,7 +77,7 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     for B, L in zip(Bs, Ls):
         if L.codomain != B.space:
             raise DimensionMismatchError("each map must land in its operator's space")
-    check_contraction(Ls, weights, unsafe=unsafe, require_nonzero=True)
+    check_contraction(Ls, weights, unsafe=unsafe)
     return resolvent_composition(stack(Ls, weights), product_family(Bs, weights), gamma,
                                  unsafe=unsafe)
 

@@ -13,7 +13,8 @@ Everything else in the package is built on the three objects defined here:
   span of a set of vectors, with an orthonormal basis from one SVD.
 
 :func:`check_contraction` is the one gate on the theory's hypothesis
-``sum_k w_k ||L_k||^2 <= 1`` (``||L|| <= 1`` for a single map).
+``0 < sum_k w_k ||L_k||^2 <= 1`` (``0 < ||L|| <= 1`` for a single map);
+:func:`_real` and :func:`_count` read a scalar strictly (a bool is refused).
 
 :func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
@@ -35,6 +36,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -53,12 +55,12 @@ NORM_GATE_TOL = 1e-9
 INVERSE_CACHE_SIZE = 16
 
 
-def check_contraction(maps, weights=None, unsafe=False, require_nonzero=False):
-    """Gate ``sum_k w_k ||L_k||^2 <= 1 + NORM_GATE_TOL`` or raise.
+def check_contraction(maps, weights=None, unsafe=False):
+    """Gate ``0 < sum_k w_k ||L_k||^2 <= 1 + NORM_GATE_TOL`` or raise.
 
     ``weights=None`` gives every map weight 1, so one map is gated on
-    ``||L||^2``.  Weights must be finite and positive.  ``require_nonzero``
-    also rejects a zero sum, even when ``unsafe`` lifts the bound.
+    ``||L||^2``.  Weights must be finite and positive.  A zero total is
+    always refused; ``unsafe`` lifts only the upper bound.
     """
     if weights is None:
         weights = [1.0] * len(maps)
@@ -66,13 +68,27 @@ def check_contraction(maps, weights=None, unsafe=False, require_nonzero=False):
         raise ValidationError("mixture weights must be finite and strictly positive")
     # n * n, not n ** 2: a float product overflows to inf instead of raising.
     total = sum(w * n * n for w, n in zip(weights, (L.op_norm() for L in maps)))
-    if require_nonzero and total == 0.0:
+    if total == 0.0:
         raise ContractionConditionError("a nonzero map is required here")
     if total > 1.0 + NORM_GATE_TOL and not unsafe:
         name = "||L||^2" if len(maps) == 1 else "sum_k w_k ||L_k||^2"
         raise ContractionConditionError(
             f"{name} = {total!r} exceeds 1; pass unsafe=True to override"
         )
+
+
+def _real(name, value):
+    """``value`` as a float; a bool or a non-number raises ``ValidationError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(name, value):
+    """``value`` as an int; a bool, a non-number, a negative number or a fraction raises."""
+    if not (_real(name, value) >= 0 and float(value).is_integer()):
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 class Space:

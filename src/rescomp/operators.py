@@ -39,12 +39,13 @@ which is safe to race).
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ScaleRestrictionError, ValidationError
-from .hilbert import block_slices, check_monotone, product_space, shifted_inverse
+from .hilbert import _real, block_slices, check_monotone, product_space, shifted_inverse
 
 ALL_SCALES = "all"
 
@@ -123,12 +124,12 @@ class ResolventFamily:
         """Whether ``xstar in B(x)`` up to ``tol`` on :meth:`graph_residual`."""
         return self.graph_residual(point) <= tol
 
-    def sample_graph(self, n, seed=0, scale=1.0):
+    def sample_graph(self, n, seed=0):
         """``n`` pairs ``(J_B z, z - J_B z)``, which always lie in gra B."""
         rng = np.random.default_rng(seed)
         out = []
         for _ in range(n):
-            z = self.space.random(rng, scale=scale)
+            z = self.space.random(rng)
             jz = self.resolvent(1.0, z)
             out.append(GraphPoint(jz, z - jz))
         return out
@@ -219,39 +220,35 @@ def subdifferential(g):
     return g.subdifferential
 
 
-def make_wiener(space, F, p, rng_seed=0, scale=None):
+def make_wiener(space, F, p):
     """The operator ``(Id - F + p)^{-1} - Id`` for firmly nonexpansive ``F``.
 
     Its resolvent exists in closed form only at scale one:
-    ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  ``scale=c``
-    declares ``F = c Id``; firm nonexpansiveness is then decided exactly
-    (``0 <= c <= 1``) and the resolvent is the affine map ``(1 - c) y + p``.
-    Any other ``F`` is the caller's responsibility; it is spot checked
-    here on random pairs, which validates without proving.
+    ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  A number ``F = c``
+    (not a bool) is the map ``c Id``: firm nonexpansiveness is then decided
+    exactly (``0 <= c <= 1``), and the one ``c`` gives both the evaluator
+    ``y - c y + p`` and the declared affine form ``(1 - c, p)``.  A callable
+    ``F`` is the caller's responsibility; it is spot checked here on random
+    pairs drawn with seed 0, which validates without proving.
     """
     p = space.validate(p).copy()
-    form = None
-    if scale is not None:
-        c = float(scale)
+    if isinstance(F, numbers.Real):
+        c = _real("wiener forward scale", F)
         if not 0.0 <= c <= 1.0:
             raise ValidationError(_WIENER_REJECTED)
         form = (1.0 - c, p)
-    else:
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(_WIENER_SPOT_CHECKS):
-            a = space.random(rng)
-            b = space.random(rng)
-            fa = space.validate(F(a))
-            fb = space.validate(F(b))
-            lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
-            if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
-                raise ValidationError(_WIENER_REJECTED)
-
-    def evaluator(gamma, y):
-        return y - F(y) + p
-
-    return ResolventFamily(space, "wiener", evaluator, scale_domain=1.0,
-                           affine=None if form is None else (lambda gamma: form))
+        return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p,
+                               scale_domain=1.0, affine=lambda gamma: form)
+    rng = np.random.default_rng(0)
+    for _ in range(_WIENER_SPOT_CHECKS):
+        a = space.random(rng)
+        b = space.random(rng)
+        fa = space.validate(F(a))
+        fb = space.validate(F(b))
+        lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
+        if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
+            raise ValidationError(_WIENER_REJECTED)
+    return ResolventFamily(space, "wiener", lambda gamma, y: y - F(y) + p, scale_domain=1.0)
 
 
 def product_family(families, weights=None):

@@ -325,7 +325,7 @@ def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,
     """
     from .solvers import Schedule, proximal_point  # deferred: avoids an import cycle
 
-    check_contraction([L], unsafe=unsafe, require_nonzero=True)
+    check_contraction([L], unsafe=unsafe)
     if not g.has_value:
         raise CapabilityError("proximal_composition_value needs a value oracle")
     H, G = L.domain, L.codomain

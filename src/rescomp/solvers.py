@@ -58,7 +58,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -68,7 +67,7 @@ import numpy as np
 
 from .compositions import resolvent_composition, resolvent_cocomposition
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import check_contraction, stack
+from .hilbert import _count, _real, check_contraction, stack
 from .operators import product_family
 
 _LAMBDA_EPS = 1e-3
@@ -131,20 +130,6 @@ class Schedule:
         if np.isscalar(self.lam):
             return float(self.lam)
         return self.lam[n]
-
-
-def _real(name, value):
-    """``value`` as a float; a bool or a non-number raises ``ValidationError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _count(name, value):
-    """``value`` as an int; a bool, a non-number, a negative number or a fraction raises."""
-    if not (_real(name, value) >= 0 and float(value).is_integer()):
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -334,48 +319,43 @@ class RelaxedInstance:
     """A relaxed constrained-inclusion problem ``(V, L, B, gamma)``.
 
     ``kind`` tags how the instance was generated (generic, mixture,
-    wiener, split-feasibility, common-zero, feasibility-product); block
-    structure ``(L_k, B_k, w_k)``, when present, enables the blockwise
-    solver.  ``wiener_terms`` gives the Wiener oracle ``(c_k, p_k)`` per
-    block, ``c_k`` None unless the forward map is ``c_k Id``.  ``A`` is the
-    matrix of ``L U``, ``U`` the W-orthonormal basis of V in columns.
+    wiener, split-feasibility, common-zero, feasibility-product).  An
+    instance built by :meth:`from_blocks` keeps its blocks ``(L_k, B_k,
+    w_k)``, which enable the blockwise solver and the oracles; ``blocks`` is
+    None otherwise.  ``A`` is the matrix of ``L U``, ``U`` the W-orthonormal
+    basis of V in columns.
     """
 
-    def __init__(self, V, L, B, gamma, kind="generic", blocks=None, wiener_terms=None,
-                 unsafe=False):
+    def __init__(self, V, L, B, gamma, kind="generic", unsafe=False):
         if L.domain != V.space:
             raise ValidationError("V must live in the domain of L")
         if B.space != L.codomain:
             raise ValidationError("B must live in the codomain of L")
-        check_contraction([L], unsafe=unsafe, require_nonzero=True)
+        check_contraction([L], unsafe=unsafe)
         B._check_scale(gamma)
         self.V = V
         self.L = L
         self.B = B
         self.gamma = float(gamma)
         self.kind = kind
-        self.blocks = blocks
-        self.wiener_terms = wiener_terms
+        self.blocks = None
         self.space = L.domain
         self.A = L.matrix @ V.basis.T
 
     @classmethod
-    def from_blocks(cls, V, blocks, gamma, kind="generic", wiener_terms=None, unsafe=False):
+    def from_blocks(cls, V, blocks, gamma, kind="generic", unsafe=False):
         """The instance of ``blocks = [(L_k, B_k, w_k)]``.
 
         ``L`` stacks the maps and ``B`` is the product of the operators, both
         on the codomains weighted by ``w_k``, so ``L``, ``B`` and ``blocks``
-        agree by construction.  One block of weight 1 is its own ``L`` and
-        ``B``, as the one-factor product with that weight is the factor.
+        agree by construction.
         """
         blocks = list(blocks)
         maps, fams, weights = zip(*blocks)
-        if len(blocks) == 1 and weights[0] == 1.0:
-            L, B = maps[0], fams[0]
-        else:
-            L, B = stack(maps, weights), product_family(fams, weights)
-        return cls(V, L, B, gamma, kind=kind, blocks=blocks, wiener_terms=wiener_terms,
+        inst = cls(V, stack(maps, weights), product_family(fams, weights), gamma, kind=kind,
                    unsafe=unsafe)
+        inst.blocks = blocks
+        return inst
 
     def _inner_resolvent(self, x):
         """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""

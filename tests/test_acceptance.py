@@ -173,6 +173,6 @@ def test_criterion_7_wiener_instance():
 
 
 def test_criterion_8_blockwise_equals_stacked():
-    res = suite_block_stacked(np.random.default_rng([SEED, 8]), 1000, instances=10)
+    res = suite_block_stacked(np.random.default_rng([SEED, 8]), 1000)
     ok = res.passed and res.worst <= 1e-12
     announce(8, ok, f"blockwise vs stacked worst iterate gap {res.worst:.2e} on 10 instances (tol 1e-12)")

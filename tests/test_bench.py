@@ -24,7 +24,7 @@ from rescomp.errors import ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
-from rescomp.sets import Singleton
+from rescomp.sets import AffineSubspace, Halfspace, Singleton
 from rescomp.solvers import (
     ANDERSON_MEMORY,
     RelaxedInstance,
@@ -65,7 +65,33 @@ BAD_VALUES = {
     "point-string": {"sets": [{"tag": "singleton", "point": ["a"]},
                               {"tag": "singleton", "point": [3.0]}]},
     "map-string": {"maps": [[["a", 0.0]], [[0.0, 1.0]]]},
+    "set-not-object": {"sets": [1, {"tag": "singleton", "point": [3.0]}]},
+    "block-space-not-object": {"spaces": {"domain": {"dim": 2}, "blocks": [1, {"dim": 1}]}},
+    "nested-set-not-object": {"kind": "common-zero",
+                              "sets": [{"tag": "normal-cone", "set": [1.0]}, {"tag": "zero"}]},
+    "wiener-forward-not-object": {"kind": "wiener",
+                                  "sets": [{"f": 0.5, "point": [1.0]}, {"point": [3.0], "c": 0.5}]},
+    "point-numeric-string": {"sets": [{"tag": "singleton", "point": ["1.0"]},
+                                      {"tag": "singleton", "point": [3.0]}]},
+    "point-bool": {"sets": [{"tag": "singleton", "point": [True]},
+                            {"tag": "singleton", "point": [3.0]}]},
+    "map-numeric-strings": {"maps": [[["1.0", "0.0"]], [[0.0, 1.0]]]},
+    "subspace-numeric-strings": {"subspace": [["1.0", "1.0"]]},
+    "space-weights-string": {"spaces": {"domain": {"dim": 2, "weights": ["1", 1.0]},
+                                        "blocks": [{"dim": 1}, {"dim": 1}]}},
 }
+
+
+def corrupt_adjoint(monkeypatch):
+    """Break ``LinearMap.adjoint_apply`` by 1e-3 in its first entry (a negative control)."""
+    adjoint_apply = LinearMap.adjoint_apply
+
+    def corrupted(self, y):
+        out = adjoint_apply(self, y).copy()
+        out[0] += 1e-3
+        return out
+
+    monkeypatch.setattr(LinearMap, "adjoint_apply", corrupted)
 
 
 def _reject_constant(name):
@@ -173,11 +199,36 @@ class TestGenerate:
                 "subspace": [[1.0, 0.0]],
             })
 
-        assert generate_instance(spec({"tag": "scale", "c": 0.5})).B.affine is not None
+        assert generate_instance(spec({"tag": "scale", "c": 0.5})).blocks[0][1].affine is not None
         box = {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
-        assert generate_instance(spec({"tag": "projection", "set": box})).B.affine is None
+        assert generate_instance(spec({"tag": "projection", "set": box})).blocks[0][1].affine is None
         with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
             generate_instance(spec({"tag": "scale", "c": 1.5}))
+
+    def test_halfspace_and_affine_set_tags(self):
+        spec = InstanceSpec.from_dict(acceptance_dict(
+            spaces={"domain": {"dim": 2}, "blocks": [{"dim": 1}, {"dim": 2}]},
+            maps=[[[1.0, 0.0]], None],
+            sets=[{"tag": "halfspace", "normal": [1.0], "offset": -1.0},
+                  {"tag": "affine", "anchor": [0.0, 3.0], "directions": [[1.0, 0.0]]}],
+        ))
+        inst = generate_instance(spec)
+        half, line = (fam.cset for _L, fam, _w in inst.blocks)
+        assert isinstance(half, Halfspace) and half.offset == -1.0
+        assert np.array_equal(half.normal, [1.0])
+        assert isinstance(line, AffineSubspace) and np.array_equal(line.anchor, [0.0, 3.0])
+        x, trace = solve_relaxed(inst, inst.space.zeros(), Schedule())
+        # on the diagonal t: min 0.5 max(t + 1, 0)^2 + 0.5 (t - 3)^2 at t = 1
+        assert trace.reason == "converged" and x == pytest.approx([1.0, 1.0], abs=1e-8)
+
+    @pytest.mark.parametrize("kind, block", [("common-zero", "operator"),
+                                             ("prox-mixture", "function")])
+    def test_a_set_is_not_an_operator_or_a_function(self, kind, block):
+        # a set descriptor takes the normal-cone or indicator tag around it
+        spec = InstanceSpec.from_dict(acceptance_dict(kind=kind, sets=[
+            {"tag": "singleton", "point": [1.0]}, {"tag": "singleton", "point": [3.0]}]))
+        with pytest.raises(ValidationError, match=f"unknown {block} tag 'singleton'"):
+            generate_instance(spec)
 
     def test_default_identity_maps_respect_domain_metric(self):
         spec = InstanceSpec.from_dict({
@@ -245,9 +296,9 @@ class TestOracle:
     def test_full_space_identity(self):
         H = Space(2)
         fam = normal_cone(Singleton(H, [0.3, -0.7]))
-        inst = RelaxedInstance(
-            SubspaceProjector.full(H), identity_map(H), fam, 1.0,
-            kind="split-feasibility", blocks=[(identity_map(H), fam, 1.0)],
+        inst = RelaxedInstance.from_blocks(
+            SubspaceProjector.full(H), [(identity_map(H), fam, 1.0)], 1.0,
+            kind="split-feasibility",
         )
         ref, _ = least_squares_oracle(inst)
         assert ref == pytest.approx([0.3, -0.7])
@@ -258,9 +309,7 @@ class TestOracle:
         L = LinearMap(H, G, [[1.0, 0.0]])
         fam = normal_cone(Singleton(G, [1.0]))
         V = SubspaceProjector(H, [[0.0, 1.0]])  # L vanishes on V
-        inst = RelaxedInstance(
-            V, L, fam, 1.0, kind="split-feasibility", blocks=[(L, fam, 1.0)]
-        )
+        inst = RelaxedInstance.from_blocks(V, [(L, fam, 1.0)], 1.0, kind="split-feasibility")
         ref, flag = least_squares_oracle(inst)
         assert flag
         assert ref == pytest.approx([0.0, 0.0])
@@ -320,7 +369,7 @@ class TestReportJson:
 
     def test_nonfinite_config_takes_the_folded_step(self):
         inst = generate_instance(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
-        assert inst.B.affine is not None
+        assert inst.blocks[0][1].affine is not None
         _, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
         assert trace.reason == "non-finite"
         assert trace.fp_residual[-1] == np.inf
@@ -473,9 +522,10 @@ class TestProperties:
         assert all(line.startswith("PASS") and "vacuous" in line for line in suites)
         assert lines[-1] == "28/28 property suites passed"
 
-    def test_corrupted_adjoint_fails(self):
+    def test_corrupted_adjoint_fails(self, monkeypatch):
+        corrupt_adjoint(monkeypatch)
         lines = []
-        assert run_properties(seed=0, trials=40, corrupt_adjoint=True, out=lines.append) == 2
+        assert run_properties(seed=0, trials=40, out=lines.append) == 2
         assert any(line.startswith("FAIL") and "adjoint" in line for line in lines)
 
 
@@ -510,8 +560,9 @@ class TestCli:
     def test_props_quick(self, capsys):
         assert main(["props", "--trials", "5", "--seed", "3"]) == 0
 
-    def test_props_negative_control(self, capsys):
-        assert main(["props", "--trials", "20", "--corrupt-adjoint"]) == 2
+    def test_props_negative_control(self, capsys, monkeypatch):
+        corrupt_adjoint(monkeypatch)
+        assert main(["props", "--trials", "20"]) == 2
 
     @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
     def test_bad_schedule_exits_one(self, tmp_path, capsys, schedule):
@@ -529,6 +580,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("error: field ")
         assert "Traceback" not in captured.out + captured.err
+
+    def test_gate_is_on_the_stacked_map(self, tmp_path, capsys):
+        # orthogonal blocks: ||L||^2 = 0.9, though sum_k w_k ||L_k||^2 = 1.8
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(weights=[0.9, 0.9])))
+        assert main(["solve", str(cfg)]) == 0
+        cfg.write_text(json.dumps(acceptance_dict(weights=[1.1, 0.9])))
+        assert main(["solve", str(cfg)]) == 1
+        assert "exceeds 1" in capsys.readouterr().out
+
+    def test_wiener_scale_forward_solve_and_oracle(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "kind": "wiener",
+            "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}, {"dim": 1}]},
+            "maps": [[[1.0, 0.0]], [[0.0, 1.0]]],
+            "sets": [{"f": {"tag": "scale", "c": 0.5}, "point": [1.0]},
+                     {"f": {"tag": "scale", "c": 0.6}, "point": [3.0]}],
+            "weights": [0.5, 0.5],
+            "subspace": [[1.0, 1.0]],
+        }))
+        assert main(["solve", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # stationarity on the diagonal: 0.5 (0.5 t - 1) + 0.5 (0.6 t - 3) = 0
+        assert report["oracle"]["point"] == pytest.approx([4.0 / 1.1, 4.0 / 1.1], abs=1e-12)
+        assert report["oracle"]["distance"] <= 1e-6
+        assert main(["oracle", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["point"] == report["oracle"]["point"]
 
     def test_one_weighted_block_solves(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

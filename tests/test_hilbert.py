@@ -193,11 +193,11 @@ class TestGate:
         assert total > 1.00000002
         assert repr(total) in str(info.value)
 
-    def test_zero_map_needs_require_nonzero(self):
+    def test_zero_map_is_refused(self):
         L = LinearMap(Space(2), Space(2), np.zeros((2, 2)))
-        check_contraction([L])
-        with pytest.raises(ContractionConditionError, match="nonzero"):
-            check_contraction([L], unsafe=True, require_nonzero=True)
+        for unsafe in (False, True):
+            with pytest.raises(ContractionConditionError, match="nonzero"):
+                check_contraction([L], unsafe=unsafe)
 
 
 class TestProjector:

@@ -152,7 +152,7 @@ class TestInverseResolvent:
 
     def test_fixed_scale_family_inverts_at_its_own_scale_only(self):
         s = Space(2, [0.5, 2.0])
-        B = make_wiener(s, lambda y: 0.5 * y, [1.0, -1.0], scale=0.5)
+        B = make_wiener(s, 0.5, [1.0, -1.0])
         x = np.array([0.3, 0.7])
         expected = x - 1.0 * B.resolvent(1.0, x / 1.0)
         assert np.array_equal(B.inverse_resolvent(1.0, x), expected)
@@ -238,24 +238,34 @@ class TestWienerConstruction:
     @pytest.mark.parametrize("c", [-0.5, 1.5])
     def test_declared_scale_outside_unit_interval_rejected(self, c):
         with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
-            make_wiener(R1, lambda y: c * y, [0.0], scale=c)
+            make_wiener(R1, c, [0.0])
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_declared_scale_at_interval_ends_accepted(self, c):
-        B = make_wiener(R1, lambda y: c * y, [0.5], scale=c)
+        B = make_wiener(R1, c, [0.5])
         assert B.resolvent(1.0, [4.0]) == pytest.approx([(1.0 - c) * 4.0 + 0.5])
 
-    def test_declared_scale_skips_the_spot_checks(self):
-        calls = []
+    def test_form_and_evaluator_come_from_one_c(self):
+        with pytest.raises(TypeError):  # no second copy of c beside the forward map
+            make_wiener(R1, lambda y: 0.9 * y, [1.0], scale=0.5)
+        B = make_wiener(R1, 0.9, [1.0])
+        y = np.array([4.0])
+        assert np.array_equal(B._evaluator(1.0, y), y - 0.9 * y + 1.0)
+        M, b = B.affine(1.0)
+        assert M == 1.0 - 0.9 and np.array_equal(b, [1.0])
 
-        def forward(y):
-            calls.append(y)
-            return 0.5 * y
+    def test_bool_forward_map_is_refused(self):
+        with pytest.raises(ValidationError, match="must be a number"):
+            make_wiener(R1, True, [0.0])
 
-        make_wiener(R1, forward, [0.0], scale=0.5)
-        assert calls == []
-        make_wiener(R1, forward, [0.0])
-        assert len(calls) > 0
+    def test_declared_scale_skips_the_spot_checks(self, monkeypatch):
+        space, draws = Space(1), []
+        random = space.random
+        monkeypatch.setattr(space, "random", lambda rng: draws.append(1) or random(rng))
+        make_wiener(space, 0.5, [0.0])
+        assert draws == []
+        make_wiener(space, lambda y: 0.5 * y, [0.0])
+        assert len(draws) > 0
 
 
 W3 = Space(3, [0.5, 1.0, 2.0])
@@ -297,7 +307,7 @@ class TestAffineForms:
 
     def test_scale_forward_wiener_matches_evaluator(self):
         p = np.array([0.3, -1.2, 2.0])
-        B = make_wiener(W3, lambda y: 0.6 * y, p, scale=0.6)
+        B = make_wiener(W3, 0.6, p)
         rng = np.random.default_rng(5)
         for _ in range(10):
             y = 3.0 * rng.standard_normal(3)
@@ -374,3 +384,14 @@ class TestZerosAndScaling:
         )
         out = fam.resolvent(1.0, np.array([4.0, 9.0, 9.0]))
         assert out == pytest.approx([2.0, 1.0, 2.0])
+
+    def test_product_takes_the_one_fixed_scale_of_its_factors(self):
+        s1, s2 = Space(1), Space(2)
+        wiener = make_wiener(s1, 0.5, [1.0])  # fixed scale 1
+        fam = product_family([wiener, normal_cone(Singleton(s2, [1.0, 2.0]))], [0.5, 0.5])
+        assert fam.scale_domain == 1.0
+        assert fam.resolvent(1.0, [4.0, 9.0, 9.0]) == pytest.approx([3.0, 1.0, 2.0])
+        with pytest.raises(ScaleRestrictionError):
+            fam.resolvent(2.0, [4.0, 9.0, 9.0])
+        with pytest.raises(ValidationError, match="incompatible"):
+            product_family([wiener, make_wiener(s1, 0.5, [1.0]).scaled(2.0)])

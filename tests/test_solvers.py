@@ -54,11 +54,8 @@ def wiener_instance():
     V = SubspaceProjector(R2, [[1.0, 0.0]])
     p = np.array([3.0, 1.0])
     fwd = lambda y: 0.5 * y
-    B = make_wiener(R2, fwd, p)
-    return RelaxedInstance(
-        V, identity_map(R2), B, 1.0, kind="wiener", blocks=[(identity_map(R2), B, 1.0)],
-        wiener_terms=[(0.5, p)],
-    )
+    return RelaxedInstance.from_blocks(V, [(identity_map(R2), make_wiener(R2, fwd, p), 1.0)],
+                                       1.0, kind="wiener")
 
 
 def coordinate_instance(tags=("box", "ball", "point", "half"), scale=1.0):
@@ -161,7 +158,7 @@ def affine_singleton_instances():
     the property-suite draws on which the plain steps stall (their seeds fail
     ``residual-agreement`` and ``oracle-agreement``), five more draws, and n = 50."""
     draws = [[1061143462, 24], [1112293236, 24], [1155723359, 26]] + [[7, i] for i in range(5)]
-    out = [_random_split_instance(np.random.default_rng(d))[0] for d in draws]
+    out = [_random_split_instance(np.random.default_rng(d)) for d in draws]
     return out + [coordinate_instance(("point",) * 4)[0]]
 
 
@@ -300,7 +297,7 @@ class TestBuildRelaxed:
     def test_blocks_agree_with_the_stacked_map_and_the_product(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
-            inst, _ = _random_split_instance(rng)
+            inst = _random_split_instance(rng)
             maps, fams, w = zip(*inst.blocks)
             assert np.array_equal(inst.L.matrix, np.vstack([L.matrix for L in maps]))
             assert [fam for fam, _sl in inst.B.factors] == list(fams)
@@ -314,9 +311,33 @@ class TestBuildRelaxed:
         assert inst.L.codomain == inst.B.space == Space(1, [0.5])
         x, trace = solve_relaxed(inst, R2.zeros(), Schedule(tol=1e-12))
         assert trace.reason == "converged" and x == pytest.approx([1.0, 1.0])
-        # weight 1: the one-factor product is the factor itself
-        alone = RelaxedInstance.from_blocks(V, [(L, fam, 1.0)], 1.0)
-        assert alone.L is L and alone.B is fam
+
+    def test_block_data_enter_only_through_from_blocks(self):
+        L = LinearMap(R2, R1, [[1.0, 0.0]])
+        V = SubspaceProjector(R2, [[1.0, 1.0]])
+        one, five = normal_cone(Singleton(R1, [1.0])), normal_cone(Singleton(R1, [5.0]))
+        with pytest.raises(TypeError):  # no second copy of L and B beside the blocks
+            RelaxedInstance(V, L, one, 1.0, blocks=[(L, five, 1.0)])
+        plain = RelaxedInstance(V, L, one, 1.0, kind="split-feasibility")
+        assert plain.blocks is None
+        with pytest.raises(ValidationError, match="block structure"):
+            solve_blocks(plain, R2.zeros())
+        with pytest.raises(ValidationError):
+            least_squares_oracle(plain)
+        inst = RelaxedInstance.from_blocks(V, [(L, five, 1.0)], 1.0, kind="split-feasibility")
+        schedule = Schedule(tol=1e-12)
+        for x in (solve_relaxed(inst, R2.zeros(), schedule)[0],
+                  solve_blocks(inst, R2.zeros(), schedule)[0], least_squares_oracle(inst)[0]):
+            assert x == pytest.approx([5.0, 5.0])
+
+    def test_wiener_solve_and_verdict_read_one_c(self):
+        # the step folds the form (1 - c, p), the verdict evaluates y - c y + p
+        inst = RelaxedInstance.from_blocks(
+            SubspaceProjector.full(R1), [(identity_map(R1), make_wiener(R1, 0.9, [1.0]), 1.0)],
+            1.0, kind="wiener")
+        x, trace = solve_relaxed(inst, R1.zeros(), Schedule(tol=1e-12))
+        assert trace.reason == "converged" and x == pytest.approx([1.0 / 0.9])
+        assert verify_exact_relaxation(inst, x, 1e-8).verdict == "S1 attained"
 
 
 class TestSolveRelaxed:
@@ -540,7 +561,7 @@ class TestAffineFold:
     def test_scale_checked_on_every_block(self, scale):
         A, A_adj = np.ones((1, 2)), np.ones((2, 1))
         pieces = [(A, A_adj, normal_cone(Singleton(R1, [1.0]))),
-                  (A, A_adj, make_wiener(R1, lambda y: 0.5 * y, [0.0], scale=scale))]
+                  (A, A_adj, make_wiener(R1, scale or (lambda y: 0.5 * y), [0.0]))]
         _coordinate_step(pieces, 1.0, 2)
         with pytest.raises(ScaleRestrictionError):
             _coordinate_step(pieces, 2.0, 2)
@@ -763,8 +784,8 @@ def divergent_instance():
     """||L|| = 3 with the gate bypassed: ``c <- -8 c + h`` diverges."""
     L = LinearMap(R2, R2, 3.0 * np.eye(2))
     B = normal_cone(Singleton(R2, [1.0, 1.0]))
-    return RelaxedInstance(SubspaceProjector.full(R2), L, B, 1.0, blocks=[(L, B, 1.0)],
-                           unsafe=True)
+    return RelaxedInstance.from_blocks(SubspaceProjector.full(R2), [(L, B, 1.0)], 1.0,
+                                       unsafe=True)
 
 
 class TestTraceInvariants:
