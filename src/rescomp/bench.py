@@ -92,7 +92,7 @@ class InstanceSpec:
     spaces: dict
     maps: list | None
     sets: list
-    weights: list
+    weights: list | None
     subspace: list
     gamma: float = 1.0
     schedule: dict = field(default_factory=dict)
@@ -121,7 +121,7 @@ class InstanceSpec:
             spaces=data["spaces"],
             maps=data.get("maps"),
             sets=data["sets"],
-            weights=data.get("weights", [1.0] * len(data["sets"])),
+            weights=data.get("weights"),  # one per block by default, filled in by validate
             subspace=data.get("subspace", []),
             gamma=_real("field 'gamma'", data.get("gamma", 1.0)),
             schedule=dict(data.get("schedule", {})),
@@ -140,6 +140,11 @@ class InstanceSpec:
             raise ValidationError("field 'spaces': needs a 'domain' entry")
         if not isinstance(self.sets, list) or not self.sets:
             raise ValidationError("field 'sets': a list of at least one block is required")
+        if self.weights is None:
+            self.weights = [1.0] * len(self.sets)
+        _list("weights", self.weights)
+        _list("maps", self.maps)
+        _list("spaces.blocks", self.spaces.get("blocks"))
         if len(self.weights) != len(self.sets):
             raise ValidationError("field 'weights': one weight per block is required")
         for i, w in enumerate(self.weights):
@@ -196,6 +201,12 @@ def _field(name, build, *args):
         return build(*args)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"field {name!r}: {exc}") from exc
+
+
+def _list(name, value):
+    """Refuse a config field that is present but not a JSON list, naming the field."""
+    if value is not None and not isinstance(value, list):
+        raise ValidationError(f"field {name!r}: must be a JSON list, got {value!r}")
 
 
 def _object(desc):
@@ -438,6 +449,8 @@ class RunReport:
     certificates: dict
     memory: int     # the Anderson window of the run; 0: the plain relaxed steps
     fallbacks: int  # Anderson candidates the safeguard rejected
+    exact_candidate: bool  # the exact fixed point of an all-affine step was taken
+    rank_G: int | None     # rank of G in its least-squares solve; None: not tried
 
     def to_json(self):
         """Strict JSON: a non-finite number is written as ``null``."""
@@ -509,6 +522,8 @@ def execute(spec, unsafe=False):
             certificates=certificates(inst),
             memory=ANDERSON_MEMORY if schedule.anderson else 0,
             fallbacks=trace.fallbacks,
+            exact_candidate=trace.exact_candidate,
+            rank_G=trace.rank_G,
         )
     return report, trace
 

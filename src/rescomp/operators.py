@@ -239,6 +239,8 @@ def make_wiener(space, F, p):
         form = (1.0 - c, p)
         return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p,
                                scale_domain=1.0, affine=lambda gamma: form)
+    if not callable(F):
+        raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
     rng = np.random.default_rng(0)
     for _ in range(_WIENER_SPOT_CHECKS):
         a = space.random(rng)

@@ -51,6 +51,15 @@ the loop takes the plain step and drops the differences, and
 passes, and a plain step that goes non-finite still ends the run with
 ``non-finite``.  ``anderson=False``, the library default, is the plain
 iteration, bit for bit; :func:`proximal_point` refuses Anderson.
+
+When every block is affine the step is ``G c + h``, its fixed points are
+the affine set ``{c : G c + h = 0}``, and every relaxed or Anderson step
+moves ``c`` only within ``range(G)``, so the limit from ``c_0`` is
+``c_0 - G^+ (G c_0 + h)``.  The Anderson stage tries that point first: the
+first candidate is ``c_0 - G^+ step(c_0)``, one least-squares solve with a
+relative rank cutoff.  It passes the same safeguard as any candidate;
+``Trace.exact_candidate`` says whether it was taken and ``Trace.rank_G``
+gives the rank of ``G`` the solve reported.
 """
 
 from __future__ import annotations
@@ -145,6 +154,8 @@ class Trace:
     iterations: int = 0
     x0_projected: bool = False
     fallbacks: int = 0  # Anderson candidates the safeguard rejected
+    exact_candidate: bool = False  # the exact fixed point of an affine step was taken
+    rank_G: int | None = None      # rank of G in that least-squares solve; None: not tried
     inexact_weighted_sum: float = 0.0  # sum of lambda_n ||c_n|| when perturbed
 
     def to_csv(self, path):
@@ -173,7 +184,7 @@ def write_atomically(path, write):
         raise
 
 
-def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
+def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
     """The one relaxed fixed-point loop ``z <- z + lambda_n step(z)``.
 
     ``norm(step(z))`` is the residual that stops the run.  A step records
@@ -186,7 +197,8 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
     candidate of :func:`_anderson_candidate` on ``z -> z + f(z)``,
     ``f = lambda_n step`` (see the module docstring).  ``step`` must then
     be a pure function of ``z``: a rejected candidate costs one evaluation
-    that is not a step.
+    that is not a step.  When ``step(z) = G z + h`` is affine and ``G`` is
+    given, the first candidate is its exact fixed point ``z - G^+ step(z)``.
     """
     lam = schedule.lam
     unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
@@ -232,12 +244,20 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None):
                     j = (j + 1) % m
                     k = min(k + 1, m)
                 f_last, g_last = f, g
-                candidate = _anderson_candidate(dF[:k], dG[:k], f, g) if k else None
+                if k:
+                    candidate = _anderson_candidate(dF[:k], dG[:k], f, g)
+                elif n == 1 and G is not None:
+                    delta, _, rank, _ = np.linalg.lstsq(G, s, rcond=None)
+                    candidate, trace.rank_G = z - delta, int(rank)
+                else:
+                    candidate = None
                 if candidate is not None:
                     s = step(candidate)
                     residual = norm(s)
                     if residual <= _SAFEGUARD_D * first * (accepted + 1) ** -(1 + _SAFEGUARD_EPS):
                         accepted += 1
+                        if n == 1:  # no differences yet: the exact candidate
+                            trace.exact_candidate = True
                         z = candidate
                         continue
                     trace.fallbacks += 1
@@ -394,6 +414,8 @@ def _coordinate_step(pieces, gamma, r):
     ``G_k = A_k* (M_k - I) A_k`` and ``h_k = A_k* b_k``, summed once here;
     the other blocks are stacked into one ``A_N`` and evaluated per step
     through their raw evaluators.  Every block's scale is checked.
+    Returns ``(step, G)``: ``G`` when every block is affine, so that the
+    step is ``G c + h``, and None otherwise.
     """
     G, h = np.zeros((r, r)), np.zeros(r)
     rows, adjs, evaluators = [], [], []
@@ -410,7 +432,7 @@ def _coordinate_step(pieces, gamma, r):
         evaluators.append((B_k._evaluator, slice(start, start + len(A_k))))
         start += len(A_k)
     if not evaluators:
-        return lambda c: G @ c + h
+        return (lambda c: G @ c + h), G
     A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
     if len(evaluators) == 1:
         resolve = evaluators[0][0]
@@ -427,13 +449,14 @@ def _coordinate_step(pieces, gamma, r):
             return A_N_adj @ (z - y)
 
     if len(evaluators) == len(pieces):  # nothing folded
-        return nonlinear
-    return lambda c: G @ c + h + nonlinear(c)
+        return nonlinear, None
+    return (lambda c: G @ c + h + nonlinear(c)), None
 
 
-def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates):
+def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, G=None):
     """Run ``c <- c + lambda_n step(c)`` from the coordinates of ``proj_V x0``.
 
+    ``G`` is that of an affine step ``G c + h`` (see :func:`_iterate`).
     Returns ``(U c, trace)``; the trace is flagged when ``x0`` is off V.
     """
     space, basis = inst.space, inst.V.basis  # basis = U^T
@@ -446,7 +469,7 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates):
     c, trace = _iterate(
         step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
         distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
-        lift=basis.T.dot if keep_iterates else None,
+        lift=basis.T.dot if keep_iterates else None, G=G,
     )
     trace.var_residual = [r / inst.gamma for r in trace.fp_residual]
     return c @ basis, trace
@@ -465,10 +488,10 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     A = inst.A
     A_adj = A.T * inst.L.codomain.weights
     factors = inst.B.factors or [(inst.B, slice(None))]
-    step = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
-                            inst.gamma, A.shape[1])
+    step, G = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
+                               inst.gamma, A.shape[1])
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates)
+                                 keep_iterates, G)
 
 
 def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
@@ -484,9 +507,9 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     for L_k, B_k, w_k in inst.blocks:
         A_k = L_k.matrix @ U
         pieces.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k))
-    step = _coordinate_step(pieces, inst.gamma, U.shape[1])
+    step, G = _coordinate_step(pieces, inst.gamma, U.shape[1])
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates)
+                                 keep_iterates, G)
 
 
 def variational_residual(inst, x):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -77,6 +78,9 @@ BAD_VALUES = {
                             {"tag": "singleton", "point": [3.0]}]},
     "map-numeric-strings": {"maps": [[["1.0", "0.0"]], [[0.0, 1.0]]]},
     "subspace-numeric-strings": {"subspace": [["1.0", "1.0"]]},
+    "weights-number": {"weights": 5},
+    "maps-number": {"maps": 5},
+    "blocks-number": {"spaces": {"domain": {"dim": 2}, "blocks": 5}},
     "space-weights-string": {"spaces": {"domain": {"dim": 2, "weights": ["1", 1.0]},
                                         "blocks": [{"dim": 1}, {"dim": 1}]}},
 }
@@ -123,6 +127,17 @@ class TestInstanceSpec:
     def test_bad_kind(self):
         with pytest.raises(ValidationError, match="kind"):
             InstanceSpec.from_dict(acceptance_dict(kind="mystery"))
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"weights": 5}, "weights"),
+        ({"weights": "ab"}, "weights"),
+        ({"maps": 5}, "maps"),
+        ({"spaces": {"domain": {"dim": 2}, "blocks": 5}}, "spaces.blocks"),
+        ({"sets": 5}, "sets"),
+    ], ids=["weights-number", "weights-string", "maps-number", "blocks-number", "sets-number"])
+    def test_list_fields_must_be_lists(self, overrides, name):
+        with pytest.raises(ValidationError, match=f"field '{re.escape(name)}'"):
+            InstanceSpec.from_dict(acceptance_dict(**overrides))
 
     def test_bad_weights(self):
         with pytest.raises(ValidationError, match="weights"):
@@ -379,11 +394,15 @@ class TestReportJson:
         # The gate passes either way; unsafe only switches to the plain steps.
         spec = InstanceSpec.from_dict(acceptance_dict())
         finals = []
-        for unsafe, memory in ((False, ANDERSON_MEMORY), (True, 0)):
+        # Both blocks are affine, so the Anderson run takes the exact fixed point.
+        for unsafe, memory, exact, rank in ((False, ANDERSON_MEMORY, True, 1),
+                                            (True, 0, False, None)):
             report, trace = execute(spec, unsafe=unsafe)
             parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
             assert parsed["memory"] == memory
             assert parsed["fallbacks"] == trace.fallbacks
+            assert (parsed["exact_candidate"], parsed["rank_G"]) == (exact, rank)
+            assert (trace.exact_candidate, trace.rank_G) == (exact, rank)
             assert parsed["converged"] and parsed["oracle"]["distance"] <= 1e-6
             finals.append(np.array(parsed["final_iterate"]))
         assert parsed["fallbacks"] == 0 and parsed["iterations"] == 34

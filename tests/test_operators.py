@@ -258,6 +258,11 @@ class TestWienerConstruction:
         with pytest.raises(ValidationError, match="must be a number"):
             make_wiener(R1, True, [0.0])
 
+    @pytest.mark.parametrize("F", ["0.5", None, [0.5]], ids=["string", "none", "list"])
+    def test_forward_map_neither_number_nor_callable_is_refused(self, F):
+        with pytest.raises(ValidationError, match="forward map F"):
+            make_wiener(Space(2), F, [0.0, 0.0])
+
     def test_declared_scale_skips_the_spot_checks(self, monkeypatch):
         space, draws = Space(1), []
         random = space.random

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from rescomp import solvers
-from rescomp.bench import InstanceSpec, certificates, generate_instance, least_squares_oracle
+from rescomp.bench import (
+    InstanceSpec,
+    certificates,
+    generate_instance,
+    least_squares_oracle,
+    wiener_oracle,
+)
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
 from rescomp.operators import make_wiener, normal_cone, scaled_identity
@@ -465,13 +471,14 @@ class TestCoordinateKernel:
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_matches_proximal_point_on_relaxed_resolvent(self, solver):
-        inst, x0 = coordinate_instance()
-        _, ta = solver(inst, x0, self.SCHEDULE, keep_iterates=True)
-        _, tb = proximal_point(inst.space, inst.relaxed_resolvent, x0, self.SCHEDULE,
-                               keep_iterates=True)
-        assert ta.iterations == tb.iterations == 80
-        for u, v in zip(ta.iterates, tb.iterates):
-            assert inst.space.norm(u - v) <= 1e-12
+        for tags in (("box", "ball", "point", "half"), ("point",) * 4):  # mixed, all affine
+            inst, x0 = coordinate_instance(tags)
+            _, ta = solver(inst, x0, self.SCHEDULE, keep_iterates=True)
+            _, tb = proximal_point(inst.space, inst.relaxed_resolvent, x0, self.SCHEDULE,
+                                   keep_iterates=True)
+            assert ta.iterations == tb.iterations == 80
+            for u, v in zip(ta.iterates, tb.iterates):
+                assert inst.space.norm(u - v) <= 1e-12
 
     @staticmethod
     def check_constant_equals_list(solver, lam):
@@ -576,15 +583,20 @@ class TestAnderson:
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_default_schedule_is_the_plain_steps(self, solver):
-        inst, x0 = coordinate_instance()
-        ref = inst.V.apply(np.ones(inst.space.dim))
-        xa, ta = solver(inst, x0, Schedule(), reference=ref, keep_iterates=True)
-        xb, tb = solver(inst, x0, Schedule(anderson=False), reference=ref, keep_iterates=True)
-        assert np.array_equal(xa, xb)
-        assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
-        assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
-        assert ta.dist_ref == tb.dist_ref
-        assert all(np.array_equal(u, v) for u, v in zip(ta.iterates, tb.iterates, strict=True))
+        for tags in (("box", "ball", "point", "half"), ("point",) * 4):  # mixed, all affine
+            inst, x0 = coordinate_instance(tags)
+            ref = inst.V.apply(np.ones(inst.space.dim))
+            xa, ta = solver(inst, x0, Schedule(), reference=ref, keep_iterates=True)
+            xb, tb = solver(inst, x0, Schedule(anderson=False), reference=ref,
+                            keep_iterates=True)
+            assert np.array_equal(xa, xb)
+            assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
+            assert (ta.exact_candidate, ta.rank_G) == (tb.exact_candidate, tb.rank_G) \
+                == (False, None)
+            assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
+            assert ta.dist_ref == tb.dist_ref
+            assert all(np.array_equal(u, v)
+                       for u, v in zip(ta.iterates, tb.iterates, strict=True))
 
     # feasibility-product has no block structure for solve_blocks
     @pytest.mark.parametrize("kind, n, solver", [
@@ -611,11 +623,53 @@ class TestAnderson:
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_reaches_the_least_squares_oracle_on_affine_instances(self, solver):
-        for inst in affine_singleton_instances():
-            ref, _ = least_squares_oracle(inst)
+        # Every block affine: the first candidate is c_0 - G^+ step(c_0), the
+        # oracle's point, so one update reaches tol 1e-12, the three stalling
+        # property-suite draws included.  G has condition up to
+        # 1 / sigma_min(L U)^2 (4.8e4 on the first draw), so in float64 a
+        # solve is exact to about eps / sigma_min^2 relative, not to 1e-12.
+        cases = [(inst, least_squares_oracle(inst)[0]) for inst in affine_singleton_instances()]
+        cases += [(inst, wiener_oracle(inst))
+                  for inst in (kind_instance("wiener", 4), kind_instance("wiener", 50))]
+        for inst, ref in cases:
             x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
-            assert trace.reason == "converged"
-            assert inst.space.norm(x - ref) <= 1e-10 * inst.space.norm(ref)
+            assert (trace.reason, trace.iterations, trace.fallbacks) == ("converged", 1, 0)
+            assert trace.exact_candidate and trace.rank_G == inst.V.rank
+            limit = max(1e-12, np.finfo(float).eps / certificates(inst)["sigma_min_LU"] ** 2)
+            assert inst.space.norm(x - ref) <= limit * inst.space.norm(ref)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_zero_cap_takes_no_exact_update(self, solver):
+        inst = affine_singleton_instances()[0]
+        x, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=0, anderson=True))
+        assert (trace.reason, trace.iterations, trace.rank_G) == ("max_iterations", 0, None)
+        assert not trace.exact_candidate and not np.any(x)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_exact_fixed_point_scales_with_the_targets(self, solver):
+        inst, x0 = coordinate_instance(("point",) * 4)
+        x, trace = solver(inst, x0, Schedule(anderson=True))
+        for t in (1e-6, 1e6):
+            inst_t, x0_t = coordinate_instance(("point",) * 4, scale=t)
+            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * t, anderson=True))
+            assert (trace_t.reason, trace_t.iterations, trace_t.rank_G) == \
+                (trace.reason, trace.iterations, trace.rank_G) == ("converged", 1, 25)
+            assert inst.space.norm(x_t - t * x) <= 1e-12 * t * inst.space.norm(x)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_affine_step_without_a_fixed_point_runs_out(self, solver):
+        # B_2 = (Id + 1)^{-1} - Id is the constant -1: it has no zero.  So
+        # G = diag(-1/2, 0) and h = (1/2, 1/2) is not in range(G).  The exact
+        # candidate is the least-squares point, and the run ends at the cap.
+        maps = [LinearMap(R2, R1, [[1.0, 0.0]]), LinearMap(R2, R1, [[0.0, 1.0]])]
+        fams = [normal_cone(Singleton(R1, [1.0])), make_wiener(R1, 0.0, [1.0])]
+        inst = RelaxedInstance.from_blocks(SubspaceProjector.full(R2),
+                                           zip(maps, fams, [0.5, 0.5]), 1.0)
+        x, trace = solver(inst, R2.zeros(), Schedule(max_iterations=200, anderson=True))
+        assert (trace.reason, trace.iterations, trace.rank_G) == ("max_iterations", 200, 1)
+        assert trace.fp_residual[-1] == pytest.approx(0.5, rel=1e-12)
+        assert x[0] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(x))
 
     @pytest.mark.parametrize("D", [solvers._SAFEGUARD_D, 0.1], ids=["default", "binding"])
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
@@ -624,13 +678,13 @@ class TestAnderson:
         build = solvers._coordinate_step
 
         def recording(*args):
-            step = build(*args)
+            step, G = build(*args)
 
             def recorded(c):
                 s = step(c)
                 evaluations.append((c.copy(), s))
                 return s
-            return recorded
+            return recorded, G
 
         monkeypatch.setattr(solvers, "_coordinate_step", recording)
         monkeypatch.setattr(solvers, "_SAFEGUARD_D", D)
