@@ -396,17 +396,19 @@ def wiener_oracle(inst):
     """Direct solve of the Wiener stationarity system over V, for linear blocks.
 
     Only available when every forward map is a scaled identity ``c_k Id``,
-    whose family declares the affine resolvent ``(1 - c_k) y + p_k``; the
-    stationarity condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0``
-    restricted to V's basis is then a small linear system.
+    whose family declares the constant derivative ``M_k = 1 - c_k`` of its
+    resolvent ``M_k y + p_k``, with ``p_k = J_1(0)``; the stationarity
+    condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0`` restricted to V's
+    basis is then a small linear system.
     """
     if inst.kind != "wiener" or not inst.blocks:
         raise ValidationError("wiener_oracle needs a wiener instance built from blocks")
-    if any(B_k.affine is None for _L_k, B_k, _w_k in inst.blocks):
+    if not all(B_k.constant_derivative for _L_k, B_k, _w_k in inst.blocks):
         raise ValidationError("wiener_oracle needs scaled-identity forward maps")
     terms = []
     for L_k, B_k, w_k in inst.blocks:
-        M_k, p_k = B_k.affine(1.0)
+        origin = B_k.space.zeros()
+        M_k, p_k = B_k.derivative(1.0, origin), B_k._evaluator(1.0, origin)
         terms.append((L_k, p_k, w_k * (1.0 - M_k), w_k))
     basis = inst.V.basis
     coeffs = np.linalg.solve(*normal_equations(basis, terms))
@@ -448,9 +450,9 @@ class RunReport:
     x0_projected: bool
     certificates: dict
     memory: int     # the Anderson window of the run; 0: the plain relaxed steps
-    fallbacks: int  # Anderson candidates the safeguard rejected
-    exact_candidate: bool  # the exact fixed point of an all-affine step was taken
-    rank_G: int | None     # rank of G in its least-squares solve; None: not tried
+    fallbacks: int  # Newton and Anderson candidates the safeguard rejected
+    newton_candidates: int  # Newton candidates taken
+    rank_G: int | None      # rank the last Newton solve reported; None: none tried
 
     def to_json(self):
         """Strict JSON: a non-finite number is written as ``null``."""
@@ -522,7 +524,7 @@ def execute(spec, unsafe=False):
             certificates=certificates(inst),
             memory=ANDERSON_MEMORY if schedule.anderson else 0,
             fallbacks=trace.fallbacks,
-            exact_candidate=trace.exact_candidate,
+            newton_candidates=trace.newton_candidates,
             rank_G=trace.rank_G,
         )
     return report, trace

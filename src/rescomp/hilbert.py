@@ -20,6 +20,10 @@ Everything else in the package is built on the three objects defined here:
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
 scale; the linear resolvents and quadratic proxes are built on both.
 
+:func:`displacement_jacobian` applies a resolvent derivative ``D``, given in
+one of the forms the catalog declares (a scalar, a diagonal, a matrix, a
+:class:`RankOne` correction, or a list of blocks), as ``(D - I) A``.
+
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
 :meth:`Space.validate` (shape, finiteness, float64).  The kernels behind
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,6 +320,33 @@ def shifted_inverse(M):
         return inv
 
     return inverse
+
+
+class RankOne(NamedTuple):
+    """The matrix ``scale (I - u v^T)``: a projection's derivative off a ball or halfspace."""
+
+    scale: float
+    u: np.ndarray
+    v: np.ndarray
+
+
+def displacement_jacobian(D, A):
+    """``(D - I) A`` for a derivative ``D`` and a matrix ``A`` whose rows are D's domain.
+
+    ``D`` is a scalar ``d`` (``d I``), a 1-D array (the diagonal), a 2-D
+    matrix, a :class:`RankOne`, or a list of ``(slice, D_k)`` blocks of a
+    block-diagonal matrix.  No form but the matrix is made dense.
+    """
+    if isinstance(D, np.ndarray):
+        return D @ A - A if D.ndim == 2 else (D - 1.0)[:, None] * A
+    if isinstance(D, RankOne):
+        return (D.scale - 1.0) * A - D.scale * D.u[:, None] * (D.v @ A)
+    if isinstance(D, list):
+        out = np.empty_like(A)
+        for sl, D_k in D:
+            out[sl] = displacement_jacobian(D_k, A[sl])
+        return out
+    return (D - 1.0) * A
 
 
 def stack(maps, weights):

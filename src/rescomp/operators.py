@@ -22,11 +22,20 @@ subdifferential, which :func:`subdifferential` returns: an indicator on a
 normal cone, a conjugate on ``inverse`` (the one Moreau identity) and a
 separable sum on ``product_family``.
 
-Catalog constructors whose resolvent is an affine map declare it:
-``affine(gamma) -> (M, b)`` with ``J_{gamma B}(y) = M y + b``, ``M`` a
-scalar or a matrix.  The relaxed solvers fold such blocks into one fixed
-matrix per solve.  Derived families declare nothing (``affine`` is None);
-a product lists its ``factors`` as ``(family, slice)`` pairs instead.
+Every catalog constructor declares one ``derivative(gamma, y)``: an
+element of the generalized Jacobian of ``J_{gamma B}`` at ``y``, in one of
+the forms of :func:`~rescomp.hilbert.displacement_jacobian`.  The normal
+cones of boxes, balls and halfspaces and the ``abs`` soft threshold give
+0/1 diagonals or rank-one corrections that depend on ``y``.  Where the
+resolvent is affine (zero, scaled identity, linear, the normal cones of
+singletons and affine subspaces, quadratics, half squared distances and a
+Wiener block built from a number) the derivative is a constant and
+``constant_derivative`` is set: then ``J_{gamma B}(y) = D y + J_{gamma B}(0)``.
+The relaxed solvers fold such blocks into one fixed matrix per solve and
+build the Jacobian of their step from the others.  Derived families
+(scaled, inverse, composed, product) and a Wiener block with a callable
+forward map declare none (``derivative`` is None); a product lists its
+``factors`` as ``(family, slice)`` pairs instead.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.
@@ -64,20 +73,21 @@ class GraphPoint(NamedTuple):
 class ResolventFamily:
     """An operator ``B`` given by ``gamma -> J_{gamma B}``.
 
-    ``cset`` is the convex set of a normal cone, ``affine(gamma) -> (M, b)``
-    the affine form ``J_{gamma B}(y) = M y + b`` of a catalog resolvent, and
-    ``factors`` the ``(family, slice)`` blocks of a product (each None when
-    it does not apply).
+    ``cset`` is the convex set of a normal cone, ``derivative(gamma, y)`` the
+    declared derivative of a catalog resolvent (``constant_derivative``: it
+    does not depend on ``y``), and ``factors`` the ``(family, slice)``
+    blocks of a product (each None when it does not apply).
     """
 
     def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None,
-                 affine=None, factors=None):
+                 derivative=None, constant_derivative=False, factors=None):
         self.space = space
         self.kind = kind
         self._evaluator = evaluator
         self.scale_domain = scale_domain
         self.cset = cset
-        self.affine = affine
+        self.derivative = derivative
+        self.constant_derivative = constant_derivative
         self.factors = factors
 
     # -- scale bookkeeping ----------------------------------------------
@@ -176,7 +186,7 @@ class ResolventFamily:
 def zero_operator(space):
     """``B = 0``: the resolvent is the identity at every scale."""
     return ResolventFamily(space, "zero", lambda gamma, y: y.copy(),
-                           affine=lambda gamma: (1.0, 0.0))
+                           derivative=lambda gamma, y: 1.0, constant_derivative=True)
 
 
 def scaled_identity(space, c):
@@ -186,19 +196,20 @@ def scaled_identity(space, c):
         raise ValidationError("scaled identity needs c >= 0 to stay monotone")
     return ResolventFamily(
         space, f"identity-scaled({c:g})", lambda gamma, y: y / (1.0 + gamma * c),
-        affine=lambda gamma: (1.0 / (1.0 + gamma * c), 0.0),
+        derivative=lambda gamma, y: 1.0 / (1.0 + gamma * c), constant_derivative=True,
     )
 
 
 def normal_cone(cset):
     """Normal cone of a convex set: the resolvent is the projection, at any scale."""
-    form = cset.affine_projection()
+    derivative = cset._derivative
     return ResolventFamily(
         cset.space,
         f"normal-cone({cset.tag})",
         lambda gamma, y: cset._project(y),
         cset=cset,
-        affine=None if form is None else (lambda gamma: form),
+        derivative=None if derivative is None else (lambda gamma, y: derivative(y)),
+        constant_derivative=cset.constant_derivative,
     )
 
 
@@ -212,7 +223,7 @@ def linear_monotone(space, M):
     M, _ = check_monotone(space, M, "linear operator")
     inverse = shifted_inverse(M)
     return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y,
-                           affine=lambda gamma: (inverse(gamma), 0.0))
+                           derivative=lambda gamma, y: inverse(gamma), constant_derivative=True)
 
 
 def subdifferential(g):
@@ -227,18 +238,19 @@ def make_wiener(space, F, p):
     ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  A number ``F = c``
     (not a bool) is the map ``c Id``: firm nonexpansiveness is then decided
     exactly (``0 <= c <= 1``), and the one ``c`` gives both the evaluator
-    ``y - c y + p`` and the declared affine form ``(1 - c, p)``.  A callable
-    ``F`` is the caller's responsibility; it is spot checked here on random
-    pairs drawn with seed 0, which validates without proving.
+    ``y - c y + p`` and the constant derivative ``1 - c``.  A callable ``F``
+    is the caller's responsibility; it is spot checked here on random pairs
+    drawn with seed 0, which validates without proving, and the family
+    declares no derivative.
     """
     p = space.validate(p).copy()
     if isinstance(F, numbers.Real):
         c = _real("wiener forward scale", F)
         if not 0.0 <= c <= 1.0:
             raise ValidationError(_WIENER_REJECTED)
-        form = (1.0 - c, p)
         return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p,
-                               scale_domain=1.0, affine=lambda gamma: form)
+                               scale_domain=1.0, derivative=lambda gamma, y: 1.0 - c,
+                               constant_derivative=True)
     if not callable(F):
         raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
     rng = np.random.default_rng(0)

@@ -701,7 +701,8 @@ def suite_residual_agreement(rng, trials):
     for _ in range(max(1, trials // 200)):
         inst = _random_split_instance(rng)
         x, trace = solve_relaxed(
-            inst, inst.space.zeros(), Schedule(lam=1.0, max_iterations=500_000, tol=1e-12)
+            inst, inst.space.zeros(),
+            Schedule(lam=1.0, max_iterations=500_000, tol=1e-12, anderson=True),
         )
         fam = inst.relaxed_family()
         worst = max(worst, inst.fixed_point_residual(x))
@@ -758,7 +759,7 @@ def suite_oracle_agreement(rng, trials):
     for _ in range(max(1, trials // 100)):
         inst = _random_split_instance(rng)
         ref, _flag = least_squares_oracle(inst)
-        x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12))
+        x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
         worst = max(worst, inst.space.norm(x - ref))
     return worst
 

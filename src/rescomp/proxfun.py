@@ -49,9 +49,8 @@ INDICATOR_TOL = 1e-8
 class ProxFunction:
     """A proper lsc convex function given by the resolvent family of its subdifferential.
 
-    The resolvent of ``subdifferential`` is the prox, and its ``affine``
-    form, ``affine(gamma) -> (M, b)`` with ``prox_{gamma g}(x) = M x + b``
-    when the catalog declares one, is the function's.
+    The resolvent of ``subdifferential`` is the prox, and its declared
+    ``derivative`` is the derivative of the prox.
     """
 
     def __init__(self, tag, subdifferential, value=None, conjugate_value=None,
@@ -60,7 +59,6 @@ class ProxFunction:
         self.tag = tag
         self.subdifferential = subdifferential
         self._prox = subdifferential._evaluator
-        self.affine = subdifferential.affine
         self._value = value
         self._conjugate_value = conjugate_value
         self._minimizer = None if minimizer is None else self.space.validate(minimizer).copy()
@@ -116,11 +114,12 @@ def indicator(cset: ConvexSet):
         return 0.0 if cset._distance(x) <= INDICATOR_TOL else np.inf
 
     tag = f"indicator({cset.tag})"
-    cone = normal_cone(cset)  # its resolvent and form, and its set, under the function's name
+    cone = normal_cone(cset)  # its resolvent, derivative and set, under the function's name
     return ProxFunction(
         tag,
         ResolventFamily(cset.space, f"subdifferential({tag})", cone._evaluator, cset=cset,
-                        affine=cone.affine),
+                        derivative=cone.derivative,
+                        constant_derivative=cone.constant_derivative),
         value=value,
         conjugate_value=_support_function(cset),
         minimizer=cset.any_point(),
@@ -165,13 +164,16 @@ def one_norm(space):
         thresh = gamma / w
         return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
 
+    def derivative(gamma, x):
+        return (np.abs(x) > gamma / w).astype(float)
+
     def conj_value(y):
         # conjugate is the indicator of {y : |w_i y_i| <= 1 for all i}
         return 0.0 if np.max(np.abs(w * y)) <= 1.0 + INDICATOR_TOL else np.inf
 
     return ProxFunction(
         "abs-l1",
-        ResolventFamily(space, "subdifferential(abs-l1)", prox),
+        ResolventFamily(space, "subdifferential(abs-l1)", prox, derivative=derivative),
         value=lambda x: float(np.sum(np.abs(x))),
         conjugate_value=conj_value,
         minimizer=space.zeros(),
@@ -208,10 +210,8 @@ def quadratic(space, Q, b=None):
 
         minimizer = np.linalg.solve(Q, b)
 
-    family = ResolventFamily(
-        space, "subdifferential(quadratic)", prox,
-        affine=lambda gamma: (inverse(gamma), gamma * (inverse(gamma) @ b)),
-    )
+    family = ResolventFamily(space, "subdifferential(quadratic)", prox,
+                             derivative=lambda gamma, x: inverse(gamma), constant_derivative=True)
     return ProxFunction("quadratic", family, value=value, conjugate_value=conj_value,
                         minimizer=minimizer)
 
@@ -223,10 +223,9 @@ def half_squared_distance(space, p):
     def prox(gamma, x):
         return (x + gamma * p) / (1.0 + gamma)
 
-    family = ResolventFamily(
-        space, "subdifferential(half-sq-dist)", prox,
-        affine=lambda gamma: (1.0 / (1.0 + gamma), (gamma / (1.0 + gamma)) * p),
-    )
+    family = ResolventFamily(space, "subdifferential(half-sq-dist)", prox,
+                             derivative=lambda gamma, x: 1.0 / (1.0 + gamma),
+                             constant_derivative=True)
     return ProxFunction(
         "half-sq-dist",
         family,

@@ -9,8 +9,14 @@ balls and halfspaces are defined with respect to the metric norm.
 
 :meth:`ConvexSet.project` validates, then calls the subclass's raw
 ``_project``, which product sets, normal cones and indicators call directly.
-Singletons and affine subspaces give their projection as an affine map
-``(M, b)`` through :meth:`ConvexSet.affine_projection`.
+
+Each catalog set also gives ``_derivative(x)``, an element of the
+generalized Jacobian of its projection at ``x``, in one of the forms of
+:func:`~rescomp.hilbert.displacement_jacobian`: a 0/1 diagonal for a box,
+``I`` or a :class:`~rescomp.hilbert.RankOne` correction for a ball or a
+halfspace, the constant ``0`` or ``P`` of a singleton or an affine subspace
+(``constant_derivative`` marks these), and a list of blocks for a product.
+A subclass that gives none leaves ``_derivative`` None.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import SubspaceProjector
+from .hilbert import RankOne, SubspaceProjector
 
 
 class ConvexSet:
     """Base class: a nonempty closed convex subset of ``space``."""
 
     tag = "abstract"
+    _derivative = None  # x -> derivative of the projection at x, in a subclass that has one
+    constant_derivative = False  # the projection is affine: _derivative ignores x
 
     def __init__(self, space):
         self.space = space
@@ -50,10 +58,6 @@ class ConvexSet:
         """Some point of the set (used to seed feasibility tests)."""
         return self._project(self.space.zeros())
 
-    def affine_projection(self):
-        """``(M, b)`` with ``project(x) = M x + b`` when the projection is affine, else None."""
-        return None
-
 
 class Box(ConvexSet):
     """``{x : lower <= x <= upper}`` coordinatewise (entries may be +-inf)."""
@@ -69,6 +73,9 @@ class Box(ConvexSet):
 
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lower), self.upper)
+
+    def _derivative(self, x):
+        return ((self.lower <= x) & (x <= self.upper)).astype(float)
 
 
 class Ball(ConvexSet):
@@ -89,6 +96,13 @@ class Ball(ConvexSet):
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
+
+    def _derivative(self, x):
+        d = x - self.center
+        nd = self.space._norm(d)
+        if nd <= self.radius:
+            return 1.0
+        return RankOne(self.radius / nd, d, (self.space.weights * d) / nd**2)
 
 
 class Halfspace(ConvexSet):
@@ -111,11 +125,17 @@ class Halfspace(ConvexSet):
             return x.copy()
         return x - (excess / self._nn) * self.normal
 
+    def _derivative(self, x):
+        if self.space._inner(self.normal, x) <= self.offset:
+            return 1.0
+        return RankOne(1.0, self.normal, (self.space.weights * self.normal) / self._nn)
+
 
 class AffineSubspace(ConvexSet):
     """``anchor + span(directions)``; a vector subspace when anchor = 0."""
 
     tag = "affine"
+    constant_derivative = True
 
     def __init__(self, space, anchor, directions):
         super().__init__(space)
@@ -125,15 +145,15 @@ class AffineSubspace(ConvexSet):
     def _project(self, x):
         return self.anchor + self.projector.matrix @ (x - self.anchor)
 
-    def affine_projection(self):
-        P = self.projector.matrix
-        return P, self.anchor - P @ self.anchor
+    def _derivative(self, x):
+        return self.projector.matrix
 
 
 class Singleton(ConvexSet):
     """The one-point set ``{point}``."""
 
     tag = "singleton"
+    constant_derivative = True
 
     def __init__(self, space, point):
         super().__init__(space)
@@ -142,8 +162,8 @@ class Singleton(ConvexSet):
     def _project(self, x):
         return self.point.copy()
 
-    def affine_projection(self):
-        return 0.0, self.point
+    def _derivative(self, x):
+        return 0.0
 
 
 class ProductSet(ConvexSet):
@@ -160,9 +180,15 @@ class ProductSet(ConvexSet):
                 raise DimensionMismatchError("a block slice does not match its set's dimension")
         self.sets = list(sets)
         self.slices = list(slices)
+        self.constant_derivative = all(s.constant_derivative for s in self.sets)
+        if all(s._derivative is not None for s in self.sets):
+            self._derivative = self._blockwise_derivative
 
     def _project(self, x):
         out = np.empty_like(x)
         for s, sl in zip(self.sets, self.slices):
             out[sl] = s._project(x[sl])
         return out
+
+    def _blockwise_derivative(self, x):
+        return [(sl, s._derivative(x[sl])) for s, sl in zip(self.sets, self.slices)]

@@ -17,12 +17,12 @@ iterates lie in V, so the solvers iterate on the coordinates ``c`` of
 fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
 lifted at the end, and per step only for kept iterates or a reference.
 
-A block of ``B`` whose resolvent is affine, ``J(y) = M y + b`` (declared
-by the catalog constructor as ``affine``), needs no evaluation per step:
-its part of ``g_n`` is ``G c_n + h`` with ``G = A* (M - I) A`` and
-``h = A* b``, summed over such blocks once per solve.  Only the nonlinear
-blocks, stacked into ``A_N``, are evaluated, a single one directly with no
-scatter into a stacked vector:
+A block of ``B`` whose declared derivative ``D`` is constant (its
+resolvent is affine, ``J(y) = D y + J(0)``; see :mod:`operators`) needs no
+evaluation per step: its part of ``g_n`` is ``G c_n + h`` with
+``G = A* (D - I) A`` and ``h = A* J(0)``, summed over such blocks once per
+solve.  Only the other blocks, stacked into ``A_N``, are evaluated, a
+single one directly with no scatter into a stacked vector:
 
     g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)
 
@@ -38,28 +38,39 @@ overflow and invalid-value warnings.  Inputs are validated once; a run
 is single threaded and deterministic.  :class:`RelaxedInstance` checks the
 hypotheses; :func:`write_atomically` writes traces and run reports.
 
-``Schedule(anderson=True)`` adds a safeguarded type-II Anderson stage to
-the one loop for the coordinate solvers (on an affine step it is GMRES;
-Walker & Ni 2011).  The last ``min(ANDERSON_MEMORY, r)`` differences of
-``f = lambda_n g`` and of ``c + f`` sit in preallocated buffers.  A
-candidate from their Tikhonov-regularized least-squares fit (the weight
-is relative, so no decision depends on the scale of the data) is taken
-only if its residual is at most ``D ||g_0|| (i + 1)^-(1 + eps)``, ``i``
-the candidates taken so far (Zhang, O'Donoghue & Boyd 2020).  Otherwise
-the loop takes the plain step and drops the differences, and
-``Trace.fallbacks`` counts the rejection.  A non-finite candidate never
-passes, and a plain step that goes non-finite still ends the run with
-``non-finite``.  ``anderson=False``, the library default, is the plain
-iteration, bit for bit; :func:`proximal_point` refuses Anderson.
+``Schedule(anderson=True)`` adds a safeguarded acceleration stage to the
+one loop for the coordinate solvers.  Each update tries up to two
+candidates before the plain step:
 
-When every block is affine the step is ``G c + h``, its fixed points are
-the affine set ``{c : G c + h = 0}``, and every relaxed or Anderson step
-moves ``c`` only within ``range(G)``, so the limit from ``c_0`` is
-``c_0 - G^+ (G c_0 + h)``.  The Anderson stage tries that point first: the
-first candidate is ``c_0 - G^+ step(c_0)``, one least-squares solve with a
-relative rank cutoff.  It passes the same safeguard as any candidate;
-``Trace.exact_candidate`` says whether it was taken and ``Trace.rank_G``
-gives the rank of ``G`` the solve reported.
+* the semismooth Newton candidate ``c - J(c)^-1 g(c)`` (Li, Sun & Toh
+  2018).  ``J(c) = G + A_N* (D_N(A_N c) - I) A_N`` is built from the
+  derivatives the nonlinear blocks declare, row block by row block (a
+  diagonal scales rows, a ball or halfspace adds a rank-one term), and
+  solved by one ``r x r`` LU factorization; only a singular ``J`` takes a
+  least-squares solve with a relative rank cutoff.  When every block is
+  affine, ``J = G`` is constant and the first candidate is the exact fixed
+  point ``c_0 - G^-1 g(c_0)``, so such a run converges in one update.
+  When a nonlinear block declares no derivative there is no Newton
+  candidate;
+* a type-II Anderson candidate (on an affine step it is GMRES; Walker &
+  Ni 2011).  The last ``min(ANDERSON_MEMORY, r)`` differences of
+  ``f = lambda_n g`` and of ``c + f`` sit in preallocated buffers, and the
+  candidate comes from their Tikhonov-regularized least-squares fit (the
+  weight is relative, so no decision depends on the scale of the data).
+
+A candidate is taken only if its residual is at most
+``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates taken so
+far (Zhang, O'Donoghue & Boyd 2020).  A Newton candidate must also lower
+the residual, and a zero Newton direction is not tried: on a singular
+``J`` the bound alone would take, up to about ``_SAFEGUARD_D`` times, a
+candidate that does not move.
+``Trace.fallbacks`` counts the rejections.  A rejected Anderson candidate
+also drops the differences.  A non-finite candidate never passes, and a
+plain step that goes non-finite still ends the run with ``non-finite``.
+``Trace.newton_candidates`` counts the Newton candidates taken and
+``Trace.rank_G`` gives the rank the last Newton solve reported.
+``anderson=False``, the library default, is the plain iteration, bit for
+bit; :func:`proximal_point` refuses Anderson.
 """
 
 from __future__ import annotations
@@ -76,12 +87,12 @@ import numpy as np
 
 from .compositions import resolvent_composition, resolvent_cocomposition
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import _count, _real, check_contraction, stack
+from .hilbert import _count, _real, check_contraction, displacement_jacobian, stack
 from .operators import product_family
 
 _LAMBDA_EPS = 1e-3
 _MEMBERSHIP_TOL = 1e-10
-# The Anderson safeguard ||step(c)|| <= D ||step(c_0)|| (i + 1)^-(1 + eps) of
+# The safeguard on every candidate, ||step(c)|| <= D ||step(c_0)|| (i + 1)^-(1 + eps) of
 # Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020), with their D and eps: the
 # bounds are summable, so a run keeps the global convergence of plain steps.
 _SAFEGUARD_D = 1e6
@@ -153,9 +164,9 @@ class Trace:
     reason: str = "running"
     iterations: int = 0
     x0_projected: bool = False
-    fallbacks: int = 0  # Anderson candidates the safeguard rejected
-    exact_candidate: bool = False  # the exact fixed point of an affine step was taken
-    rank_G: int | None = None      # rank of G in that least-squares solve; None: not tried
+    fallbacks: int = 0  # Newton and Anderson candidates the safeguard rejected
+    newton_candidates: int = 0  # Newton candidates taken
+    rank_G: int | None = None   # rank the last Newton solve reported; None: none tried
     inexact_weighted_sum: float = 0.0  # sum of lambda_n ||c_n|| when perturbed
 
     def to_csv(self, path):
@@ -184,7 +195,7 @@ def write_atomically(path, write):
         raise
 
 
-def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
+def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=None):
     """The one relaxed fixed-point loop ``z <- z + lambda_n step(z)``.
 
     ``norm(step(z))`` is the residual that stops the run.  A step records
@@ -193,12 +204,12 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
     with None after the loop; the caller fills ``var_residual``.  Returns
     ``(z, trace)``.
 
-    With ``schedule.anderson`` each update first tries the Anderson
-    candidate of :func:`_anderson_candidate` on ``z -> z + f(z)``,
-    ``f = lambda_n step`` (see the module docstring).  ``step`` must then
-    be a pure function of ``z``: a rejected candidate costs one evaluation
-    that is not a step.  When ``step(z) = G z + h`` is affine and ``G`` is
-    given, the first candidate is its exact fixed point ``z - G^+ step(z)``.
+    With ``schedule.anderson`` each update first tries the Newton candidate
+    ``z - jacobian(z)^-1 step(z)`` when ``jacobian`` is given and the
+    direction is nonzero, then the Anderson candidate of
+    :func:`_anderson_candidate` on ``z -> z + f(z)``, ``f = lambda_n step``
+    (see the module docstring).  ``step`` must then be a pure function of
+    ``z``: a rejected candidate costs one evaluation that is not a step.
     """
     lam = schedule.lam
     unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
@@ -210,6 +221,22 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
         dF, dG = np.empty((m, len(z))), np.empty((m, len(z)))
         f_last = g_last = None
         k = j = accepted = 0
+
+        def safeguarded(candidate, ceiling=math.inf):
+            """``(step, residual)`` at a candidate the safeguard takes, else None.
+
+            The residual must also lie below ``ceiling``.
+            """
+            nonlocal accepted
+            s_c = step(candidate)
+            r_c = norm(s_c)
+            if r_c < ceiling and \
+                    r_c <= _SAFEGUARD_D * first * (accepted + 1) ** -(1 + _SAFEGUARD_EPS):
+                accepted += 1
+                return s_c, r_c
+            trace.fallbacks += 1
+            return None
+
     start = clock()
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,24 +271,21 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
                     j = (j + 1) % m
                     k = min(k + 1, m)
                 f_last, g_last = f, g
+                if jacobian is not None:
+                    delta = _newton_direction(jacobian(z), s, trace)
+                    if delta is not None and delta.any():  # a zero one would not move z
+                        candidate = z - delta
+                        if (found := safeguarded(candidate, residual)) is not None:
+                            trace.newton_candidates += 1
+                            z, (s, residual) = candidate, found
+                            continue
                 if k:
                     candidate = _anderson_candidate(dF[:k], dG[:k], f, g)
-                elif n == 1 and G is not None:
-                    delta, _, rank, _ = np.linalg.lstsq(G, s, rcond=None)
-                    candidate, trace.rank_G = z - delta, int(rank)
-                else:
-                    candidate = None
-                if candidate is not None:
-                    s = step(candidate)
-                    residual = norm(s)
-                    if residual <= _SAFEGUARD_D * first * (accepted + 1) ** -(1 + _SAFEGUARD_EPS):
-                        accepted += 1
-                        if n == 1:  # no differences yet: the exact candidate
-                            trace.exact_candidate = True
-                        z = candidate
-                        continue
-                    trace.fallbacks += 1
-                    k = j = 0
+                    if candidate is not None:
+                        if (found := safeguarded(candidate)) is not None:
+                            z, (s, residual) = candidate, found
+                            continue
+                        k = j = 0
                 z = g
             s = step(z)
             residual = norm(s)
@@ -269,6 +293,24 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, G=None):
     if distance is None:
         trace.dist_ref = [None] * (n + 1)
     return z, trace
+
+
+def _newton_direction(J, s, trace):
+    """``J^-1 s`` by one LU solve; for a singular ``J`` the least-squares ``J^+ s``.
+
+    The least-squares solve cuts singular values off relative to the largest.
+    Records the rank in ``trace.rank_G``; None when ``J`` is not finite.
+    """
+    try:
+        delta = np.linalg.solve(J, s)
+        trace.rank_G = len(s)
+    except np.linalg.LinAlgError:  # exactly singular, or not finite
+        try:
+            delta, _, rank, _ = np.linalg.lstsq(J, s, rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        trace.rank_G = int(rank)
+    return delta
 
 
 def _anderson_candidate(dF, dG, f, g):
@@ -407,35 +449,37 @@ class RelaxedInstance:
 
 
 def _coordinate_step(pieces, gamma, r):
-    """The coordinate step ``c -> sum_k A_k* (J_{gamma B_k}(A_k c) - A_k c)``.
+    """The coordinate step ``c -> sum_k A_k* (J_{gamma B_k}(A_k c) - A_k c)`` and its Jacobian.
 
-    ``pieces`` yields ``(A_k, A_k*, B_k)``.  A block with an affine
-    resolvent ``M_k y + b_k`` contributes the fixed ``G_k c + h_k``, with
-    ``G_k = A_k* (M_k - I) A_k`` and ``h_k = A_k* b_k``, summed once here;
-    the other blocks are stacked into one ``A_N`` and evaluated per step
-    through their raw evaluators.  Every block's scale is checked.
-    Returns ``(step, G)``: ``G`` when every block is affine, so that the
-    step is ``G c + h``, and None otherwise.
+    ``pieces`` yields ``(A_k, A_k*, B_k)``.  A block whose derivative
+    ``D_k`` is constant contributes the fixed ``G_k c + h_k``, with
+    ``G_k = A_k* (D_k - I) A_k`` and ``h_k = A_k* J_{gamma B_k}(0)``, summed
+    once here; the other blocks are stacked into one ``A_N`` and evaluated
+    per step through their raw evaluators.  Every block's scale is checked.
+    Returns ``(step, jacobian)``: ``jacobian(c)`` is the ``r x r`` matrix
+    ``G + A_N* (D_N(A_N c) - I) A_N``, built block by block from the
+    declared derivatives (the constant ``G`` when every block is affine),
+    and None when a nonlinear block declares no derivative.
     """
     G, h = np.zeros((r, r)), np.zeros(r)
-    rows, adjs, evaluators = [], [], []
+    rows, adjs, blocks = [], [], []
     start = 0
     for A_k, A_k_adj, B_k in pieces:
         B_k._check_scale(gamma)
-        if B_k.affine is not None:
-            M, b = B_k.affine(gamma)
-            G += A_k_adj @ (M @ A_k - A_k if np.ndim(M) else (M - 1.0) * A_k)
-            h += A_k_adj @ np.broadcast_to(b, A_k.shape[:1])
+        if B_k.constant_derivative:
+            origin = np.zeros(len(A_k))
+            G += A_k_adj @ displacement_jacobian(B_k.derivative(gamma, origin), A_k)
+            h += A_k_adj @ B_k._evaluator(gamma, origin)
             continue
         rows.append(A_k)
         adjs.append(A_k_adj)
-        evaluators.append((B_k._evaluator, slice(start, start + len(A_k))))
+        blocks.append((B_k, slice(start, start + len(A_k))))
         start += len(A_k)
-    if not evaluators:
-        return (lambda c: G @ c + h), G
+    if not blocks:
+        return (lambda c: G @ c + h), (lambda c: G)
     A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
-    if len(evaluators) == 1:
-        resolve = evaluators[0][0]
+    if len(blocks) == 1:
+        resolve = blocks[0][0]._evaluator
 
         def nonlinear(c):
             y = A_N @ c
@@ -444,19 +488,28 @@ def _coordinate_step(pieces, gamma, r):
         def nonlinear(c):
             y = A_N @ c
             z = np.empty_like(y)
-            for resolve, sl in evaluators:
-                z[sl] = resolve(gamma, y[sl])
+            for B_k, sl in blocks:
+                z[sl] = B_k._evaluator(gamma, y[sl])
             return A_N_adj @ (z - y)
 
-    if len(evaluators) == len(pieces):  # nothing folded
-        return nonlinear, None
-    return (lambda c: G @ c + h + nonlinear(c)), None
+    jacobian = None
+    if all(B_k.derivative is not None for B_k, _ in blocks):
+        def jacobian(c):
+            y = A_N @ c
+            DA = np.empty_like(A_N)
+            for B_k, sl in blocks:
+                DA[sl] = displacement_jacobian(B_k.derivative(gamma, y[sl]), A_N[sl])
+            return G + A_N_adj @ DA
+
+    if len(blocks) == len(pieces):  # nothing folded
+        return nonlinear, jacobian
+    return (lambda c: G @ c + h + nonlinear(c)), jacobian
 
 
-def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, G=None):
+def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
     """Run ``c <- c + lambda_n step(c)`` from the coordinates of ``proj_V x0``.
 
-    ``G`` is that of an affine step ``G c + h`` (see :func:`_iterate`).
+    ``jacobian`` gives the Newton candidates (see :func:`_iterate`).
     Returns ``(U c, trace)``; the trace is flagged when ``x0`` is off V.
     """
     space, basis = inst.space, inst.V.basis  # basis = U^T
@@ -469,7 +522,7 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, G=
     c, trace = _iterate(
         step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
         distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
-        lift=basis.T.dot if keep_iterates else None, G=G,
+        lift=basis.T.dot if keep_iterates else None, jacobian=jacobian,
     )
     trace.var_residual = [r / inst.gamma for r in trace.fp_residual]
     return c @ basis, trace
@@ -488,10 +541,10 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     A = inst.A
     A_adj = A.T * inst.L.codomain.weights
     factors = inst.B.factors or [(inst.B, slice(None))]
-    step, G = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
-                               inst.gamma, A.shape[1])
+    step, jacobian = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
+                                      inst.gamma, A.shape[1])
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates, G)
+                                 keep_iterates, jacobian)
 
 
 def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
@@ -507,9 +560,9 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     for L_k, B_k, w_k in inst.blocks:
         A_k = L_k.matrix @ U
         pieces.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k))
-    step, G = _coordinate_step(pieces, inst.gamma, U.shape[1])
+    step, jacobian = _coordinate_step(pieces, inst.gamma, U.shape[1])
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates, G)
+                                 keep_iterates, jacobian)
 
 
 def variational_residual(inst, x):

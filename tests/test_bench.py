@@ -214,9 +214,11 @@ class TestGenerate:
                 "subspace": [[1.0, 0.0]],
             })
 
-        assert generate_instance(spec({"tag": "scale", "c": 0.5})).blocks[0][1].affine is not None
+        scaled = generate_instance(spec({"tag": "scale", "c": 0.5})).blocks[0][1]
+        assert scaled.constant_derivative
         box = {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
-        assert generate_instance(spec({"tag": "projection", "set": box})).blocks[0][1].affine is None
+        projected = generate_instance(spec({"tag": "projection", "set": box})).blocks[0][1]
+        assert projected.derivative is None and not projected.constant_derivative
         with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
             generate_instance(spec({"tag": "scale", "c": 1.5}))
 
@@ -384,7 +386,7 @@ class TestReportJson:
 
     def test_nonfinite_config_takes_the_folded_step(self):
         inst = generate_instance(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
-        assert inst.blocks[0][1].affine is not None
+        assert inst.blocks[0][1].constant_derivative
         _, trace = execute(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)
         assert trace.reason == "non-finite"
         assert trace.fp_residual[-1] == np.inf
@@ -394,15 +396,17 @@ class TestReportJson:
         # The gate passes either way; unsafe only switches to the plain steps.
         spec = InstanceSpec.from_dict(acceptance_dict())
         finals = []
-        # Both blocks are affine, so the Anderson run takes the exact fixed point.
-        for unsafe, memory, exact, rank in ((False, ANDERSON_MEMORY, True, 1),
-                                            (True, 0, False, None)):
+        # Both blocks are affine, so the Anderson run's one update is the Newton
+        # candidate, the exact fixed point.
+        for unsafe, memory, newton, rank in ((False, ANDERSON_MEMORY, 1, 1),
+                                             (True, 0, 0, None)):
             report, trace = execute(spec, unsafe=unsafe)
             parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
             assert parsed["memory"] == memory
             assert parsed["fallbacks"] == trace.fallbacks
-            assert (parsed["exact_candidate"], parsed["rank_G"]) == (exact, rank)
-            assert (trace.exact_candidate, trace.rank_G) == (exact, rank)
+            assert (parsed["newton_candidates"], parsed["rank_G"]) == (newton, rank)
+            assert (trace.newton_candidates, trace.rank_G) == (newton, rank)
+            assert "exact_candidate" not in parsed
             assert parsed["converged"] and parsed["oracle"]["distance"] <= 1e-6
             finals.append(np.array(parsed["final_iterate"]))
         assert parsed["fallbacks"] == 0 and parsed["iterations"] == 34

@@ -10,7 +10,7 @@ from rescomp.compositions import (
     resolvent_mixture,
 )
 from rescomp.errors import ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space
+from rescomp.hilbert import LinearMap, Space, displacement_jacobian, product_space
 from rescomp.operators import (
     GraphPoint,
     linear_monotone,
@@ -28,7 +28,7 @@ from rescomp.properties import (
     suite_yosida_cocoercive,
     suite_zeros_fixed_points,
 )
-from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
+from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
 
 R1 = Space(1)
 
@@ -251,8 +251,8 @@ class TestWienerConstruction:
         B = make_wiener(R1, 0.9, [1.0])
         y = np.array([4.0])
         assert np.array_equal(B._evaluator(1.0, y), y - 0.9 * y + 1.0)
-        M, b = B.affine(1.0)
-        assert M == 1.0 - 0.9 and np.array_equal(b, [1.0])
+        assert B.constant_derivative and B.derivative(1.0, y) == 1.0 - 0.9
+        assert np.array_equal(B._evaluator(1.0, R1.zeros()), [1.0])
 
     def test_bool_forward_map_is_refused(self):
         with pytest.raises(ValidationError, match="must be a number"):
@@ -276,13 +276,19 @@ class TestWienerConstruction:
 W3 = Space(3, [0.5, 1.0, 2.0])
 
 
-def _apply_affine(form, y):
-    M, b = form
-    return (M @ y if np.ndim(M) else M * y) + b
+def dense(D, n):
+    """A declared derivative ``D`` in any of its forms as an ``n x n`` matrix."""
+    return displacement_jacobian(D, np.eye(n)) + np.eye(n)
+
+
+def _apply_affine(B, gamma, y):
+    """``D y + J(0)``: the affine resolvent read from a constant derivative and the evaluator."""
+    origin = np.zeros(len(y))
+    return dense(B.derivative(gamma, origin), len(y)) @ y + B._evaluator(gamma, origin)
 
 
 def affine_catalog():
-    """Every operator constructor that declares an affine resolvent, on a weighted space."""
+    """Every operator constructor whose resolvent is affine, on a weighted space."""
     rng = np.random.default_rng(17)
     w = W3.weights
     K = rng.standard_normal((3, 3))
@@ -300,34 +306,42 @@ def affine_catalog():
 
 
 class TestAffineForms:
+    """A member whose resolvent is affine declares a constant derivative ``D``, so
+    that ``J_{gamma B}(y) = D y + J_{gamma B}(0)``."""
+
     @pytest.mark.parametrize("B", affine_catalog(), ids=lambda B: B.kind)
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_affine_form_matches_evaluator(self, B, gamma):
+        assert B.constant_derivative
         rng = np.random.default_rng(4)
         for _ in range(10):
             y = 3.0 * rng.standard_normal(3)
             want = B._evaluator(gamma, y)
-            got = _apply_affine(B.affine(gamma), y)
+            got = _apply_affine(B, gamma, y)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(B.derivative(gamma, y), B.derivative(gamma, -y))
 
     def test_scale_forward_wiener_matches_evaluator(self):
         p = np.array([0.3, -1.2, 2.0])
         B = make_wiener(W3, 0.6, p)
+        assert B.constant_derivative
         rng = np.random.default_rng(5)
         for _ in range(10):
             y = 3.0 * rng.standard_normal(3)
             want = B._evaluator(1.0, y)
-            assert np.max(np.abs(_apply_affine(B.affine(1.0), y) - want)) <= (
+            assert np.max(np.abs(_apply_affine(B, 1.0, y) - want)) <= (
                 1e-14 * np.max(np.abs(want))
             )
 
     def test_nonlinear_catalog_members_declare_nothing(self):
+        # Nothing affine: their derivatives depend on y, or (a callable F) are not declared.
         rng = np.random.default_rng(6)
         for cset in (Box(W3, -np.ones(3), np.ones(3)), Ball(W3, np.zeros(3), 1.0),
                      Halfspace(W3, np.ones(3), 0.5)):
-            assert normal_cone(cset).affine is None
-        assert subdifferential(one_norm(W3)).affine is None
-        assert make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3)).affine is None
+            assert not normal_cone(cset).constant_derivative
+        assert not subdifferential(one_norm(W3)).constant_derivative
+        wiener = make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3))
+        assert wiener.derivative is None and not wiener.constant_derivative
 
     def test_derived_families_declare_nothing(self):
         B = scaled_identity(W3, 1.0)
@@ -342,7 +356,7 @@ class TestAffineForms:
             resolvent_average([B, B], [0.5, 0.5]),
         ]
         for fam in derived:
-            assert fam.affine is None, fam.kind
+            assert fam.derivative is None and not fam.constant_derivative, fam.kind
 
     def test_product_lists_its_factors(self):
         s1, s2 = Space(1), Space(2)
@@ -400,3 +414,120 @@ class TestZerosAndScaling:
             fam.resolvent(2.0, [4.0, 9.0, 9.0])
         with pytest.raises(ValidationError, match="incompatible"):
             product_family([wiener, make_wiener(s1, 0.5, [1.0]).scaled(2.0)])
+
+
+S2 = Space(2, [3.0, 0.7])
+
+
+def derivative_catalog():
+    """``(name, family, gammas, kink)`` for every catalog member that declares a derivative,
+    on weighted spaces; ``kink(gamma, y)`` is the distance of ``y`` from the set where the
+    resolvent is not differentiable (None: it is differentiable everywhere)."""
+    rng = np.random.default_rng(29)
+    w = W3.weights
+    K = rng.standard_normal((3, 3))
+    R = rng.standard_normal((3, 3))
+    box = Box(W3, [-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
+    ball = Ball(W3, np.array([0.5, -0.5, 1.0]), 1.5)
+    half = Halfspace(W3, np.array([1.0, -2.0, 0.5]), 0.3)
+    disc = Ball(S2, np.array([1.0, 2.0]), 0.5)
+    product = ProductSet(product_space([W3, S2], [0.5, 2.0]), [box, disc],
+                         [slice(0, 3), slice(3, 5)])
+    scales = [0.5, 1.0, 2.0]
+
+    def box_kink(gamma, y):
+        return np.min(np.abs(np.concatenate([y - box.lower, y - box.upper])))
+
+    def ball_kink(gamma, y):
+        return abs(W3.norm(y - ball.center) - ball.radius)
+
+    def product_kink(gamma, y):
+        return min(box_kink(gamma, y[:3]), abs(S2.norm(y[3:] - disc.center) - disc.radius))
+
+    return [
+        ("zero", zero_operator(W3), scales, None),
+        ("scaled-identity", scaled_identity(W3, 1.7), scales, None),
+        ("linear", linear_monotone(W3, (K - K.T + 0.5 * np.eye(3)) / w[:, None]), scales, None),
+        ("normal-cone(singleton)", normal_cone(Singleton(W3, rng.standard_normal(3))), scales,
+         None),
+        ("normal-cone(affine)", normal_cone(AffineSubspace(W3, rng.standard_normal(3),
+                                                           [rng.standard_normal(3)])),
+         scales, None),
+        ("normal-cone(box)", normal_cone(box), scales, box_kink),
+        ("normal-cone(ball)", normal_cone(ball), scales, ball_kink),
+        ("normal-cone(halfspace)", normal_cone(half), scales,
+         lambda gamma, y: abs(W3.inner(half.normal, y) - half.offset)),
+        ("normal-cone(product)", normal_cone(product), scales, product_kink),
+        ("subdifferential(abs-l1)", subdifferential(one_norm(W3)), scales,
+         lambda gamma, y: np.min(np.abs(np.abs(y) - gamma / w))),
+        ("subdifferential(quadratic)",
+         subdifferential(quadratic(W3, (R @ R.T) / w[:, None], rng.standard_normal(3))),
+         scales, None),
+        ("subdifferential(half-sq-dist)",
+         subdifferential(half_squared_distance(W3, rng.standard_normal(3))), scales, None),
+        ("subdifferential(indicator(ball))", subdifferential(indicator(ball)), scales,
+         ball_kink),
+        ("wiener(scale)", make_wiener(W3, 0.6, rng.standard_normal(3)), [1.0], None),
+    ]
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("name, B, gammas, kink", derivative_catalog(),
+                             ids=[entry[0] for entry in derivative_catalog()])
+    def test_matches_a_central_difference(self, name, B, gammas, kink):
+        # Away from the kinks each resolvent is smooth (affine, or a ball's
+        # radial map), so a central difference of step h is exact to about
+        # eps / h + h^2 ||J'''||.
+        rng = np.random.default_rng(41)
+        n, h = B.space.dim, 1e-6
+        patterns = set()  # which blocks are the identity: a nonlinear member meets several
+        for gamma in gammas:
+            tested = 0
+            while tested < 20:
+                y = 2.0 * rng.standard_normal(n)
+                if kink is not None and kink(gamma, y) < 1e-3:
+                    continue
+                columns = [(B._evaluator(gamma, y + h * e) - B._evaluator(gamma, y - h * e))
+                           / (2.0 * h) for e in np.eye(n)]
+                D = dense(B.derivative(gamma, y), n)
+                assert np.max(np.abs(D - np.array(columns).T)) <= 1e-7, (gamma, y)
+                patterns.add(tuple(np.all(D == np.eye(n), axis=0)))
+                tested += 1
+        assert (len(patterns) > 1) == (kink is not None)
+
+    def test_constant_members_reproduce_their_affine_forms(self):
+        # The (M, b) each y-independent member declared before derivatives
+        # replaced the affine forms, against D and J_gamma(0) from the evaluator.
+        rng = np.random.default_rng(43)
+        w = W3.weights
+        K = rng.standard_normal((3, 3))
+        M_lin = (K - K.T + 0.5 * np.eye(3)) / w[:, None]
+        R = rng.standard_normal((3, 3))
+        Q, b = (R @ R.T) / w[:, None], rng.standard_normal(3)
+        point, anchor, c = rng.standard_normal(3), rng.standard_normal(3), 0.6
+        line = AffineSubspace(W3, anchor, [rng.standard_normal(3)])
+        P = line.projector.matrix
+        for gamma in (0.5, 1.0, 2.0):
+            inv_lin = np.linalg.inv(np.eye(3) + gamma * M_lin)
+            inv_q = np.linalg.inv(np.eye(3) + gamma * Q)
+            cases = [
+                (zero_operator(W3), 1.0, 0.0),
+                (scaled_identity(W3, 1.7), 1.0 / (1.0 + gamma * 1.7), 0.0),
+                (linear_monotone(W3, M_lin), inv_lin, 0.0),
+                (normal_cone(Singleton(W3, point)), 0.0, point),
+                (normal_cone(line), P, anchor - P @ anchor),
+                (subdifferential(indicator(Singleton(W3, point))), 0.0, point),
+                (subdifferential(quadratic(W3, Q, b)), inv_q, gamma * (inv_q @ b)),
+                (subdifferential(half_squared_distance(W3, point)), 1.0 / (1.0 + gamma),
+                 (gamma / (1.0 + gamma)) * point),
+            ]
+            if gamma == 1.0:
+                cases.append((make_wiener(W3, c, point), 1.0 - c, point))
+            for B, M, offset in cases:
+                origin = W3.zeros()
+                assert B.constant_derivative, B.kind
+                D = B.derivative(gamma, rng.standard_normal(3))
+                assert np.shape(D) == np.shape(M), B.kind
+                assert np.allclose(D, M, rtol=1e-14, atol=1e-15), B.kind
+                assert np.allclose(B._evaluator(gamma, origin), offset, rtol=1e-14,
+                                   atol=1e-15), B.kind

@@ -9,7 +9,7 @@ from rescomp.errors import (
     DimensionMismatchError,
     ValidationError,
 )
-from rescomp.hilbert import LinearMap, Space, identity_map, stack
+from rescomp.hilbert import LinearMap, Space, displacement_jacobian, identity_map, stack
 from rescomp.proxfun import (
     conjugate_prox,
     half_squared_distance,
@@ -125,7 +125,7 @@ W3 = Space(3, [0.5, 1.0, 2.0])
 
 
 def affine_prox_catalog():
-    """Every prox constructor that declares an affine prox, on a weighted space."""
+    """Every prox constructor whose prox is affine, on a weighted space."""
     rng = np.random.default_rng(23)
     R = rng.standard_normal((3, 3))
     return [
@@ -137,20 +137,26 @@ def affine_prox_catalog():
 
 
 class TestAffineProx:
+    """An affine prox is ``prox_{gamma g}(x) = D x + prox_{gamma g}(0)``, with ``D`` the
+    constant derivative that the subdifferential declares."""
+
     @pytest.mark.parametrize("g", affine_prox_catalog(), ids=lambda g: g.tag)
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_affine_form_matches_prox(self, g, gamma):
         rng = np.random.default_rng(8)
+        origin = W3.zeros()
+        D = displacement_jacobian(g.subdifferential.derivative(gamma, origin), np.eye(3))
+        M, b = D + np.eye(3), g._prox(gamma, origin)
         for _ in range(10):
             x = 3.0 * rng.standard_normal(3)
-            M, b = g.affine(gamma)
-            got = (M @ x if np.ndim(M) else M * x) + b
             want = g._prox(gamma, x)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(M @ x + b - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("g", affine_prox_catalog(), ids=lambda g: g.tag)
     def test_subdifferential_inherits_the_form(self, g):
-        assert subdifferential(g).affine is g.affine
+        fam = subdifferential(g)
+        assert fam is g.subdifferential and fam._evaluator is g._prox
+        assert fam.constant_derivative and fam.derivative is not None
 
     def test_nonlinear_and_derived_functions_declare_nothing(self):
         nonlinear = [
@@ -162,7 +168,9 @@ class TestAffineProx:
         affine = half_squared_distance(W3, np.ones(3))
         derived = [affine.conjugate(), separable([affine, affine], [0.5, 0.5])]
         for g in nonlinear + derived:
-            assert g.affine is None, g.tag
+            assert not g.subdifferential.constant_derivative, g.tag
+        for g in derived:
+            assert g.subdifferential.derivative is None, g.tag
 
 
 class TestSubdifferentialIsTheFamily:
@@ -180,7 +188,8 @@ class TestSubdifferentialIsTheFamily:
 
     def test_conjugates_declare_no_affine_form(self):
         for g in affine_prox_catalog() + [one_norm(W3)]:
-            assert g.conjugate().affine is None, g.tag
+            conjugate = g.conjugate().subdifferential
+            assert conjugate.derivative is None and not conjugate.constant_derivative, g.tag
 
     def test_separable_prox_is_the_written_out_blockwise_prox(self):
         rng = np.random.default_rng(12)

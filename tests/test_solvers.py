@@ -16,7 +16,8 @@ from rescomp.bench import (
 )
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
-from rescomp.operators import make_wiener, normal_cone, scaled_identity
+from rescomp.operators import make_wiener, normal_cone, scaled_identity, subdifferential
+from rescomp.proxfun import one_norm
 from rescomp.properties import (
     _random_split_instance,
     suite_block_stacked,
@@ -157,6 +158,13 @@ def kind_instance(kind, n):
     config["spaces"]["blocks"] = [{"dim": m, "weights": G.weights.tolist()} for G in blocks]
     config.update(maps=maps, sets=sets, subspace=[H.random(rng).tolist() for _ in range(m)])
     return generate_instance(InstanceSpec.from_dict(config))
+
+
+def without_derivatives(inst):
+    """``inst`` with each block's family wrapped so that it declares no derivative: the
+    same steps, with nothing folded and no Newton candidate."""
+    blocks = [(L, fam.scaled(1.0), w) for L, fam, w in inst.blocks]
+    return RelaxedInstance.from_blocks(inst.V, blocks, inst.gamma, kind=inst.kind)
 
 
 def affine_singleton_instances():
@@ -544,17 +552,17 @@ class TestAffineFold:
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_affine_blocks_are_not_evaluated(self, solver, monkeypatch):
         inst, x0 = coordinate_instance(self.VARIANTS[1])
-        calls = {}
+        calls, points = {}, []
         for k, (_L, fam, _w) in enumerate(inst.blocks):
-            if fam.affine is not None:
-                monkeypatch.setattr(fam, "_evaluator", lambda gamma, y: 1 / 0)
-            else:
-                def counted(gamma, y, k=k, evaluate=fam._evaluator):
-                    calls[k] = calls.get(k, 0) + 1
-                    return evaluate(gamma, y)
-                monkeypatch.setattr(fam, "_evaluator", counted)
+            def counted(gamma, y, k=k, evaluate=fam._evaluator):
+                calls[k] = calls.get(k, 0) + 1
+                points.append((k, y.copy()))
+                return evaluate(gamma, y)
+            monkeypatch.setattr(fam, "_evaluator", counted)
         solver(inst, x0, Schedule(max_iterations=10, tol=0.0))
-        assert calls == {0: 11, 1: 11, 3: 11}
+        # The affine block is evaluated once, at 0, for the offset J(0) of its fold.
+        assert calls == {0: 11, 1: 11, 2: 1, 3: 11}
+        assert [np.any(y) for k, y in points if k == 2] == [False]
 
     def test_single_block_step_is_the_unfolded_step(self):
         inst, x0 = coordinate_instance(("ball",))
@@ -591,8 +599,8 @@ class TestAnderson:
                             keep_iterates=True)
             assert np.array_equal(xa, xb)
             assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
-            assert (ta.exact_candidate, ta.rank_G) == (tb.exact_candidate, tb.rank_G) \
-                == (False, None)
+            assert (ta.newton_candidates, ta.rank_G) == (tb.newton_candidates, tb.rank_G) \
+                == (0, None)
             assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
             assert ta.dist_ref == tb.dist_ref
             assert all(np.array_equal(u, v)
@@ -623,18 +631,18 @@ class TestAnderson:
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_reaches_the_least_squares_oracle_on_affine_instances(self, solver):
-        # Every block affine: the first candidate is c_0 - G^+ step(c_0), the
-        # oracle's point, so one update reaches tol 1e-12, the three stalling
-        # property-suite draws included.  G has condition up to
-        # 1 / sigma_min(L U)^2 (4.8e4 on the first draw), so in float64 a
-        # solve is exact to about eps / sigma_min^2 relative, not to 1e-12.
+        # Every block affine: the first candidate is the Newton point
+        # c_0 - G^-1 step(c_0), the oracle's point, so one update reaches tol
+        # 1e-12, the three stalling property-suite draws included.  G has
+        # condition up to 1 / sigma_min(L U)^2 (4.8e4 on the first draw), so in
+        # float64 a solve is exact to about eps / sigma_min^2 relative, not to 1e-12.
         cases = [(inst, least_squares_oracle(inst)[0]) for inst in affine_singleton_instances()]
         cases += [(inst, wiener_oracle(inst))
                   for inst in (kind_instance("wiener", 4), kind_instance("wiener", 50))]
         for inst, ref in cases:
             x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
             assert (trace.reason, trace.iterations, trace.fallbacks) == ("converged", 1, 0)
-            assert trace.exact_candidate and trace.rank_G == inst.V.rank
+            assert trace.newton_candidates == 1 and trace.rank_G == inst.V.rank
             limit = max(1e-12, np.finfo(float).eps / certificates(inst)["sigma_min_LU"] ** 2)
             assert inst.space.norm(x - ref) <= limit * inst.space.norm(ref)
 
@@ -643,7 +651,7 @@ class TestAnderson:
         inst = affine_singleton_instances()[0]
         x, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=0, anderson=True))
         assert (trace.reason, trace.iterations, trace.rank_G) == ("max_iterations", 0, None)
-        assert not trace.exact_candidate and not np.any(x)
+        assert trace.newton_candidates == 0 and not np.any(x)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_exact_fixed_point_scales_with_the_targets(self, solver):
@@ -674,41 +682,113 @@ class TestAnderson:
     @pytest.mark.parametrize("D", [solvers._SAFEGUARD_D, 0.1], ids=["default", "binding"])
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_accepted_candidates_meet_the_safeguard(self, solver, D, monkeypatch):
-        evaluations = []  # every (c, step(c)) in the order the loop asked for them
+        records = []  # (c, step(c)) and (c, None) for jacobian(c), in the order the loop asked
         build = solvers._coordinate_step
 
         def recording(*args):
-            step, G = build(*args)
+            step, jacobian = build(*args)
 
             def recorded(c):
                 s = step(c)
-                evaluations.append((c.copy(), s))
+                records.append((c.copy(), s))
                 return s
-            return recorded, G
+
+            def recorded_jacobian(c):
+                records.append((c.copy(), None))
+                return jacobian(c)
+            return recorded, None if jacobian is None else recorded_jacobian
 
         monkeypatch.setattr(solvers, "_coordinate_step", recording)
         monkeypatch.setattr(solvers, "_SAFEGUARD_D", D)
         inst, x0 = coordinate_instance(("box", "ball", "point", "ball"))
-        _, trace = solver(inst, x0, Schedule(anderson=True))
-        # Replay: from an iterate (z, s) the loop evaluates either the plain
-        # step z + s, or a candidate, followed by z + s when it is rejected.
-        (z, s), rest = evaluations[0], evaluations[1:]
-        first, steps, accepted, rejected = coordinate_norm(s), 0, 0, 0
-        for i, (c, sc) in enumerate(rest):
-            plain = z + s
-            if not np.array_equal(c, plain):
-                if i + 1 < len(rest) and np.array_equal(rest[i + 1][0], plain):
-                    rejected += 1
+        # With derivatives each update tries a Newton candidate; without, only Anderson's.
+        for case, newton in ((inst, True), (without_derivatives(inst), False)):
+            records.clear()
+            _, trace = solver(case, x0, Schedule(anderson=True))
+            # Replay: from an iterate (z, s) the loop evaluates the plain step
+            # z + s, or candidates until one is taken: first the Newton one,
+            # right after jacobian(z), then the Anderson one, and z + s when
+            # both are rejected.  A taken candidate c is followed by jacobian(c)
+            # (with derivatives), or by an evaluation other than z + s (without).
+            (z, s), rest = records[0], records[1:]
+            first, steps, accepted, taken_newton, rejected = coordinate_norm(s), 0, 0, 0, 0
+            after_jacobian = False
+            for i, (c, sc) in enumerate(rest):
+                if sc is None:
+                    assert newton and np.array_equal(c, z) and not after_jacobian
+                    after_jacobian = True
                     continue
-                bound = D * first * (accepted + 1) ** -(1 + solvers._SAFEGUARD_EPS)
-                assert coordinate_norm(sc) <= bound
-                accepted += 1
-            z, s = c, sc
-            steps += 1
-        assert trace.reason == "converged"
-        assert (steps, rejected) == (trace.iterations, trace.fallbacks)
-        assert accepted > 0
-        assert (rejected > 0) == (D < 1.0)
+                is_newton, after_jacobian = after_jacobian, False
+                plain = z + s
+                if not np.array_equal(c, plain):
+                    if i + 1 < len(rest):
+                        following = rest[i + 1]
+                        if (following[1] is not None) if newton else \
+                                np.array_equal(following[0], plain):
+                            rejected += 1
+                            continue
+                    bound = D * first * (accepted + 1) ** -(1 + solvers._SAFEGUARD_EPS)
+                    assert coordinate_norm(sc) <= bound
+                    if is_newton:  # a Newton candidate must also lower the residual
+                        assert coordinate_norm(sc) < coordinate_norm(s)
+                        taken_newton += 1
+                    accepted += 1
+                z, s = c, sc
+                steps += 1
+            assert trace.reason == "converged"
+            assert (steps, rejected, taken_newton) == \
+                (trace.iterations, trace.fallbacks, trace.newton_candidates)
+            assert accepted > 0 and (taken_newton > 0) == newton
+            if not newton:
+                assert (rejected > 0) == (D < 1.0)
+
+    # feasibility-product has no blocks to strip of their derivatives
+    @pytest.mark.parametrize("kind, n, solver", [
+        (kind, n, solver) for kind in KINDS if kind != "feasibility-product"
+        for n in (4, 50) for solver in (solve_relaxed, solve_blocks)
+    ])
+    def test_newton_and_anderson_reach_the_same_point(self, kind, n, solver):
+        # Stripped of its derivatives, an instance runs the Anderson stage alone.
+        inst = kind_instance(kind, n)
+        schedule = Schedule(tol=1e-13, anderson=True)
+        x, trace = solver(inst, inst.space.zeros(), schedule)
+        x_aa, aa = solver(without_derivatives(inst), inst.space.zeros(), schedule)
+        assert trace.reason == aa.reason == "converged"
+        assert aa.newton_candidates == 0 and aa.rank_G is None
+        assert 0 < trace.newton_candidates <= trace.iterations <= aa.iterations
+        assert inst.space.norm(x - x_aa) <= 1e-10
+
+    def test_newton_candidate_must_lower_the_residual(self):
+        # step(z) = b - z with a Jacobian 100 times too small: every Newton
+        # candidate z + 100 step(z) has 99 times the residual, well inside the
+        # summable bound, so only the descent test rejects it.
+        b = np.array([1.0, -2.0])
+        schedule = Schedule(anderson=True, tol=1e-12)
+        z, trace = _iterate(lambda z: b - z, np.zeros(2), schedule, coordinate_norm, Trace(),
+                            jacobian=lambda z: -0.01 * np.eye(2))
+        assert trace.reason == "converged" and np.allclose(z, b, atol=1e-12)
+        assert trace.newton_candidates == 0 and trace.fallbacks == trace.iterations > 0
+        assert trace.rank_G == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_newton_direction_is_not_tried(self):
+        # While every |L x_i| exceeds the soft threshold the l1 block is the
+        # constant displacement -gamma sign(L x) / w: its Jacobian is 0 and so
+        # is the least-squares Newton direction.  That candidate would be the
+        # iterate itself, which the summable bound alone accepts about 1e6
+        # times, so it is not tried, and the plain steps go on until the
+        # threshold is met.
+        H = Space(2, [0.5, 2.0])
+        L = LinearMap(H, H, 0.9 * np.eye(2))
+        inst = RelaxedInstance.from_blocks(SubspaceProjector.full(H),
+                                           [(L, subdifferential(one_norm(H)), 1.0)], 1.0)
+        x0 = np.array([100.0, 50.0])
+        x, trace = solve_relaxed(inst, x0, Schedule(anderson=True))
+        _, plain = solve_relaxed(inst, x0, Schedule())
+        assert trace.reason == plain.reason == "converged"
+        assert trace.iterations <= plain.iterations
+        assert trace.fallbacks == 0 and trace.newton_candidates > 0
+        assert inst.space.norm(x) <= 1e-10
 
     def test_non_finite_candidate_is_never_accepted(self, monkeypatch):
         # The plain map z -> (z + b) / 2 whose step is NaN away from its plain iterates.
