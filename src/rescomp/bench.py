@@ -319,8 +319,7 @@ def generate_instance(spec, unsafe=False):
         prod = product_space([domain] * m, weights)
         slices = [slice(k * domain.dim, (k + 1) * domain.dim) for k in range(m)]
         cset = ProductSet(prod, base_sets, slices)
-        diag = [np.tile(e, m) for e in np.eye(domain.dim)]
-        V = SubspaceProjector(prod, diag)
+        V = SubspaceProjector(prod, np.tile(np.eye(domain.dim), m))  # rows (e_i, ..., e_i)
         return RelaxedInstance(V, identity_map(prod), operators.normal_cone(cset), spec.gamma,
                                kind=spec.kind, unsafe=unsafe)
 

@@ -8,7 +8,8 @@ Everything else in the package is built on the three objects defined here:
   why no general Gram matrix is supported.
 * :class:`LinearMap` -- a dense matrix between two spaces, with the
   metric-aware adjoint ``W_dom^-1 M^T W_cod`` and its operator norm, the
-  largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once.
+  largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once,
+  on first use.
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
   span of a set of vectors, with an orthonormal basis from one SVD.
 
@@ -34,13 +35,16 @@ non-finite inside a loop is caught by the loop's finiteness test on its
 residual scalar.
 
 All objects are immutable after construction and all operations are pure,
-so values can be shared freely between threads.
+so values can be shared freely between threads.  The one cache a map fills
+later, its norm, holds the same value whoever fills it: two threads that
+race on it only compute it twice.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +58,10 @@ RANK_RTOL = 1e-10
 
 # Slack on sum_k w_k ||L_k||^2 <= 1, absorbing rounding in the computed norms.
 NORM_GATE_TOL = 1e-9
+
+# A norm bound below this is comfortably finite: the factor 2 below DBL_MAX
+# absorbs the rounding of the bound and of the SVD that may later compute it.
+NORM_BOUND_LIMIT = 0.5 * sys.float_info.max
 
 # Scales whose inverse shifted_inverse keeps; a full cache is emptied, so a
 # caller sweeping many scales holds at most this many matrices.
@@ -100,20 +108,25 @@ class Space:
     """A finite-dimensional real Hilbert space with a diagonal metric.
 
     The inner product is ``<x, y> = sum_i weights[i] * x[i] * y[i]``.
+    ``weight_min`` and ``weight_max`` are the extreme weights.
     """
 
     def __init__(self, dim, weights=None):
-        if dim <= 0 or int(dim) != dim:
+        if type(dim) is not int:
+            dim = _count("space dimension", dim)
+        if dim <= 0:
             raise ValidationError(f"space dimension must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = dim
         if weights is None:
-            weights = np.ones(self.dim)
+            weights = np.ones(dim)
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.dim,):
+        if weights.shape != (dim,):
             raise DimensionMismatchError(
-                f"expected {self.dim} metric weights, got shape {weights.shape}"
+                f"expected {dim} metric weights, got shape {weights.shape}"
             )
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
+        # NaN fails both comparisons below.
+        self.weight_min, self.weight_max = float(weights.min()), float(weights.max())
+        if not (0.0 < self.weight_min and self.weight_max < math.inf):
             raise ValidationError("metric weights must be finite and strictly positive")
         self.weights = weights
 
@@ -208,6 +221,12 @@ class LinearMap:
     The adjoint is taken with respect to the metrics:
     ``adjoint_matrix = W_dom^-1 @ matrix.T @ W_cod``, so that
     ``<L x, y>_cod == <x, L* y>_dom`` for all x, y.
+
+    The operator norm is computed on first use.  Construction bounds it by
+    ``sqrt(size) * max|M_ij| * sqrt(max w_cod / min w_dom)``, which bounds the
+    Frobenius norm of the metric-scaled matrix, and takes the SVD at once
+    only when that bound is not below ``NORM_BOUND_LIMIT``: a norm that
+    overflows is refused here, never at a later read.
     """
 
     def __init__(self, domain, codomain, matrix):
@@ -219,11 +238,16 @@ class LinearMap:
                 f"matrix shape {matrix.shape} does not map "
                 f"dim {domain.dim} into dim {codomain.dim}"
             )
-        if not np.all(np.isfinite(matrix)):
+        # One reduction both refuses NaN and inf and gives the peak entry.
+        peak = float(np.abs(matrix).max(initial=0.0))
+        if not peak < math.inf:
             raise ValidationError("matrix has non-finite entries")
         self.matrix = matrix
-        self.adjoint_matrix = (matrix.T * codomain.weights[None, :]) / domain.weights[:, None]
-        self.norm_estimate = self._power_norm()
+        self._cached_norm = None
+        bound = math.sqrt(matrix.size) * peak * math.sqrt(codomain.weight_max / domain.weight_min)
+        if not bound < NORM_BOUND_LIMIT:  # a NaN bound (0 * inf) takes the SVD too
+            self._cached_norm = self._power_norm()
+        self.adjoint_matrix = self._adjoint()
 
     def apply(self, x):
         x = self.domain.validate(x)
@@ -236,8 +260,16 @@ class LinearMap:
         return self.adjoint_matrix @ y
 
     def op_norm(self):
-        """Operator norm between the metrics (cached at construction)."""
-        return self.norm_estimate
+        """Operator norm between the metrics, computed once, on first use."""
+        if self._cached_norm is None:
+            self._cached_norm = self._power_norm()
+        return self._cached_norm
+
+    norm_estimate = property(op_norm)
+
+    def _adjoint(self):
+        """The matrix of the metric adjoint, ``W_dom^-1 M^T W_cod``."""
+        return (self.matrix.T * self.codomain.weights[None, :]) / self.domain.weights[:, None]
 
     def _power_norm(self):
         """The operator norm, exact to rounding.
@@ -265,17 +297,23 @@ class LinearMap:
         return bool(np.max(np.abs(gram - np.eye(self.domain.dim))) <= tol)
 
     def __repr__(self):
-        return f"LinearMap({self.domain.dim} -> {self.codomain.dim}, norm~{self.norm_estimate:.3g})"
+        # A repr never forces the SVD: the norm shows once something has read it.
+        norm = "" if self._cached_norm is None else f", norm~{self._cached_norm:.3g}"
+        return f"LinearMap({self.domain.dim} -> {self.codomain.dim}{norm})"
 
 
 class _IdentityMap(LinearMap):
-    """The identity of a space, whose norm needs no SVD.
+    """The identity of a space, whose norm and adjoint need no arithmetic.
 
-    In a diagonal metric ``W^{1/2} I W^{-1/2} = I``, so the norm is exactly 1.
+    In a diagonal metric ``W^{1/2} I W^{-1/2} = I``, so the norm is exactly 1,
+    and ``W^-1 I W = I`` entry for entry, so the adjoint is the matrix itself.
     """
 
     def _power_norm(self):
         return 1.0
+
+    def _adjoint(self):
+        return self.matrix
 
 
 def identity_map(space):

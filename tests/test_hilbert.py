@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rescomp.bench import InstanceSpec, generate_instance
 from rescomp.errors import ContractionConditionError, DimensionMismatchError, ValidationError
 from rescomp.hilbert import (
     INVERSE_CACHE_SIZE,
@@ -24,6 +25,20 @@ from rescomp.properties import (
 
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
 
 
 def clustered_matrix(m, n, top):
@@ -54,10 +69,19 @@ class TestSpace:
             s.inner([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValidationError):
-            Space(2, [1.0, 0.0])
-        with pytest.raises(ValidationError):
-            Space(2, [1.0, -1.0])
+        for w in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [np.inf, 1.0], [np.nan, -1.0]):
+            with pytest.raises(ValidationError):
+                Space(2, w)
+
+    @pytest.mark.parametrize("dim", [True, "3", float("nan")], ids=["bool", "string", "nan"])
+    def test_dimension_must_be_a_count(self, dim):
+        with pytest.raises(ValidationError, match="space dimension"):
+            Space(dim)
+
+    def test_integral_dimensions_read_as_int(self):
+        for dim in (3, 3.0, np.int64(3)):
+            s = Space(dim)
+            assert s.dim == 3 and type(s.dim) is int
 
     def test_equality_short_circuits_on_identity(self, monkeypatch):
         s, t = Space(3, [1.0, 2.0, 3.0]), Space(3, [1.0, 2.0, 3.0])
@@ -168,6 +192,65 @@ class TestOpNorm:
         assert L.op_norm() == pytest.approx(3e200, rel=1e-12)
         with pytest.raises(ContractionConditionError):
             check_contraction([L])
+
+
+class TestNormOnDemand:
+    def test_construction_takes_no_svd(self, svd_calls):
+        g = rng()
+        LinearMap(Space(3, [0.5, 2.0, 1.0]), Space(2, [3.0, 0.2]), g.standard_normal((2, 3)))
+        stack([LinearMap(Space(3), Space(2), g.standard_normal((2, 3)))] * 2, [0.5, 0.5])
+        assert svd_calls == []
+
+    def test_first_read_takes_the_svd_and_later_reads_none(self, svd_calls):
+        H, G = Space(3, [0.5, 2.0, 1.0]), Space(2, [3.0, 0.2])
+        M = rng().standard_normal((2, 3))
+        L = LinearMap(H, G, M)
+        norm = L.op_norm()
+        assert svd_calls == [(2, 3)]
+        assert L.op_norm() == norm and L.norm_estimate == norm
+        assert svd_calls == [(2, 3)]
+        scaled = np.sqrt(G.weights)[:, None] * M / np.sqrt(H.weights)
+        assert norm == np.linalg.svd(scaled, compute_uv=False)[0]
+
+    def test_repr_never_forces_the_norm(self, svd_calls):
+        L = LinearMap(Space(3), Space(2), np.ones((2, 3)))
+        assert repr(L) == "LinearMap(3 -> 2)"
+        assert svd_calls == []
+        L.op_norm()
+        assert repr(L) == "LinearMap(3 -> 2, norm~2.45)"
+        assert len(svd_calls) == 1
+
+    def test_overflow_through_the_metric_is_refused_at_construction(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(Space(2), Space(2, [1e250, 1e250]), np.full((2, 2), 1e200))
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(Space(2, [1e-250, 1e-250]), Space(2), np.full((2, 2), 1e200))
+
+    def test_nonfinite_entries_are_refused(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                LinearMap(Space(2), Space(2), [[1.0, bad], [0.0, 1.0]])
+
+    def test_weighted_identity_is_its_own_adjoint(self):
+        w = np.array([0.3, 2.0, 1e-8, 7e5])
+        I = identity_map(Space(4, w))
+        assert I.adjoint_matrix is I.matrix
+        assert np.array_equal(I.adjoint_matrix, (np.eye(4) * w[None, :]) / w[:, None])
+
+    def test_instance_reads_only_the_stacked_norm(self, svd_calls):
+        # Four per-block maps are never gated one by one: the subspace basis and
+        # the stacked map's norm are the only SVDs.
+        perms = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]]
+        spec = InstanceSpec.from_dict({
+            "kind": "split-feasibility",
+            "spaces": {"domain": {"dim": 3}},
+            "maps": [(0.5 * np.eye(3)[p]).tolist() for p in perms],
+            "sets": [{"tag": "singleton", "point": [float(k), 1.0, -1.0]} for k in range(4)],
+            "weights": [0.25] * 4,
+            "subspace": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+        })
+        generate_instance(spec)
+        assert svd_calls == [(2, 3), (12, 3)]
 
 
 class TestGate:
