@@ -31,10 +31,8 @@ import numpy as np
 
 from . import operators, proxfun
 from .errors import RescompError, ValidationError
-from .hilbert import (
-    LinearMap, Space, SubspaceProjector, _count, _real, identity_map, product_space,
-)
-from .sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
+from .hilbert import LinearMap, Space, SubspaceProjector, _count, _real, identity_map
+from .sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from .solvers import (
     ANDERSON_MEMORY,
     RelaxedInstance,
@@ -262,12 +260,16 @@ def _build_function(desc, space):
 
 
 def _build_wiener_forward(desc, space):
-    """The forward map of a Wiener block: the number ``c`` of ``c Id``, or a projection."""
+    """The forward map of a Wiener block: the number ``c`` of ``c Id``, or a projection.
+
+    The projection is the set's raw one, as it runs inside the solver's
+    kernel; ``make_wiener`` validates its outputs in its spot checks.
+    """
     tag = _object(desc).get("tag", "scale")
     if tag == "scale":
         return _real("c", desc["c"])
     if tag == "projection":
-        return _build_set(desc["set"], space).project
+        return _build_set(desc["set"], space)._project
     raise ValidationError(f"unknown wiener forward tag {tag!r}")
 
 
@@ -314,14 +316,13 @@ def generate_instance(spec, unsafe=False):
     weights = [float(w) for w in spec.weights]
 
     if spec.kind == "feasibility-product":
-        m = len(spec.sets)
-        base_sets = [_field(f"sets[{i}]", _build_set, d, domain) for i, d in enumerate(spec.sets)]
-        prod = product_space([domain] * m, weights)
-        slices = [slice(k * domain.dim, (k + 1) * domain.dim) for k in range(m)]
-        cset = ProductSet(prod, base_sets, slices)
-        V = SubspaceProjector(prod, np.tile(np.eye(domain.dim), m))  # rows (e_i, ..., e_i)
-        return RelaxedInstance(V, identity_map(prod), operators.normal_cone(cset), spec.gamma,
-                               kind=spec.kind, unsafe=unsafe)
+        B = operators.product_family(
+            [operators.normal_cone(_field(f"sets[{i}]", _build_set, d, domain))
+             for i, d in enumerate(spec.sets)], weights)
+        diagonal = np.tile(np.eye(domain.dim), len(spec.sets))  # rows (e_i, ..., e_i)
+        V = SubspaceProjector(B.space, diagonal)
+        return RelaxedInstance(V, identity_map(B.space), B, spec.gamma, kind=spec.kind,
+                               unsafe=unsafe)
 
     V = _field("subspace", SubspaceProjector, domain, spec.subspace)
     block_descs = spec.spaces.get("blocks")

@@ -22,8 +22,8 @@ Everything else in the package is built on the three objects defined here:
 scale; the linear resolvents and quadratic proxes are built on both.
 
 :func:`displacement_jacobian` applies a resolvent derivative ``D``, given in
-one of the forms the catalog declares (a scalar, a diagonal, a matrix, a
-:class:`RankOne` correction, or a list of blocks), as ``(D - I) A``.
+one of the forms the catalog declares (a scalar, a diagonal, a matrix or a
+:class:`RankOne` correction), as ``(D - I) A``.
 
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
@@ -226,7 +226,9 @@ class LinearMap:
     ``sqrt(size) * max|M_ij| * sqrt(max w_cod / min w_dom)``, which bounds the
     Frobenius norm of the metric-scaled matrix, and takes the SVD at once
     only when that bound is not below ``NORM_BOUND_LIMIT``: a norm that
-    overflows is refused here, never at a later read.
+    overflows is refused here, never at a later read.  So is an adjoint
+    that overflows, looked for only when the bound on its entries,
+    ``max|M_ij| * max w_cod * max(1, 1 / min w_dom)``, is not below that limit.
     """
 
     def __init__(self, domain, codomain, matrix):
@@ -247,7 +249,15 @@ class LinearMap:
         bound = math.sqrt(matrix.size) * peak * math.sqrt(codomain.weight_max / domain.weight_min)
         if not bound < NORM_BOUND_LIMIT:  # a NaN bound (0 * inf) takes the SVD too
             self._cached_norm = self._power_norm()
-        self.adjoint_matrix = self._adjoint()
+        # Adjoint entries are M_ji w_cod_j / w_dom_i, formed in that order; below this
+        # bound neither step overflows, above it the adjoint may where the norm did not.
+        if peak * codomain.weight_max * max(1.0, 1.0 / domain.weight_min) < NORM_BOUND_LIMIT:
+            self.adjoint_matrix = self._adjoint()
+        else:
+            with np.errstate(over="ignore"):
+                self.adjoint_matrix = self._adjoint()
+            if not np.abs(self.adjoint_matrix).max(initial=0.0) < math.inf:
+                raise ValidationError("matrix entries overflow the metric adjoint")
 
     def apply(self, x):
         x = self.domain.validate(x)
@@ -372,18 +382,14 @@ def displacement_jacobian(D, A):
     """``(D - I) A`` for a derivative ``D`` and a matrix ``A`` whose rows are D's domain.
 
     ``D`` is a scalar ``d`` (``d I``), a 1-D array (the diagonal), a 2-D
-    matrix, a :class:`RankOne`, or a list of ``(slice, D_k)`` blocks of a
-    block-diagonal matrix.  No form but the matrix is made dense.
+    matrix or a :class:`RankOne`.  No form but the matrix is made dense.  A
+    product has no derivative of its own: the solvers apply each factor's
+    ``D_k`` to its rows of ``A``.
     """
     if isinstance(D, np.ndarray):
         return D @ A - A if D.ndim == 2 else (D - 1.0)[:, None] * A
     if isinstance(D, RankOne):
         return (D.scale - 1.0) * A - D.scale * D.u[:, None] * (D.v @ A)
-    if isinstance(D, list):
-        out = np.empty_like(A)
-        for sl, D_k in D:
-            out[sl] = displacement_jacobian(D_k, A[sl])
-        return out
     return (D - 1.0) * A
 
 

@@ -18,9 +18,12 @@ spaces -- are provided as wrappers so the composition calculus can be
 expressed without touching evaluator internals.
 
 A :class:`~rescomp.proxfun.ProxFunction` is built on the family of its
-subdifferential, which :func:`subdifferential` returns: an indicator on a
-normal cone, a conjugate on ``inverse`` (the one Moreau identity) and a
-separable sum on ``product_family``.
+subdifferential, which :func:`subdifferential` returns: an indicator on its
+set's normal cone (that very family), a conjugate on ``inverse`` (the one
+Moreau identity) and a separable sum on ``product_family``.  Products of
+any kind have that one home: mixtures, separable sums, blockwise instances
+and the feasibility product of :mod:`~rescomp.bench` (the product of its
+sets' normal cones) are all ``product_family``.
 
 Every catalog constructor declares one ``derivative(gamma, y)``: an
 element of the generalized Jacobian of ``J_{gamma B}`` at ``y``, in one of
@@ -35,7 +38,8 @@ The relaxed solvers fold such blocks into one fixed matrix per solve and
 build the Jacobian of their step from the others.  Derived families
 (scaled, inverse, composed, product) and a Wiener block with a callable
 forward map declare none (``derivative`` is None); a product lists its
-``factors`` as ``(family, slice)`` pairs instead.
+``factors`` as ``(family, slice)`` pairs instead, and the solvers apply
+each factor's derivative to that factor's block.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.

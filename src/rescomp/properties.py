@@ -46,12 +46,16 @@ class SuiteResult:
         return f"{status}  {self.name:<36} worst defect {self.worst:.3e}  tol {self.threshold:.0e}{extra}"
 
 
+# Every suite, in the order it is defined here; suite i draws from the stream [seed, i].
+SUITES = []
+
+
 def _suite(name, tol):
     """Turn a check returning its worst defect into a suite returning a SuiteResult.
 
     The suite passes when the worst defect is at most ``tol``; zero trials
     pass vacuously without running the check.  Keyword arguments pass
-    through to the check.
+    through to the check.  The suite is appended to ``SUITES``.
     """
 
     def decorate(check):
@@ -64,6 +68,7 @@ def _suite(name, tol):
         # No ``__wrapped__``: unwrapping one level must give the suite back.
         suite.__name__, suite.__qualname__ = check.__name__, check.__qualname__
         suite.__doc__ = check.__doc__
+        SUITES.append(suite)
         return suite
 
     return decorate
@@ -799,39 +804,8 @@ def suite_determinism(rng, trials):
 
 
 # ---------------------------------------------------------------------------
-# registry and entry point
+# entry point
 # ---------------------------------------------------------------------------
-
-SUITES = [
-    suite_adjoint_identity,
-    suite_projector_firm,
-    suite_stack_norm,
-    suite_monotone_graph,
-    suite_moreau_identity,
-    suite_zeros_fixed_points,
-    suite_yosida_cocoercive,
-    suite_resolvent_rule,
-    suite_composed_firm,
-    suite_composed_monotone,
-    suite_inverse_duality,
-    suite_isometry_collapse,
-    suite_chaining,
-    suite_zero_transport,
-    suite_strong_monotonicity,
-    suite_resolvent_average,
-    suite_moreau_decomposition,
-    suite_envelope_sum,
-    suite_cocomposition_gradient,
-    suite_argmin_transport,
-    suite_argmin_composition,
-    suite_prox_firm,
-    suite_engine_equivalence,
-    suite_fejer,
-    suite_residual_agreement,
-    suite_block_stacked,
-    suite_oracle_agreement,
-    suite_determinism,
-]
 
 
 def run_properties(seed=0, trials=1000, out=print):

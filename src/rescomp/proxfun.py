@@ -113,13 +113,9 @@ def indicator(cset: ConvexSet):
     def value(x):
         return 0.0 if cset._distance(x) <= INDICATOR_TOL else np.inf
 
-    tag = f"indicator({cset.tag})"
-    cone = normal_cone(cset)  # its resolvent, derivative and set, under the function's name
     return ProxFunction(
-        tag,
-        ResolventFamily(cset.space, f"subdifferential({tag})", cone._evaluator, cset=cset,
-                        derivative=cone.derivative,
-                        constant_derivative=cone.constant_derivative),
+        f"indicator({cset.tag})",
+        normal_cone(cset),
         value=value,
         conjugate_value=_support_function(cset),
         minimizer=cset.any_point(),

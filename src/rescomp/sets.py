@@ -8,22 +8,24 @@ Box projections clip per coordinate (valid because metrics are diagonal);
 balls and halfspaces are defined with respect to the metric norm.
 
 :meth:`ConvexSet.project` validates, then calls the subclass's raw
-``_project``, which product sets, normal cones and indicators call directly.
+``_project``, which normal cones (and so indicators) call directly.  A
+product of sets is the ``product_family`` of their normal cones (see
+:mod:`~rescomp.operators`); it needs no set of its own.
 
 Each catalog set also gives ``_derivative(x)``, an element of the
 generalized Jacobian of its projection at ``x``, in one of the forms of
 :func:`~rescomp.hilbert.displacement_jacobian`: a 0/1 diagonal for a box,
 ``I`` or a :class:`~rescomp.hilbert.RankOne` correction for a ball or a
-halfspace, the constant ``0`` or ``P`` of a singleton or an affine subspace
-(``constant_derivative`` marks these), and a list of blocks for a product.
-A subclass that gives none leaves ``_derivative`` None.
+halfspace, and the constant ``0`` or ``P`` of a singleton or an affine
+subspace (``constant_derivative`` marks these).  A subclass that gives none
+leaves ``_derivative`` None.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .hilbert import RankOne, SubspaceProjector
 
 
@@ -165,30 +167,3 @@ class Singleton(ConvexSet):
     def _derivative(self, x):
         return 0.0
 
-
-class ProductSet(ConvexSet):
-    """Cartesian product of sets living in the blocks of a product space."""
-
-    tag = "product"
-
-    def __init__(self, space, sets, slices):
-        super().__init__(space)
-        if len(sets) != len(slices):
-            raise ValidationError("one block slice per factor set is required")
-        for s, sl in zip(sets, slices):
-            if len(range(space.dim)[sl]) != s.space.dim:
-                raise DimensionMismatchError("a block slice does not match its set's dimension")
-        self.sets = list(sets)
-        self.slices = list(slices)
-        self.constant_derivative = all(s.constant_derivative for s in self.sets)
-        if all(s._derivative is not None for s in self.sets):
-            self._derivative = self._blockwise_derivative
-
-    def _project(self, x):
-        out = np.empty_like(x)
-        for s, sl in zip(self.sets, self.slices):
-            out[sl] = s._project(x[sl])
-        return out
-
-    def _blockwise_derivative(self, x):
-        return [(sl, s._derivative(x[sl])) for s, sl in zip(self.sets, self.slices)]

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from rescomp import bench, properties
 from rescomp.bench import (
     EXACTNESS_TOL,
     InstanceSpec,
@@ -25,7 +26,7 @@ from rescomp.errors import ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
-from rescomp.sets import AffineSubspace, Halfspace, Singleton
+from rescomp.sets import AffineSubspace, Ball, ConvexSet, Halfspace, Singleton
 from rescomp.solvers import (
     ANDERSON_MEMORY,
     RelaxedInstance,
@@ -190,6 +191,27 @@ class TestGenerate:
         assert 1.0 - 1e-9 <= x[0] <= 2.0 + 1e-9
         assert inst.original_residual(x) <= 1e-8
 
+    def test_feasibility_product_is_a_product_of_normal_cones(self):
+        balls = [{"tag": "ball", "center": c, "radius": 0.5}
+                 for c in ([2.0, 0.0], [-1.0, 1.5], [0.0, -2.0])]
+        spec = InstanceSpec.from_dict({
+            "kind": "feasibility-product",
+            "spaces": {"domain": {"dim": 2}},
+            "sets": balls,
+            "weights": [0.5, 0.25, 0.25],
+        })
+        B = generate_instance(spec).B
+        assert B.kind == "product" and len(B.factors) == len(balls)
+        for k, ((fam, sl), desc) in enumerate(zip(B.factors, balls)):
+            assert fam.kind == "normal-cone(ball)" and sl == slice(2 * k, 2 * k + 2)
+            assert isinstance(fam.cset, Ball)
+            assert np.array_equal(fam.cset.center, desc["center"])
+            assert fam.cset.radius == desc["radius"]
+        # the balls miss each other, so the run ends at a relaxed solution only
+        report, _ = execute(spec)
+        assert report.converged and report.verdict == "relaxed only"
+        assert report.newton_candidates > 0
+
     def test_wiener_kind(self):
         spec = InstanceSpec.from_dict({
             "kind": "wiener",
@@ -221,6 +243,37 @@ class TestGenerate:
         assert projected.derivative is None and not projected.constant_derivative
         with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
             generate_instance(spec({"tag": "scale", "c": 1.5}))
+
+    def test_wiener_projection_forward_is_not_validated_per_step(self, monkeypatch):
+        spec = InstanceSpec.from_dict({
+            "kind": "wiener",
+            "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 2}, {"dim": 2}]},
+            "sets": [
+                {"f": {"tag": "projection",
+                       "set": {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+                 "point": [3.0, 1.0]},
+                {"f": {"tag": "scale", "c": 0.5}, "point": [0.0, 1.0]},
+            ],
+            "weights": [0.5, 0.5],
+            "subspace": [[1.0, 0.0], [0.0, 1.0]],
+        })
+
+        def validating_forward(desc, space):  # a projection forward map that validates
+            if desc["tag"] == "projection":
+                return bench._build_set(desc["set"], space).project
+            return desc["c"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "_build_wiener_forward", validating_forward)
+            validating, _ = execute(spec)
+        calls = []
+        project = ConvexSet.project
+        monkeypatch.setattr(ConvexSet, "project",
+                            lambda self, x: calls.append(x) or project(self, x))
+        report, _ = execute(spec)
+        assert calls == []
+        assert report.converged and report.iterations > 0
+        assert report.to_json() == validating.to_json()
 
     def test_halfspace_and_affine_set_tags(self):
         spec = InstanceSpec.from_dict(acceptance_dict(
@@ -530,7 +583,26 @@ SUITE_NAMES = [
 ]
 
 
+# The functions behind SUITE_NAMES, in the order they are defined and registered.
+SUITE_FUNCTIONS = [
+    "suite_adjoint_identity", "suite_projector_firm", "suite_stack_norm",
+    "suite_monotone_graph", "suite_moreau_identity", "suite_zeros_fixed_points",
+    "suite_yosida_cocoercive", "suite_resolvent_rule", "suite_composed_firm",
+    "suite_composed_monotone", "suite_inverse_duality", "suite_isometry_collapse",
+    "suite_chaining", "suite_zero_transport", "suite_strong_monotonicity",
+    "suite_resolvent_average", "suite_moreau_decomposition", "suite_envelope_sum",
+    "suite_cocomposition_gradient", "suite_argmin_transport", "suite_argmin_composition",
+    "suite_prox_firm", "suite_engine_equivalence", "suite_fejer",
+    "suite_residual_agreement", "suite_block_stacked", "suite_oracle_agreement",
+    "suite_determinism",
+]
+
+
 class TestProperties:
+    def test_registry_holds_each_suite_once_in_definition_order(self):
+        # Suite i draws from the stream [seed, i], so the order fixes every suite's input.
+        assert properties.SUITES == [getattr(properties, name) for name in SUITE_FUNCTIONS]
+
     def test_zero_trials_vacuous_pass(self):
         lines = []
         assert run_properties(seed=0, trials=0, out=lines.append) == 0

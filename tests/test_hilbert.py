@@ -226,6 +226,22 @@ class TestNormOnDemand:
         with pytest.raises(ValidationError, match="overflow"):
             LinearMap(Space(2, [1e-250, 1e-250]), Space(2), np.full((2, 2), 1e200))
 
+    @pytest.mark.parametrize("domain, codomain, matrix", [
+        # adjoint entries scale as w_cod / w_dom, the norm only as its square root
+        (Space(2, [1e-300, 1.0]), Space(2, [1e300, 1.0]), [[1e-100, 0.0], [0.0, 1.0]]),
+        (Space(2, [1.0, 1e-300]), Space(2, [1.0, 1e300]), [[1.0, 0.0], [0.0, 1e-100]]),
+        (Space(2), Space(2, [1e308, 1.0]), [[10.0, 0.0], [0.0, 1.0]]),
+        (Space(2, [1e-308, 1.0]), Space(2), [[10.0, 0.0], [0.0, 1.0]]),
+    ], ids=["heavy-codomain-light-domain", "mirrored", "heavy-codomain", "light-domain"])
+    def test_overflowing_adjoint_is_refused_at_construction(self, domain, codomain, matrix):
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(domain, codomain, matrix)
+
+    def test_zero_in_the_heavy_corner_is_accepted(self):
+        L = LinearMap(Space(2, [1e-300, 1.0]), Space(2, [1e300, 1.0]), [[0.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(L.adjoint_matrix, [[0.0, 0.0], [0.0, 1.0]])
+        assert L.op_norm() == 1.0
+
     def test_nonfinite_entries_are_refused(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="non-finite"):

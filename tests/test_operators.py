@@ -10,7 +10,7 @@ from rescomp.compositions import (
     resolvent_mixture,
 )
 from rescomp.errors import ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space, displacement_jacobian, product_space
+from rescomp.hilbert import LinearMap, Space, displacement_jacobian
 from rescomp.operators import (
     GraphPoint,
     linear_monotone,
@@ -28,7 +28,7 @@ from rescomp.properties import (
     suite_yosida_cocoercive,
     suite_zeros_fixed_points,
 )
-from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
+from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 
 R1 = Space(1)
 
@@ -301,7 +301,9 @@ def affine_catalog():
         normal_cone(AffineSubspace(W3, rng.standard_normal(3), [rng.standard_normal(3)])),
         subdifferential(quadratic(W3, (R @ R.T) / w[:, None], rng.standard_normal(3))),
         subdifferential(half_squared_distance(W3, rng.standard_normal(3))),
-        subdifferential(indicator(Singleton(W3, rng.standard_normal(3)))),
+        # an indicator's subdifferential is its set's normal cone, kind and all
+        pytest.param(subdifferential(indicator(Singleton(W3, rng.standard_normal(3)))),
+                     id="subdifferential(indicator(singleton))"),
     ]
 
 
@@ -416,9 +418,6 @@ class TestZerosAndScaling:
             product_family([wiener, make_wiener(s1, 0.5, [1.0]).scaled(2.0)])
 
 
-S2 = Space(2, [3.0, 0.7])
-
-
 def derivative_catalog():
     """``(name, family, gammas, kink)`` for every catalog member that declares a derivative,
     on weighted spaces; ``kink(gamma, y)`` is the distance of ``y`` from the set where the
@@ -430,9 +429,6 @@ def derivative_catalog():
     box = Box(W3, [-1.0, -0.5, 0.0], [1.0, 0.5, 2.0])
     ball = Ball(W3, np.array([0.5, -0.5, 1.0]), 1.5)
     half = Halfspace(W3, np.array([1.0, -2.0, 0.5]), 0.3)
-    disc = Ball(S2, np.array([1.0, 2.0]), 0.5)
-    product = ProductSet(product_space([W3, S2], [0.5, 2.0]), [box, disc],
-                         [slice(0, 3), slice(3, 5)])
     scales = [0.5, 1.0, 2.0]
 
     def box_kink(gamma, y):
@@ -440,9 +436,6 @@ def derivative_catalog():
 
     def ball_kink(gamma, y):
         return abs(W3.norm(y - ball.center) - ball.radius)
-
-    def product_kink(gamma, y):
-        return min(box_kink(gamma, y[:3]), abs(S2.norm(y[3:] - disc.center) - disc.radius))
 
     return [
         ("zero", zero_operator(W3), scales, None),
@@ -457,7 +450,6 @@ def derivative_catalog():
         ("normal-cone(ball)", normal_cone(ball), scales, ball_kink),
         ("normal-cone(halfspace)", normal_cone(half), scales,
          lambda gamma, y: abs(W3.inner(half.normal, y) - half.offset)),
-        ("normal-cone(product)", normal_cone(product), scales, product_kink),
         ("subdifferential(abs-l1)", subdifferential(one_norm(W3)), scales,
          lambda gamma, y: np.min(np.abs(np.abs(y) - gamma / w))),
         ("subdifferential(quadratic)",

@@ -5,7 +5,7 @@ import pytest
 
 from rescomp.errors import ValidationError
 from rescomp.hilbert import Space, displacement_jacobian
-from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, ProductSet, Singleton
+from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 
 
 def all_sets(space, rng):
@@ -84,18 +84,6 @@ class TestSpecificSets:
     def test_degenerate_halfspace_rejected(self):
         with pytest.raises(ValidationError):
             Halfspace(Space(2), [0.0, 0.0], 1.0)
-
-    def test_product_set_blocks(self):
-        from rescomp.hilbert import product_space
-
-        s1, s2 = Space(1), Space(1)
-        prod = product_space([s1, s2], [0.5, 0.5])
-        cset = ProductSet(
-            prod,
-            [Box(s1, [0.0], [1.0]), Singleton(s2, [3.0])],
-            [slice(0, 1), slice(1, 2)],
-        )
-        assert cset.project([2.0, 0.0]) == pytest.approx([1.0, 3.0])
 
     def test_box_projection_bit_identical_to_clip(self):
         rng = np.random.default_rng(12)
