@@ -472,7 +472,10 @@ def _finite_or_null(value):
 
 
 def certificates(inst):
-    """The rank r of V and ``sigma_min(L U)``, which gives the plain steps' rate.
+    """The rank r of V, its dropped spanning vectors and ``sigma_min(L U)``.
+
+    ``dropped_vectors`` counts the spanning vectors of V beyond its rank,
+    zero and dependent ones alike.
 
     ``sigma_min`` is the smallest singular value of ``A = L U`` from ``R^r``
     into the codomain metric (0 when ``A`` has fewer than r rows).  A run
@@ -483,7 +486,8 @@ def certificates(inst):
     """
     r = inst.V.rank
     s = np.linalg.svd(inst.A * np.sqrt(inst.L.codomain.weights)[:, None], compute_uv=False)
-    return {"rank_V": r, "sigma_min_LU": float(s[-1]) if len(s) == r else 0.0, "method": "svd"}
+    return {"rank_V": r, "dropped_vectors": inst.V.dropped,
+            "sigma_min_LU": float(s[-1]) if len(s) == r else 0.0, "method": "svd"}
 
 
 def execute(spec, unsafe=False):

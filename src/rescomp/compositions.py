@@ -39,6 +39,11 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe)
+    return _composition(L, B, gamma)
+
+
+def _composition(L, B, gamma):
+    """The composition of ``B`` with ``L``, whose gate the caller has passed."""
     B._check_scale(gamma)
     g = float(gamma)
 
@@ -77,9 +82,10 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     for B, L in zip(Bs, Ls):
         if L.codomain != B.space:
             raise DimensionMismatchError("each map must land in its operator's space")
+    # ||stack||^2 <= sum_k w_k ||L_k||^2, and the stack is zero only when every
+    # L_k is: this gate implies the stacked map's own, which is not taken again.
     check_contraction(Ls, weights, unsafe=unsafe)
-    return resolvent_composition(stack(Ls, weights), product_family(Bs, weights), gamma,
-                                 unsafe=unsafe)
+    return _composition(stack(Ls, weights), product_family(Bs, weights), gamma)
 
 
 def resolvent_average(Bs, weights, gamma=1.0, unsafe=False):

@@ -11,7 +11,7 @@ Everything else in the package is built on the three objects defined here:
   largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once,
   on first use.
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
-  span of a set of vectors, with an orthonormal basis from one SVD.
+  span of a set of vectors, with an orthonormal basis from one QR.
 
 :func:`check_contraction` is the one gate on the theory's hypothesis
 ``0 < sum_k w_k ||L_k||^2 <= 1`` (``0 < ||L|| <= 1`` for a single map);
@@ -27,7 +27,8 @@ one of the forms the catalog declares (a scalar, a diagonal, a matrix or a
 
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
-:meth:`Space.validate` (shape, finiteness, float64).  The kernels behind
+:meth:`Space.validate` (shape, finiteness, float64), and a spanning set
+is checked the same way as one array.  The kernels behind
 them -- the solver loops, the catalog evaluators -- work on raw arrays
 through ``matrix``/``adjoint_matrix`` and the unchecked
 :meth:`Space._inner` / :meth:`Space._norm`.  A value that goes
@@ -416,28 +417,53 @@ class SubspaceProjector:
 
     The spanning set may be redundant.  Each vector is taken into the
     metric (``* sqrt(W)``) and scaled to unit length, so only directions
-    count; an SVD keeps the right singular vectors whose singular value
-    exceeds ``RANK_RTOL`` times the largest.  Exact zero vectors are dropped.
+    count.  One Householder QR of the scaled vectors gives ``Q R``; the
+    singular values of the small factor ``R`` are those of the scaled set
+    (Chan's R-SVD), and the directions whose value exceeds ``RANK_RTOL``
+    times the largest are kept, so the rank does not depend on the scale
+    of the vectors.  Exact zero vectors are dropped; ``dropped`` counts the
+    spanning vectors beyond the rank, zero and dependent ones alike.
     """
 
     def __init__(self, space, spanning_vectors):
         self.space = space
-        vectors = np.array([space.validate(v) for v in spanning_vectors]).reshape(-1, space.dim)
+        try:
+            vectors = np.asarray(spanning_vectors, dtype=float)
+        except ValueError as exc:  # a ragged set, or an entry that is not a number
+            raise DimensionMismatchError(
+                f"spanning vectors do not form an array of numbers: {exc}"
+            ) from None
+        if vectors.size and (vectors.ndim != 2 or vectors.shape[1] != space.dim):
+            raise DimensionMismatchError(
+                f"spanning set of shape {vectors.shape} is not a list of vectors "
+                f"of dimension {space.dim}"
+            )
+        vectors = vectors.reshape(-1, space.dim)  # an empty set has no rows
         # Dividing by the largest entry first keeps the squares below from
-        # overflowing or underflowing, whatever the scale of the vector.
+        # overflowing or underflowing, whatever the scale of the vector.  The
+        # same reduction refuses NaN and inf: no peak is below inf then.
         peak = np.abs(vectors).max(axis=1, initial=0.0)
+        if not (peak < math.inf).all():
+            raise ValidationError("spanning set has non-finite entries")
         root = np.sqrt(space.weights)
         rows = vectors[peak > 0.0] / peak[peak > 0.0, None] * root
         if not len(rows):
             raise ValidationError("spanning set only contains zero vectors")
         rows /= np.linalg.norm(rows, axis=1)[:, None]
-        _, s, vt = np.linalg.svd(rows, full_matrices=False)
-        # The kept singular vectors are orthonormal only to about 1e-13; one
-        # QR restores working precision, so the projector is firmly
-        # nonexpansive to rounding.
-        q, _ = np.linalg.qr(vt[s > RANK_RTOL * s[0]].T)
+        # Householder QR is backward stable, so sigma(R) are the singular values
+        # of a matrix within rounding of the scaled set, and Q is orthonormal to
+        # working precision: on a full-rank set Q is the basis as it stands.
+        q, r = np.linalg.qr(rows.T)
+        s = np.linalg.svd(r, compute_uv=False)
+        keep = s > RANK_RTOL * s[0]
+        if not keep.all():
+            # The range of rows.T is Q times that of R; one QR of the kept
+            # directions restores the orthonormality the SVD's vectors lack.
+            u = np.linalg.svd(r, full_matrices=False)[0]
+            q, _ = np.linalg.qr(q @ u[:, keep])
         self.basis = q.T / root  # rows are W-orthonormal basis vectors
         self.rank = len(self.basis)
+        self.dropped = len(vectors) - self.rank
         # P x = sum_j <x, b_j> b_j, as a dense matrix
         self.matrix = self.basis.T @ (self.basis * space.weights[None, :])
 

@@ -433,9 +433,16 @@ class TestReportJson:
         parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
         # V = span{(1, 1)}, L = diag(1, 1) into the (1/2, 1/2)-weighted metric
         assert parsed["certificates"] == {
-            "rank_V": 1, "sigma_min_LU": pytest.approx(np.sqrt(0.5), abs=1e-15),
-            "method": "svd",
+            "rank_V": 1, "dropped_vectors": 0,
+            "sigma_min_LU": pytest.approx(np.sqrt(0.5), abs=1e-15), "method": "svd",
         }
+
+    def test_certificates_count_dropped_spanning_vectors(self):
+        # a multiple and a zero vector of (1, 1) add nothing to V
+        spanning = [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]
+        report, _ = execute(InstanceSpec.from_dict(acceptance_dict(subspace=spanning)))
+        assert report.certificates["rank_V"] == 1
+        assert report.certificates["dropped_vectors"] == 2
 
     def test_nonfinite_config_takes_the_folded_step(self):
         inst = generate_instance(InstanceSpec.from_dict(NONFINITE_SPEC_DICT), unsafe=True)

@@ -208,9 +208,21 @@ class TestValidationBudget:
         assert validations[0] == validations[1]
         assert validations[0] <= 2
 
-    def test_subspace_projector_validates_each_spanning_vector_once(self, monkeypatch):
+    def test_subspace_projector_validates_the_spanning_set_once(self, monkeypatch):
+        # One array check of shape and finiteness, never a pass per vector.
         rng = np.random.default_rng(4)
-        vectors = rng.standard_normal((5, 8))
         counter = _Counter(monkeypatch, Space, "validate")
-        SubspaceProjector(Space(8), vectors)
-        assert counter.calls == len(vectors)
+        SubspaceProjector(Space(8), rng.standard_normal((5, 8)))
+        assert counter.calls == 0
+        for spanning, err in (
+            ([[1.0, 0.0, 0.0], [1.0, 0.0]], DimensionMismatchError),  # ragged
+            ([1.0, 0.0, 0.0], DimensionMismatchError),  # a flat vector
+            ([[1.0, 0.0], [0.0, 1.0]], DimensionMismatchError),  # wrong length
+            ([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]], ValidationError),
+            ([[1.0, 0.0, 0.0], [0.0, 0.0, -np.inf]], ValidationError),
+            ([[0.0, 0.0, 0.0]] * 2, ValidationError),  # only zero vectors
+            ([], ValidationError),
+        ):
+            with pytest.raises(err):
+                SubspaceProjector(H, spanning)
+        assert counter.calls == 0

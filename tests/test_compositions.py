@@ -216,6 +216,24 @@ class TestMixture:
             expected = stacked.adjoint_matrix @ prod._evaluator(gamma, stacked.matrix @ x)
             assert np.array_equal(mix.resolvent(1.0, x), expected)
 
+    def test_mixture_takes_one_norm_per_non_identity_block(self, svd_calls):
+        # The weighted-sum gate implies the stacked map's, which takes no SVD of its own.
+        rng = np.random.default_rng(6)
+        H = Space(3, [0.5, 1.0, 2.0])
+        spaces = [Space(2, [0.7, 1.3]), Space(1, [2.5]), H]
+        Ls = [LinearMap(H, G, 0.3 * rng.standard_normal((G.dim, 3))) for G in spaces[:2]]
+        Ls.append(identity_map(H))
+        Bs = [zero_operator(G) for G in spaces]
+        resolvent_mixture(Bs, Ls, [0.3, 0.3, 0.3])
+        assert svd_calls == [(2, 3), (1, 3)]
+        zeros = [LinearMap(H, G, np.zeros((G.dim, 3))) for G in spaces[:2]]
+        for unsafe in (False, True):
+            with pytest.raises(ContractionConditionError, match="nonzero"):
+                resolvent_mixture(Bs[:2], zeros, [0.5, 0.5], unsafe=unsafe)
+        with pytest.raises(ContractionConditionError, match="sum_k w_k"):
+            resolvent_mixture(Bs, Ls, [0.3, 0.3, 1.0])
+        resolvent_mixture(Bs, Ls, [0.3, 0.3, 1.0], unsafe=True)
+
     def test_weight_norm_gate(self):
         with pytest.raises(ContractionConditionError):
             resolvent_mixture(

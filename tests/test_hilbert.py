@@ -7,6 +7,7 @@ from rescomp.bench import InstanceSpec, generate_instance
 from rescomp.errors import ContractionConditionError, DimensionMismatchError, ValidationError
 from rescomp.hilbert import (
     INVERSE_CACHE_SIZE,
+    RANK_RTOL,
     LinearMap,
     Space,
     SubspaceProjector,
@@ -25,20 +26,6 @@ from rescomp.properties import (
 
 def rng():
     return np.random.default_rng(42)
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """The shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
 
 
 def clustered_matrix(m, n, top):
@@ -253,9 +240,9 @@ class TestNormOnDemand:
         assert I.adjoint_matrix is I.matrix
         assert np.array_equal(I.adjoint_matrix, (np.eye(4) * w[None, :]) / w[:, None])
 
-    def test_instance_reads_only_the_stacked_norm(self, svd_calls):
-        # Four per-block maps are never gated one by one: the subspace basis and
-        # the stacked map's norm are the only SVDs.
+    def test_instance_reads_only_the_stacked_norm(self, svd_calls, qr_calls):
+        # Four per-block maps are never gated one by one: the R factor of the
+        # subspace basis's one QR and the stacked map are the only SVDs.
         perms = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]]
         spec = InstanceSpec.from_dict({
             "kind": "split-feasibility",
@@ -266,7 +253,8 @@ class TestNormOnDemand:
             "subspace": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
         })
         generate_instance(spec)
-        assert svd_calls == [(2, 3), (12, 3)]
+        assert svd_calls == [(2, 2), (12, 3)]
+        assert qr_calls == [(3, 2)]
 
 
 class TestGate:
@@ -334,7 +322,7 @@ class TestProjector:
         s = Space(3)
         spanning = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         P = SubspaceProjector(s, spanning)
-        assert P.rank == 2
+        assert (P.rank, P.dropped) == (2, 1)
         for v in spanning:  # the range still covers every input vector
             assert P.apply(v) == pytest.approx(v)
 
@@ -373,6 +361,95 @@ class TestProjector:
             P = SubspaceProjector(s, [g.standard_normal(3) for _ in range(2)])
             x, y = g.standard_normal(3), g.standard_normal(3)
             assert s.inner(P.apply(x), y) == pytest.approx(s.inner(x, P.apply(y)), abs=1e-11)
+
+
+def reference_projector(space, vectors):
+    """Rank and matrix of the projector from a full SVD of the scaled spanning set."""
+    vectors = np.asarray(vectors, dtype=float)
+    peak = np.abs(vectors).max(axis=1)
+    root = np.sqrt(space.weights)
+    rows = vectors[peak > 0] / peak[peak > 0, None] * root
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
+    kept = vt[sigma > RANK_RTOL * sigma[0]]
+    # P = W^{-1/2} V V^T W^{1/2} for the Euclidean basis V of the scaled span
+    return len(kept), (kept.T @ kept) / root[:, None] * root[None, :]
+
+
+def planted_spanning_set(g, n, rank, extra):
+    """``rank`` random vectors in R^n and ``extra`` random combinations of them, shuffled."""
+    base = g.standard_normal((rank, n))
+    spanning = np.vstack([base, g.standard_normal((extra, rank)) @ base])
+    return spanning[g.permutation(len(spanning))]
+
+
+class TestSubspaceBasis:
+    """The basis from one QR and sigma(R) against a reference SVD of the spanning set."""
+
+    @staticmethod
+    def assert_matches_reference(space, spanning, atol=1e-12):
+        P = SubspaceProjector(space, spanning)
+        rank, matrix = reference_projector(space, spanning)
+        assert (P.rank, P.dropped) == (rank, len(spanning) - rank)
+        assert np.abs(P.matrix - matrix).max() <= atol
+        return P
+
+    @staticmethod
+    def assert_w_orthonormal(P):
+        gram = P.basis @ (P.basis * P.space.weights).T
+        assert np.abs(gram - np.eye(P.rank)).max() <= 1e-14 * np.sqrt(P.space.dim)
+
+    def test_planted_dependencies(self):
+        g = rng()
+        for _ in range(40):
+            n = int(g.integers(2, 30))
+            rank = int(g.integers(1, n))
+            space = Space(n, g.uniform(0.3, 2.0, size=n))
+            P = self.assert_matches_reference(
+                space, planted_spanning_set(g, n, rank, int(g.integers(1, 4))))
+            assert P.rank == rank
+            self.assert_w_orthonormal(P)
+
+    def test_more_vectors_than_dimensions(self):
+        g = rng()
+        for n in (1, 2, 5, 17):
+            space = Space(n, g.uniform(0.3, 2.0, size=n))
+            P = self.assert_matches_reference(space, g.standard_normal((n + 3, n)))
+            assert (P.rank, P.dropped) == (n, 3)
+            self.assert_w_orthonormal(P)
+            # n + 3 vectors spanning only a line: the rank-deficient path when n > 1
+            line = np.outer(g.standard_normal(n + 3), g.standard_normal(n))
+            P = self.assert_matches_reference(space, line)
+            assert P.rank == 1
+            self.assert_w_orthonormal(P)
+
+    @pytest.mark.parametrize("ratio, rank", [(1e-9, 3), (1e-11, 2)])
+    def test_planted_singular_value_either_side_of_the_cutoff(self, ratio, rank):
+        # Rows a, b, a + t c with a, b, c orthonormal in the metric: the singular
+        # values are about sqrt(2), 1 and t / sqrt(2), so the last is t / 2 of the first.
+        g = rng()
+        n = 6
+        space = Space(n, g.uniform(0.3, 2.0, size=n))
+        a, b, c = np.linalg.qr(g.standard_normal((n, 3)))[0].T
+        rows = np.array([a, b, a + 2.0 * ratio * c])
+        sigma = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None], compute_uv=False)
+        assert sigma[2] / sigma[0] == pytest.approx(ratio, rel=1e-3)
+        spanning = rows / np.sqrt(space.weights)
+        # A direction kept at 1e-9 is known only to about eps / 1e-9.
+        P = self.assert_matches_reference(space, spanning, atol=1e-6 if rank == 3 else 1e-12)
+        assert P.rank == rank
+        self.assert_w_orthonormal(P)
+
+    def test_vectors_scaled_over_the_whole_range(self):
+        g = rng()
+        for _ in range(10):
+            n = int(g.integers(3, 12))
+            space = Space(n, g.uniform(0.3, 2.0, size=n))
+            spanning = planted_spanning_set(g, n, n - 1, 3)
+            spanning *= 10.0 ** g.uniform(-170, 150, size=len(spanning))[:, None]
+            P = self.assert_matches_reference(space, spanning)
+            assert P.rank == n - 1
+            self.assert_w_orthonormal(P)
 
 
 class TestStack:
