@@ -31,7 +31,7 @@ import numpy as np
 
 from . import operators, proxfun
 from .errors import RescompError, ValidationError
-from .hilbert import LinearMap, Space, SubspaceProjector, _count, _real, identity_map
+from .hilbert import LinearMap, Space, SubspaceProjector, _count, _real, _scale, identity_map
 from .sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from .solvers import (
     ANDERSON_MEMORY,
@@ -121,7 +121,7 @@ class InstanceSpec:
             sets=data["sets"],
             weights=data.get("weights"),  # one per block by default, filled in by validate
             subspace=data.get("subspace", []),
-            gamma=_real("field 'gamma'", data.get("gamma", 1.0)),
+            gamma=data.get("gamma", 1.0),
             schedule=dict(data.get("schedule", {})),
             seed=_count("field 'seed'", data.get("seed", 0)),
             output=dict(data.get("output", {})),
@@ -148,8 +148,7 @@ class InstanceSpec:
         for i, w in enumerate(self.weights):
             if not np.isfinite(_real(f"field 'weights[{i}]'", w)) or w <= 0:
                 raise ValidationError(f"field 'weights[{i}]': must be finite and positive")
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValidationError("field 'gamma': must be finite and positive")
+        self.gamma = _scale("field 'gamma'", self.gamma)
         if not self.subspace and self.kind != "feasibility-product":
             raise ValidationError("field 'subspace': spanning vectors are required")
         if not _field("subspace", _all_finite, self.subspace):

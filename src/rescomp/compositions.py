@@ -17,11 +17,12 @@ is ``graph_residual`` like any other family's.
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures, which bounds the stacked map's norm) because that
 is what makes the composed resolvent firmly nonexpansive and the composed
-operator monotone; an ``unsafe`` flag lifts the upper bound for
-exploration, never the lower one.  The scale parameter is frozen at
-construction: the family parametrized by gamma is a different operator
-for each gamma, so a composed operator only answers for its native
-resolvent at scale 1.  The inner scale is checked at construction, so
+operator monotone; the ``unsafe`` flag of the composition, cocomposition
+and mixture lifts the upper bound for exploration, never the lower one.
+The scale parameter is frozen at construction: the family parametrized by
+gamma is a different operator for each gamma, so a composed operator only
+answers for its native resolvent at scale 1.  The inner scale is checked
+at construction (finite and positive, in the inner family's domain), so
 composed evaluators call the raw matrices and the inner ``_evaluator``
 directly.  Composed operators are immutable and safe to evaluate
 concurrently.
@@ -30,7 +31,7 @@ concurrently.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import NORM_GATE_TOL, check_contraction, stack
+from .hilbert import NORM_GATE_TOL, check_contraction, identity_map, stack
 from .operators import ResolventFamily, product_family
 
 
@@ -44,8 +45,7 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
 
 def _composition(L, B, gamma):
     """The composition of ``B`` with ``L``, whose gate the caller has passed."""
-    B._check_scale(gamma)
-    g = float(gamma)
+    g = B._check_scale(gamma)
 
     def evaluator(_one, x):
         return L.adjoint_matrix @ B._evaluator(g, L.matrix @ x)
@@ -58,8 +58,7 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe)
-    B._check_scale(gamma)
-    g = float(gamma)
+    g = B._check_scale(gamma)
 
     def evaluator(_one, x):
         y = L.matrix @ x
@@ -88,27 +87,25 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     return _composition(stack(Ls, weights), product_family(Bs, weights), gamma)
 
 
-def resolvent_average(Bs, weights, gamma=1.0, unsafe=False):
+def resolvent_average(Bs, weights, gamma=1.0):
     """Mixture with identity maps; the classical average when weights sum to 1."""
-    from .hilbert import identity_map
-
     Bs = list(Bs)
     if not Bs:
         raise ValidationError("average of zero operators")
     Ls = [identity_map(B.space) for B in Bs]
-    return resolvent_mixture(Bs, Ls, weights, gamma=gamma, unsafe=unsafe)
+    return resolvent_mixture(Bs, Ls, weights, gamma=gamma)
 
 
-def compose_chain(Q, L, B, unsafe=False):
+def compose_chain(Q, L, B):
     """Chained composition of ``B`` first with ``L``, then with ``Q``.
 
     Both factors are gated; the chain is the single composition with
     ``L o Q``, whose resolvent equals the nested one in exact arithmetic
     (the ``compositions/chaining`` property suite checks the identity).
     """
-    check_contraction([Q], unsafe=unsafe)
-    check_contraction([L], unsafe=unsafe)
-    return resolvent_composition(L.compose(Q), B, unsafe=unsafe)
+    check_contraction([Q])
+    check_contraction([L])
+    return resolvent_composition(L.compose(Q), B)
 
 
 def strong_monotonicity_modulus(alpha, norm_l):
@@ -119,9 +116,9 @@ def strong_monotonicity_modulus(alpha, norm_l):
     """
     alpha = float(alpha)
     norm_l = float(norm_l)
-    if alpha < 0.0:
-        raise ValidationError("alpha must be nonnegative")
-    if norm_l <= 0.0 or norm_l > 1.0 + NORM_GATE_TOL:
+    if not alpha >= 0.0:  # NaN too
+        raise ValidationError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 < norm_l <= 1.0 + NORM_GATE_TOL:
         raise ValidationError("||L|| must lie in (0, 1]")
     if alpha == 0.0 and norm_l >= 1.0:
         raise ValidationError(

@@ -9,10 +9,6 @@ class DimensionMismatchError(RescompError, ValueError):
     """A vector or matrix does not fit the space it was used with."""
 
 
-class ScaleRestrictionError(RescompError, ValueError):
-    """A resolvent was requested at a scale the family does not support."""
-
-
 class ContractionConditionError(RescompError, ValueError):
     """An operator-norm gate (||L|| <= 1, or the weighted-sum variant) failed."""
 
@@ -23,6 +19,10 @@ class CapabilityError(RescompError, ValueError):
 
 class ValidationError(RescompError, ValueError):
     """Constructor-time validation of user-supplied data failed."""
+
+
+class ScaleRestrictionError(ValidationError):
+    """A resolvent was requested at a scale the family does not support."""
 
 
 class ConvergenceError(RescompError, RuntimeError):

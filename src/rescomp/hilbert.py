@@ -15,7 +15,8 @@ Everything else in the package is built on the three objects defined here:
 
 :func:`check_contraction` is the one gate on the theory's hypothesis
 ``0 < sum_k w_k ||L_k||^2 <= 1`` (``0 < ||L|| <= 1`` for a single map);
-:func:`_real` and :func:`_count` read a scalar strictly (a bool is refused).
+:func:`_real` and :func:`_count` read a scalar strictly (a bool is refused);
+:func:`_scale` is the one reader of a resolvent scale, finite and positive.
 
 :func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
@@ -50,7 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractionConditionError, DimensionMismatchError, ValidationError
+from .errors import (ContractionConditionError, DimensionMismatchError, ScaleRestrictionError,
+                     ValidationError)
 
 # Singular values of the normalised spanning set below this fraction of the
 # largest one are dropped as linear dependence.  The cutoff is relative, so
@@ -103,6 +105,15 @@ def _count(name, value):
     if not (_real(name, value) >= 0 and float(value).is_integer()):
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def _scale(name, value):
+    """``value`` as a float when it is a finite positive number, else ``ScaleRestrictionError``."""
+    # type() first: a float, the usual scale, then skips the slow ABC check of numbers.Real.
+    number = type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if not (number and 0.0 < value < math.inf):  # NaN fails too
+        raise ScaleRestrictionError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 class Space:

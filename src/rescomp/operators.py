@@ -42,7 +42,11 @@ forward map declare none (``derivative`` is None); a product lists its
 each factor's derivative to that factor's block.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
-families call their factors' raw ``_evaluator``.
+families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
+one blockwise evaluator (of products and of the solvers' nonlinear
+blocks), ``_check_scale`` the one scale rule (:func:`~rescomp.hilbert._scale`,
+then the family's domain) and ``_firm_defect`` the one firm-nonexpansiveness
+test (of ``make_wiener`` and the property suites).
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
@@ -58,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScaleRestrictionError, ValidationError
-from .hilbert import _real, block_slices, check_monotone, product_space, shifted_inverse
+from .hilbert import _real, _scale, block_slices, check_monotone, product_space, shifted_inverse
 
 ALL_SCALES = "all"
 
@@ -97,27 +101,26 @@ class ResolventFamily:
     # -- scale bookkeeping ----------------------------------------------
 
     def _check_scale(self, gamma):
-        if gamma <= 0.0:
-            raise ScaleRestrictionError(f"resolvent scale must be positive, got {gamma}")
-        if self.scale_domain != ALL_SCALES and not (  # not <=, so a NaN fails too
-                abs(gamma - self.scale_domain) <= 1e-12 * max(1.0, abs(gamma))):
+        """``gamma`` as a float, if it is a scale of this family; else ``ScaleRestrictionError``."""
+        gamma = _scale("resolvent scale", gamma)
+        if self.scale_domain != ALL_SCALES and not (
+                abs(gamma - self.scale_domain) <= 1e-12 * max(1.0, gamma)):
             raise ScaleRestrictionError(
                 f"operator {self.kind!r} only supports scale {self.scale_domain}, "
                 f"got {gamma}"
             )
+        return gamma
 
     # -- evaluation -------------------------------------------------------
 
     def resolvent(self, gamma, y):
         """``J_{gamma B}(y)``."""
-        self._check_scale(gamma)
-        y = self.space.validate(y)
-        return self._evaluator(float(gamma), y)
+        gamma = self._check_scale(gamma)
+        return self._evaluator(gamma, self.space.validate(y))
 
     def _resolve(self, gamma, y):
         """``J_{gamma B}(y)`` for a validated ``y``: checks the scale only."""
-        self._check_scale(gamma)
-        return self._evaluator(float(gamma), y)
+        return self._evaluator(self._check_scale(gamma), y)
 
     def yosida(self, gamma, x):
         """``(x - J_{gamma B} x) / gamma``; gamma-cocoercive."""
@@ -151,9 +154,8 @@ class ResolventFamily:
     # -- derived families ---------------------------------------------------
 
     def scaled(self, c):
-        """The operator ``c B`` for ``c > 0`` (graphs scale in the output)."""
-        if c <= 0.0:
-            raise ValidationError(f"operator scaling must be positive, got {c}")
+        """The operator ``c B`` for finite ``c > 0`` (graphs scale in the output)."""
+        c = _scale("operator scaling", c)
         if self.scale_domain == ALL_SCALES:
             domain = ALL_SCALES
         else:
@@ -196,8 +198,8 @@ def zero_operator(space):
 def scaled_identity(space, c):
     """``B = c Id`` with ``c >= 0``: ``J_{gamma B}(y) = y / (1 + gamma c)``."""
     c = float(c)
-    if c < 0.0:
-        raise ValidationError("scaled identity needs c >= 0 to stay monotone")
+    if not c >= 0.0:  # NaN too
+        raise ValidationError(f"scaled identity needs c >= 0 to stay monotone, got {c}")
     return ResolventFamily(
         space, f"identity-scaled({c:g})", lambda gamma, y: y / (1.0 + gamma * c),
         derivative=lambda gamma, y: 1.0 / (1.0 + gamma * c), constant_derivative=True,
@@ -259,14 +261,31 @@ def make_wiener(space, F, p):
         raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
     rng = np.random.default_rng(0)
     for _ in range(_WIENER_SPOT_CHECKS):
-        a = space.random(rng)
-        b = space.random(rng)
-        fa = space.validate(F(a))
-        fb = space.validate(F(b))
-        lhs = space._norm(fa - fb) ** 2 + space._norm((a - fa) - (b - fb)) ** 2
-        if lhs > space._norm(a - b) ** 2 + _WIENER_TOL:
+        if _firm_defect(space, F, space.random(rng), space.random(rng)) > _WIENER_TOL:
             raise ValidationError(_WIENER_REJECTED)
     return ResolventFamily(space, "wiener", lambda gamma, y: y - F(y) + p, scale_domain=1.0)
+
+
+def _firm_defect(space, T, a, b):
+    """``||Ta - Tb||^2 + ||(a - Ta) - (b - Tb)||^2 - ||a - b||^2``: at most 0 for a firm ``T``.
+
+    Both outputs are validated, so a non-finite one raises rather than give a NaN defect.
+    """
+    ta, tb = space.validate(T(a)), space.validate(T(b))
+    lhs = space._norm(ta - tb) ** 2 + space._norm((a - ta) - (b - tb)) ** 2
+    return lhs - space._norm(a - b) ** 2
+
+
+def _blockwise(factors):
+    """The evaluator of the product of ``(family, slice)`` factors: each block by its own."""
+
+    def evaluator(gamma, y):
+        out = np.empty_like(y)
+        for fam, sl in factors:
+            out[sl] = fam._evaluator(gamma, y[sl])
+        return out
+
+    return evaluator
 
 
 def product_family(families, weights=None):
@@ -292,12 +311,5 @@ def product_family(families, weights=None):
         scale_domain = fixed.pop()
 
     factors = list(zip(families, slices))
-
-    def evaluator(gamma, y):
-        out = np.empty_like(y)
-        for fam, sl in factors:
-            out[sl] = fam._evaluator(gamma, y[sl])
-        return out
-
-    return ResolventFamily(space, "product", evaluator, scale_domain=scale_domain,
+    return ResolventFamily(space, "product", _blockwise(factors), scale_domain=scale_domain,
                            factors=factors)

@@ -27,7 +27,7 @@ from .compositions import (
     strong_monotonicity_modulus,
 )
 from .hilbert import LinearMap, Space, SubspaceProjector, identity_map, stack
-from .operators import GraphPoint
+from .operators import GraphPoint, _firm_defect
 from .sets import Ball, Box, Halfspace, Singleton
 from .solvers import RelaxedInstance, Schedule, proximal_point, solve_blocks, solve_relaxed, variational_residual
 
@@ -175,12 +175,6 @@ def _random_composed(rng, variant=None):
     if variant == "composition":
         return resolvent_composition(L, B, gamma=gamma)
     return resolvent_cocomposition(L, B, gamma=gamma)
-
-
-def _firm_defect(space, T, x1, x2):
-    t1, t2 = T(x1), T(x2)
-    lhs = space.norm(t1 - t2) ** 2 + space.norm((x1 - t1) - (x2 - t2)) ** 2
-    return lhs - space.norm(x1 - x2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ half squared distances to a point, separable sums on weighted product
 spaces, and conjugates, built with the operator side's constructions:
 ``d(iota_C) = N_C`` (``normal_cone``), ``dg* = (dg)^{-1}`` (``inverse``,
 the one Moreau identity) and the product of the members' subdifferentials.
-On top of the catalog this module implements Moreau envelopes and the
+The conjugate value of an indicator is its set's ``ConvexSet.support``.
+:meth:`ProxFunction.prox` is the resolvent of the subdifferential, and
+every scale given here is checked by that family's one scale rule.  On
+top of the catalog this module implements Moreau envelopes and the
 proximal composition, cocomposition, mixture and value operations for a
 linear map with ``0 < ||L|| <= 1``.  The subdifferential of a proximal
 composition is the resolvent composition of ``dg``, so the three prox
@@ -40,10 +43,13 @@ from .compositions import (
 from .errors import CapabilityError, ConvergenceError, ValidationError
 from .hilbert import check_contraction, check_monotone, shifted_inverse
 from .operators import ResolventFamily, normal_cone, product_family
-from .sets import Ball, Box, ConvexSet, Singleton
+from .sets import ConvexSet
+from .solvers import Schedule, proximal_point
 
 # Membership tolerance when an indicator function is asked for its value.
 INDICATOR_TOL = 1e-8
+# Cap on the inner Douglas-Rachford updates of proximal_composition_value.
+_VALUE_MAX_ITERATIONS = 200_000
 
 
 class ProxFunction:
@@ -66,11 +72,8 @@ class ProxFunction:
     # -- evaluation ----------------------------------------------------
 
     def prox(self, gamma, x):
-        """``prox_{gamma g}(x)`` for ``gamma > 0``."""
-        if gamma <= 0.0:
-            raise ValidationError(f"prox scale must be positive, got {gamma}")
-        x = self.space.validate(x)
-        return self._prox(float(gamma), x)
+        """``prox_{gamma g}(x)`` for finite ``gamma > 0``: the resolvent of the subdifferential."""
+        return self.subdifferential.resolvent(gamma, x)
 
     @property
     def has_value(self):
@@ -117,39 +120,9 @@ def indicator(cset: ConvexSet):
         f"indicator({cset.tag})",
         normal_cone(cset),
         value=value,
-        conjugate_value=_support_function(cset),
+        conjugate_value=cset.support,
         minimizer=cset.any_point(),
     )
-
-
-def _support_function(cset):
-    """Closed-form support function for set tags that have one."""
-    space = cset.space
-    w = space.weights
-    if isinstance(cset, Singleton):
-        p = cset.point
-        return lambda y: space._inner(p, y)
-    if isinstance(cset, Box):
-        lo, hi = cset.lower, cset.upper
-
-        def sup_box(y):
-            total = 0.0
-            for li, ui, yi, wi in zip(lo, hi, y, w):
-                if yi > 0.0:
-                    if np.isinf(ui):
-                        return np.inf
-                    total += wi * ui * yi
-                elif yi < 0.0:
-                    if np.isinf(li):
-                        return np.inf
-                    total += wi * li * yi
-            return total
-
-        return sup_box
-    if isinstance(cset, Ball):
-        c, r = cset.center, cset.radius
-        return lambda y: space._inner(c, y) + r * space._norm(y)
-    return None
 
 
 def one_norm(space):
@@ -272,12 +245,11 @@ def moreau_envelope(g, gamma, x):
     The envelope gradient is the Yosida map ``(x - p) / gamma``; callers
     that need it can recover it from the same prox evaluation.
     """
-    if gamma <= 0.0:
-        raise ValidationError(f"envelope scale must be positive, got {gamma}")
+    gamma = g.subdifferential._check_scale(gamma)
     if not g.has_value:
         raise CapabilityError("moreau_envelope needs a value oracle")
     x = g.space.validate(x)
-    p = g._prox(float(gamma), x)
+    p = g._prox(gamma, x)
     return float(g._value(p)) + g.space._norm(x - p) ** 2 / (2.0 * gamma)
 
 
@@ -286,43 +258,42 @@ def moreau_envelope(g, gamma, x):
 # ---------------------------------------------------------------------------
 
 
-def proximal_composition_prox(L, g, x, unsafe=False):
+def proximal_composition_prox(L, g, x):
     """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``."""
-    return resolvent_composition(L, g.subdifferential, unsafe=unsafe).resolvent(1.0, x)
+    return resolvent_composition(L, g.subdifferential).resolvent(1.0, x)
 
 
-def proximal_cocomposition_prox(L, g, x, unsafe=False):
+def proximal_cocomposition_prox(L, g, x):
     """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``."""
-    return resolvent_cocomposition(L, g.subdifferential, unsafe=unsafe).resolvent(1.0, x)
+    return resolvent_cocomposition(L, g.subdifferential).resolvent(1.0, x)
 
 
-def proximal_mixture_prox(gs, Ls, weights, x, unsafe=False):
+def proximal_mixture_prox(gs, Ls, weights, x):
     """Prox of the mixture: ``sum_k w_k L_k*(prox_{g_k}(L_k x))``.
 
     Requires the stacked-map norm condition
     ``0 < sum_k w_k ||L_k||^2 <= 1``.
     """
     Bs = [g.subdifferential for g in gs]
-    return resolvent_mixture(Bs, Ls, weights, unsafe=unsafe).resolvent(1.0, x)
+    return resolvent_mixture(Bs, Ls, weights).resolvent(1.0, x)
 
 
-def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,
-                               unsafe=False):
+def proximal_composition_value(L, g, x, inner_tol=1e-10, unsafe=False):
     """Value of the proximal composition of ``g`` with ``L`` at ``x``.
 
     Evaluates ``min { g(y) + ||y||^2/2 : L* y = x } - ||x||^2/2``
     numerically: the affine-constrained strongly convex inner problem is
     solved by Douglas-Rachford splitting driven by the package's proximal
-    point engine, until the fixed-point residual is below ``inner_tol``.
+    point engine, until the fixed-point residual is below ``inner_tol``
+    (within ``_VALUE_MAX_ITERATIONS`` updates, else ``ConvergenceError``).
 
     Returns ``inf`` when the affine constraint ``L* y = x`` is infeasible
     (least-squares residual above 1e-8).
     """
-    from .solvers import Schedule, proximal_point  # deferred: avoids an import cycle
-
     check_contraction([L], unsafe=unsafe)
     if not g.has_value:
         raise CapabilityError("proximal_composition_value needs a value oracle")
+    g.subdifferential._check_scale(0.5)  # the inner solve takes prox_{g/2}
     H, G = L.domain, L.codomain
     x = H.validate(x)
 
@@ -348,7 +319,7 @@ def proximal_composition_value(L, g, x, inner_tol=1e-10, max_iterations=200_000,
         p = proj_affine(z)
         return z + prox_g_plus_q(2.0 * p - z) - p
 
-    schedule = Schedule(lam=1.0, max_iterations=max_iterations, tol=inner_tol)
+    schedule = Schedule(lam=1.0, max_iterations=_VALUE_MAX_ITERATIONS, tol=inner_tol)
     z, trace = proximal_point(G, dr_map, y_ls, schedule)
     if trace.reason != "converged":
         raise ConvergenceError(

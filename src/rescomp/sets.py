@@ -12,6 +12,10 @@ balls and halfspaces are defined with respect to the metric norm.
 product of sets is the ``product_family`` of their normal cones (see
 :mod:`~rescomp.operators`); it needs no set of its own.
 
+A singleton, a box and a ball give ``support(y) = sup_{x in C} <x, y>``
+(``inf`` allowed), the conjugate of their indicator; other sets leave it
+None.  Constructors refuse NaN data and data that leaves a set empty.
+
 Each catalog set also gives ``_derivative(x)``, an element of the
 generalized Jacobian of its projection at ``x``, in one of the forms of
 :func:`~rescomp.hilbert.displacement_jacobian`: a 0/1 diagonal for a box,
@@ -35,6 +39,7 @@ class ConvexSet:
     tag = "abstract"
     _derivative = None  # x -> derivative of the projection at x, in a subclass that has one
     constant_derivative = False  # the projection is affine: _derivative ignores x
+    support = None  # y -> sup_{x in C} <x, y>, in a subclass with a closed form
 
     def __init__(self, space):
         self.space = space
@@ -70,14 +75,22 @@ class Box(ConvexSet):
         super().__init__(space)
         self.lower = np.broadcast_to(np.asarray(lower, dtype=float), (space.dim,)).copy()
         self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (space.dim,)).copy()
-        if np.any(self.lower > self.upper):
-            raise ValidationError("empty box: lower > upper somewhere")
+        # Each comparison is False on NaN; lower = inf or upper = -inf leaves the box empty.
+        if not np.all((self.lower <= self.upper) & (self.lower < np.inf) & (self.upper > -np.inf)):
+            raise ValidationError("empty box: needs lower <= upper, lower < inf, upper > -inf")
 
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def _derivative(self, x):
         return ((self.lower <= x) & (x <= self.upper)).astype(float)
+
+    def support(self, y):
+        # The bound each component of y pushes towards; a zero component adds
+        # nothing and an infinite bound gives inf.  Python's sum adds in
+        # coordinate order, which np.sum's pairwise order would round differently.
+        bound = np.where(y > 0.0, self.upper, np.where(y < 0.0, self.lower, 0.0))
+        return sum((self.space.weights * bound * y).tolist())
 
 
 class Ball(ConvexSet):
@@ -89,8 +102,8 @@ class Ball(ConvexSet):
         super().__init__(space)
         self.center = space.validate(center).copy()
         self.radius = float(radius)
-        if self.radius < 0:
-            raise ValidationError("negative ball radius")
+        if not self.radius >= 0:  # NaN too
+            raise ValidationError(f"ball radius must be nonnegative, got {self.radius}")
 
     def _project(self, x):
         d = x - self.center
@@ -106,6 +119,9 @@ class Ball(ConvexSet):
             return 1.0
         return RankOne(self.radius / nd, d, (self.space.weights * d) / nd**2)
 
+    def support(self, y):
+        return self.space._inner(self.center, y) + self.radius * self.space._norm(y)
+
 
 class Halfspace(ConvexSet):
     """``{x : <normal, x> <= offset}`` in the metric inner product."""
@@ -116,6 +132,8 @@ class Halfspace(ConvexSet):
         super().__init__(space)
         self.normal = space.validate(normal).copy()
         self.offset = float(offset)
+        if not self.offset > -np.inf:  # NaN too; -inf leaves the halfspace empty
+            raise ValidationError(f"halfspace offset must be a number above -inf, got {offset}")
         nn = space.inner(self.normal, self.normal)
         if nn == 0.0:
             raise ValidationError("halfspace normal must be nonzero")
@@ -166,4 +184,7 @@ class Singleton(ConvexSet):
 
     def _derivative(self, x):
         return 0.0
+
+    def support(self, y):
+        return self.space._inner(self.point, y)
 

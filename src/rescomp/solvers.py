@@ -88,7 +88,7 @@ import numpy as np
 from .compositions import resolvent_composition, resolvent_cocomposition
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import _count, _real, check_contraction, displacement_jacobian, stack
-from .operators import product_family
+from .operators import _blockwise, product_family
 
 _LAMBDA_EPS = 1e-3
 _MEMBERSHIP_TOL = 1e-10
@@ -394,11 +394,10 @@ class RelaxedInstance:
         if B.space != L.codomain:
             raise ValidationError("B must live in the codomain of L")
         check_contraction([L], unsafe=unsafe)
-        B._check_scale(gamma)
+        self.gamma = B._check_scale(gamma)
         self.V = V
         self.L = L
         self.B = B
-        self.gamma = float(gamma)
         self.kind = kind
         self.blocks = None
         self.space = L.domain
@@ -478,19 +477,11 @@ def _coordinate_step(pieces, gamma, r):
     if not blocks:
         return (lambda c: G @ c + h), (lambda c: G)
     A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
-    if len(blocks) == 1:
-        resolve = blocks[0][0]._evaluator
+    resolve = blocks[0][0]._evaluator if len(blocks) == 1 else _blockwise(blocks)
 
-        def nonlinear(c):
-            y = A_N @ c
-            return A_N_adj @ (resolve(gamma, y) - y)
-    else:
-        def nonlinear(c):
-            y = A_N @ c
-            z = np.empty_like(y)
-            for B_k, sl in blocks:
-                z[sl] = B_k._evaluator(gamma, y[sl])
-            return A_N_adj @ (z - y)
+    def nonlinear(c):
+        y = A_N @ c
+        return A_N_adj @ (resolve(gamma, y) - y)
 
     jacobian = None
     if all(B_k.derivative is not None for B_k, _ in blocks):

@@ -683,6 +683,25 @@ class TestCli:
         assert captured.out.startswith("error: field ")
         assert "Traceback" not in captured.out + captured.err
 
+    def test_nan_box_bound_exits_one_naming_the_set(self, tmp_path, capsys):
+        # json reads the NaN literal; the box refuses it at construction.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(sets=[
+            {"tag": "box", "lower": [float("nan")], "upper": [1.0]},
+            {"tag": "singleton", "point": [3.0]},
+        ])))
+        assert "NaN" in cfg.read_text()
+        assert main(["solve", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: field 'sets[0]'") and "empty box" in out
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_nonfinite_gamma_exits_one(self, tmp_path, capsys, gamma):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(gamma=gamma)))
+        assert main(["solve", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith("error: field 'gamma'")
+
     def test_gate_is_on_the_stacked_map(self, tmp_path, capsys):
         # orthogonal blocks: ||L||^2 = 0.9, though sum_k w_k ||L_k||^2 = 1.8
         cfg = tmp_path / "config.json"

@@ -9,9 +9,9 @@ bad input is still rejected at every entry point, and the number of
 import numpy as np
 import pytest
 
-from rescomp.compositions import resolvent_composition
-from rescomp.errors import DimensionMismatchError, ValidationError
-from rescomp.hilbert import LinearMap, Space, SubspaceProjector
+from rescomp.compositions import resolvent_composition, strong_monotonicity_modulus
+from rescomp.errors import DimensionMismatchError, ScaleRestrictionError, ValidationError
+from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import (
     linear_monotone,
     normal_cone,
@@ -19,7 +19,7 @@ from rescomp.operators import (
     scaled_identity,
     subdifferential,
 )
-from rescomp.proxfun import indicator, one_norm, quadratic, separable
+from rescomp.proxfun import indicator, moreau_envelope, one_norm, quadratic, separable
 from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from rescomp.solvers import RelaxedInstance, Schedule, proximal_point, solve_relaxed
 
@@ -142,6 +142,79 @@ class TestRejectsBadInput:
     def test_proximal_point_rejects_misshapen_step(self):
         with pytest.raises(DimensionMismatchError):
             proximal_point(H, lambda v: v[:, None], np.ones(3), Schedule(max_iterations=3))
+
+
+BAD_SCALES = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+
+class TestScaleRule:
+    """Every scale is read once, by ``hilbert._scale``: finite and positive, NaN refused."""
+
+    @pytest.mark.parametrize("gamma", BAD_SCALES)
+    def test_every_entry_point_refuses_a_bad_scale(self, gamma):
+        R1 = Space(1)
+        B = scaled_identity(R1, 1.0)
+        refusals = [
+            lambda: B.resolvent(gamma, [1.0]),
+            lambda: one_norm(R1).prox(gamma, [1.0]),
+            lambda: moreau_envelope(one_norm(R1), gamma, [1.0]),
+            lambda: resolvent_composition(identity_map(R1), B, gamma=gamma),
+            lambda: RelaxedInstance(SubspaceProjector.full(R1), identity_map(R1), B, gamma),
+            lambda: B.scaled(gamma),
+        ]
+        for refused in refusals:
+            with pytest.raises(ValidationError, match="finite and positive"):
+                refused()
+
+    def test_scale_restriction_is_a_validation_error(self):
+        assert issubclass(ScaleRestrictionError, ValidationError)
+        with pytest.raises(ScaleRestrictionError):
+            scaled_identity(Space(1), 1.0).resolvent(np.nan, [1.0])
+
+    @pytest.mark.parametrize("gamma", [True, "1.0", None])
+    def test_a_non_number_is_refused(self, gamma):
+        with pytest.raises(ScaleRestrictionError):
+            scaled_identity(Space(1), 1.0).resolvent(gamma, [1.0])
+
+    def test_the_scale_reaches_the_evaluator_as_a_float(self):
+        seen = []
+        B = scaled_identity(Space(1), 1.0)
+        B._evaluator = lambda gamma, y: seen.append(gamma) or y
+        B.resolvent(2, [1.0])
+        B.resolvent(np.float32(0.5), [1.0])
+        assert seen == [2.0, 0.5] and all(type(g) is float for g in seen)
+        inst = RelaxedInstance(SubspaceProjector.full(Space(1)), identity_map(Space(1)),
+                               scaled_identity(Space(1), 1.0), 3)
+        assert type(inst.gamma) is float and inst.gamma == 3.0
+
+
+class TestNaNData:
+    """A comparison that a NaN fails guards every scalar a set or modulus is built from."""
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+    ], ids=["nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf"])
+    def test_box(self, lower, upper):
+        with pytest.raises(ValidationError, match="empty box"):
+            Box(Space(1), lower, upper)
+
+    def test_ball(self):
+        with pytest.raises(ValidationError, match="radius"):
+            Ball(Space(1), [0.0], np.nan)
+
+    @pytest.mark.parametrize("offset", [np.nan, -np.inf])
+    def test_halfspace(self, offset):
+        with pytest.raises(ValidationError, match="offset"):
+            Halfspace(Space(1), [1.0], offset)
+
+    def test_scaled_identity(self):
+        with pytest.raises(ValidationError, match="c >= 0"):
+            scaled_identity(Space(1), np.nan)
+
+    @pytest.mark.parametrize("alpha, norm_l", [(np.nan, 0.5), (0.5, np.nan)])
+    def test_strong_monotonicity_modulus(self, alpha, norm_l):
+        with pytest.raises(ValidationError):
+            strong_monotonicity_modulus(alpha, norm_l)
 
 
 class TestValidateConverts:

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from rescomp import operators, properties
 from rescomp.compositions import (
+    compose_chain,
     resolvent_average,
     resolvent_cocomposition,
     resolvent_composition,
     resolvent_mixture,
 )
 from rescomp.errors import ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space, displacement_jacobian
+from rescomp.hilbert import LinearMap, Space, SubspaceProjector, displacement_jacobian, identity_map
 from rescomp.operators import (
     GraphPoint,
     linear_monotone,
@@ -271,6 +273,66 @@ class TestWienerConstruction:
         assert draws == []
         make_wiener(space, lambda y: 0.5 * y, [0.0])
         assert len(draws) > 0
+
+
+class TestFirmDefect:
+    """One firm-nonexpansiveness test serves ``make_wiener`` and the property suites."""
+
+    def test_one_helper(self, monkeypatch):
+        assert properties._firm_defect is operators._firm_defect
+        calls = []
+        defect = operators._firm_defect
+        monkeypatch.setattr(operators, "_firm_defect",
+                            lambda *args: calls.append(1) or defect(*args))
+        make_wiener(R1, Box(R1, [0.0], [1.0]).project, [0.5])
+        assert len(calls) == 100
+
+    def test_values(self):
+        rng = np.random.default_rng(8)
+        space = Space(3, [0.5, 1.0, 2.0])
+        ball = Ball(space, [0.0, 1.0, 0.0], 0.5)
+        for _ in range(50):
+            a, b = space.random(rng), space.random(rng)
+            assert operators._firm_defect(space, ball.project, a, b) <= 1e-12
+            # 2 Id: ||2a - 2b||^2 + ||b - a||^2 - ||a - b||^2 = 4 ||a - b||^2
+            assert operators._firm_defect(space, lambda v: 2.0 * v, a, b) == pytest.approx(
+                4.0 * space.norm(a - b) ** 2)
+
+    def test_a_nan_map_raises(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            operators._firm_defect(R1, lambda v: np.full(1, np.nan), np.ones(1), np.zeros(1))
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_wiener(R1, lambda v: np.full(1, np.nan), [0.0])
+
+    def test_a_nan_map_fails_a_property_suite(self, monkeypatch):
+        # Through the shared helper a NaN output raises; a NaN defect would
+        # pass max() unseen and the suite would report a pass.
+        monkeypatch.setattr(SubspaceProjector, "apply", lambda self, x: np.full_like(x, np.nan))
+        with pytest.raises(ValidationError, match="non-finite"):
+            properties.suite_projector_firm(np.random.default_rng(0), 5)
+
+
+class TestBlockwise:
+    def test_product_evaluates_each_block_with_its_factor(self):
+        rng = np.random.default_rng(9)
+        spaces = [Space(1), Space(2, [0.5, 2.0]), Space(3)]
+        fams = [scaled_identity(spaces[0], 2.0), normal_cone(Ball(spaces[1], [0.0, 1.0], 0.3)),
+                subdifferential(one_norm(spaces[2]))]
+        prod = product_family(fams, [1.0, 0.5, 2.0])
+        y = prod.space.random(rng, scale=2.0)
+        expected = np.concatenate([fams[0].resolvent(0.7, y[:1]), fams[1].resolvent(0.7, y[1:3]),
+                                   fams[2].resolvent(0.7, y[3:])])
+        assert np.array_equal(prod.resolvent(0.7, y), expected)
+        assert np.array_equal(operators._blockwise(prod.factors)(0.7, y), expected)
+
+
+class TestRemovedParameters:
+    def test_average_and_chain_take_no_gate_bypass(self):
+        B = zero_operator(R1)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            resolvent_average([B], [1.0], unsafe=True)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            compose_chain(identity_map(R1), identity_map(R1), B, unsafe=True)
 
 
 W3 = Space(3, [0.5, 1.0, 2.0])

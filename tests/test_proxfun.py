@@ -7,10 +7,12 @@ from rescomp.errors import (
     CapabilityError,
     ContractionConditionError,
     DimensionMismatchError,
+    ScaleRestrictionError,
     ValidationError,
 )
 from rescomp.hilbert import LinearMap, Space, displacement_jacobian, identity_map, stack
 from rescomp.proxfun import (
+    ProxFunction,
     conjugate_prox,
     half_squared_distance,
     indicator,
@@ -23,7 +25,7 @@ from rescomp.proxfun import (
     quadratic,
     separable,
 )
-from rescomp.operators import subdifferential
+from rescomp.operators import make_wiener, subdifferential
 from rescomp.properties import (
     _random_map,
     _random_prox_function,
@@ -239,10 +241,28 @@ class TestConjugate:
         res = suite_moreau_decomposition(np.random.default_rng([17, 0]), 500)
         assert res.passed, res.line()
 
+    def test_indicator_conjugate_value_is_the_support_function(self):
+        s = Space(3, [0.5, 1.0, 2.0])
+        y = np.array([0.3, -1.2, 0.8])
+        for cset in (Singleton(s, [1.0, 2.0, -1.0]), Ball(s, [0.1, 0.2, 0.3], 0.7),
+                     Box(s, [-1.0, -np.inf, 0.0], [1.0, 0.5, np.inf])):
+            assert indicator(cset).conjugate().value(y) == cset.support(y), cset.tag
+        assert not indicator(Halfspace(s, [1.0, 0.0, 0.0], 1.0)).conjugate().has_value
+
 
 class TestEnvelope:
     def test_huber_value(self):
         assert moreau_envelope(one_norm(R1), 1.0, [3.0]) == pytest.approx(2.5)
+
+    def test_a_scale_outside_the_family_is_refused(self):
+        # A family pinned to scale 1 answers the envelope and the inner
+        # prox_{g/2} of the composition value as it answers prox: it refuses.
+        g = ProxFunction("pinned", make_wiener(R1, 0.5, [1.0]), value=lambda x: float(x[0] ** 2))
+        assert moreau_envelope(g, 1.0, [1.0]) == pytest.approx(1.5 ** 2 + 0.5 ** 2 / 2.0)
+        for refused in (lambda: g.prox(2.0, [1.0]), lambda: moreau_envelope(g, 2.0, [1.0]),
+                        lambda: proximal_composition_value(identity_map(R1), g, [1.0])):
+            with pytest.raises(ScaleRestrictionError, match="only supports scale"):
+                refused()
 
     def test_indicator_gives_squared_distance(self):
         g = indicator(Box(R1, [0.0], [1.0]))
@@ -480,3 +500,17 @@ class TestProximalCompositionValue:
     def test_prox_firm_suite(self):
         res = suite_prox_firm(np.random.default_rng([17, 5]), 400)
         assert res.passed, res.line()
+
+
+class TestSettableValues:
+    """Parameters that no caller set are gone; the gate bypass stays on the constructions."""
+
+    @pytest.mark.parametrize("call", [
+        lambda L, g, x: proximal_composition_prox(L, g, x, unsafe=True),
+        lambda L, g, x: proximal_cocomposition_prox(L, g, x, unsafe=True),
+        lambda L, g, x: proximal_mixture_prox([g], [L], [1.0], x, unsafe=True),
+        lambda L, g, x: proximal_composition_value(L, g, x, max_iterations=10),
+    ], ids=["composition", "cocomposition", "mixture", "value-max-iterations"])
+    def test_removed_parameters(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(identity_map(R1), one_norm(R1), [1.0])

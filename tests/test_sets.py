@@ -116,3 +116,62 @@ class TestSpecificSets:
         cset = Box(space, [0.0, -np.inf], [np.inf, 0.0])
         assert cset.project([-1.0, 5.0]) == pytest.approx([0.0, 0.0])
         assert cset.project([9.0, -9.0]) == pytest.approx([9.0, -9.0])
+
+
+def _box_support_loop(cset, y):
+    """The coordinate loop the box's support function once was."""
+    total = 0.0
+    for li, ui, yi, wi in zip(cset.lower, cset.upper, y, cset.space.weights):
+        if yi > 0.0:
+            if np.isinf(ui):
+                return np.inf
+            total += wi * ui * yi
+        elif yi < 0.0:
+            if np.isinf(li):
+                return np.inf
+            total += wi * li * yi
+    return total
+
+
+class TestSupport:
+    """``support(y) = sup_{x in C} <x, y>`` against the closed forms, in a weighted metric."""
+
+    def test_closed_forms(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            space = Space(4, rng.uniform(0.3, 3.0, size=4))
+            w, y = space.weights, space.random(rng, scale=2.0)
+            p, c, r = space.random(rng), space.random(rng), rng.uniform(0.1, 2.0)
+            lower = rng.uniform(-2.0, 0.0, size=4)
+            box = Box(space, lower, lower + rng.uniform(0.0, 2.0, size=4))
+            assert Singleton(space, p).support(y) == pytest.approx(
+                np.sum(w * p * y), rel=1e-14, abs=1e-14)
+            ball = Ball(space, c, r)
+            assert ball.support(y) == pytest.approx(
+                np.sum(w * c * y) + r * np.sqrt(np.sum(w * y * y)), rel=1e-14, abs=1e-14)
+            assert box.support(y) == _box_support_loop(box, y)
+
+    def test_is_attained_on_the_set(self):
+        # sup <x, y> over x in C is at least <x, y> for each sampled x in C.
+        rng = np.random.default_rng(22)
+        space = Space(3, [0.5, 1.0, 2.5])
+        for cset in (Singleton(space, [1.0, -2.0, 0.5]), Ball(space, [0.0, 1.0, 0.0], 0.7),
+                     Box(space, [-1.0, 0.0, 2.0], [1.0, 0.5, 3.0])):
+            y = space.random(rng)
+            for _ in range(20):
+                x = cset.project(space.random(rng, scale=3.0))
+                assert space.inner(x, y) <= cset.support(y) + 1e-12
+
+    def test_half_infinite_box(self):
+        space = Space(2, [2.0, 0.5])
+        box = Box(space, [-1.0, 0.0], [np.inf, 3.0])
+        assert box.support(np.array([1.0, 1.0])) == np.inf    # unbounded direction
+        assert box.support(np.array([0.0, 1.0])) == 0.5 * 3.0  # that component is 0
+        assert box.support(np.array([-1.0, -2.0])) == 2.0 * 1.0 + 0.0
+        for y in ([1.0, 1.0], [0.0, 1.0], [-1.0, -2.0], [0.0, 0.0]):
+            assert box.support(np.array(y)) == _box_support_loop(box, np.array(y))
+
+    def test_sets_without_a_closed_form_give_none(self):
+        space = Space(2)
+        assert Halfspace(space, [1.0, 0.0], 1.0).support is None
+        assert AffineSubspace(space, [0.0, 0.0], [[1.0, 0.0]]).support is None

@@ -1,0 +1,68 @@
+"""Static checks on the package source: nothing it imports or defines privately is left unused.
+
+Only ``ast`` reads the modules of ``src/rescomp`` (``__init__.py``, which
+re-exports, is skipped); nothing is imported or run.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rescomp"
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
+         for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+PRIVATE = re.compile(r"_(?!_)\w*")  # _name, not __dunder__
+
+
+def _read_names(tree):
+    """The bare names a module reads."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _imported(tree):
+    """``(line, bound name)`` of every import in a module, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def _top_level(tree):
+    """``(line, name)`` of every top-level function, class and assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+def test_the_package_has_modules_to_check():
+    assert {"hilbert.py", "operators.py", "proxfun.py", "solvers.py"} <= set(TREES)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    read = _read_names(tree)
+    unused = [f"{module}:{line} {name}" for line, name in _imported(tree) if name not in read]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_private_definition_is_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _read_names(tree)
+        referenced |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unused = [f"{module}:{line} {name}" for module, tree in TREES.items()
+              for line, name in _top_level(tree)
+              if PRIVATE.fullmatch(name) and name not in referenced]
+    assert not unused, f"private definitions nothing in src/ references: {unused}"
