@@ -29,10 +29,11 @@ one of the forms the catalog declares (a scalar, a diagonal, a matrix or a
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
 :meth:`Space.validate` (shape, finiteness, float64), and a spanning set
-is checked the same way as one array.  The kernels behind
-them -- the solver loops, the catalog evaluators -- work on raw arrays
-through ``matrix``/``adjoint_matrix`` and the unchecked
-:meth:`Space._inner` / :meth:`Space._norm`.  A value that goes
+or a stack of outputs (:meth:`Space.validate_rows`) is checked the same
+way as one array.  The kernels behind them -- the solver loops, the
+catalog evaluators -- work on raw arrays through
+``matrix``/``adjoint_matrix`` and the unchecked :meth:`Space._inner`,
+:meth:`Space._norm` and :meth:`Space._squared_norms`.  A value that goes
 non-finite inside a loop is caught by the loop's finiteness test on its
 residual scalar.
 
@@ -157,6 +158,19 @@ class Space:
             raise ValidationError("vector has non-finite entries")
         return x
 
+    def validate_rows(self, rows):
+        """``rows`` as a ``(k, dim)`` float array, after checking each one belongs to this space."""
+        try:
+            x = np.array(rows, dtype=float)
+        except ValueError:  # rows of different shapes, or an entry that is not a number
+            x = np.empty(0)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            shapes = sorted({np.shape(r) for r in rows})
+            raise DimensionMismatchError(f"rows of shapes {shapes} are not vectors of dim {self.dim}")
+        if not np.isfinite(x).all():
+            raise ValidationError("vector has non-finite entries")
+        return x
+
     def inner(self, x, y):
         """Metric inner product ``sum_i w_i x_i y_i``."""
         return self._inner(self.validate(x), self.validate(y))
@@ -172,6 +186,10 @@ class Space:
 
     def _norm(self, x):
         return math.sqrt((self.weights * x).dot(x))
+
+    def _squared_norms(self, x):
+        """``||x||^2`` of one point, or of each row of a ``(k, dim)`` stack."""
+        return (x * x).dot(self.weights)
 
     def zeros(self):
         return np.zeros(self.dim)

@@ -46,7 +46,9 @@ families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
 one blockwise evaluator (of products and of the solvers' nonlinear
 blocks), ``_check_scale`` the one scale rule (:func:`~rescomp.hilbert._scale`,
 then the family's domain) and ``_firm_defect`` the one firm-nonexpansiveness
-test (of ``make_wiener`` and the property suites).
+test, of one pair or of a stack of pairs with every output validated:
+``make_wiener`` tests its 100 seeded pairs at once, and the property suites
+their pairs per map.
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
@@ -245,9 +247,9 @@ def make_wiener(space, F, p):
     (not a bool) is the map ``c Id``: firm nonexpansiveness is then decided
     exactly (``0 <= c <= 1``), and the one ``c`` gives both the evaluator
     ``y - c y + p`` and the constant derivative ``1 - c``.  A callable ``F``
-    is the caller's responsibility; it is spot checked here on random pairs
-    drawn with seed 0, which validates without proving, and the family
-    declares no derivative.
+    is the caller's responsibility; it is spot checked here on
+    ``_WIENER_SPOT_CHECKS`` random pairs drawn with seed 0, tested at once
+    (which validates without proving), and the family declares no derivative.
     """
     p = space.validate(p).copy()
     if isinstance(F, numbers.Real):
@@ -259,21 +261,25 @@ def make_wiener(space, F, p):
                                constant_derivative=True)
     if not callable(F):
         raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
-    rng = np.random.default_rng(0)
-    for _ in range(_WIENER_SPOT_CHECKS):
-        if _firm_defect(space, F, space.random(rng), space.random(rng)) > _WIENER_TOL:
-            raise ValidationError(_WIENER_REJECTED)
+    pairs = np.random.default_rng(0).standard_normal((_WIENER_SPOT_CHECKS, 2, space.dim))
+    if _firm_defect(space, F, pairs[:, 0], pairs[:, 1]).max() > _WIENER_TOL:
+        raise ValidationError(_WIENER_REJECTED)
     return ResolventFamily(space, "wiener", lambda gamma, y: y - F(y) + p, scale_domain=1.0)
 
 
 def _firm_defect(space, T, a, b):
     """``||Ta - Tb||^2 + ||(a - Ta) - (b - Tb)||^2 - ||a - b||^2``: at most 0 for a firm ``T``.
 
-    Both outputs are validated, so a non-finite one raises rather than give a NaN defect.
+    ``a`` and ``b`` are one pair of points, or ``(k, dim)`` stacks of ``k`` pairs that give
+    ``k`` defects (``T`` is applied row by row).  Every output is validated, so a non-finite
+    one raises rather than give a NaN defect.
     """
-    ta, tb = space.validate(T(a)), space.validate(T(b))
-    lhs = space._norm(ta - tb) ** 2 + space._norm((a - ta) - (b - tb)) ** 2
-    return lhs - space._norm(a - b) ** 2
+    if a.ndim == 1:
+        ta, tb = space.validate(T(a)), space.validate(T(b))
+    else:
+        ta, tb = (space.validate_rows([T(x) for x in rows]) for rows in (a, b))
+    sq = space._squared_norms
+    return sq(ta - tb) + sq((a - ta) - (b - tb)) - sq(a - b)
 
 
 def _blockwise(factors):

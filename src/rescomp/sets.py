@@ -14,7 +14,8 @@ product of sets is the ``product_family`` of their normal cones (see
 
 A singleton, a box and a ball give ``support(y) = sup_{x in C} <x, y>``
 (``inf`` allowed), the conjugate of their indicator; other sets leave it
-None.  Constructors refuse NaN data and data that leaves a set empty.
+None.  Constructors refuse NaN data, data that leaves a set empty and an
+infinite ball radius.
 
 Each catalog set also gives ``_derivative(x)``, an element of the
 generalized Jacobian of its projection at ``x``, in one of the forms of
@@ -102,8 +103,8 @@ class Ball(ConvexSet):
         super().__init__(space)
         self.center = space.validate(center).copy()
         self.radius = float(radius)
-        if not self.radius >= 0:  # NaN too
-            raise ValidationError(f"ball radius must be nonnegative, got {self.radius}")
+        if not 0.0 <= self.radius < np.inf:  # NaN too; an infinite ball is the whole space
+            raise ValidationError(f"ball radius must be finite and nonnegative, got {self.radius}")
 
     def _project(self, x):
         d = x - self.center

@@ -624,6 +624,23 @@ class TestProperties:
         assert all(line.startswith("PASS") and "vacuous" in line for line in suites)
         assert lines[-1] == "28/28 property suites passed"
 
+    def test_a_raising_suite_is_a_fail_line(self, monkeypatch):
+        def raising(*args):
+            raise RuntimeError("no defect")
+
+        # The three firm-nonexpansiveness suites raise; the others still run.
+        monkeypatch.setattr(properties, "_firm_defect", raising)
+        lines = []
+        assert run_properties(seed=0, trials=20, out=lines.append) == 2
+        assert [line.split()[1] for line in lines[:-1]] == SUITE_NAMES
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split()[1] for line in failed] == [
+            "hilbert/projector-firm", "compositions/firmly-nonexpansive", "proxfun/prox-firm"]
+        assert all("(raised RuntimeError: no defect)" in line for line in failed)
+        assert lines[-1] == "25/28 property suites passed"
+        with pytest.raises(RuntimeError, match="no defect"):  # called directly, it raises
+            properties.suite_projector_firm(np.random.default_rng(0), 5)
+
     def test_corrupted_adjoint_fails(self, monkeypatch):
         corrupt_adjoint(monkeypatch)
         lines = []
@@ -694,6 +711,17 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("error: field 'sets[0]'") and "empty box" in out
+
+    def test_infinite_ball_radius_exits_one_naming_the_set(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(sets=[
+            {"tag": "ball", "center": [0.0], "radius": float("inf")},
+            {"tag": "singleton", "point": [3.0]},
+        ])))
+        assert "Infinity" in cfg.read_text()
+        assert main(["solve", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: field 'sets[0]'") and "radius must be finite" in out
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_nonfinite_gamma_exits_one(self, tmp_path, capsys, gamma):

@@ -202,6 +202,12 @@ class TestNaNData:
         with pytest.raises(ValidationError, match="radius"):
             Ball(Space(1), [0.0], np.nan)
 
+    def test_ball_infinite_radius(self):
+        # The whole space is no ball: its support at 0 would read inf * 0 = nan.
+        with pytest.raises(ValidationError, match="radius must be finite"):
+            Ball(Space(1), [0.0], np.inf)
+        assert indicator(Ball(Space(1), [0.0], 1e300)).conjugate().value([0.0]) == 0.0
+
     @pytest.mark.parametrize("offset", [np.nan, -np.inf])
     def test_halfspace(self, offset):
         with pytest.raises(ValidationError, match="offset"):

@@ -11,7 +11,7 @@ from rescomp.compositions import (
     resolvent_composition,
     resolvent_mixture,
 )
-from rescomp.errors import ScaleRestrictionError, ValidationError
+from rescomp.errors import DimensionMismatchError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, displacement_jacobian, identity_map
 from rescomp.operators import (
     GraphPoint,
@@ -266,26 +266,34 @@ class TestWienerConstruction:
             make_wiener(Space(2), F, [0.0, 0.0])
 
     def test_declared_scale_skips_the_spot_checks(self, monkeypatch):
-        space, draws = Space(1), []
-        random = space.random
-        monkeypatch.setattr(space, "random", lambda rng: draws.append(1) or random(rng))
+        space, checks = Space(1), []
+        defect = operators._firm_defect
+        monkeypatch.setattr(operators, "_firm_defect",
+                            lambda space, T, a, b: checks.append(len(a)) or defect(space, T, a, b))
         make_wiener(space, 0.5, [0.0])
-        assert draws == []
+        assert checks == []
         make_wiener(space, lambda y: 0.5 * y, [0.0])
-        assert len(draws) > 0
+        assert checks == [100]
 
 
 class TestFirmDefect:
     """One firm-nonexpansiveness test serves ``make_wiener`` and the property suites."""
 
     def test_one_helper(self, monkeypatch):
+        # make_wiener tests its 100 pairs in one call, and F still sees every point.
         assert properties._firm_defect is operators._firm_defect
-        calls = []
+        calls, points = [], []
         defect = operators._firm_defect
-        monkeypatch.setattr(operators, "_firm_defect",
-                            lambda *args: calls.append(1) or defect(*args))
-        make_wiener(R1, Box(R1, [0.0], [1.0]).project, [0.5])
-        assert len(calls) == 100
+
+        def counted(space, T, a, b):
+            calls.append((a.shape, b.shape))
+            return defect(space, T, a, b)
+
+        monkeypatch.setattr(operators, "_firm_defect", counted)
+        project = Box(R1, [0.0], [1.0]).project
+        make_wiener(R1, lambda v: points.append(1) or project(v), [0.5])
+        assert calls == [((100, 1), (100, 1))]
+        assert len(points) == 200
 
     def test_values(self):
         rng = np.random.default_rng(8)
@@ -297,6 +305,43 @@ class TestFirmDefect:
             # 2 Id: ||2a - 2b||^2 + ||b - a||^2 - ||a - b||^2 = 4 ||a - b||^2
             assert operators._firm_defect(space, lambda v: 2.0 * v, a, b) == pytest.approx(
                 4.0 * space.norm(a - b) ** 2)
+
+    @pytest.mark.parametrize("name", ["ball", "twice"])
+    def test_stacked_rows_are_the_pair_formula(self, name):
+        space = Space(3, [0.5, 1.0, 2.0])
+        T = Ball(space, [0.0, 1.0, 0.0], 0.5).project if name == "ball" else (lambda v: 2.0 * v)
+        pairs = np.random.default_rng(8).standard_normal((50, 2, 3))
+        defects = operators._firm_defect(space, T, pairs[:, 0], pairs[:, 1])
+        assert defects.shape == (50,)
+        for (a, b), got in zip(pairs, defects):
+            ta, tb = T(a), T(b)
+            terms = (space.norm(ta - tb) ** 2, space.norm((a - ta) - (b - tb)) ** 2,
+                     space.norm(a - b) ** 2)
+            assert abs(got - (terms[0] + terms[1] - terms[2])) <= 1e-14 * sum(terms)
+            assert abs(operators._firm_defect(space, T, a, b) - got) <= 1e-14 * sum(terms)
+
+    def test_one_bad_row_raises(self):
+        space = Space(2)
+        pairs = np.zeros((5, 2, 2))
+        pairs[3, 1, 0] = 1.0  # the one point on which the maps below misbehave
+
+        def bad_at_one(bad):
+            return lambda v: bad(v) if v[0] == 1.0 else v
+
+        with pytest.raises(ValidationError, match="non-finite"):
+            operators._firm_defect(space, bad_at_one(lambda v: v * np.nan), pairs[:, 0], pairs[:, 1])
+        for short in (bad_at_one(lambda v: v[:1]), lambda v: v[:1]):
+            with pytest.raises(DimensionMismatchError, match="vectors of dim 2"):
+                operators._firm_defect(space, short, pairs[:, 0], pairs[:, 1])
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stacked_draw_is_the_sequential_draw(self, dim):
+        # make_wiener and the suites draw their pairs in one call: the same numbers as
+        # drawing a, b, a, b, ... one point at a time.
+        space, rng = Space(dim), np.random.default_rng(0)
+        sequential = [space.random(rng) for _ in range(200)]
+        stacked = np.random.default_rng(0).standard_normal((100, 2, dim))
+        assert np.array_equal(stacked.reshape(200, dim), sequential)
 
     def test_a_nan_map_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
