@@ -471,10 +471,11 @@ def _finite_or_null(value):
 
 
 def certificates(inst):
-    """The rank r of V, its dropped spanning vectors and ``sigma_min(L U)``.
+    """The rank r of V, its dropped spanning vectors, ``sigma_min(L U)`` and ``||L||^2``.
 
     ``dropped_vectors`` counts the spanning vectors of V beyond its rank,
-    zero and dependent ones alike.
+    zero and dependent ones alike.  ``norm_L_sq`` is the ``||L||^2`` the
+    instance's norm gate read (above 1 only under ``--unsafe-norm``).
 
     ``sigma_min`` is the smallest singular value of ``A = L U`` from ``R^r``
     into the codomain metric (0 when ``A`` has fewer than r rows).  A run
@@ -485,8 +486,10 @@ def certificates(inst):
     """
     r = inst.V.rank
     s = np.linalg.svd(inst.A * np.sqrt(inst.L.codomain.weights)[:, None], compute_uv=False)
+    norm = inst.L.op_norm()  # cached by the instance's gate: no factorization
     return {"rank_V": r, "dropped_vectors": inst.V.dropped,
-            "sigma_min_LU": float(s[-1]) if len(s) == r else 0.0, "method": "svd"}
+            "sigma_min_LU": float(s[-1]) if len(s) == r else 0.0, "method": "svd",
+            "norm_L_sq": norm * norm}  # overflows to inf (written null), where ** 2 raises
 
 
 def execute(spec, unsafe=False):

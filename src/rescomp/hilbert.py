@@ -9,7 +9,11 @@ Everything else in the package is built on the three objects defined here:
 * :class:`LinearMap` -- a dense matrix between two spaces, with the
   metric-aware adjoint ``W_dom^-1 M^T W_cod`` and its operator norm, the
   largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once,
-  on first use.
+  on first use.  :meth:`LinearMap.scaled` gives ``t L`` carrying
+  ``|t| ||L||`` when that norm is cached (exact up to the rounding of
+  ``t M``, about ``sqrt(min(m, n)) eps`` relative), and
+  :func:`identity_map` is built with no arithmetic: its norm is exactly 1
+  and its adjoint the matrix itself in any diagonal metric.
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
   span of a set of vectors, with an orthonormal basis from one QR.
 
@@ -154,7 +158,8 @@ class Space:
             raise DimensionMismatchError(
                 f"vector of shape {x.shape} does not live in a space of dimension {self.dim}"
             )
-        if not np.isfinite(x).all():
+        # The ufunc reduction skips the Python wrapper of ndarray.all.
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise ValidationError("vector has non-finite entries")
         return x
 
@@ -202,7 +207,7 @@ class Space:
         return other is self or (
             isinstance(other, Space)
             and self.dim == other.dim
-            and np.array_equal(self.weights, other.weights)
+            and self.weights.tobytes() == other.weights.tobytes()
         )
 
     def __hash__(self):
@@ -229,7 +234,7 @@ def product_space(spaces, weights=None):
     weights = [float(w) for w in weights]
     if len(weights) != len(spaces):
         raise DimensionMismatchError("one weight per block is required")
-    if any(not np.isfinite(w) or w <= 0.0 for w in weights):
+    if any(not math.isfinite(w) or w <= 0.0 for w in weights):
         raise ValidationError("block weights must be finite and strictly positive")
     diag = np.concatenate([w * s.weights for w, s in zip(weights, spaces)])
     return Space(sum(s.dim for s in spaces), diag)
@@ -278,7 +283,9 @@ class LinearMap:
         self._cached_norm = None
         bound = math.sqrt(matrix.size) * peak * math.sqrt(codomain.weight_max / domain.weight_min)
         if not bound < NORM_BOUND_LIMIT:  # a NaN bound (0 * inf) takes the SVD too
-            self._cached_norm = self._power_norm()
+            # The metric-scaled product may overflow here; inf entries give an inf norm, refused.
+            with np.errstate(over="ignore"):
+                self._cached_norm = self._power_norm()
         # Adjoint entries are M_ji w_cod_j / w_dom_i, formed in that order; below this
         # bound neither step overflows, above it the adjoint may where the norm did not.
         if peak * codomain.weight_max * max(1.0, 1.0 / domain.weight_min) < NORM_BOUND_LIMIT:
@@ -318,12 +325,39 @@ class LinearMap:
         the matrix of L between the Euclidean images of the two metrics.
         Raises ``ValidationError`` when the norm overflows.
         """
+        # Each entry of the scaled product is at most the constructor's bound
+        # sqrt(size) max|M_ij| sqrt(max w_cod / min w_dom), so below
+        # NORM_BOUND_LIMIT nothing overflows: only the eager branch above that
+        # limit needs np.errstate (and np.linalg.svd sets its own).
         root = np.sqrt(self.codomain.weights)[:, None] / np.sqrt(self.domain.weights)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.svd(self.matrix * root, compute_uv=False)[0])
+        norm = float(np.linalg.svd(self.matrix * root, compute_uv=False)[0])
         if not math.isfinite(norm):
             raise ValidationError("matrix entries overflow the norm computation")
         return norm
+
+    def scaled(self, t):
+        """The map ``t L``, carrying ``|t| ||L||`` when ``||L||`` is already cached.
+
+        The norm is positively homogeneous, so the carried value needs no SVD.
+        The matrix is ``M * t`` rounded entry by entry, a relative change of at
+        most ``eps / 2`` per entry, which moves the norm by at most about
+        ``sqrt(min(m, n)) * eps`` relative (while ``t M`` stays in the normal
+        range): the order of the SVD's own rounding and far inside
+        ``NORM_GATE_TOL``.  ``scaled`` takes no SVD of its own: a map whose
+        norm is not cached gets its SVD on first read, as any other, and only
+        a ``t M`` whose norm bound reaches ``NORM_BOUND_LIMIT`` takes the
+        constructor's eager one.  An overflowing or non-finite ``t M`` is
+        refused as the constructor refuses it, and ``t = 0`` gives a zero
+        map, which the gate refuses.
+        """
+        t = _real("scale factor", t)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN entries are refused below
+            matrix = self.matrix * t
+        out = LinearMap(self.domain, self.codomain, matrix)
+        # Below the eager bound |t| ||L|| cannot overflow; above it the constructor took the SVD.
+        if out._cached_norm is None and self._cached_norm is not None:
+            out._cached_norm = abs(t) * self._cached_norm
+        return out
 
     def compose(self, inner):
         """The map ``self o inner`` (apply ``inner`` first)."""
@@ -343,21 +377,21 @@ class LinearMap:
 
 
 class _IdentityMap(LinearMap):
-    """The identity of a space, whose norm and adjoint need no arithmetic.
+    """The identity of a space, built with no arithmetic.
 
     In a diagonal metric ``W^{1/2} I W^{-1/2} = I``, so the norm is exactly 1,
-    and ``W^-1 I W = I`` entry for entry, so the adjoint is the matrix itself.
+    and ``W^-1 I W = I`` entry for entry, so the adjoint is the matrix itself:
+    there is no entry to scan, no bound to take and no broadcast to form.
     """
 
-    def _power_norm(self):
-        return 1.0
-
-    def _adjoint(self):
-        return self.matrix
+    def __init__(self, space):
+        self.domain = self.codomain = space
+        self.matrix = self.adjoint_matrix = np.eye(space.dim)
+        self._cached_norm = 1.0
 
 
 def identity_map(space):
-    return _IdentityMap(space, space, np.eye(space.dim))
+    return _IdentityMap(space)
 
 
 def check_monotone(space, M, what):
@@ -368,7 +402,9 @@ def check_monotone(space, M, what):
     WM = space.weights[:, None] * M
     sym = 0.5 * (WM + WM.T)
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    if min_eig < -1e-10 * max(1.0, np.max(np.abs(sym))):
+    # Relative to the largest entry, so the verdict does not depend on the scale
+    # of M; a zero matrix (0 < -0.0 is false) stays monotone.
+    if min_eig < -1e-10 * np.max(np.abs(sym)):
         raise ValidationError(f"{what} is not monotone in the metric")
     return M, min_eig
 

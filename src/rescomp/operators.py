@@ -106,7 +106,7 @@ class ResolventFamily:
         """``gamma`` as a float, if it is a scale of this family; else ``ScaleRestrictionError``."""
         gamma = _scale("resolvent scale", gamma)
         if self.scale_domain != ALL_SCALES and not (
-                abs(gamma - self.scale_domain) <= 1e-12 * max(1.0, gamma)):
+                abs(gamma - self.scale_domain) <= 1e-12 * max(gamma, self.scale_domain)):
             raise ScaleRestrictionError(
                 f"operator {self.kind!r} only supports scale {self.scale_domain}, "
                 f"got {gamma}"

@@ -90,7 +90,7 @@ def _random_map(rng, domain, codomain, norm=None):
     M = rng.standard_normal((codomain.dim, domain.dim))
     L = LinearMap(domain, codomain, M)
     if norm is not None and L.op_norm() > 0:
-        L = LinearMap(domain, codomain, M * (norm / L.op_norm()))
+        L = L.scaled(norm / L.op_norm())
     return L
 
 
@@ -101,7 +101,7 @@ def _random_invertible_contraction(rng, domain, codomain, norm=0.9):
     u, s, vt = np.linalg.svd(M, full_matrices=False)
     s = np.linspace(1.0, 0.4, num=len(s))
     L = LinearMap(domain, codomain, u @ np.diag(s) @ vt)
-    return LinearMap(domain, codomain, L.matrix * (norm / L.op_norm()))
+    return L.scaled(norm / L.op_norm())
 
 
 def _random_orthogonal(rng, n):

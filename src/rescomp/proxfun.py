@@ -259,12 +259,22 @@ def moreau_envelope(g, gamma, x):
 
 
 def proximal_composition_prox(L, g, x):
-    """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``."""
+    """Prox of the composition of ``g`` with ``L``: ``L*(prox_g(L x))``.
+
+    Each call builds and gates the composition; a caller that iterates
+    builds ``resolvent_composition(L, g.subdifferential)`` once and calls
+    its ``resolvent(1.0, x)``.
+    """
     return resolvent_composition(L, g.subdifferential).resolvent(1.0, x)
 
 
 def proximal_cocomposition_prox(L, g, x):
-    """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``."""
+    """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``.
+
+    Each call builds and gates the cocomposition; a caller that iterates
+    builds ``resolvent_cocomposition(L, g.subdifferential)`` once and
+    calls its ``resolvent(1.0, x)``.
+    """
     return resolvent_cocomposition(L, g.subdifferential).resolvent(1.0, x)
 
 
@@ -272,7 +282,10 @@ def proximal_mixture_prox(gs, Ls, weights, x):
     """Prox of the mixture: ``sum_k w_k L_k*(prox_{g_k}(L_k x))``.
 
     Requires the stacked-map norm condition
-    ``0 < sum_k w_k ||L_k||^2 <= 1``.
+    ``0 < sum_k w_k ||L_k||^2 <= 1``.  Each call gates the maps and builds
+    their stack and product; a caller that iterates builds
+    ``resolvent_mixture([g.subdifferential for g in gs], Ls, weights)``
+    once and calls its ``resolvent(1.0, x)``.
     """
     Bs = [g.subdifferential for g in gs]
     return resolvent_mixture(Bs, Ls, weights).resolvent(1.0, x)

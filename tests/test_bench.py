@@ -435,6 +435,7 @@ class TestReportJson:
         assert parsed["certificates"] == {
             "rank_V": 1, "dropped_vectors": 0,
             "sigma_min_LU": pytest.approx(np.sqrt(0.5), abs=1e-15), "method": "svd",
+            "norm_L_sq": pytest.approx(0.5, abs=1e-15),
         }
 
     def test_certificates_count_dropped_spanning_vectors(self):
@@ -640,6 +641,12 @@ class TestProperties:
         assert lines[-1] == "25/28 property suites passed"
         with pytest.raises(RuntimeError, match="no defect"):  # called directly, it raises
             properties.suite_projector_firm(np.random.default_rng(0), 5)
+
+    def test_rescaled_and_identity_maps_take_no_svd(self, svd_calls):
+        # The generators' rescaled maps carry their norms, so the gate does not
+        # factor them again; 381 SVDs before norms were carried.
+        assert run_properties(seed=0, trials=20, out=lambda line: None) == 0
+        assert len(svd_calls) <= 279
 
     def test_corrupted_adjoint_fails(self, monkeypatch):
         corrupt_adjoint(monkeypatch)

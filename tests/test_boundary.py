@@ -14,6 +14,7 @@ from rescomp.errors import DimensionMismatchError, ScaleRestrictionError, Valida
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import (
     linear_monotone,
+    make_wiener,
     normal_cone,
     product_family,
     scaled_identity,
@@ -186,6 +187,43 @@ class TestScaleRule:
         inst = RelaxedInstance(SubspaceProjector.full(Space(1)), identity_map(Space(1)),
                                scaled_identity(Space(1), 1.0), 3)
         assert type(inst.gamma) is float and inst.gamma == 3.0
+
+
+class TestScaleFreeDecisions:
+    """A decision on a matrix or a pinned scale reads the same at every scale of the input."""
+
+    @pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+    def test_monotonicity_does_not_depend_on_the_scale(self, t):
+        psd = np.array([[2.0, 1.0], [1.0, 1.0]])
+        for build in (linear_monotone, quadratic):
+            with pytest.raises(ValidationError, match="not monotone"):
+                build(Space(2), -t * np.eye(2))
+            build(Space(2), t * psd)
+        # monotone in the metric of G, not symmetric: W M = t [[1, -1], [1, 0]]
+        linear_monotone(G, t * np.array([[1.0, -1.0], [1.0, 0.0]]) / G.weights[:, None])
+
+    def test_a_zero_matrix_stays_monotone(self):
+        linear_monotone(Space(2), np.zeros((2, 2)))
+        quadratic(Space(2), np.zeros((2, 2)))
+
+    def test_a_tiny_nonmonotone_matrix_gets_no_resolvent(self):
+        # accepted once by an absolute floor, its resolvent at gamma = 0.9e12 maps e1 to 10 e1
+        with pytest.raises(ValidationError, match="not monotone"):
+            linear_monotone(Space(2), -1e-12 * np.eye(2))
+
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_a_pinned_scale_is_compared_relatively(self, c):
+        B = make_wiener(Space(1), 0.5, [0.0]).scaled(c)
+        d = B.scale_domain
+        assert d == 1.0 / c
+        with pytest.raises(ScaleRestrictionError, match="only supports scale"):
+            B.resolvent(1.5 * d, [1.0])
+        for gamma in (d * (1 + 1e-13), d * (1 - 1e-13)):
+            assert B.resolvent(gamma, [1.0]) == pytest.approx([0.5])
+
+    def test_a_tiny_pinned_scale_refuses_a_far_scale(self):
+        with pytest.raises(ScaleRestrictionError):
+            make_wiener(Space(1), 0.5, [0.0]).scaled(1e20).resolvent(5e-13, [1.0])
 
 
 class TestNaNData:

@@ -18,6 +18,7 @@ from rescomp.hilbert import (
     stack,
 )
 from rescomp.properties import (
+    _random_space,
     suite_adjoint_identity,
     suite_projector_firm,
     suite_stack_norm,
@@ -74,11 +75,22 @@ class TestSpace:
         s, t = Space(3, [1.0, 2.0, 3.0]), Space(3, [1.0, 2.0, 3.0])
         assert s == t and s != Space(3) and s != Space(2, [1.0, 2.0])
 
-        def no_compare(*args, **kwargs):
-            raise AssertionError("compared the weights of a space with itself")
+        class Unread:
+            def tobytes(self):
+                raise AssertionError("compared the weights of a space with itself")
 
-        monkeypatch.setattr(np, "array_equal", no_compare)
+        monkeypatch.setattr(s, "weights", Unread())
         assert s == s
+
+    def test_equality_and_hash_agree_to_the_last_bit(self):
+        w = rng().uniform(0.3, 3.0, size=4)
+        s, t = Space(4, w), Space(4, w.copy())
+        assert s == t and hash(s) == hash(t)
+        assert product_space([s, t], [0.5, 2.0]) == product_space([t, s], [0.5, 2.0])
+        for i in range(4):
+            nudged = w.copy()
+            nudged[i] = np.nextafter(nudged[i], np.inf)  # one ulp
+            assert Space(4, nudged) != s and s != Space(4, nudged)
 
     def test_rejects_nonfinite_vector(self):
         s = Space(2)
@@ -172,6 +184,12 @@ class TestOpNorm:
         I = identity_map(Space(4, [0.3, 2.0, 1e-8, 7e5]))
         assert I.op_norm() == 1.0
         assert np.array_equal(I.matrix, np.eye(4))
+        # built with no entry scan, yet its methods still validate
+        assert np.array_equal(I.apply([1.0, -2.0, 3.0, 0.5]), [1.0, -2.0, 3.0, 0.5])
+        with pytest.raises(ValidationError, match="non-finite"):
+            I.apply([1.0, np.nan, 0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            I.adjoint_apply([1.0, 2.0])
 
     def test_huge_entries_get_their_norm_and_fail_the_gate(self):
         s = Space(3)
@@ -255,6 +273,71 @@ class TestNormOnDemand:
         generate_instance(spec)
         assert svd_calls == [(2, 2), (12, 3)]
         assert qr_calls == [(3, 2)]
+
+
+class TestScaledMap:
+    """``scaled(t)`` carries ``|t| ||L||`` when the norm is cached, and takes no SVD of its own."""
+
+    @pytest.mark.parametrize("t", [0.5, -0.5, 3.0, 1e-150, 1e150])
+    def test_carried_norm_is_a_fresh_svd_to_a_few_ulps(self, t):
+        g = rng()
+        for _ in range(200):
+            H, G = _random_space(g), _random_space(g)
+            L = LinearMap(H, G, g.standard_normal((G.dim, H.dim)))
+            S = L.scaled(t)
+            assert np.array_equal(S.matrix, L.matrix * t) and "norm" not in repr(S)
+            L.op_norm()
+            S = L.scaled(t)
+            fresh = LinearMap(H, G, S.matrix).op_norm()
+            assert abs(S.op_norm() - fresh) <= 10 * np.finfo(float).eps * fresh
+
+    def test_takes_no_svd_and_carries_only_a_cached_norm(self, svd_calls):
+        L = LinearMap(Space(3, [0.5, 2.0, 1.0]), Space(2, [3.0, 0.2]), rng().standard_normal((2, 3)))
+        S = L.scaled(2.0)
+        assert repr(S) == "LinearMap(3 -> 2)" and svd_calls == []
+        norm = L.op_norm()
+        T = L.scaled(-2.0)
+        assert svd_calls == [(2, 3)]
+        assert T.op_norm() == 2.0 * norm and svd_calls == [(2, 3)]
+        assert identity_map(Space(2, [3.0, 0.2])).scaled(0.5).op_norm() == 0.5
+        S.op_norm()  # not carried: its first read takes its own SVD
+        assert svd_calls == [(2, 3)] * 2
+
+    @pytest.mark.parametrize("t", [1e10, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_nonfinite_product_is_refused_as_the_constructor_refuses_it(self, t, cached):
+        L = LinearMap(Space(2), Space(2), [[1e300, 0.0], [0.0, 0.0]])
+        if cached:
+            L.op_norm()
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            L.scaled(t)
+        with pytest.raises(ValidationError, match="non-finite entries"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            LinearMap(Space(2), Space(2), L.matrix * t)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_overflowing_norm_is_refused_as_the_constructor_refuses_it(self, cached):
+        # finite entries of 1e308, whose norm 2e308 overflows
+        L = LinearMap(Space(2), Space(2), np.full((2, 2), 1e154))
+        if cached:
+            L.op_norm()
+        with pytest.raises(ValidationError, match="overflow the norm computation"):
+            L.scaled(1e154)
+        with pytest.raises(ValidationError, match="overflow the norm computation"):
+            LinearMap(Space(2), Space(2), L.matrix * 1e154)
+
+    def test_zero_scale_gives_a_zero_map_that_the_gate_refuses(self):
+        L = LinearMap(Space(2), Space(3), rng().standard_normal((3, 2)))
+        L.op_norm()
+        for Z in (L.scaled(0.0), L.scaled(-0.0), identity_map(Space(2)).scaled(0)):
+            assert not Z.matrix.any() and Z.op_norm() == 0.0
+            with pytest.raises(ContractionConditionError, match="nonzero map"):
+                check_contraction([Z])
+
+    @pytest.mark.parametrize("t", [True, "2", None])
+    def test_a_non_number_is_refused(self, t):
+        with pytest.raises(ValidationError, match="must be a number"):
+            identity_map(Space(1)).scaled(t)
 
 
 class TestGate:
