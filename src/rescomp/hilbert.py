@@ -107,6 +107,8 @@ def _real(name, value):
 
 def _count(name, value):
     """``value`` as an int; a bool, a non-number, a negative number or a fraction raises."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)  # exact, even beyond float range
     if not (_real(name, value) >= 0 and float(value).is_integer()):
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)

@@ -27,7 +27,7 @@ from .compositions import (
     resolvent_mixture,
     strong_monotonicity_modulus,
 )
-from .hilbert import LinearMap, Space, SubspaceProjector, identity_map, stack
+from .hilbert import LinearMap, Space, SubspaceProjector, _count, identity_map, stack
 from .operators import GraphPoint, _firm_defect
 from .sets import Ball, Box, Halfspace, Singleton
 from .solvers import RelaxedInstance, Schedule, proximal_point, solve_blocks, solve_relaxed, variational_residual
@@ -808,8 +808,10 @@ def run_properties(seed=0, trials=1000, out=print):
     """Run every suite; returns 0 when all pass, 2 otherwise.
 
     A suite that raises is a FAIL line whose note names the exception, and
-    the later suites still run.
+    the later suites still run.  A ``seed`` or ``trials`` that is not a
+    nonnegative integer raises ``ValidationError`` before any suite runs.
     """
+    seed, trials = _count("seed", seed), _count("trials", trials)
     if trials == 0:
         out("warning: trials=0 requested; every suite passes vacuously")
     results = []

@@ -158,7 +158,10 @@ def quadratic(space, Q, b=None):
     """
     Q, min_eig = check_monotone(space, Q, "quadratic form")
     WQ = space.weights[:, None] * Q
-    if np.max(np.abs(WQ - WQ.T)) > 1e-10 * max(1.0, np.max(np.abs(WQ))):
+    # Both tests are relative to the largest entry of sym(WQ), so they read the
+    # same at every scale of Q; a zero matrix is self-adjoint with no minimizer.
+    size = 0.5 * np.max(np.abs(WQ + WQ.T))
+    if np.max(np.abs(WQ - WQ.T)) > 1e-10 * size:
         raise ValidationError("quadratic form is not self-adjoint in the metric")
     b = space.zeros() if b is None else space.validate(b).copy()
     inverse = shifted_inverse(Q)
@@ -171,7 +174,7 @@ def quadratic(space, Q, b=None):
 
     conj_value = None
     minimizer = None
-    if min_eig > 1e-12:
+    if min_eig > 1e-12 * size:
 
         def conj_value(y):
             z = np.linalg.solve(Q, y + b)

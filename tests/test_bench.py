@@ -1,6 +1,7 @@
 """Configuration parsing, instance generation, oracles, runner, CLI."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rescomp import bench, properties
+from rescomp import bench, cli, properties
 from rescomp.bench import (
     EXACTNESS_TOL,
     InstanceSpec,
@@ -611,6 +612,18 @@ class TestProperties:
         # Suite i draws from the stream [seed, i], so the order fixes every suite's input.
         assert properties.SUITES == [getattr(properties, name) for name in SUITE_FUNCTIONS]
 
+    @pytest.mark.parametrize("seed, trials", [
+        (0, -3), (-1, 5), (0, 2.5), (True, 5), (0, "5"),
+    ], ids=["negative-trials", "negative-seed", "fraction", "bool", "string"])
+    def test_bad_seed_or_trials_is_refused_before_any_suite(self, seed, trials):
+        lines = []
+        with pytest.raises(ValidationError, match="must be a"):
+            run_properties(seed=seed, trials=trials, out=lines.append)
+        assert lines == []
+
+    def test_a_seed_beyond_float_range_is_accepted(self):
+        assert run_properties(seed=10**400, trials=0, out=lambda line: None) == 0
+
     def test_zero_trials_vacuous_pass(self):
         lines = []
         assert run_properties(seed=0, trials=0, out=lines.append) == 0
@@ -689,6 +702,30 @@ class TestCli:
     def test_props_negative_control(self, capsys, monkeypatch):
         corrupt_adjoint(monkeypatch)
         assert main(["props", "--trials", "20"]) == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["props", "--trials", "-3"], "trials"), (["props", "--seed", "-1"], "seed"),
+    ])
+    def test_props_bad_count_exits_one(self, capsys, argv, name):
+        # once exit 0 having checked nothing (trials), or 28 FAIL lines and exit 2 (seed)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out == f"error: {name} must be a nonnegative integer, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["solve"], ["props", "--seed", "x"], ["bogus"]],
+                             ids=["no-command", "no-config", "non-integer", "unknown-command"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # exit 2 is reserved for tolerance failures
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rescomp")
 
     @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
     def test_bad_schedule_exits_one(self, tmp_path, capsys, schedule):
@@ -854,3 +891,56 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "[]"
+
+
+class TestProcessEntry:
+    """``rescomp`` and ``python -m rescomp.cli`` run ``cli.entry``, which freezes the collector on exit."""
+
+    @pytest.mark.parametrize("config, flags, code", [
+        (ACCEPTANCE_SPEC_DICT, [], 0),
+        (None, [], 1),
+        (NONFINITE_SPEC_DICT, ["--unsafe-norm"], 2),
+    ], ids=["acceptance", "malformed", "non-finite"])
+    def test_process_matches_in_process_run(self, tmp_path, capsys, config, flags, code):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{" if config is None else json.dumps(config))
+        trace = tmp_path / "t.csv"
+        argv = ["solve", str(cfg), "--trace", str(trace), *flags]
+        assert main(argv) == code
+        expected = capsys.readouterr().out.encode()
+        rows = trace.read_text().splitlines() if trace.exists() else None
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rescomp.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stdout == expected
+        assert proc.stderr == b""
+        if rows is None:
+            assert not trace.exists()
+            return
+        text = trace.read_text()
+        assert text.endswith("\n")
+        written = text.splitlines()
+        assert len(written) == json.loads(expected[:expected.rindex(b"}") + 1])["iterations"] + 2
+        # every column but wall_ns is deterministic
+        assert [r.rsplit(",", 1)[0] for r in written] == [r.rsplit(",", 1)[0] for r in rows]
+
+    def test_main_does_not_freeze(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_SPEC_DICT))
+        before = gc.get_freeze_count()
+        assert main(["solve", str(cfg)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_after_main_and_returns_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.entry() == 2
+        assert calls == ["main", "freeze"]
+
+    def test_console_script_is_the_entry_point(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as fh:
+            text = fh.read()
+        assert re.search(r'^\[project\.scripts\]\nrescomp = "rescomp\.cli:entry"\n\n', text, re.MULTILINE)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rescomp.compositions import resolvent_composition, strong_monotonicity_modulus
-from rescomp.errors import DimensionMismatchError, ScaleRestrictionError, ValidationError
+from rescomp.errors import CapabilityError, DimensionMismatchError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import (
     linear_monotone,
@@ -202,9 +202,23 @@ class TestScaleFreeDecisions:
         # monotone in the metric of G, not symmetric: W M = t [[1, -1], [1, 0]]
         linear_monotone(G, t * np.array([[1.0, -1.0], [1.0, 0.0]]) / G.weights[:, None])
 
+    @pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+    def test_quadratic_self_adjointness_does_not_depend_on_the_scale(self, t):
+        # accepted once at t = 1e-12 by an absolute floor
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            quadratic(Space(2), t * np.array([[1.0, 0.9], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+    def test_quadratic_minimizer_does_not_depend_on_the_scale(self, t):
+        # no minimizer once at t = 1e-12 by an absolute cut
+        g = quadratic(Space(2), t * np.eye(2), [1.0, 0.0])
+        assert g.minimizer() == pytest.approx([1.0 / t, 0.0], rel=1e-15)
+        assert g.conjugate().value([0.0, 0.0]) == pytest.approx(0.5 / t, rel=1e-15)
+
     def test_a_zero_matrix_stays_monotone(self):
         linear_monotone(Space(2), np.zeros((2, 2)))
-        quadratic(Space(2), np.zeros((2, 2)))
+        with pytest.raises(CapabilityError, match="no recorded minimizer"):
+            quadratic(Space(2), np.zeros((2, 2))).minimizer()
 
     def test_a_tiny_nonmonotone_matrix_gets_no_resolvent(self):
         # accepted once by an absolute floor, its resolvent at gamma = 0.9e12 maps e1 to 10 e1
