@@ -9,7 +9,8 @@ where ``kind`` is one of ``split-feasibility``, ``common-zero``,
 ``sets`` are block descriptors whose meaning depends on the kind (convex
 sets, operators, Wiener blocks or convex functions; see README).
 ``schedule`` holds ``lambda``, ``max_iterations`` and ``tol``, each
-validated when the config is read.  A run takes the Anderson stage of the
+validated when the config is read; ``output`` holds the optional string
+paths ``trace`` and ``report``.  A run takes the Anderson stage of the
 solver, except with the norm gate bypassed (``unsafe``), where the steps
 need not be nonexpansive and the plain relaxed steps run instead.
 
@@ -112,8 +113,9 @@ class InstanceSpec:
         for field_name in required:
             if field_name not in data:
                 raise ValidationError(f"missing config field {field_name!r}")
-        if not isinstance(data.get("schedule", {}), dict):
-            raise ValidationError("field 'schedule': must be a JSON object")
+        for name in ("schedule", "output"):
+            if not isinstance(data.get(name, {}), dict):
+                raise ValidationError(f"field {name!r}: must be a JSON object")
         spec = cls(
             kind=data["kind"],
             spaces=data["spaces"],
@@ -159,6 +161,12 @@ class InstanceSpec:
             self.build_schedule()
         except ValidationError as exc:
             raise ValidationError(f"field 'schedule': {exc}") from exc
+        unknown = set(self.output) - {"trace", "report"}
+        if unknown:
+            raise ValidationError(f"field 'output': unknown fields {sorted(unknown)}")
+        for key, path in self.output.items():
+            if not isinstance(path, str):
+                raise ValidationError(f"field 'output': {key!r} must be a string path, got {path!r}")
 
     def build_schedule(self, unsafe=False):
         """The run's :class:`Schedule`: Anderson, or the plain steps when ``unsafe``.
@@ -179,11 +187,13 @@ class InstanceSpec:
 
 
 def load_spec(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     return InstanceSpec.from_dict(data)
 
 
@@ -273,7 +283,9 @@ def _build_wiener_forward(desc, space):
 
 
 def _build_wiener(desc, space):
-    forward = _build_wiener_forward(_object(desc).get("f", desc), space)
+    if "f" not in _object(desc):
+        raise ValidationError("a Wiener block needs its forward map under 'f'")
+    forward = _build_wiener_forward(desc["f"], space)
     return operators.make_wiener(space, forward, _numbers(desc["point"]))
 
 

@@ -314,8 +314,6 @@ class LinearMap:
             self._cached_norm = self._power_norm()
         return self._cached_norm
 
-    norm_estimate = property(op_norm)
-
     def _adjoint(self):
         """The matrix of the metric adjoint, ``W_dom^-1 M^T W_cod``."""
         return (self.matrix.T * self.codomain.weights[None, :]) / self.domain.weights[:, None]

@@ -5,8 +5,10 @@ identity or inequality from the calculus, and reports its worst defect
 against a fixed threshold.  ``run_properties`` executes all of them and is
 what ``rescomp props`` calls; the pytest suite reuses individual suites.
 
-A "trial" is one sampled check.  ``trials=0`` passes vacuously with a
-warning.
+A suite is written as one trial: a generator ``check(rng, i)`` that draws
+trial ``i`` and yields its defects.  ``_suite`` runs the trials and keeps
+the worst defect, so a NaN defect fails its suite.  ``trials=0`` passes
+vacuously with a warning.
 """
 
 from __future__ import annotations
@@ -51,19 +53,26 @@ class SuiteResult:
 SUITES = []
 
 
-def _suite(name, tol):
-    """Turn a check returning its worst defect into a suite returning a SuiteResult.
+def _suite(name, tol, per=1):
+    """Turn a one-trial check into a suite ``suite(rng, trials)`` returning a SuiteResult.
 
-    The suite passes when the worst defect is at most ``tol``; zero trials
-    pass vacuously without running the check.  Keyword arguments pass
-    through to the check.  The suite is appended to ``SUITES``.
+    ``check(rng, i)`` draws trial ``i`` from ``rng`` and yields its defects.
+    The suite runs ``max(1, trials // per)`` trials, or one when ``per`` is
+    None, and its worst defect is the sequential ``max`` of every defect
+    from ``-inf``, except that a NaN defect makes it NaN.  The suite passes
+    when the worst defect is at most ``tol``, so a NaN fails it; zero trials
+    pass vacuously without running the check.  The suite is appended to
+    ``SUITES``.
     """
 
     def decorate(check):
-        def suite(rng, trials, **kwargs):
+        def suite(rng, trials):
             if trials == 0:
                 return SuiteResult(name, 0.0, tol, True, "vacuous: zero trials requested")
-            worst = check(rng, trials, **kwargs)
+            worst = -math.inf
+            for i in range(1 if per is None else max(1, trials // per)):
+                for defect in check(rng, i):
+                    worst = defect if math.isnan(defect) else max(worst, defect)
             return SuiteResult(name, worst, tol, worst <= tol)
 
         # No ``__wrapped__``: unwrapping one level must give the suite back.
@@ -184,41 +193,31 @@ def _random_composed(rng, variant=None):
 
 
 @_suite("hilbert/adjoint-identity", 1e-10)
-def suite_adjoint_identity(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng)
-        G = _random_space(rng)
-        L = _random_map(rng, H, G)
-        x, y = H.random(rng), G.random(rng)
-        err = abs(G.inner(L.apply(x), y) - H.inner(x, L.adjoint_apply(y)))
-        worst = max(worst, err / (1.0 + H.norm(x) * G.norm(y)))
-    return worst
+def suite_adjoint_identity(rng, i):
+    H = _random_space(rng)
+    G = _random_space(rng)
+    L = _random_map(rng, H, G)
+    x, y = H.random(rng), G.random(rng)
+    err = abs(G.inner(L.apply(x), y) - H.inner(x, L.adjoint_apply(y)))
+    yield err / (1.0 + H.norm(x) * G.norm(y))
 
 
 @_suite("hilbert/projector-firm", 1e-12)
-def suite_projector_firm(rng, trials):
-    worst = -np.inf
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=6, min_dim=2)
-        k = int(rng.integers(1, H.dim + 1))
-        P = SubspaceProjector(H, [H.random(rng) for _ in range(k)])
-        defect = _firm_defect(H, P.apply, H.random(rng), H.random(rng))
-        worst = max(worst, defect)
-    return worst
+def suite_projector_firm(rng, i):
+    H = _random_space(rng, max_dim=6, min_dim=2)
+    k = int(rng.integers(1, H.dim + 1))
+    P = SubspaceProjector(H, [H.random(rng) for _ in range(k)])
+    yield _firm_defect(H, P.apply, H.random(rng), H.random(rng))
 
 
-@_suite("hilbert/stack-norm", 1e-9)
-def suite_stack_norm(rng, trials):
-    worst = -np.inf
-    for _ in range(max(1, trials // 10)):
-        H = _random_space(rng, max_dim=4)
-        p = int(rng.integers(1, 5))
-        maps = [_random_map(rng, H, _random_space(rng, max_dim=3)) for _ in range(p)]
-        w = rng.uniform(0.2, 1.5, size=p)
-        bound = sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps))
-        worst = max(worst, stack(maps, list(w)).op_norm() ** 2 - bound)
-    return worst
+@_suite("hilbert/stack-norm", 1e-9, per=10)
+def suite_stack_norm(rng, i):
+    H = _random_space(rng, max_dim=4)
+    p = int(rng.integers(1, 5))
+    maps = [_random_map(rng, H, _random_space(rng, max_dim=3)) for _ in range(p)]
+    w = rng.uniform(0.2, 1.5, size=p)
+    bound = sum(wk * L.op_norm() ** 2 for wk, L in zip(w, maps))
+    yield stack(maps, list(w)).op_norm() ** 2 - bound
 
 
 # ---------------------------------------------------------------------------
@@ -226,62 +225,52 @@ def suite_stack_norm(rng, trials):
 # ---------------------------------------------------------------------------
 
 
-@_suite("operators/monotone-graph", 1e-10)
-def suite_monotone_graph(rng, trials):
-    worst = -np.inf
-    pairs_per_op = 10
-    for i in range(max(1, trials // pairs_per_op)):
-        space = _random_space(rng)
-        B = _random_operator(rng, space)
-        pts = B.sample_graph(pairs_per_op + 1, seed=int(rng.integers(0, 2**31)))
-        for a, b in zip(pts, pts[1:]):
-            worst = max(worst, -space.inner(a.x - b.x, a.xstar - b.xstar))
-    return worst
+@_suite("operators/monotone-graph", 1e-10, per=10)
+def suite_monotone_graph(rng, i):
+    """Ten graph pairs per operator."""
+    space = _random_space(rng)
+    B = _random_operator(rng, space)
+    pts = B.sample_graph(11, seed=int(rng.integers(0, 2**31)))
+    for a, b in zip(pts, pts[1:]):
+        yield -space.inner(a.x - b.x, a.xstar - b.xstar)
 
 
 @_suite("operators/moreau-identity", 1e-12)
-def suite_moreau_identity(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = _random_space(rng)
-        B = _random_operator(rng, space)
-        x = space.random(rng)
-        recon = B.resolvent(1.0, x) + B.inverse_resolvent(1.0, x)
-        worst = max(worst, space.norm(recon - x) / (1.0 + space.norm(x)))
-    return worst
+def suite_moreau_identity(rng, i):
+    space = _random_space(rng)
+    B = _random_operator(rng, space)
+    x = space.random(rng)
+    recon = B.resolvent(1.0, x) + B.inverse_resolvent(1.0, x)
+    yield space.norm(recon - x) / (1.0 + space.norm(x))
 
 
-@_suite("operators/zeros-vs-fixed-points", 1e-10)
-def suite_zeros_fixed_points(rng, trials):
-    worst = -np.inf
-    scales = (0.1, 1.0, 10.0)
-    for _ in range(max(1, trials // 6)):
-        space = _random_space(rng)
-        table = []
-        c = rng.uniform(0.5, 3.0)
-        z = space.random(rng)
-        z = z * (1.0 / max(space.norm(z), 1e-6))
-        table.append((ops.scaled_identity(space, c), space.zeros(), z))
-        cset = _random_set(rng, space)
-        inside = cset.project(space.random(rng))
-        outside = None
-        for _ in range(30):
-            candidate = space.random(rng, scale=3.0)
-            if cset.distance(candidate) > 1e-2:
-                outside = candidate
-                break
-        table.append((ops.normal_cone(cset), inside, outside))
-        p = space.random(rng)
-        table.append((
-            ops.subdifferential(pf.half_squared_distance(space, p)),
-            p, p + _unit(rng, space),
-        ))
-        for B, zero, nonzero in table:
-            for gamma in scales:
-                worst = max(worst, space.norm(zero - B.resolvent(gamma, zero)))
-                if nonzero is not None and space.norm(nonzero - B.resolvent(gamma, nonzero)) <= 1e-6:
-                    worst = max(worst, 1.0)  # a non-zero point claimed to be fixed
-    return worst
+@_suite("operators/zeros-vs-fixed-points", 1e-10, per=6)
+def suite_zeros_fixed_points(rng, i):
+    space = _random_space(rng)
+    table = []
+    c = rng.uniform(0.5, 3.0)
+    z = space.random(rng)
+    z = z * (1.0 / max(space.norm(z), 1e-6))
+    table.append((ops.scaled_identity(space, c), space.zeros(), z))
+    cset = _random_set(rng, space)
+    inside = cset.project(space.random(rng))
+    outside = None
+    for _ in range(30):
+        candidate = space.random(rng, scale=3.0)
+        if cset.distance(candidate) > 1e-2:
+            outside = candidate
+            break
+    table.append((ops.normal_cone(cset), inside, outside))
+    p = space.random(rng)
+    table.append((
+        ops.subdifferential(pf.half_squared_distance(space, p)),
+        p, p + _unit(rng, space),
+    ))
+    for B, zero, nonzero in table:
+        for gamma in (0.1, 1.0, 10.0):
+            yield space.norm(zero - B.resolvent(gamma, zero))
+            if nonzero is not None and space.norm(nonzero - B.resolvent(gamma, nonzero)) <= 1e-6:
+                yield 1.0  # a non-zero point claimed to be fixed
 
 
 def _unit(rng, space):
@@ -290,19 +279,13 @@ def _unit(rng, space):
 
 
 @_suite("operators/yosida-cocoercive", 1e-10)
-def suite_yosida_cocoercive(rng, trials):
-    worst = -np.inf
-    for _ in range(trials):
-        space = _random_space(rng)
-        B = _random_operator(rng, space)
-        gamma = rng.uniform(0.1, 5.0)
-        x1, x2 = space.random(rng), space.random(rng)
-        y1, y2 = B.yosida(gamma, x1), B.yosida(gamma, x2)
-        worst = max(
-            worst,
-            gamma * space.norm(y1 - y2) ** 2 - space.inner(x1 - x2, y1 - y2),
-        )
-    return worst
+def suite_yosida_cocoercive(rng, i):
+    space = _random_space(rng)
+    B = _random_operator(rng, space)
+    gamma = rng.uniform(0.1, 5.0)
+    x1, x2 = space.random(rng), space.random(rng)
+    y1, y2 = B.yosida(gamma, x1), B.yosida(gamma, x2)
+    yield gamma * space.norm(y1 - y2) ** 2 - space.inner(x1 - x2, y1 - y2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,178 +294,147 @@ def suite_yosida_cocoercive(rng, trials):
 
 
 @_suite("compositions/resolvent-rule", 1e-10)
-def suite_resolvent_rule(rng, trials):
+def suite_resolvent_rule(rng, i):
     """Composed resolvent against the parallel-composition definition route."""
-    worst = 0.0
-    for i in range(trials):
-        if i % 2 == 0:
-            # scalar closed form: L = a^-1 Id, B = c Id composes to
-            # ((a^2 - 1) + c a^2) Id
-            space = _random_space(rng, max_dim=3)
-            a = rng.uniform(1.0, 3.0)
-            c = rng.uniform(0.0, 3.0)
-            L = LinearMap(space, space, np.eye(space.dim) / a)
-            A = resolvent_composition(L, ops.scaled_identity(space, c))
-            m = (a * a - 1.0) + c * a * a
-            x = space.random(rng)
-            err = space.norm(A.resolvent(1.0, x) - x / (1.0 + m))
-        else:
-            # matrix route through the definition: invert the middle map
-            H = _random_space(rng, max_dim=4, min_dim=2)
-            G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
-            L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 0.95))
-            M = _random_psd(rng, G, scale=1.0)
-            gamma = rng.uniform(0.5, 1.5)
-            B = ops.linear_monotone(G, M)
-            A = resolvent_composition(L, B, gamma=gamma)
-            K = L.adjoint_matrix @ np.linalg.inv(np.eye(G.dim) + gamma * M) @ L.matrix
-            Amat = np.linalg.inv(K) - np.eye(H.dim)
-            direct = ops.linear_monotone(H, Amat)
-            x = H.random(rng)
-            err = H.norm(A.resolvent(1.0, x) - direct.resolvent(1.0, x))
-        worst = max(worst, err)
-    return worst
+    if i % 2 == 0:
+        # scalar closed form: L = a^-1 Id, B = c Id composes to
+        # ((a^2 - 1) + c a^2) Id
+        space = _random_space(rng, max_dim=3)
+        a = rng.uniform(1.0, 3.0)
+        c = rng.uniform(0.0, 3.0)
+        L = LinearMap(space, space, np.eye(space.dim) / a)
+        A = resolvent_composition(L, ops.scaled_identity(space, c))
+        m = (a * a - 1.0) + c * a * a
+        x = space.random(rng)
+        yield space.norm(A.resolvent(1.0, x) - x / (1.0 + m))
+    else:
+        # matrix route through the definition: invert the middle map
+        H = _random_space(rng, max_dim=4, min_dim=2)
+        G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
+        L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 0.95))
+        M = _random_psd(rng, G, scale=1.0)
+        gamma = rng.uniform(0.5, 1.5)
+        B = ops.linear_monotone(G, M)
+        A = resolvent_composition(L, B, gamma=gamma)
+        K = L.adjoint_matrix @ np.linalg.inv(np.eye(G.dim) + gamma * M) @ L.matrix
+        Amat = np.linalg.inv(K) - np.eye(H.dim)
+        direct = ops.linear_monotone(H, Amat)
+        x = H.random(rng)
+        yield H.norm(A.resolvent(1.0, x) - direct.resolvent(1.0, x))
 
 
-@_suite("compositions/firmly-nonexpansive", 1e-10)
-def suite_composed_firm(rng, trials):
-    worst = -np.inf
-    pairs_per_op = 10
-    for _ in range(max(1, trials // pairs_per_op)):
-        A = _random_composed(rng)
-        space = A.space
-        pairs = rng.standard_normal((pairs_per_op, 2, space.dim))
-        defects = _firm_defect(space, lambda v: A.resolvent(1.0, v), pairs[:, 0], pairs[:, 1])
-        worst = max(worst, defects.max())
-    return worst
+@_suite("compositions/firmly-nonexpansive", 1e-10, per=10)
+def suite_composed_firm(rng, i):
+    """Ten pairs per operator."""
+    A = _random_composed(rng)
+    space = A.space
+    pairs = rng.standard_normal((10, 2, space.dim))
+    yield _firm_defect(space, lambda v: A.resolvent(1.0, v), pairs[:, 0], pairs[:, 1]).max()
 
 
-@_suite("compositions/monotone-graph", 1e-10)
-def suite_composed_monotone(rng, trials):
-    worst = -np.inf
-    pairs_per_op = 10
-    for _ in range(max(1, trials // pairs_per_op)):
-        A = _random_composed(rng)
-        pts = A.sample_graph(pairs_per_op + 1, seed=int(rng.integers(0, 2**31)))
-        for a, b in zip(pts, pts[1:]):
-            worst = max(worst, -A.space.inner(a.x - b.x, a.xstar - b.xstar))
-    return worst
+@_suite("compositions/monotone-graph", 1e-10, per=10)
+def suite_composed_monotone(rng, i):
+    """Ten graph pairs per operator."""
+    A = _random_composed(rng)
+    pts = A.sample_graph(11, seed=int(rng.integers(0, 2**31)))
+    for a, b in zip(pts, pts[1:]):
+        yield -A.space.inner(a.x - b.x, a.xstar - b.xstar)
 
 
 @_suite("compositions/inverse-duality", 1e-10)
-def suite_inverse_duality(rng, trials):
+def suite_inverse_duality(rng, i):
     """Graph of the composition against the cocomposition of the inverse."""
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4)
-        G = _random_space(rng, max_dim=4)
-        L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
-        B = _random_operator(rng, G)
-        gamma = rng.uniform(0.4, 2.0)
-        A = resolvent_composition(L, B, gamma=gamma)
-        dual = resolvent_cocomposition(L, B.scaled(gamma).inverse(), 1.0)
-        z = H.random(rng)
-        jz = A.resolvent(1.0, z)
-        point = GraphPoint(jz, z - jz)
-        worst = max(worst, dual.graph_residual(GraphPoint(point.xstar, point.x)))
-    return worst
+    H = _random_space(rng, max_dim=4)
+    G = _random_space(rng, max_dim=4)
+    L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
+    B = _random_operator(rng, G)
+    gamma = rng.uniform(0.4, 2.0)
+    A = resolvent_composition(L, B, gamma=gamma)
+    dual = resolvent_cocomposition(L, B.scaled(gamma).inverse(), 1.0)
+    z = H.random(rng)
+    jz = A.resolvent(1.0, z)
+    point = GraphPoint(jz, z - jz)
+    yield dual.graph_residual(GraphPoint(point.xstar, point.x))
 
 
 @_suite("compositions/isometry-collapse", 1e-12)
-def suite_isometry_collapse(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4)
-        p = int(rng.integers(1, 4))
-        w = rng.uniform(0.2, 1.0, size=p)
-        w = list(w / w.sum())
-        L = stack([identity_map(H)] * p, w)
-        assert L.is_isometry()
-        Bs = [_random_operator(rng, H) for _ in range(p)]
-        prod = ops.product_family(Bs, w)
-        gamma = rng.uniform(0.4, 2.0)
-        comp = resolvent_composition(L, prod, gamma=gamma)
-        coco = resolvent_cocomposition(L, prod, gamma=gamma)
+def suite_isometry_collapse(rng, i):
+    H = _random_space(rng, max_dim=4)
+    p = int(rng.integers(1, 4))
+    w = rng.uniform(0.2, 1.0, size=p)
+    w = list(w / w.sum())
+    L = stack([identity_map(H)] * p, w)
+    assert L.is_isometry()
+    Bs = [_random_operator(rng, H) for _ in range(p)]
+    prod = ops.product_family(Bs, w)
+    gamma = rng.uniform(0.4, 2.0)
+    comp = resolvent_composition(L, prod, gamma=gamma)
+    coco = resolvent_cocomposition(L, prod, gamma=gamma)
+    x = H.random(rng)
+    diff = H.norm(comp.resolvent(1.0, x) - coco.resolvent(1.0, x))
+    yield diff / (1.0 + H.norm(x))
+
+
+@_suite("compositions/chaining", 1e-12, per=10)
+def suite_chaining(rng, i):
+    """Ten points per chain."""
+    H = _random_space(rng, max_dim=3)
+    G = _random_space(rng, max_dim=3)
+    K = _random_space(rng, max_dim=3)
+    Q = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
+    L = _random_map(rng, G, K, norm=rng.uniform(0.2, 1.0))
+    B = _random_operator(rng, K)
+    flat = compose_chain(Q, L, B)
+    nested = resolvent_composition(Q, resolvent_composition(L, B))
+    for _ in range(10):
         x = H.random(rng)
-        diff = H.norm(comp.resolvent(1.0, x) - coco.resolvent(1.0, x))
-        worst = max(worst, diff / (1.0 + H.norm(x)))
-    return worst
-
-
-@_suite("compositions/chaining", 1e-12)
-def suite_chaining(rng, trials):
-    worst = 0.0
-    for _ in range(max(1, trials // 10)):
-        H = _random_space(rng, max_dim=3)
-        G = _random_space(rng, max_dim=3)
-        K = _random_space(rng, max_dim=3)
-        Q = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
-        L = _random_map(rng, G, K, norm=rng.uniform(0.2, 1.0))
-        B = _random_operator(rng, K)
-        flat = compose_chain(Q, L, B)
-        nested = resolvent_composition(Q, resolvent_composition(L, B))
-        for _ in range(10):
-            x = H.random(rng)
-            diff = H.norm(flat.resolvent(1.0, x) - nested.resolvent(1.0, x))
-            worst = max(worst, diff / (1.0 + H.norm(x)))
-    return worst
+        diff = H.norm(flat.resolvent(1.0, x) - nested.resolvent(1.0, x))
+        yield diff / (1.0 + H.norm(x))
 
 
 @_suite("compositions/zero-transport", 1e-10)
-def suite_zero_transport(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4, min_dim=2)
-        G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
-        L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 1.0))
-        cset = _random_set(rng, G)
-        B = ops.normal_cone(cset)
-        target = cset.project(G.random(rng))
-        x = np.linalg.solve(L.matrix, target)
-        coco = resolvent_cocomposition(L, B, gamma=rng.uniform(0.4, 2.0))
-        worst = max(worst, H.norm(coco.resolvent(1.0, x) - x) / (1.0 + H.norm(x)))
-    return worst
+def suite_zero_transport(rng, i):
+    H = _random_space(rng, max_dim=4, min_dim=2)
+    G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
+    L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 1.0))
+    cset = _random_set(rng, G)
+    B = ops.normal_cone(cset)
+    target = cset.project(G.random(rng))
+    x = np.linalg.solve(L.matrix, target)
+    coco = resolvent_cocomposition(L, B, gamma=rng.uniform(0.4, 2.0))
+    yield H.norm(coco.resolvent(1.0, x) - x) / (1.0 + H.norm(x))
 
 
-@_suite("compositions/strong-monotonicity", 1e-8)
-def suite_strong_monotonicity(rng, trials):
-    worst = -np.inf
-    pairs_per_op = 10
-    for _ in range(max(1, trials // pairs_per_op)):
-        dim = int(rng.integers(2, 5))
-        space = Space(dim)
-        alpha = rng.uniform(0.2, 3.0)
-        extra = _random_psd(rng, space, scale=0.5)
-        B = ops.linear_monotone(space, alpha * np.eye(dim) + extra)
-        eta = rng.uniform(0.3, 0.95)
-        L = LinearMap(space, space, eta * _random_orthogonal(rng, dim))
-        beta = strong_monotonicity_modulus(alpha, eta)
-        A = resolvent_composition(L, B)
-        pts = A.sample_graph(pairs_per_op + 1, seed=int(rng.integers(0, 2**31)))
-        for a, b in zip(pts, pts[1:]):
-            dx = a.x - b.x
-            worst = max(
-                worst,
-                beta * space.norm(dx) ** 2 - space.inner(dx, a.xstar - b.xstar),
-            )
-    return worst
+@_suite("compositions/strong-monotonicity", 1e-8, per=10)
+def suite_strong_monotonicity(rng, i):
+    """Ten graph pairs per operator."""
+    dim = int(rng.integers(2, 5))
+    space = Space(dim)
+    alpha = rng.uniform(0.2, 3.0)
+    extra = _random_psd(rng, space, scale=0.5)
+    B = ops.linear_monotone(space, alpha * np.eye(dim) + extra)
+    eta = rng.uniform(0.3, 0.95)
+    L = LinearMap(space, space, eta * _random_orthogonal(rng, dim))
+    beta = strong_monotonicity_modulus(alpha, eta)
+    A = resolvent_composition(L, B)
+    pts = A.sample_graph(11, seed=int(rng.integers(0, 2**31)))
+    for a, b in zip(pts, pts[1:]):
+        dx = a.x - b.x
+        yield beta * space.norm(dx) ** 2 - space.inner(dx, a.xstar - b.xstar)
 
 
 @_suite("compositions/resolvent-average", 1e-12)
-def suite_resolvent_average(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4)
-        p = int(rng.integers(1, 4))
-        w = rng.uniform(0.2, 1.0, size=p)
-        w = list(w / w.sum())
-        Bs = [_random_operator(rng, H) for _ in range(p)]
-        gamma = rng.uniform(0.4, 2.0)
-        A = resolvent_average(Bs, w, gamma=gamma)
-        x = H.random(rng)
-        expected = sum(wk * B.resolvent(gamma, x) for wk, B in zip(w, Bs))
-        worst = max(worst, H.norm(A.resolvent(1.0, x) - expected) / (1.0 + H.norm(x)))
-    return worst
+def suite_resolvent_average(rng, i):
+    H = _random_space(rng, max_dim=4)
+    p = int(rng.integers(1, 4))
+    w = rng.uniform(0.2, 1.0, size=p)
+    w = list(w / w.sum())
+    Bs = [_random_operator(rng, H) for _ in range(p)]
+    gamma = rng.uniform(0.4, 2.0)
+    A = resolvent_average(Bs, w, gamma=gamma)
+    x = H.random(rng)
+    expected = sum(wk * B.resolvent(gamma, x) for wk, B in zip(w, Bs))
+    yield H.norm(A.resolvent(1.0, x) - expected) / (1.0 + H.norm(x))
 
 
 # ---------------------------------------------------------------------------
@@ -491,149 +443,128 @@ def suite_resolvent_average(rng, trials):
 
 
 @_suite("proxfun/moreau-decomposition", 1e-12)
-def suite_moreau_decomposition(rng, trials):
-    worst = 0.0
-    for i in range(trials):
-        space = _random_space(rng)
-        x = space.random(rng)
-        g = _random_prox_function(rng, space)
-        recon = g.prox(1.0, x) + pf.conjugate_prox(g, 1.0, x)
-        worst = max(worst, space.norm(recon - x) / (1.0 + space.norm(x)))
-        if i % 3 == 0:
-            # closed-form dual pair: the l1 conjugate is a box indicator
-            gamma = rng.uniform(0.2, 5.0)
-            dual = pf.conjugate_prox(pf.one_norm(space), gamma, x)
-            box = np.clip(x, -1.0 / space.weights, 1.0 / space.weights)
-            worst = max(worst, space.norm(dual - box) / (1.0 + space.norm(x)))
-    return worst
+def suite_moreau_decomposition(rng, i):
+    space = _random_space(rng)
+    x = space.random(rng)
+    g = _random_prox_function(rng, space)
+    recon = g.prox(1.0, x) + pf.conjugate_prox(g, 1.0, x)
+    yield space.norm(recon - x) / (1.0 + space.norm(x))
+    if i % 3 == 0:
+        # closed-form dual pair: the l1 conjugate is a box indicator
+        gamma = rng.uniform(0.2, 5.0)
+        dual = pf.conjugate_prox(pf.one_norm(space), gamma, x)
+        box = np.clip(x, -1.0 / space.weights, 1.0 / space.weights)
+        yield space.norm(dual - box) / (1.0 + space.norm(x))
 
 
 @_suite("proxfun/envelope-sum", 1e-10)
-def suite_envelope_sum(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        space = _random_space(rng)
-        choice = rng.integers(0, 4)
-        if choice == 0:
-            g = pf.quadratic(space, _random_psd(rng, space) + 0.3 * np.eye(space.dim),
-                             space.random(rng))
-        elif choice == 1:
-            g = pf.half_squared_distance(space, space.random(rng))
-        elif choice == 2:
-            g = pf.one_norm(space)
+def suite_envelope_sum(rng, i):
+    space = _random_space(rng)
+    choice = rng.integers(0, 4)
+    if choice == 0:
+        g = pf.quadratic(space, _random_psd(rng, space) + 0.3 * np.eye(space.dim),
+                         space.random(rng))
+    elif choice == 1:
+        g = pf.half_squared_distance(space, space.random(rng))
+    elif choice == 2:
+        g = pf.one_norm(space)
+    else:
+        tag = rng.integers(0, 3)
+        if tag == 0:
+            cset = Singleton(space, space.random(rng))
+        elif tag == 1:
+            lo = rng.uniform(-2.0, 0.0, size=space.dim)
+            cset = Box(space, lo, lo + rng.uniform(0.5, 2.0, size=space.dim))
         else:
-            tag = rng.integers(0, 3)
-            if tag == 0:
-                cset = Singleton(space, space.random(rng))
-            elif tag == 1:
-                lo = rng.uniform(-2.0, 0.0, size=space.dim)
-                cset = Box(space, lo, lo + rng.uniform(0.5, 2.0, size=space.dim))
-            else:
-                cset = Ball(space, space.random(rng), rng.uniform(0.5, 2.0))
-            g = pf.indicator(cset)
-        x = space.random(rng)
-        total = pf.moreau_envelope(g, 1.0, x) + pf.moreau_envelope(g.conjugate(), 1.0, x)
-        worst = max(worst, abs(total - 0.5 * space.norm(x) ** 2) / (1.0 + space.norm(x) ** 2))
-    return worst
+            cset = Ball(space, space.random(rng), rng.uniform(0.5, 2.0))
+        g = pf.indicator(cset)
+    x = space.random(rng)
+    total = pf.moreau_envelope(g, 1.0, x) + pf.moreau_envelope(g.conjugate(), 1.0, x)
+    yield abs(total - 0.5 * space.norm(x) ** 2) / (1.0 + space.norm(x) ** 2)
 
 
 @_suite("proxfun/cocomposition-gradient", 1e-12)
-def suite_cocomposition_gradient(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4)
-        G = _random_space(rng, max_dim=4)
-        L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
-        g = _random_prox_function(rng, G)
-        x = H.random(rng)
-        lhs = x - pf.proximal_cocomposition_prox(L, g, x)
-        y = L.apply(x)
-        rhs = L.adjoint_apply(y - g.prox(1.0, y))
-        worst = max(worst, H.norm(lhs - rhs) / (1.0 + H.norm(x)))
-    return worst
+def suite_cocomposition_gradient(rng, i):
+    H = _random_space(rng, max_dim=4)
+    G = _random_space(rng, max_dim=4)
+    L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
+    g = _random_prox_function(rng, G)
+    x = H.random(rng)
+    lhs = x - pf.proximal_cocomposition_prox(L, g, x)
+    y = L.apply(x)
+    rhs = L.adjoint_apply(y - g.prox(1.0, y))
+    yield H.norm(lhs - rhs) / (1.0 + H.norm(x))
 
 
 @_suite("proxfun/argmin-transport", 1e-10)
-def suite_argmin_transport(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        H = _random_space(rng, max_dim=4, min_dim=2)
-        G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
-        L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 1.0))
-        g = _random_prox_function(rng, G)
-        m = g.minimizer()
-        x = np.linalg.solve(L.matrix, m)
-        fixed = pf.proximal_cocomposition_prox(L, g, x)
-        worst = max(worst, H.norm(fixed - x) / (1.0 + H.norm(x)))
-    return worst
+def suite_argmin_transport(rng, i):
+    H = _random_space(rng, max_dim=4, min_dim=2)
+    G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
+    L = _random_invertible_contraction(rng, H, G, norm=rng.uniform(0.4, 1.0))
+    g = _random_prox_function(rng, G)
+    m = g.minimizer()
+    x = np.linalg.solve(L.matrix, m)
+    fixed = pf.proximal_cocomposition_prox(L, g, x)
+    yield H.norm(fixed - x) / (1.0 + H.norm(x))
 
 
-@_suite("proxfun/argmin-composition", 1e-8)
-def suite_argmin_composition(rng, trials):
+@_suite("proxfun/argmin-composition", 1e-8, per=20)
+def suite_argmin_composition(rng, i):
     """Fixed points of the composition prox against a direct linear solve."""
-    worst = 0.0
-    for _ in range(max(1, trials // 20)):
-        H = _random_space(rng, max_dim=3, min_dim=2)
-        G = _random_space(rng, max_dim=3, min_dim=2)
-        if rng.integers(0, 2) == 0:
-            L = _random_map(rng, H, G, norm=rng.uniform(0.4, 0.95))
-        else:
-            G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
-            L = _random_invertible_contraction(rng, H, G, norm=1.0)
-        Q = _random_psd(rng, G, scale=1.0) + 0.3 * np.eye(G.dim) / G.weights
-        b = G.random(rng)
-        g = pf.quadratic(G, Q, b)
-        # stationarity of y -> g(y) + ||y||^2/2 - ||L* y||^2/2 in the G metric
-        gram = L.matrix @ L.adjoint_matrix
-        y_star = np.linalg.solve(Q + np.eye(G.dim) - gram, b)
-        x_star = L.adjoint_apply(y_star)
-        worst = max(
-            worst,
-            H.norm(pf.proximal_composition_prox(L, g, x_star) - x_star),
-        )
-        x = H.random(rng)
-        for _ in range(8_000):
-            nxt = pf.proximal_composition_prox(L, g, x)
-            if H.norm(nxt - x) <= 1e-13:
-                x = nxt
-                break
+    H = _random_space(rng, max_dim=3, min_dim=2)
+    G = _random_space(rng, max_dim=3, min_dim=2)
+    if rng.integers(0, 2) == 0:
+        L = _random_map(rng, H, G, norm=rng.uniform(0.4, 0.95))
+    else:
+        G = Space(H.dim, rng.uniform(0.4, 2.5, size=H.dim))
+        L = _random_invertible_contraction(rng, H, G, norm=1.0)
+    Q = _random_psd(rng, G, scale=1.0) + 0.3 * np.eye(G.dim) / G.weights
+    b = G.random(rng)
+    g = pf.quadratic(G, Q, b)
+    # stationarity of y -> g(y) + ||y||^2/2 - ||L* y||^2/2 in the G metric
+    gram = L.matrix @ L.adjoint_matrix
+    y_star = np.linalg.solve(Q + np.eye(G.dim) - gram, b)
+    x_star = L.adjoint_apply(y_star)
+    yield H.norm(pf.proximal_composition_prox(L, g, x_star) - x_star)
+    x = H.random(rng)
+    for _ in range(8_000):
+        nxt = pf.proximal_composition_prox(L, g, x)
+        if H.norm(nxt - x) <= 1e-13:
             x = nxt
-        worst = max(worst, H.norm(x - x_star))
-    return worst
+            break
+        x = nxt
+    yield H.norm(x - x_star)
 
 
-@_suite("proxfun/prox-firm", 1e-10)
-def suite_prox_firm(rng, trials):
-    worst = -np.inf
-    pairs_per_fn = 10
-    for i in range(max(1, trials // pairs_per_fn)):
-        H = _random_space(rng, max_dim=4)
-        mode = i % 4
-        if mode == 0:
-            g = _random_prox_function(rng, H)
-            gamma = rng.uniform(0.2, 5.0)
-            T = lambda v: g.prox(gamma, v)
-            space = H
+@_suite("proxfun/prox-firm", 1e-10, per=10)
+def suite_prox_firm(rng, i):
+    """Ten pairs per prox operator."""
+    H = _random_space(rng, max_dim=4)
+    mode = i % 4
+    if mode == 0:
+        g = _random_prox_function(rng, H)
+        gamma = rng.uniform(0.2, 5.0)
+        T = lambda v: g.prox(gamma, v)
+        space = H
+    else:
+        G = _random_space(rng, max_dim=4)
+        g = _random_prox_function(rng, G)
+        L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
+        space = H
+        if mode == 1:
+            T = lambda v: pf.proximal_composition_prox(L, g, v)
+        elif mode == 2:
+            T = lambda v: pf.proximal_cocomposition_prox(L, g, v)
         else:
-            G = _random_space(rng, max_dim=4)
-            g = _random_prox_function(rng, G)
-            L = _random_map(rng, H, G, norm=rng.uniform(0.2, 1.0))
-            space = H
-            if mode == 1:
-                T = lambda v: pf.proximal_composition_prox(L, g, v)
-            elif mode == 2:
-                T = lambda v: pf.proximal_cocomposition_prox(L, g, v)
-            else:
-                g2 = _random_prox_function(rng, H)
-                w = rng.uniform(0.2, 0.8)
-                scale = w * L.op_norm() ** 2 + (1 - w)
-                w_pair = [w / max(scale, 1.0), (1 - w) / max(scale, 1.0)]
-                T = lambda v: pf.proximal_mixture_prox(
-                    [g, g2], [L, identity_map(H)], w_pair, v
-                )
-        pairs = rng.standard_normal((pairs_per_fn, 2, space.dim))
-        worst = max(worst, _firm_defect(space, T, pairs[:, 0], pairs[:, 1]).max())
-    return worst
+            g2 = _random_prox_function(rng, H)
+            w = rng.uniform(0.2, 0.8)
+            scale = w * L.op_norm() ** 2 + (1 - w)
+            w_pair = [w / max(scale, 1.0), (1 - w) / max(scale, 1.0)]
+            T = lambda v: pf.proximal_mixture_prox(
+                [g, g2], [L, identity_map(H)], w_pair, v
+            )
+    pairs = rng.standard_normal((10, 2, space.dim))
+    yield _firm_defect(space, T, pairs[:, 0], pairs[:, 1]).max()
 
 
 # ---------------------------------------------------------------------------
@@ -665,60 +596,51 @@ def _iterate_gap(space, ta, tb):
     return math.sqrt(space._squared_norms(diffs).max())
 
 
-@_suite("solvers/engine-equivalence", 1e-12)
-def suite_engine_equivalence(rng, trials):
-    worst = 0.0
-    for _ in range(max(1, trials // 100)):
-        inst = _random_split_instance(rng)
-        x0 = inst.V.apply(inst.space.random(rng))
-        lam = float(rng.uniform(0.5, 1.8))
-        schedule = Schedule(lam=lam, max_iterations=80, tol=1e-13)
-        xa, ta = solve_relaxed(inst, x0, schedule, keep_iterates=True)
-        xb, tb = proximal_point(
-            inst.space, inst.relaxed_resolvent, x0, schedule, keep_iterates=True
-        )
-        worst = max(worst, _iterate_gap(inst.space, ta, tb))
-    return worst
+@_suite("solvers/engine-equivalence", 1e-12, per=100)
+def suite_engine_equivalence(rng, i):
+    inst = _random_split_instance(rng)
+    x0 = inst.V.apply(inst.space.random(rng))
+    lam = float(rng.uniform(0.5, 1.8))
+    schedule = Schedule(lam=lam, max_iterations=80, tol=1e-13)
+    xa, ta = solve_relaxed(inst, x0, schedule, keep_iterates=True)
+    xb, tb = proximal_point(
+        inst.space, inst.relaxed_resolvent, x0, schedule, keep_iterates=True
+    )
+    yield _iterate_gap(inst.space, ta, tb)
 
 
-@_suite("solvers/fejer-monotone", 1e-9)
-def suite_fejer(rng, trials):
-    worst = -np.inf
-    for _ in range(max(1, trials // 100)):
-        inst = _random_split_instance(rng)
-        ref, _flag = least_squares_oracle(inst)
-        lam = float(rng.uniform(0.5, 1.9))
-        x0 = inst.V.apply(inst.space.random(rng))
-        _, trace = solve_relaxed(
-            inst, x0, Schedule(lam=lam, max_iterations=150, tol=1e-13), reference=ref
-        )
-        dists = [d for d in trace.dist_ref if d is not None]
-        for a, b in zip(dists, dists[1:]):
-            worst = max(worst, b - a)
-    return worst
+@_suite("solvers/fejer-monotone", 1e-9, per=100)
+def suite_fejer(rng, i):
+    inst = _random_split_instance(rng)
+    ref, _flag = least_squares_oracle(inst)
+    lam = float(rng.uniform(0.5, 1.9))
+    x0 = inst.V.apply(inst.space.random(rng))
+    _, trace = solve_relaxed(
+        inst, x0, Schedule(lam=lam, max_iterations=150, tol=1e-13), reference=ref
+    )
+    dists = [d for d in trace.dist_ref if d is not None]
+    for a, b in zip(dists, dists[1:]):
+        yield b - a
 
 
-@_suite("solvers/residual-agreement", 1e-10)
-def suite_residual_agreement(rng, trials):
-    worst = 0.0
-    for _ in range(max(1, trials // 200)):
-        inst = _random_split_instance(rng)
-        x, trace = solve_relaxed(
-            inst, inst.space.zeros(),
-            Schedule(lam=1.0, max_iterations=500_000, tol=1e-12, anderson=True),
-        )
-        fam = inst.relaxed_family()
-        worst = max(worst, inst.fixed_point_residual(x))
-        worst = max(worst, variational_residual(inst, x))
-        worst = max(worst, fam.graph_residual(GraphPoint(x, inst.space.zeros())))
-    return worst
+@_suite("solvers/residual-agreement", 1e-10, per=200)
+def suite_residual_agreement(rng, i):
+    inst = _random_split_instance(rng)
+    x, trace = solve_relaxed(
+        inst, inst.space.zeros(),
+        Schedule(lam=1.0, max_iterations=500_000, tol=1e-12, anderson=True),
+    )
+    fam = inst.relaxed_family()
+    yield inst.fixed_point_residual(x)
+    yield variational_residual(inst, x)
+    yield fam.graph_residual(GraphPoint(x, inst.space.zeros()))
 
 
-@_suite("solvers/block-stacked", 1e-12)
-def suite_block_stacked(rng, trials):
-    worst = 0.0
-    for i in range(10):
-        if i % 3 == 2:
+@_suite("solvers/block-stacked", 1e-12, per=None)
+def suite_block_stacked(rng, i):
+    """Ten instances, whatever the trial count; every third is a Wiener instance."""
+    for j in range(10):
+        if j % 3 == 2:
             inst = _random_wiener_instance(rng)
         else:
             inst = _random_split_instance(rng)
@@ -726,8 +648,7 @@ def suite_block_stacked(rng, trials):
         schedule = Schedule(lam=1.0, max_iterations=60, tol=1e-14)
         xa, ta = solve_relaxed(inst, x0, schedule, keep_iterates=True)
         xb, tb = solve_blocks(inst, x0, schedule, keep_iterates=True)
-        worst = max(worst, _iterate_gap(inst.space, ta, tb))
-    return worst
+        yield _iterate_gap(inst.space, ta, tb)
 
 
 def _random_wiener_instance(rng):
@@ -754,15 +675,12 @@ def _random_wiener_instance(rng):
 # ---------------------------------------------------------------------------
 
 
-@_suite("bench/oracle-agreement", 1e-6)
-def suite_oracle_agreement(rng, trials):
-    worst = 0.0
-    for _ in range(max(1, trials // 100)):
-        inst = _random_split_instance(rng)
-        ref, _flag = least_squares_oracle(inst)
-        x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
-        worst = max(worst, inst.space.norm(x - ref))
-    return worst
+@_suite("bench/oracle-agreement", 1e-6, per=100)
+def suite_oracle_agreement(rng, i):
+    inst = _random_split_instance(rng)
+    ref, _flag = least_squares_oracle(inst)
+    x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
+    yield inst.space.norm(x - ref)
 
 
 ACCEPTANCE_SPEC_DICT = {
@@ -781,8 +699,8 @@ ACCEPTANCE_SPEC_DICT = {
 }
 
 
-@_suite("bench/determinism", 0.0)
-def suite_determinism(rng, trials):
+@_suite("bench/determinism", 0.0, per=None)
+def suite_determinism(rng, i):
     spec1 = InstanceSpec.from_dict(ACCEPTANCE_SPEC_DICT)
     spec2 = InstanceSpec.from_dict(ACCEPTANCE_SPEC_DICT)
     r1, t1 = execute(spec1)
@@ -796,7 +714,7 @@ def suite_determinism(rng, trials):
         and t1.fp_residual == t2.fp_residual
         and t1.var_residual == t2.var_residual
     )
-    return 0.0 if same else 1.0
+    yield 0.0 if same else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -73,7 +74,8 @@ BAD_VALUES = {
     "nested-set-not-object": {"kind": "common-zero",
                               "sets": [{"tag": "normal-cone", "set": [1.0]}, {"tag": "zero"}]},
     "wiener-forward-not-object": {"kind": "wiener",
-                                  "sets": [{"f": 0.5, "point": [1.0]}, {"point": [3.0], "c": 0.5}]},
+                                  "sets": [{"f": 0.5, "point": [1.0]},
+                                           {"f": {"tag": "scale", "c": 0.5}, "point": [3.0]}]},
     "point-numeric-string": {"sets": [{"tag": "singleton", "point": ["1.0"]},
                                       {"tag": "singleton", "point": [3.0]}]},
     "point-bool": {"sets": [{"tag": "singleton", "point": [True]},
@@ -85,6 +87,26 @@ BAD_VALUES = {
     "blocks-number": {"spaces": {"domain": {"dim": 2}, "blocks": 5}},
     "space-weights-string": {"spaces": {"domain": {"dim": 2, "weights": ["1", 1.0]},
                                         "blocks": [{"dim": 1}, {"dim": 1}]}},
+    "output-string": {"output": "ab"},
+    "output-list": {"output": ["ab"]},
+    "output-trace-number": {"output": {"trace": 5}},
+    "output-report-number": {"output": {"report": 5}},
+    "output-unknown-key": {"output": {"log": "run.txt"}},
+    "wiener-block-without-f": {"kind": "wiener",
+                               "sets": [{"f": {"tag": "scale", "c": 0.5}, "point": [1.0]},
+                                        {"c": 0.5, "point": [3.0]}]},
+    "wiener-projection-block-without-f": {
+        "kind": "wiener",
+        "sets": [{"f": {"tag": "scale", "c": 0.5}, "point": [1.0]},
+                 {"tag": "projection", "set": {"tag": "singleton", "point": [0.0]},
+                  "point": [3.0]}]},
+}
+
+# The field that the error of each of these BAD_VALUES cases names.
+BAD_VALUE_FIELDS = {
+    "output-string": "output", "output-list": "output", "output-trace-number": "output",
+    "output-report-number": "output", "output-unknown-key": "output",
+    "wiener-block-without-f": "sets[1]", "wiener-projection-block-without-f": "sets[1]",
 }
 
 
@@ -655,6 +677,22 @@ class TestProperties:
         with pytest.raises(RuntimeError, match="no defect"):  # called directly, it raises
             properties.suite_projector_firm(np.random.default_rng(0), 5)
 
+    @pytest.mark.parametrize("target, nan_defect, suites", [
+        ("_iterate_gap", lambda space, ta, tb: math.nan,
+         ["solvers/engine-equivalence", "solvers/block-stacked"]),
+        ("_firm_defect", lambda space, T, a, b: np.full(np.shape(a)[:-1], math.nan),
+         ["hilbert/projector-firm", "compositions/firmly-nonexpansive", "proxfun/prox-firm"]),
+    ], ids=["iterate-gap", "firm-defect"])
+    def test_a_nan_defect_fails_its_suite(self, monkeypatch, target, nan_defect, suites):
+        # max(worst, nan) keeps worst, so a running max alone would pass these suites.
+        monkeypatch.setattr(properties, target, nan_defect)
+        lines = []
+        assert run_properties(seed=0, trials=20, out=lines.append) == 2
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split()[1] for line in failed] == suites
+        assert all("worst defect nan " in line for line in failed)
+        assert lines[-1] == f"{28 - len(suites)}/28 property suites passed"
+
     def test_rescaled_and_identity_maps_take_no_svd(self, svd_calls):
         # The generators' rescaled maps carry their norms, so the gate does not
         # factor them again; 381 SVDs before norms were carried.
@@ -742,6 +780,24 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out.startswith("error: field ")
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("case", BAD_VALUE_FIELDS)
+    def test_bad_value_names_its_field(self, tmp_path, capsys, case):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(**BAD_VALUES[case])))
+        assert main(["solve", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith(f"error: field '{BAD_VALUE_FIELDS[case]}'")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_non_utf8_config_exits_one_naming_the_path(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(acceptance_dict(kind="split-feasibility\u00ff"),
+                                   ensure_ascii=False).encode("latin-1"))
+        assert b"\xff" in cfg.read_bytes()
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"error: {cfg}: not UTF-8 text")
         assert "Traceback" not in captured.out + captured.err
 
     def test_nan_box_bound_exits_one_naming_the_set(self, tmp_path, capsys):
