@@ -14,10 +14,17 @@ paths ``trace`` and ``report``.  A run takes the Anderson stage of the
 solver, except with the norm gate bypassed (``unsafe``), where the steps
 need not be nonexpansive and the plain relaxed steps run instead.
 
+Each input rule has one home: :meth:`InstanceSpec.validate` for the
+top-level fields, :func:`_build` and its tag tables ``_TAGS`` for every
+descriptor, and the library constructors for the scalars in them.
+:func:`_field` names the field, and a missing key, in each error.  Both
+oracles return ``(x, rank_deficient)`` from one normal-equations solve.
+
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
-(unparseable config, dimension mismatches, failed norm gates), 2 on
-tolerance failures (no convergence, a non-finite residual, a verdict of
-"not a solution", oracle mismatch).  File outputs are written atomically.
+(unparseable config, a missing key, dimension mismatches, failed norm
+gates), 2 on tolerance failures (no convergence, a non-finite residual, a
+verdict of "not a solution", oracle mismatch).  File outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import operators, proxfun
 from .errors import RescompError, ValidationError
-from .hilbert import LinearMap, Space, SubspaceProjector, _count, _real, _scale, identity_map
+from .hilbert import LinearMap, Space, SubspaceProjector, _count, _scale, identity_map
 from .sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from .solvers import (
     ANDERSON_MEMORY,
@@ -54,6 +61,10 @@ INSTANCE_KINDS = (
 
 ORACLE_MATCH_TOL = 1e-6
 EXACTNESS_TOL = 1e-8
+
+# The errors that end a run with exit code 1: bad input, a failed gate, a file
+# that cannot be read or written.
+_STRUCTURAL_ERRORS = (RescompError, OSError, KeyError, TypeError)
 
 
 def _numbers(value):
@@ -102,15 +113,8 @@ class InstanceSpec:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ValidationError("config root must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        required = ["kind", "spaces", "sets"]
-        if data.get("kind") != "feasibility-product":
-            # the product construction implies the diagonal subspace
-            required.append("subspace")
-        for field_name in required:
+        _known("config", data, [f.name for f in dataclasses.fields(cls)])
+        for field_name in ("kind", "spaces", "sets"):
             if field_name not in data:
                 raise ValidationError(f"missing config field {field_name!r}")
         for name in ("schedule", "output"):
@@ -142,28 +146,24 @@ class InstanceSpec:
             raise ValidationError("field 'sets': a list of at least one block is required")
         if self.weights is None:
             self.weights = [1.0] * len(self.sets)
-        _list("weights", self.weights)
-        _list("maps", self.maps)
-        _list("spaces.blocks", self.spaces.get("blocks"))
-        if len(self.weights) != len(self.sets):
-            raise ValidationError("field 'weights': one weight per block is required")
-        for i, w in enumerate(self.weights):
-            if not np.isfinite(_real(f"field 'weights[{i}]'", w)) or w <= 0:
-                raise ValidationError(f"field 'weights[{i}]': must be finite and positive")
+        for name, value in (("weights", self.weights), ("maps", self.maps),
+                            ("spaces.blocks", self.spaces.get("blocks"))):
+            if value is not None and not isinstance(value, list):
+                raise ValidationError(f"field {name!r}: must be a JSON list, got {value!r}")
+            if value is not None and len(value) != len(self.sets):
+                raise ValidationError(f"field {name!r}: one entry per block is required, "
+                                      f"got {len(value)} for {len(self.sets)} blocks")
+        self.weights = [_scale(f"field 'weights[{i}]'", w) for i, w in enumerate(self.weights)]
         self.gamma = _scale("field 'gamma'", self.gamma)
+        # the feasibility product implies the diagonal subspace
         if not self.subspace and self.kind != "feasibility-product":
             raise ValidationError("field 'subspace': spanning vectors are required")
         if not _field("subspace", _all_finite, self.subspace):
             raise ValidationError("field 'subspace': non-finite entry")
         for i, m in enumerate(self.maps or []):  # finiteness: LinearMap checks it
             _field(f"maps[{i}]", _numbers, m)
-        try:
-            self.build_schedule()
-        except ValidationError as exc:
-            raise ValidationError(f"field 'schedule': {exc}") from exc
-        unknown = set(self.output) - {"trace", "report"}
-        if unknown:
-            raise ValidationError(f"field 'output': unknown fields {sorted(unknown)}")
+        _field("schedule", self.build_schedule)
+        _field("output", _known, "output", self.output, ["trace", "report"])
         for key, path in self.output.items():
             if not isinstance(path, str):
                 raise ValidationError(f"field 'output': {key!r} must be a string path, got {path!r}")
@@ -175,15 +175,20 @@ class InstanceSpec:
         the safeguard's convergence guarantee does not hold, and the plain
         steps show what the unchecked data do (e.g. diverge).
         """
-        unknown = set(self.schedule) - {"lambda", "max_iterations", "tol"}
-        if unknown:
-            raise ValidationError(f"unknown fields {sorted(unknown)}")
+        _known("schedule", self.schedule, ["lambda", "max_iterations", "tol"])
         return Schedule(
             lam=self.schedule.get("lambda", 1.0),
             max_iterations=self.schedule.get("max_iterations", 100_000),
             tol=self.schedule.get("tol", 1e-10),
             anderson=not unsafe,
         )
+
+
+def _known(what, data, keys):
+    """Refuse a key of the JSON object ``data`` that is not one of ``keys``."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields {sorted(unknown)}")
 
 
 def load_spec(path):
@@ -203,117 +208,80 @@ def load_spec(path):
 
 
 def _field(name, build, *args):
-    """``build(*args)``; a value it cannot read raises a ``ValidationError`` naming the field."""
+    """``build(*args)``; a value it cannot read raises a ``ValidationError`` naming the field.
+
+    So does a key that a descriptor lacks: ``field 'sets[0]': missing key 'point'``.
+    """
     try:
         return build(*args)
+    except KeyError as exc:
+        raise ValidationError(f"field {name!r}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"field {name!r}: {exc}") from exc
 
 
-def _list(name, value):
-    """Refuse a config field that is present but not a JSON list, naming the field."""
-    if value is not None and not isinstance(value, list):
-        raise ValidationError(f"field {name!r}: must be a JSON list, got {value!r}")
+def _build(what, desc, space):
+    """The object that a ``what`` descriptor describes in ``space``, built by its tag's entry.
 
-
-def _object(desc):
-    """``desc`` if it is a JSON object; a descriptor of another type raises ``TypeError``."""
+    The tag is read from ``desc["tag"]``; a Wiener forward map without one is
+    a ``scale``, and spaces and Wiener blocks take no tag.
+    """
     if not isinstance(desc, dict):
         raise TypeError(f"a descriptor must be a JSON object, got {desc!r}")
-    return desc
+    tag = desc.get("tag", "scale" if what == "wiener forward" else None)
+    try:
+        build = _TAGS[what][tag]
+    except (KeyError, TypeError):  # TypeError: a tag that is a list or an object
+        raise ValidationError(f"unknown {what} tag {tag!r}") from None
+    return build(desc, space)
 
 
-def _build_space(desc):
-    return Space(_count("dim", _object(desc)["dim"]), _numbers(desc.get("weights")))
-
-
-def _build_set(desc, space):
-    tag = _object(desc).get("tag")
-    if tag == "singleton":
-        return Singleton(space, _numbers(desc["point"]))
-    if tag == "box":
-        return Box(space, _numbers(desc["lower"]), _numbers(desc["upper"]))
-    if tag == "ball":
-        return Ball(space, _numbers(desc["center"]), _real("radius", desc["radius"]))
-    if tag == "halfspace":
-        return Halfspace(space, _numbers(desc["normal"]), _real("offset", desc["offset"]))
-    if tag == "affine":
-        return AffineSubspace(space, _numbers(desc["anchor"]), _numbers(desc["directions"]))
-    raise ValidationError(f"unknown set tag {tag!r}")
-
-
-def _build_operator(desc, space):
-    tag = _object(desc).get("tag")
-    if tag == "zero":
-        return operators.zero_operator(space)
-    if tag == "scaled-identity":
-        return operators.scaled_identity(space, _real("c", desc["c"]))
-    if tag == "linear":
-        return operators.linear_monotone(space, _numbers(desc["matrix"]))
-    if tag == "normal-cone":
-        return operators.normal_cone(_build_set(desc["set"], space))
-    raise ValidationError(f"unknown operator tag {tag!r}")
-
-
-def _build_function(desc, space):
-    tag = _object(desc).get("tag")
-    if tag == "abs":
-        return proxfun.one_norm(space)
-    if tag == "quadratic":
-        return proxfun.quadratic(space, _numbers(desc["q"]), _numbers(desc.get("b")))
-    if tag == "half-sq-dist":
-        return proxfun.half_squared_distance(space, _numbers(desc["point"]))
-    if tag == "indicator":
-        return proxfun.indicator(_build_set(desc["set"], space))
-    raise ValidationError(f"unknown function tag {tag!r}")
-
-
-def _build_wiener_forward(desc, space):
-    """The forward map of a Wiener block: the number ``c`` of ``c Id``, or a projection.
-
-    The projection is the set's raw one, as it runs inside the solver's
-    kernel; ``make_wiener`` validates its outputs in its spot checks.
-    """
-    tag = _object(desc).get("tag", "scale")
-    if tag == "scale":
-        return _real("c", desc["c"])
-    if tag == "projection":
-        return _build_set(desc["set"], space)._project
-    raise ValidationError(f"unknown wiener forward tag {tag!r}")
-
-
-def _build_wiener(desc, space):
-    if "f" not in _object(desc):
-        raise ValidationError("a Wiener block needs its forward map under 'f'")
-    forward = _build_wiener_forward(desc["f"], space)
-    return operators.make_wiener(space, forward, _numbers(desc["point"]))
-
-
-# The block operator of each kind but feasibility-product, from its descriptor.
-_BLOCK_BUILDERS = {
-    "split-feasibility": lambda desc, space: operators.normal_cone(_build_set(desc, space)),
-    "common-zero": _build_operator,
-    "wiener": _build_wiener,
-    "prox-mixture": lambda desc, space: operators.subdifferential(_build_function(desc, space)),
+# The builder of each tag, per descriptor kind: ``build(desc, space)`` reads
+# the keys it needs from ``desc``, and ``_field`` names a missing one.
+_TAGS = {
+    "space": {None: lambda d, _: Space(d["dim"], _numbers(d.get("weights")))},
+    "set": {
+        "singleton": lambda d, space: Singleton(space, _numbers(d["point"])),
+        "box": lambda d, space: Box(space, _numbers(d["lower"]), _numbers(d["upper"])),
+        "ball": lambda d, space: Ball(space, _numbers(d["center"]), d["radius"]),
+        "halfspace": lambda d, space: Halfspace(space, _numbers(d["normal"]), d["offset"]),
+        "affine": lambda d, space: AffineSubspace(space, _numbers(d["anchor"]),
+                                                  _numbers(d["directions"])),
+    },
+    "operator": {
+        "zero": lambda d, space: operators.zero_operator(space),
+        "scaled-identity": lambda d, space: operators.scaled_identity(space, d["c"]),
+        "linear": lambda d, space: operators.linear_monotone(space, _numbers(d["matrix"])),
+        "normal-cone": lambda d, space: operators.normal_cone(_build("set", d["set"], space)),
+    },
+    "function": {
+        "abs": lambda d, space: proxfun.one_norm(space),
+        "quadratic": lambda d, space: proxfun.quadratic(space, _numbers(d["q"]),
+                                                        _numbers(d.get("b"))),
+        "half-sq-dist": lambda d, space: proxfun.half_squared_distance(space, _numbers(d["point"])),
+        "indicator": lambda d, space: proxfun.indicator(_build("set", d["set"], space)),
+    },
+    # The number c of c Id, or a set's raw projection, as it runs inside the
+    # solver's kernel: make_wiener validates its outputs in its spot checks.
+    "wiener forward": {
+        "scale": lambda d, space: d["c"],
+        "projection": lambda d, space: _build("set", d["set"], space)._project,
+    },
+    "wiener block": {
+        None: lambda d, space: operators.make_wiener(
+            space, _build("wiener forward", d["f"], space), _numbers(d["point"])),
+    },
 }
 
 
-def _build_maps(spec, domain, block_spaces):
-    descs = spec.maps if spec.maps is not None else [None] * len(block_spaces)
-    if len(descs) != len(block_spaces):
-        raise ValidationError("field 'maps': one matrix (or null) per block is required")
-    out = []
-    for i, (desc, g) in enumerate(zip(descs, block_spaces)):
-        if desc is None:
-            if g.dim != domain.dim:
-                raise ValidationError(
-                    f"field 'maps[{i}]': identity requested but block dim {g.dim} "
-                    f"differs from domain dim {domain.dim}"
-                )
-            out.append(LinearMap(domain, g, np.eye(g.dim)))
-        else:
-            out.append(_field(f"maps[{i}]", LinearMap, domain, g, desc))
-    return out
+# The block operator of each instance kind, from its descriptor.
+_BLOCKS = {
+    "split-feasibility": lambda desc, space: operators.normal_cone(_build("set", desc, space)),
+    "common-zero": lambda desc, space: _build("operator", desc, space),
+    "wiener": lambda desc, space: _build("wiener block", desc, space),
+    "prox-mixture": lambda desc, space: operators.subdifferential(_build("function", desc, space)),
+}
+_BLOCKS["feasibility-product"] = _BLOCKS["split-feasibility"]  # the factors are normal cones too
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +291,13 @@ def _build_maps(spec, domain, block_spaces):
 
 def generate_instance(spec, unsafe=False):
     """Build the relaxed instance described by ``spec`` (deterministic)."""
-    domain = _field("spaces.domain", _build_space, spec.spaces["domain"])
-    weights = [float(w) for w in spec.weights]
+    domain = _field("spaces.domain", _build, "space", spec.spaces["domain"], None)
+    block = _BLOCKS[spec.kind]
 
     if spec.kind == "feasibility-product":
         B = operators.product_family(
-            [operators.normal_cone(_field(f"sets[{i}]", _build_set, d, domain))
-             for i, d in enumerate(spec.sets)], weights)
+            [_field(f"sets[{i}]", block, d, domain) for i, d in enumerate(spec.sets)],
+            spec.weights)
         diagonal = np.tile(np.eye(domain.dim), len(spec.sets))  # rows (e_i, ..., e_i)
         V = SubspaceProjector(B.space, diagonal)
         return RelaxedInstance(V, identity_map(B.space), B, spec.gamma, kind=spec.kind,
@@ -337,18 +305,18 @@ def generate_instance(spec, unsafe=False):
 
     V = _field("subspace", SubspaceProjector, domain, spec.subspace)
     block_descs = spec.spaces.get("blocks")
-    if block_descs is None:
-        block_spaces = [domain] * len(spec.sets)
-    else:
-        block_spaces = [_field(f"spaces.blocks[{i}]", _build_space, d)
-                        for i, d in enumerate(block_descs)]
-    if len(block_spaces) != len(spec.sets):
-        raise ValidationError("field 'spaces.blocks': one space per block is required")
-    maps = _build_maps(spec, domain, block_spaces)
-    fams = [_field(f"sets[{i}]", _BLOCK_BUILDERS[spec.kind], d, g)
-            for i, (d, g) in enumerate(zip(spec.sets, block_spaces))]
-    return RelaxedInstance.from_blocks(V, zip(maps, fams, weights), spec.gamma, kind=spec.kind,
-                                       unsafe=unsafe)
+    spaces = [domain] * len(spec.sets) if block_descs is None else [
+        _field(f"spaces.blocks[{i}]", _build, "space", d, None) for i, d in enumerate(block_descs)]
+    maps = []
+    for i, (desc, g) in enumerate(zip(spec.maps or [None] * len(spaces), spaces)):
+        if desc is None and g.dim != domain.dim:
+            raise ValidationError(f"field 'maps[{i}]': identity requested but block dim "
+                                  f"{g.dim} differs from domain dim {domain.dim}")
+        maps.append(_field(f"maps[{i}]", LinearMap, domain, g,
+                           np.eye(g.dim) if desc is None else desc))
+    fams = [_field(f"sets[{i}]", block, d, g) for i, (d, g) in enumerate(zip(spec.sets, spaces))]
+    return RelaxedInstance.from_blocks(V, zip(maps, fams, spec.weights), spec.gamma,
+                                       kind=spec.kind, unsafe=unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +344,32 @@ def normal_equations(basis, terms):
     return M, rhs
 
 
+def _solve_normal_equations(basis, terms):
+    """``(x, rank_deficient)``: the point of V that solves :func:`normal_equations`.
+
+    An LU solve, unless it fails or ``cond(M) > 1e12``: then ``lstsq`` gives
+    the least-squares coefficients and ``rank_deficient`` is True.  ``M`` is
+    symmetric positive semidefinite, so ``cond(M)`` is the ratio of its
+    extreme eigenvalues (``eigvalsh`` costs less than an SVD).
+    """
+    M, rhs = normal_equations(basis, terms)
+    try:
+        coeffs = np.linalg.solve(M, rhs)
+        low, high = np.linalg.eigvalsh(M)[[0, -1]]
+        if high > 1e12 * low:  # a rounded eigenvalue at or below 0 counts too
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        coeffs, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        return basis.T @ coeffs, True
+    return basis.T @ coeffs, False
+
+
 def least_squares_oracle(inst):
     """Normal-equations solution of the singleton split-feasibility relaxation.
 
     Minimizes ``sum_k w_k ||L_k x - p_k||^2`` over ``x in V`` directly in
     the coordinates of V's orthonormal basis; fully independent of the
-    iterative solver.  Returns ``(x, rank_deficient_flag)``.
+    iterative solver.  Returns ``(x, rank_deficient)``.
     """
     if inst.kind != "split-feasibility" or not inst.blocks:
         raise ValidationError("least_squares_oracle needs a split-feasibility instance")
@@ -390,17 +378,7 @@ def least_squares_oracle(inst):
         if not isinstance(fam.cset, Singleton):
             raise ValidationError("least_squares_oracle needs singleton target sets")
         terms.append((L_k, fam.cset.point, w_k, w_k))
-    basis = inst.V.basis  # rows
-    M, rhs = normal_equations(basis, terms)
-    flag = False
-    try:
-        coeffs = np.linalg.solve(M, rhs)
-        if np.linalg.cond(M) > 1e12:
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        coeffs, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        flag = True
-    return basis.T @ coeffs, flag
+    return _solve_normal_equations(inst.V.basis, terms)
 
 
 def wiener_oracle(inst):
@@ -410,7 +388,10 @@ def wiener_oracle(inst):
     whose family declares the constant derivative ``M_k = 1 - c_k`` of its
     resolvent ``M_k y + p_k``, with ``p_k = J_1(0)``; the stationarity
     condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0`` restricted to V's
-    basis is then a small linear system.
+    basis is then a small linear system.  Returns ``(x, rank_deficient)``.
+    The system is singular when some direction of V is mapped to 0 by every
+    ``L_k`` with ``c_k > 0`` (as when every ``c_k = 0``); ``x`` is then its
+    least-squares solution.
     """
     if inst.kind != "wiener" or not inst.blocks:
         raise ValidationError("wiener_oracle needs a wiener instance built from blocks")
@@ -421,19 +402,12 @@ def wiener_oracle(inst):
         origin = B_k.space.zeros()
         M_k, p_k = B_k.derivative(1.0, origin), B_k._evaluator(1.0, origin)
         terms.append((L_k, p_k, w_k * (1.0 - M_k), w_k))
-    basis = inst.V.basis
-    coeffs = np.linalg.solve(*normal_equations(basis, terms))
-    return basis.T @ coeffs
+    return _solve_normal_equations(inst.V.basis, terms)
 
 
-def _oracle(inst):
-    """``(point, rank_deficient)`` from the closed-form oracle, or None for kinds without one."""
-    if inst.kind == "split-feasibility":
-        ref, flag = least_squares_oracle(inst)
-        return ref, bool(flag)
-    if inst.kind == "wiener":
-        return wiener_oracle(inst), False
-    return None
+def _oracle_of(kind):
+    """The closed-form oracle of an instance kind, or None for kinds without one."""
+    return {"split-feasibility": least_squares_oracle, "wiener": wiener_oracle}.get(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +488,10 @@ def execute(spec, unsafe=False):
     # overflow too; the report carries them as null, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         report_check = verify_exact_relaxation(inst, x, tol=EXACTNESS_TOL)
+        oracle = _oracle_of(inst.kind)
         try:
-            found = _oracle(inst)
-        except ValidationError:
+            found = None if oracle is None else oracle(inst)
+        except ValidationError:  # e.g. a split-feasibility target that is no singleton
             found = None
         oracle_entry = None if found is None else {
             "point": list(found[0]),
@@ -553,7 +528,7 @@ def run(config_path, trace_path=None, unsafe=False, out=print):
     try:
         spec = load_spec(config_path)
         report, trace = execute(spec, unsafe=unsafe)
-    except (RescompError, OSError, KeyError, TypeError) as exc:
+    except _STRUCTURAL_ERRORS as exc:
         out(f"error: {exc}")
         return 1
     trace_target = trace_path or spec.output.get("trace")
@@ -591,12 +566,13 @@ def oracle_command(config_path, out=print):
     try:
         spec = load_spec(config_path)
         inst = generate_instance(spec)
-        found = _oracle(inst)
-        if found is None:
+        oracle = _oracle_of(inst.kind)
+        if oracle is None:
             out(f"error: no closed-form oracle for kind {inst.kind!r}")
             return 1
-        out(json.dumps({"point": list(found[0]), "rank_deficient": found[1]}))
-    except (RescompError, OSError, KeyError, TypeError) as exc:
+        point, rank_deficient = oracle(inst)
+        out(json.dumps({"point": list(point), "rank_deficient": rank_deficient}))
+    except _STRUCTURAL_ERRORS as exc:
         out(f"error: {exc}")
         return 1
     return 0

@@ -31,7 +31,7 @@ concurrently.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import NORM_GATE_TOL, check_contraction, identity_map, stack
+from .hilbert import NORM_GATE_TOL, _real, _scale, check_contraction, identity_map, stack
 from .operators import ResolventFamily, product_family
 
 
@@ -75,7 +75,7 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
     one: ``0 < sum_k w_k ||L_k||^2 <= 1``.
     """
     Bs, Ls = list(Bs), list(Ls)
-    weights = [float(w) for w in weights]
+    weights = [_scale("mixture weights", w) for w in weights]
     if not (len(Bs) == len(Ls) == len(weights)):
         raise ValidationError("mixture needs matching operators, maps, weights")
     for B, L in zip(Bs, Ls):
@@ -114,8 +114,8 @@ def strong_monotonicity_modulus(alpha, norm_l):
     Valid when the inner operator is alpha-strongly monotone (alpha > 0)
     with ``||L|| <= 1``, or merely monotone (alpha = 0) with ``||L|| < 1``.
     """
-    alpha = float(alpha)
-    norm_l = float(norm_l)
+    alpha = _real("alpha", alpha)
+    norm_l = _real("||L||", norm_l)
     if not alpha >= 0.0:  # NaN too
         raise ValidationError(f"alpha must be nonnegative, got {alpha}")
     if not 0.0 < norm_l <= 1.0 + NORM_GATE_TOL:

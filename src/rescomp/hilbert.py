@@ -20,7 +20,7 @@ Everything else in the package is built on the three objects defined here:
 :func:`check_contraction` is the one gate on the theory's hypothesis
 ``0 < sum_k w_k ||L_k||^2 <= 1`` (``0 < ||L|| <= 1`` for a single map);
 :func:`_real` and :func:`_count` read a scalar strictly (a bool is refused);
-:func:`_scale` is the one reader of a resolvent scale, finite and positive.
+:func:`_scale` is the one reader of a resolvent scale or a weight, finite and positive.
 
 :func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
@@ -80,13 +80,12 @@ def check_contraction(maps, weights=None, unsafe=False):
     """Gate ``0 < sum_k w_k ||L_k||^2 <= 1 + NORM_GATE_TOL`` or raise.
 
     ``weights=None`` gives every map weight 1, so one map is gated on
-    ``||L||^2``.  Weights must be finite and positive.  A zero total is
+    ``||L||^2``.  Weights are read by :func:`_scale`.  A zero total is
     always refused; ``unsafe`` lifts only the upper bound.
     """
     if weights is None:
         weights = [1.0] * len(maps)
-    if not all(0.0 < w < math.inf for w in weights):
-        raise ValidationError("mixture weights must be finite and strictly positive")
+    weights = [_scale("mixture weights", w) for w in weights]
     # n * n, not n ** 2: a float product overflows to inf instead of raising.
     total = sum(w * n * n for w, n in zip(weights, (L.op_norm() for L in maps)))
     if total == 0.0:
@@ -115,9 +114,12 @@ def _count(name, value):
 
 
 def _scale(name, value):
-    """``value`` as a float when it is a finite positive number, else ``ScaleRestrictionError``."""
-    # type() first: a float, the usual scale, then skips the slow ABC check of numbers.Real.
-    number = type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
+    """``value`` as a float when it is a finite positive number, else ``ScaleRestrictionError``.
+
+    The one reader of a resolvent scale and of a block or mixture weight.
+    """
+    # A float or np.float64, the usual scale or weight, skips the slow ABC check of numbers.Real.
+    number = isinstance(value, float) or not isinstance(value, bool) and isinstance(value, numbers.Real)
     if not (number and 0.0 < value < math.inf):  # NaN fails too
         raise ScaleRestrictionError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
@@ -233,11 +235,9 @@ def product_space(spaces, weights=None):
         raise ValidationError("product of zero spaces")
     if weights is None:
         weights = [1.0] * len(spaces)
-    weights = [float(w) for w in weights]
+    weights = [_scale("block weights", w) for w in weights]
     if len(weights) != len(spaces):
         raise DimensionMismatchError("one weight per block is required")
-    if any(not math.isfinite(w) or w <= 0.0 for w in weights):
-        raise ValidationError("block weights must be finite and strictly positive")
     diag = np.concatenate([w * s.weights for w, s in zip(weights, spaces)])
     return Space(sum(s.dim for s in spaces), diag)
 

@@ -199,7 +199,7 @@ def zero_operator(space):
 
 def scaled_identity(space, c):
     """``B = c Id`` with ``c >= 0``: ``J_{gamma B}(y) = y / (1 + gamma c)``."""
-    c = float(c)
+    c = _real("scaled identity c", c)
     if not c >= 0.0:  # NaN too
         raise ValidationError(f"scaled identity needs c >= 0 to stay monotone, got {c}")
     return ResolventFamily(

@@ -526,13 +526,8 @@ def suite_argmin_composition(rng, i):
     y_star = np.linalg.solve(Q + np.eye(G.dim) - gram, b)
     x_star = L.adjoint_apply(y_star)
     yield H.norm(pf.proximal_composition_prox(L, g, x_star) - x_star)
-    x = H.random(rng)
-    for _ in range(8_000):
-        nxt = pf.proximal_composition_prox(L, g, x)
-        if H.norm(nxt - x) <= 1e-13:
-            x = nxt
-            break
-        x = nxt
+    T = lambda v: pf.proximal_composition_prox(L, g, v)
+    x, _ = proximal_point(H, T, H.random(rng), Schedule(max_iterations=8_000, tol=1e-13))
     yield H.norm(x - x_star)
 
 

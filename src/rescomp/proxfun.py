@@ -41,7 +41,7 @@ from .compositions import (
     resolvent_mixture,
 )
 from .errors import CapabilityError, ConvergenceError, ValidationError
-from .hilbert import check_contraction, check_monotone, shifted_inverse
+from .hilbert import _scale, check_contraction, check_monotone, shifted_inverse
 from .operators import ResolventFamily, normal_cone, product_family
 from .sets import ConvexSet
 from .solvers import Schedule, proximal_point
@@ -215,7 +215,7 @@ def separable(gs, weights):
     machinery can treat the product function like any other catalog member.
     """
     gs = list(gs)
-    weights = [float(w) for w in weights]
+    weights = [_scale("block weights", w) for w in weights]
     family = product_family([g.subdifferential for g in gs], weights)
 
     value = None

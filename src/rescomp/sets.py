@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import RankOne, SubspaceProjector
+from .hilbert import RankOne, SubspaceProjector, _real
 
 
 class ConvexSet:
@@ -102,7 +102,7 @@ class Ball(ConvexSet):
     def __init__(self, space, center, radius):
         super().__init__(space)
         self.center = space.validate(center).copy()
-        self.radius = float(radius)
+        self.radius = _real("ball radius", radius)
         if not 0.0 <= self.radius < np.inf:  # NaN too; an infinite ball is the whole space
             raise ValidationError(f"ball radius must be finite and nonnegative, got {self.radius}")
 
@@ -132,7 +132,7 @@ class Halfspace(ConvexSet):
     def __init__(self, space, normal, offset):
         super().__init__(space)
         self.normal = space.validate(normal).copy()
-        self.offset = float(offset)
+        self.offset = _real("halfspace offset", offset)
         if not self.offset > -np.inf:  # NaN too; -inf leaves the halfspace empty
             raise ValidationError(f"halfspace offset must be a number above -inf, got {offset}")
         nn = space.inner(self.normal, self.normal)

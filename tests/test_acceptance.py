@@ -161,10 +161,11 @@ def test_criterion_7_wiener_instance():
     start = time.perf_counter()
     x, trace = solve_blocks(inst, inst.space.zeros(), Schedule(lam=1.0, tol=1e-10))
     elapsed = time.perf_counter() - start
-    ref = wiener_oracle(inst)
+    ref, rank_deficient = wiener_oracle(inst)
     dist = inst.space.norm(x - ref)
     ok = (
         trace.reason == "converged"
+        and not rank_deficient
         and dist <= 1e-6
         and np.allclose(ref, [6.0, 0.0])
         and elapsed < 1.0

@@ -100,6 +100,8 @@ BAD_VALUES = {
         "sets": [{"f": {"tag": "scale", "c": 0.5}, "point": [1.0]},
                  {"tag": "projection", "set": {"tag": "singleton", "point": [0.0]},
                   "point": [3.0]}]},
+    "maps-length": {"maps": [[[1.0, 0.0]]]},
+    "blocks-length": {"spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}]}},
 }
 
 # The field that the error of each of these BAD_VALUES cases names.
@@ -107,6 +109,70 @@ BAD_VALUE_FIELDS = {
     "output-string": "output", "output-list": "output", "output-trace-number": "output",
     "output-report-number": "output", "output-unknown-key": "output",
     "wiener-block-without-f": "sets[1]", "wiener-projection-block-without-f": "sets[1]",
+    "maps-length": "maps", "blocks-length": "spaces.blocks",
+}
+
+
+def _second(kind):
+    """A well-formed second block of a two-block config of ``kind``."""
+    return {"split-feasibility": {"tag": "singleton", "point": [3.0]},
+            "common-zero": {"tag": "zero"}, "prox-mixture": {"tag": "abs"},
+            "wiener": {"f": {"tag": "scale", "c": 0.5}, "point": [3.0]}}[kind]
+
+
+# A descriptor without one of the keys it reads: (kind, first block, key).  Each
+# run exits 1 naming the field and the key.
+MISSING_KEYS = {
+    "singleton-point": ("split-feasibility", {"tag": "singleton"}, "point"),
+    "box-lower": ("split-feasibility", {"tag": "box", "upper": [1.0]}, "lower"),
+    "box-upper": ("split-feasibility", {"tag": "box", "lower": [0.0]}, "upper"),
+    "ball-center": ("split-feasibility", {"tag": "ball", "radius": 1.0}, "center"),
+    "ball-radius": ("split-feasibility", {"tag": "ball", "center": [0.0]}, "radius"),
+    "halfspace-normal": ("split-feasibility", {"tag": "halfspace", "offset": 1.0}, "normal"),
+    "halfspace-offset": ("split-feasibility", {"tag": "halfspace", "normal": [1.0]}, "offset"),
+    "affine-anchor": ("split-feasibility", {"tag": "affine", "directions": [[1.0]]}, "anchor"),
+    "affine-directions": ("split-feasibility", {"tag": "affine", "anchor": [0.0]}, "directions"),
+    "scaled-identity-c": ("common-zero", {"tag": "scaled-identity"}, "c"),
+    "linear-matrix": ("common-zero", {"tag": "linear"}, "matrix"),
+    "normal-cone-set": ("common-zero", {"tag": "normal-cone"}, "set"),
+    "normal-cone-set-point": ("common-zero", {"tag": "normal-cone", "set": {"tag": "singleton"}},
+                              "point"),
+    "quadratic-q": ("prox-mixture", {"tag": "quadratic"}, "q"),
+    "half-sq-dist-point": ("prox-mixture", {"tag": "half-sq-dist"}, "point"),
+    "indicator-set": ("prox-mixture", {"tag": "indicator"}, "set"),
+    "wiener-point": ("wiener", {"f": {"tag": "scale", "c": 0.5}}, "point"),
+    "wiener-f": ("wiener", {"point": [1.0]}, "f"),
+    "wiener-f-c": ("wiener", {"f": {"tag": "scale"}, "point": [1.0]}, "c"),
+    "wiener-f-c-untagged": ("wiener", {"f": {}, "point": [1.0]}, "c"),
+    "wiener-f-set": ("wiener", {"f": {"tag": "projection"}, "point": [1.0]}, "set"),
+}
+
+# A space descriptor without its dim: (spaces, field).
+MISSING_DIMS = {
+    "domain": ({"domain": {}, "blocks": [{"dim": 1}, {"dim": 1}]}, "spaces.domain"),
+    "block": ({"domain": {"dim": 2}, "blocks": [{"dim": 1}, {"weights": [1.0]}]},
+              "spaces.blocks[1]"),
+}
+
+# The README config with the second block's map replaced by the first's, so
+# that L U = 0 on V = span{e2}: the Wiener normal equations are singular.
+SINGULAR_WIENER = {
+    "kind": "wiener",
+    "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}, {"dim": 1}]},
+    "maps": [[[1.0, 0.0]], [[1.0, 0.0]]], "weights": [0.5, 0.5], "subspace": [[0.0, 1.0]],
+    "sets": [{"f": {"tag": "scale", "c": 0.5}, "point": [1.0]},
+             {"f": {"tag": "scale", "c": 0.5}, "point": [3.0]}],
+}
+
+# The README maps with c = 0: every block's resolvent is a translation, so
+# the normal matrix is zero and the iteration has no fixed point.
+ZERO_WIENER = {
+    "kind": "wiener",
+    "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}, {"dim": 1}]},
+    "maps": [[[1.0, 0.0]], [[0.0, 1.0]]], "weights": [0.5, 0.5], "subspace": [[1.0, 1.0]],
+    "sets": [{"f": {"tag": "scale", "c": 0.0}, "point": [1.0]},
+             {"f": {"tag": "scale", "c": 0.0}, "point": [3.0]}],
+    "schedule": {"max_iterations": 50},
 }
 
 
@@ -161,6 +227,18 @@ class TestInstanceSpec:
     ], ids=["weights-number", "weights-string", "maps-number", "blocks-number", "sets-number"])
     def test_list_fields_must_be_lists(self, overrides, name):
         with pytest.raises(ValidationError, match=f"field '{re.escape(name)}'"):
+            InstanceSpec.from_dict(acceptance_dict(**overrides))
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"weights": [0.5]}, "weights"),
+        ({"maps": [[[1.0, 0.0]]]}, "maps"),
+        ({"maps": [[[1.0, 0.0]], None, None]}, "maps"),
+        ({"spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}]}}, "spaces.blocks"),
+        ({"spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}] * 3}}, "spaces.blocks"),
+    ], ids=["weights-short", "maps-short", "maps-long", "blocks-short", "blocks-long"])
+    def test_one_entry_per_block(self, overrides, name):
+        with pytest.raises(ValidationError,
+                           match=f"field '{re.escape(name)}': one entry per block is required"):
             InstanceSpec.from_dict(acceptance_dict(**overrides))
 
     def test_bad_weights(self):
@@ -247,7 +325,8 @@ class TestGenerate:
         inst = generate_instance(spec)
         x, _ = solve_relaxed(inst, inst.space.zeros(), Schedule())
         assert x == pytest.approx([6.0, 0.0], abs=1e-8)
-        assert wiener_oracle(inst) == pytest.approx([6.0, 0.0], abs=1e-12)
+        ref, rank_deficient = wiener_oracle(inst)
+        assert ref == pytest.approx([6.0, 0.0], abs=1e-12) and not rank_deficient
 
     def test_wiener_scale_forward_is_declared_affine(self):
         def spec(forward):
@@ -281,13 +360,11 @@ class TestGenerate:
             "subspace": [[1.0, 0.0], [0.0, 1.0]],
         })
 
-        def validating_forward(desc, space):  # a projection forward map that validates
-            if desc["tag"] == "projection":
-                return bench._build_set(desc["set"], space).project
-            return desc["c"]
+        def validating_projection(desc, space):  # a projection forward map that validates
+            return bench._build("set", desc["set"], space).project
 
         with monkeypatch.context() as patch:
-            patch.setattr(bench, "_build_wiener_forward", validating_forward)
+            patch.setitem(bench._TAGS["wiener forward"], "projection", validating_projection)
             validating, _ = execute(spec)
         calls = []
         project = ConvexSet.project
@@ -413,6 +490,19 @@ class TestOracle:
         inst = generate_instance(InstanceSpec.from_dict(spec))
         with pytest.raises(ValidationError):
             least_squares_oracle(inst)
+
+    def test_singular_wiener_system_is_flagged(self):
+        report, _ = execute(InstanceSpec.from_dict(SINGULAR_WIENER))
+        assert report.converged and report.verdict == "relaxed only"
+        assert report.oracle == {"point": [0.0, 0.0], "distance": 0.0, "rank_deficient": True}
+        ref, rank_deficient = wiener_oracle(generate_instance(InstanceSpec.from_dict(SINGULAR_WIENER)))
+        assert rank_deficient and ref.tolist() == [0.0, 0.0]
+
+    def test_zero_wiener_system_is_flagged_and_the_run_does_not_converge(self):
+        report, _ = execute(InstanceSpec.from_dict(ZERO_WIENER))
+        assert not report.converged and report.reason == "max_iterations"
+        assert report.iterations == 50
+        assert report.oracle["rank_deficient"] and report.oracle["point"] == [0.0, 0.0]
 
     def test_oracle_agreement_suite(self):
         res = suite_oracle_agreement(np.random.default_rng([23, 0]), 300)
@@ -788,6 +878,51 @@ class TestCli:
         cfg.write_text(json.dumps(acceptance_dict(**BAD_VALUES[case])))
         assert main(["solve", str(cfg)]) == 1
         assert capsys.readouterr().out.startswith(f"error: field '{BAD_VALUE_FIELDS[case]}'")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("case", MISSING_KEYS)
+    def test_missing_key_exits_one_naming_field_and_key(self, tmp_path, capsys, case, command):
+        kind, first, key = MISSING_KEYS[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(kind=kind, sets=[first, _second(kind)])))
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"error: field 'sets[0]': missing key '{key}'\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("case", MISSING_DIMS)
+    def test_missing_dim_exits_one_naming_the_space(self, tmp_path, capsys, case, command):
+        spaces, name = MISSING_DIMS[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(acceptance_dict(spaces=spaces)))
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"error: field '{name}': missing key 'dim'\n"
+        assert captured.err == ""
+
+    def test_singular_wiener_solve_and_oracle_exit_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        report_path = tmp_path / "report.json"
+        cfg.write_text(json.dumps({**SINGULAR_WIENER, "output": {"report": str(report_path)}}))
+        assert main(["solve", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle"]["rank_deficient"] is True
+        assert json.loads(report_path.read_text()) == report
+        assert main(["oracle", str(cfg)]) == 0
+        assert capsys.readouterr().out == '{"point": [0.0, 0.0], "rank_deficient": true}\n'
+
+    def test_zero_wiener_solve_exits_two_and_oracle_exits_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        report_path = tmp_path / "report.json"
+        cfg.write_text(json.dumps({**ZERO_WIENER, "output": {"report": str(report_path)}}))
+        assert main(["solve", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == (
+            "tolerance failure: did not converge within the iteration budget")
+        assert json.loads(report_path.read_text())["oracle"]["rank_deficient"] is True
+        assert main(["oracle", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_deficient"] is True
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_non_utf8_config_exits_one_naming_the_path(self, tmp_path, capsys, command):

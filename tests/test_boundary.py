@@ -9,9 +9,11 @@ bad input is still rejected at every entry point, and the number of
 import numpy as np
 import pytest
 
-from rescomp.compositions import resolvent_composition, strong_monotonicity_modulus
+from rescomp.bench import InstanceSpec
+from rescomp.compositions import resolvent_composition, resolvent_mixture, strong_monotonicity_modulus
 from rescomp.errors import CapabilityError, DimensionMismatchError, ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
+from rescomp.hilbert import (LinearMap, Space, SubspaceProjector, check_contraction,
+                             identity_map, product_space)
 from rescomp.operators import (
     linear_monotone,
     make_wiener,
@@ -187,6 +189,54 @@ class TestScaleRule:
         inst = RelaxedInstance(SubspaceProjector.full(Space(1)), identity_map(Space(1)),
                                scaled_identity(Space(1), 1.0), 3)
         assert type(inst.gamma) is float and inst.gamma == 3.0
+
+
+def _scalar_readers():
+    """``{name: build(v)}``: each constructor that reads a scalar ``v``, a weight or a number."""
+    R1 = Space(1)
+    half, B, g = identity_map(R1).scaled(0.5), scaled_identity(R1, 1.0), one_norm(R1)
+    config = {"kind": "split-feasibility", "spaces": {"domain": {"dim": 1}},
+              "sets": [{"tag": "singleton", "point": [1.0]}] * 2, "subspace": [[1.0]]}
+    return {
+        "product_space": lambda v: product_space([R1, R1], [v, 1.0]),
+        "check_contraction": lambda v: check_contraction([half, half], [v, 0.25]),
+        "resolvent_mixture": lambda v: resolvent_mixture([B, B], [half, half], [v, 0.25]),
+        "separable": lambda v: separable([g, g], [v, 1.0]),
+        "InstanceSpec": lambda v: InstanceSpec.from_dict({**config, "weights": [v, 0.25]}),
+        "scaled_identity": lambda v: scaled_identity(R1, v),
+        "Ball": lambda v: Ball(R1, [0.0], v),
+        "Halfspace": lambda v: Halfspace(R1, [1.0], v),
+        "modulus-alpha": lambda v: strong_monotonicity_modulus(v, 0.5),
+        "modulus-norm": lambda v: strong_monotonicity_modulus(0.5, v),
+    }
+
+
+SCALAR_READERS = list(_scalar_readers())
+
+
+class TestStrictScalars:
+    """A weight is read by ``hilbert._scale`` and any other scalar by ``hilbert._real``."""
+
+    @pytest.mark.parametrize("reader", SCALAR_READERS)
+    @pytest.mark.parametrize("value", ["2", "0.5", True, None, [0.5]],
+                             ids=["string-2", "string-0.5", "bool", "none", "list"])
+    def test_a_non_number_is_refused(self, reader, value):
+        with pytest.raises(ValidationError):
+            _scalar_readers()[reader](value)
+
+    @pytest.mark.parametrize("reader", SCALAR_READERS)
+    def test_a_number_is_read(self, reader):
+        for value in (0.5, np.float64(0.5), np.float32(0.5), 1):
+            _scalar_readers()[reader](value)
+
+    def test_a_weight_is_read_as_a_float(self):
+        space = product_space([Space(1), Space(1)], [np.float64(0.5), 2])
+        assert space.weights.tolist() == [0.5, 2.0]
+        spec = InstanceSpec.from_dict({"kind": "feasibility-product",
+                                       "spaces": {"domain": {"dim": 1}},
+                                       "sets": [{"tag": "singleton", "point": [1.0]}] * 2,
+                                       "weights": [1, 0.5]})
+        assert all(type(w) is float for w in spec.weights)
 
 
 class TestScaleFreeDecisions:

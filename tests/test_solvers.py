@@ -637,7 +637,7 @@ class TestAnderson:
         # condition up to 1 / sigma_min(L U)^2 (4.8e4 on the first draw), so in
         # float64 a solve is exact to about eps / sigma_min^2 relative, not to 1e-12.
         cases = [(inst, least_squares_oracle(inst)[0]) for inst in affine_singleton_instances()]
-        cases += [(inst, wiener_oracle(inst))
+        cases += [(inst, wiener_oracle(inst)[0])
                   for inst in (kind_instance("wiener", 4), kind_instance("wiener", 50))]
         for inst, ref in cases:
             x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
