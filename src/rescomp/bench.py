@@ -8,17 +8,18 @@ where ``kind`` is one of ``split-feasibility``, ``common-zero``,
 ``feasibility-product``, ``wiener`` or ``prox-mixture`` and the entries of
 ``sets`` are block descriptors whose meaning depends on the kind (convex
 sets, operators, Wiener blocks or convex functions; see README).
-``schedule`` holds ``lambda``, ``max_iterations`` and ``tol``, each
-validated when the config is read; ``output`` holds the optional string
-paths ``trace`` and ``report``.  A run takes the Anderson stage of the
-solver, except with the norm gate bypassed (``unsafe``), where the steps
-need not be nonexpansive and the plain relaxed steps run instead.
+``schedule`` holds ``lambda`` (the ``lam`` of :class:`Schedule`),
+``max_iterations`` and ``tol``; ``output`` the optional string paths
+``trace`` and ``report``.  A run takes the Anderson stage of the solver,
+except with the norm gate bypassed (``unsafe``), where the steps need not
+be nonexpansive and the plain relaxed steps run instead.
 
-Each input rule has one home: :meth:`InstanceSpec.validate` for the
-top-level fields, :func:`_build` and its tag tables ``_TAGS`` for every
-descriptor, and the library constructors for the scalars in them.
-:func:`_field` names the field, and a missing key, in each error.  Both
-oracles return ``(x, rank_deficient)`` from one normal-equations solve.
+Each config key is declared once, with its default: as a field of
+:class:`InstanceSpec` or :class:`Schedule`, or in a descriptor tag's
+``(build, *keys)`` entry in ``_TAGS``; :func:`_build` refuses any other key.
+:meth:`InstanceSpec.validate` checks the top-level values and the library
+constructors the rest; each error names its field (:func:`_field`).
+Both oracles return ``(x, rank_deficient)`` from one normal-equations solve.
 
 Exit-code contract of :func:`run`: 0 on success, 1 on structural errors
 (unparseable config, a missing key, dimension mismatches, failed norm
@@ -67,20 +68,22 @@ EXACTNESS_TOL = 1e-8
 _STRUCTURAL_ERRORS = (RescompError, OSError, KeyError, TypeError)
 
 
-def _numbers(value):
+def _numbers(value, what="every entry"):
     """``value``, None or a number or nested lists of numbers, read as strictly as a scalar.
 
-    A bool, a string or a None inside it raises ``TypeError``, which
-    :func:`_field` turns into an error naming the field.
+    A bool, a string or a None inside it raises a ``TypeError`` naming
+    ``what``, which :func:`_field` turns into an error naming the field too.
     """
     if value is not None and not _numeric(value):
-        raise TypeError("expected a number or a list of numbers; a string or a bool is neither")
+        raise TypeError(f"{what} must be a number or a list of numbers, not a string or a bool")
     return value
 
 
 def _numeric(value):
     if isinstance(value, list):  # a row of plain numbers is checked in one pass
         return {*map(type, value)} <= {int, float} or all(map(_numeric, value))
+    if type(value) in (int, float):  # a plain scalar needs no isinstance of the ABC
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -94,16 +97,16 @@ def _all_finite(value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class InstanceSpec:
-    """Parsed, validated form of a run configuration."""
+    """Parsed, validated form of a run configuration; its fields are the config's keys."""
 
     kind: str
     spaces: dict
-    maps: list | None
+    maps: list | None = None  # None: an identity map per block
     sets: list
-    weights: list | None
-    subspace: list
+    weights: list | None = None  # None: 1 per block, filled in by validate
+    subspace: list = field(default_factory=list)
     gamma: float = 1.0
     schedule: dict = field(default_factory=dict)
     seed: int = 0
@@ -111,27 +114,12 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ValidationError("config root must be a JSON object")
-        _known("config", data, [f.name for f in dataclasses.fields(cls)])
-        for field_name in ("kind", "spaces", "sets"):
-            if field_name not in data:
-                raise ValidationError(f"missing config field {field_name!r}")
-        for name in ("schedule", "output"):
-            if not isinstance(data.get(name, {}), dict):
-                raise ValidationError(f"field {name!r}: must be a JSON object")
-        spec = cls(
-            kind=data["kind"],
-            spaces=data["spaces"],
-            maps=data.get("maps"),
-            sets=data["sets"],
-            weights=data.get("weights"),  # one per block by default, filled in by validate
-            subspace=data.get("subspace", []),
-            gamma=data.get("gamma", 1.0),
-            schedule=dict(data.get("schedule", {})),
-            seed=_count("field 'seed'", data.get("seed", 0)),
-            output=dict(data.get("output", {})),
-        )
+        fields = dataclasses.fields(cls)
+        _known("config", data, {f.name for f in fields})
+        for f in fields:  # a field without a default is required
+            if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
+                raise ValidationError(f"missing config field {f.name!r}")
+        spec = cls(**data)
         spec.validate()
         return spec
 
@@ -140,8 +128,15 @@ class InstanceSpec:
             raise ValidationError(
                 f"field 'kind': {self.kind!r} is not one of {INSTANCE_KINDS}"
             )
-        if not isinstance(self.spaces, dict) or "domain" not in self.spaces:
+        _field("spaces", _known, "spaces", self.spaces, {"domain", "blocks"})
+        if "domain" not in self.spaces:
             raise ValidationError("field 'spaces': needs a 'domain' entry")
+        product = self.kind == "feasibility-product"  # its L and V are built from the domain
+        unread = {"maps": self.maps, "subspace": self.subspace,
+                  "spaces.blocks": self.spaces.get("blocks")}
+        for name, value in unread.items() if product else ():
+            if value:
+                raise ValidationError(f"field {name!r}: a feasibility-product config takes none")
         if not isinstance(self.sets, list) or not self.sets:
             raise ValidationError("field 'sets': a list of at least one block is required")
         if self.weights is None:
@@ -155,40 +150,37 @@ class InstanceSpec:
                                       f"got {len(value)} for {len(self.sets)} blocks")
         self.weights = [_scale(f"field 'weights[{i}]'", w) for i, w in enumerate(self.weights)]
         self.gamma = _scale("field 'gamma'", self.gamma)
-        # the feasibility product implies the diagonal subspace
-        if not self.subspace and self.kind != "feasibility-product":
+        self.seed = _count("field 'seed'", self.seed)
+        if not self.subspace and not product:
             raise ValidationError("field 'subspace': spanning vectors are required")
-        if not _field("subspace", _all_finite, self.subspace):
+        if self.subspace and not _field("subspace", _all_finite, self.subspace):
             raise ValidationError("field 'subspace': non-finite entry")
         for i, m in enumerate(self.maps or []):  # finiteness: LinearMap checks it
             _field(f"maps[{i}]", _numbers, m)
         _field("schedule", self.build_schedule)
-        _field("output", _known, "output", self.output, ["trace", "report"])
+        _field("output", _known, "output", self.output, {"trace", "report"})
         for key, path in self.output.items():
             if not isinstance(path, str):
                 raise ValidationError(f"field 'output': {key!r} must be a string path, got {path!r}")
 
     def build_schedule(self, unsafe=False):
-        """The run's :class:`Schedule`: Anderson, or the plain steps when ``unsafe``.
+        """The run's :class:`Schedule`, from its keys: Anderson, or the plain steps when ``unsafe``.
 
         With the norm gate bypassed the step need not be nonexpansive, so
         the safeguard's convergence guarantee does not hold, and the plain
         steps show what the unchecked data do (e.g. diverge).
         """
-        _known("schedule", self.schedule, ["lambda", "max_iterations", "tol"])
-        return Schedule(
-            lam=self.schedule.get("lambda", 1.0),
-            max_iterations=self.schedule.get("max_iterations", 100_000),
-            tol=self.schedule.get("tol", 1e-10),
-            anderson=not unsafe,
-        )
+        _known("schedule", self.schedule, {"lambda", "max_iterations", "tol"})
+        keys = {"lam" if key == "lambda" else key: value for key, value in self.schedule.items()}
+        return Schedule(**keys, anderson=not unsafe)
 
 
 def _known(what, data, keys):
-    """Refuse a key of the JSON object ``data`` that is not one of ``keys``."""
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise ValidationError(f"unknown {what} fields {sorted(unknown)}")
+    """Refuse ``data`` unless it is a JSON object whose every key is in the set ``keys``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {data!r}")
+    if not data.keys() <= keys:
+        raise ValidationError(f"unknown {what} fields {sorted(data.keys() - keys)}")
 
 
 def load_spec(path):
@@ -224,54 +216,65 @@ def _build(what, desc, space):
     """The object that a ``what`` descriptor describes in ``space``, built by its tag's entry.
 
     The tag is read from ``desc["tag"]``; a Wiener forward map without one is
-    a ``scale``, and spaces and Wiener blocks take no tag.
+    a ``scale``, and spaces and Wiener blocks take no tag.  A key that the
+    entry does not declare is refused.
     """
     if not isinstance(desc, dict):
         raise TypeError(f"a descriptor must be a JSON object, got {desc!r}")
     tag = desc.get("tag", "scale" if what == "wiener forward" else None)
     try:
-        build = _TAGS[what][tag]
+        build, *keys = _TAGS[what][tag]
     except (KeyError, TypeError):  # TypeError: a tag that is a list or an object
         raise ValidationError(f"unknown {what} tag {tag!r}") from None
-    return build(desc, space)
+    _known(f"{what} {tag!r}" if tag else what, desc, _KEYS[what, tag])
+    return build(space, *[_read(desc, key, space) for key in keys])
 
 
-# The builder of each tag, per descriptor kind: ``build(desc, space)`` reads
-# the keys it needs from ``desc``, and ``_field`` names a missing one.
+def _read(desc, key, space):
+    """``desc[key]`` read by :func:`_numbers`, or built if nested; None for an absent ``key?``."""
+    if key[-1] == "?":
+        return _numbers(desc.get(key[:-1]), key[:-1])
+    nested = _NESTED.get(key)
+    return _numbers(desc[key], key) if nested is None else _build(nested, desc[key], space)
+
+
+# The entry ``(build, *keys)`` of each tag, per descriptor kind: ``build(space,
+# *values)`` gets each key's value, read by ``_read``; ``?`` marks an optional
+# key.  The README's key table is checked against this one.
 _TAGS = {
-    "space": {None: lambda d, _: Space(d["dim"], _numbers(d.get("weights")))},
+    "space": {None: (lambda _, dim, weights: Space(dim, weights), "dim", "weights?")},
     "set": {
-        "singleton": lambda d, space: Singleton(space, _numbers(d["point"])),
-        "box": lambda d, space: Box(space, _numbers(d["lower"]), _numbers(d["upper"])),
-        "ball": lambda d, space: Ball(space, _numbers(d["center"]), d["radius"]),
-        "halfspace": lambda d, space: Halfspace(space, _numbers(d["normal"]), d["offset"]),
-        "affine": lambda d, space: AffineSubspace(space, _numbers(d["anchor"]),
-                                                  _numbers(d["directions"])),
+        "singleton": (Singleton, "point"),
+        "box": (Box, "lower", "upper"),
+        "ball": (Ball, "center", "radius"),
+        "halfspace": (Halfspace, "normal", "offset"),
+        "affine": (AffineSubspace, "anchor", "directions"),
     },
     "operator": {
-        "zero": lambda d, space: operators.zero_operator(space),
-        "scaled-identity": lambda d, space: operators.scaled_identity(space, d["c"]),
-        "linear": lambda d, space: operators.linear_monotone(space, _numbers(d["matrix"])),
-        "normal-cone": lambda d, space: operators.normal_cone(_build("set", d["set"], space)),
+        "zero": (operators.zero_operator,),
+        "scaled-identity": (operators.scaled_identity, "c"),
+        "linear": (operators.linear_monotone, "matrix"),
+        "normal-cone": (lambda _, cset: operators.normal_cone(cset), "set"),
     },
     "function": {
-        "abs": lambda d, space: proxfun.one_norm(space),
-        "quadratic": lambda d, space: proxfun.quadratic(space, _numbers(d["q"]),
-                                                        _numbers(d.get("b"))),
-        "half-sq-dist": lambda d, space: proxfun.half_squared_distance(space, _numbers(d["point"])),
-        "indicator": lambda d, space: proxfun.indicator(_build("set", d["set"], space)),
+        "abs": (proxfun.one_norm,),
+        "quadratic": (proxfun.quadratic, "q", "b?"),
+        "half-sq-dist": (proxfun.half_squared_distance, "point"),
+        "indicator": (lambda _, cset: proxfun.indicator(cset), "set"),
     },
     # The number c of c Id, or a set's raw projection, as it runs inside the
     # solver's kernel: make_wiener validates its outputs in its spot checks.
     "wiener forward": {
-        "scale": lambda d, space: d["c"],
-        "projection": lambda d, space: _build("set", d["set"], space)._project,
+        "scale": (lambda _, c: c, "c"),
+        "projection": (lambda _, cset: cset._project, "set"),
     },
-    "wiener block": {
-        None: lambda d, space: operators.make_wiener(
-            space, _build("wiener forward", d["f"], space), _numbers(d["point"])),
-    },
+    "wiener block": {None: (operators.make_wiener, "f", "point")},
 }
+
+_NESTED = {"set": "set", "f": "wiener forward"}  # the descriptor kind of each nested key
+# The keys of each entry, without their "?", and the "tag" that picks it, computed once.
+_KEYS = {(what, tag): {"tag", *(key.rstrip("?") for key in keys)}
+         for what, entries in _TAGS.items() for tag, (_, *keys) in entries.items()}
 
 
 # The block operator of each instance kind, from its descriptor.
@@ -292,21 +295,18 @@ _BLOCKS["feasibility-product"] = _BLOCKS["split-feasibility"]  # the factors are
 def generate_instance(spec, unsafe=False):
     """Build the relaxed instance described by ``spec`` (deterministic)."""
     domain = _field("spaces.domain", _build, "space", spec.spaces["domain"], None)
-    block = _BLOCKS[spec.kind]
-
-    if spec.kind == "feasibility-product":
-        B = operators.product_family(
-            [_field(f"sets[{i}]", block, d, domain) for i, d in enumerate(spec.sets)],
-            spec.weights)
-        diagonal = np.tile(np.eye(domain.dim), len(spec.sets))  # rows (e_i, ..., e_i)
-        V = SubspaceProjector(B.space, diagonal)
-        return RelaxedInstance(V, identity_map(B.space), B, spec.gamma, kind=spec.kind,
-                               unsafe=unsafe)
-
-    V = _field("subspace", SubspaceProjector, domain, spec.subspace)
-    block_descs = spec.spaces.get("blocks")
+    block_descs = spec.spaces.get("blocks")  # never in a feasibility product
     spaces = [domain] * len(spec.sets) if block_descs is None else [
         _field(f"spaces.blocks[{i}]", _build, "space", d, None) for i, d in enumerate(block_descs)]
+    fams = [_field(f"sets[{i}]", _BLOCKS[spec.kind], d, g)
+            for i, (d, g) in enumerate(zip(spec.sets, spaces))]
+    if spec.kind == "feasibility-product":
+        B = operators.product_family(fams, spec.weights)
+        diagonal = np.tile(np.eye(domain.dim), len(spec.sets))  # rows (e_i, ..., e_i)
+        return RelaxedInstance(SubspaceProjector(B.space, diagonal), identity_map(B.space), B,
+                               spec.gamma, kind=spec.kind, unsafe=unsafe)
+
+    V = _field("subspace", SubspaceProjector, domain, spec.subspace)
     maps = []
     for i, (desc, g) in enumerate(zip(spec.maps or [None] * len(spaces), spaces)):
         if desc is None and g.dim != domain.dim:
@@ -314,7 +314,6 @@ def generate_instance(spec, unsafe=False):
                                   f"{g.dim} differs from domain dim {domain.dim}")
         maps.append(_field(f"maps[{i}]", LinearMap, domain, g,
                            np.eye(g.dim) if desc is None else desc))
-    fams = [_field(f"sets[{i}]", block, d, g) for i, (d, g) in enumerate(zip(spec.sets, spaces))]
     return RelaxedInstance.from_blocks(V, zip(maps, fams, spec.weights), spec.gamma,
                                        kind=spec.kind, unsafe=unsafe)
 

@@ -56,8 +56,13 @@ BAD_SCHEDULES = [
 ]
 
 
-# Configs whose values do not convert: each is a structural error at the config
-# boundary, not a ValueError traceback, and none runs with a silently changed value.
+# The acceptance config as a feasibility product: its sets in R^1 and nothing else.
+PRODUCT = {"kind": "feasibility-product", "spaces": {"domain": {"dim": 1}}, "maps": None,
+           "subspace": []}
+
+# Configs whose values do not convert, or that hold a key nothing reads: each is a
+# structural error at the config boundary, not a ValueError traceback, and none
+# runs with a silently changed or ignored value.
 BAD_VALUES = {
     "gamma-string": {"gamma": "abc"},
     "gamma-bool": {"gamma": True},
@@ -102,6 +107,23 @@ BAD_VALUES = {
                   "point": [3.0]}]},
     "maps-length": {"maps": [[[1.0, 0.0]]]},
     "blocks-length": {"spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 1}]}},
+    "quadratic-b-typo": {"kind": "prox-mixture",
+                         "sets": [{"tag": "quadratic", "q": [[1.0]], "B": [4.0]}, {"tag": "abs"}]},
+    "space-weights-typo": {"spaces": {"domain": {"dim": 2, "wieghts": [1.0, 1.0]},
+                                      "blocks": [{"dim": 1}, {"dim": 1}]}},
+    "nested-set-extra-key": {"kind": "common-zero",
+                             "sets": [{"tag": "normal-cone",
+                                       "set": {"tag": "singleton", "point": [0.0], "radius": 1.0}},
+                                      {"tag": "zero"}]},
+    "wiener-forward-extra-key": {"kind": "wiener",
+                                 "sets": [{"f": {"tag": "scale", "c": 0.5, "point": [0.0]},
+                                           "point": [1.0]},
+                                          {"f": {"tag": "scale", "c": 0.5}, "point": [3.0]}]},
+    "spaces-block-typo": {"spaces": {"domain": {"dim": 2}, "block": [{"dim": 1}, {"dim": 1}]}},
+    "product-maps": {**PRODUCT, "maps": [[[5.0]], [[7.0]]]},
+    "product-subspace": {**PRODUCT, "subspace": [[9.0]]},
+    "product-blocks": {**PRODUCT, "spaces": {"domain": {"dim": 1},
+                                             "blocks": [{"dim": 4}, {"dim": 4}]}},
 }
 
 # The field that the error of each of these BAD_VALUES cases names.
@@ -110,6 +132,10 @@ BAD_VALUE_FIELDS = {
     "output-report-number": "output", "output-unknown-key": "output",
     "wiener-block-without-f": "sets[1]", "wiener-projection-block-without-f": "sets[1]",
     "maps-length": "maps", "blocks-length": "spaces.blocks",
+    "quadratic-b-typo": "sets[0]", "space-weights-typo": "spaces.domain",
+    "nested-set-extra-key": "sets[0]", "wiener-forward-extra-key": "sets[0]",
+    "spaces-block-typo": "spaces", "product-maps": "maps", "product-subspace": "subspace",
+    "product-blocks": "spaces.blocks",
 }
 
 
@@ -261,9 +287,11 @@ class TestInstanceSpec:
             InstanceSpec.from_dict(acceptance_dict(schedule=schedule))
 
     def test_config_runs_anderson_unless_unsafe(self):
-        spec = InstanceSpec.from_dict(acceptance_dict(schedule={}))
-        assert spec.build_schedule() == Schedule(anderson=True)
-        assert spec.build_schedule(unsafe=True) == Schedule()
+        absent = {k: v for k, v in acceptance_dict().items() if k != "schedule"}
+        for data in (acceptance_dict(schedule={}), absent):  # Schedule holds the defaults
+            spec = InstanceSpec.from_dict(data)
+            assert spec.build_schedule() == Schedule(anderson=True)
+            assert spec.build_schedule(unsafe=True) == Schedule()
 
 
 class TestGenerate:
@@ -360,9 +388,7 @@ class TestGenerate:
             "subspace": [[1.0, 0.0], [0.0, 1.0]],
         })
 
-        def validating_projection(desc, space):  # a projection forward map that validates
-            return bench._build("set", desc["set"], space).project
-
+        validating_projection = (lambda _, cset: cset.project, "set")  # one that validates
         with monkeypatch.context() as patch:
             patch.setitem(bench._TAGS["wiener forward"], "projection", validating_projection)
             validating, _ = execute(spec)

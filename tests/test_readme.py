@@ -1,9 +1,13 @@
-"""The README's library tour and configuration example run as written."""
+"""The README's library tour and configuration example run as written.
+
+Its descriptor key table lists exactly the keys of ``bench._TAGS``.
+"""
 
 import json
 import os
 import re
 
+from rescomp import bench
 from rescomp.cli import main
 from rescomp.operators import GraphPoint
 
@@ -34,3 +38,15 @@ def test_configuration_example_solves(tmp_path, monkeypatch, capsys):
     assert report["verdict"] == "relaxed only"
     assert json.loads((tmp_path / "report.json").read_text()) == report
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_descriptor_key_table_matches_the_tag_table():
+    with open(README) as fh:
+        text = fh.read()
+    section = text[text.index("### Configuration"):text.index("## Library tour")]
+    rows = re.findall(r"^\| `([^`]+)` \| (?:`([^`]+)`)? *\|(.*)\|$", section, re.MULTILINE)
+    table = {(what, tag or None): re.findall(r"`([^`]+)`", keys) for what, tag, keys in rows}
+    declared = {(what, tag): keys for what, entries in bench._TAGS.items()
+                for tag, (_build, *keys) in entries.items()}
+    assert len(rows) == len(table)
+    assert table == declared
