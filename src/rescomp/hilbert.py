@@ -9,9 +9,10 @@ Everything else in the package is built on the three objects defined here:
 * :class:`LinearMap` -- a dense matrix between two spaces, with the
   metric-aware adjoint ``W_dom^-1 M^T W_cod`` and its operator norm, the
   largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``, computed once,
-  on first use.  :meth:`LinearMap.scaled` gives ``t L`` carrying
-  ``|t| ||L||`` when that norm is cached (exact up to the rounding of
-  ``t M``, about ``sqrt(min(m, n)) eps`` relative), and
+  on first use (with one row or one column that matrix is a vector, and its
+  norm is its ``math.hypot`` length: no SVD).  :meth:`LinearMap.scaled`
+  gives ``t L`` carrying ``|t| ||L||`` when that norm is cached (exact up
+  to the rounding of ``t M``, about ``sqrt(min(m, n)) eps`` relative), and
   :func:`identity_map` is built with no arithmetic: its norm is exactly 1
   and its adjoint the matrix itself in any diagonal metric.
 * :class:`SubspaceProjector` -- the metric-orthogonal projector onto the
@@ -34,12 +35,14 @@ Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
 :meth:`Space.validate` (shape, finiteness, float64), and a spanning set
 or a stack of outputs (:meth:`Space.validate_rows`) is checked the same
-way as one array.  The kernels behind them -- the solver loops, the
-catalog evaluators -- work on raw arrays through
-``matrix``/``adjoint_matrix`` and the unchecked :meth:`Space._inner`,
-:meth:`Space._norm` and :meth:`Space._squared_norms`.  A value that goes
-non-finite inside a loop is caught by the loop's finiteness test on its
-residual scalar.
+way as one array.  A finite length (``math.hypot`` of a short vector,
+``np.vdot(x, x)`` of a longer one) proves every entry finite; only a
+NaN, an inf or huge entries take the entrywise test.  The kernels behind
+them -- the solver loops, the catalog evaluators -- work on raw arrays
+through ``matrix``/``adjoint_matrix`` and the unchecked
+:meth:`Space._inner`, :meth:`Space._norm` and
+:meth:`Space._squared_norms`.  A value that goes non-finite inside a
+loop is caught by the loop's finiteness test on its residual scalar.
 
 All objects are immutable after construction and all operations are pure,
 so values can be shared freely between threads.  The one cache a map fills
@@ -74,6 +77,10 @@ NORM_BOUND_LIMIT = 0.5 * sys.float_info.max
 # Scales whose inverse shifted_inverse keeps; a full cache is emptied, so a
 # caller sweeping many scales holds at most this many matrices.
 INVERSE_CACHE_SIZE = 16
+
+# Space.validate takes the math.hypot of a vector up to this length as a Python
+# list, cheaper than np.vdot below about 30 entries; a longer one takes np.vdot.
+SHORT_VECTOR = 16
 
 
 def check_contraction(maps, weights=None, unsafe=False):
@@ -146,7 +153,8 @@ class Space:
                 f"expected {dim} metric weights, got shape {weights.shape}"
             )
         # NaN fails both comparisons below.
-        self.weight_min, self.weight_max = float(weights.min()), float(weights.max())
+        self.weight_min = float(np.minimum.reduce(weights))  # ndarray.min without its wrapper
+        self.weight_max = float(np.maximum.reduce(weights))
         if not (0.0 < self.weight_min and self.weight_max < math.inf):
             raise ValidationError("metric weights must be finite and strictly positive")
         self.weights = weights
@@ -155,6 +163,7 @@ class Space:
         """Return ``x`` as a float array after checking it belongs to this space.
 
         A float64 ``ndarray`` of the right shape is returned as is (no copy).
+        Only a vector whose length is not finite takes the entrywise test.
         """
         if type(x) is not np.ndarray or x.dtype != np.float64:
             x = np.asarray(x, dtype=float)
@@ -162,8 +171,10 @@ class Space:
             raise DimensionMismatchError(
                 f"vector of shape {x.shape} does not live in a space of dimension {self.dim}"
             )
-        # The ufunc reduction skips the Python wrapper of ndarray.all.
-        if not np.logical_and.reduce(np.isfinite(x)):
+        # A finite length proves every entry finite; np.vdot, unlike
+        # ndarray.dot, does not warn when huge finite entries overflow it.
+        length = math.hypot(*x.tolist()) if self.dim <= SHORT_VECTOR else np.vdot(x, x)
+        if not math.isfinite(length) and not np.isfinite(x).all():
             raise ValidationError("vector has non-finite entries")
         return x
 
@@ -176,7 +187,7 @@ class Space:
         if x.ndim != 2 or x.shape[1] != self.dim:
             shapes = sorted({np.shape(r) for r in rows})
             raise DimensionMismatchError(f"rows of shapes {shapes} are not vectors of dim {self.dim}")
-        if not np.isfinite(x).all():
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise ValidationError("vector has non-finite entries")
         return x
 
@@ -205,7 +216,8 @@ class Space:
 
     def random(self, rng, scale=1.0):
         """A standard-normal sample, used by property suites and samplers."""
-        return scale * rng.standard_normal(self.dim)
+        x = rng.standard_normal(self.dim)
+        return x if scale == 1.0 else scale * x
 
     def __eq__(self, other):
         return other is self or (
@@ -322,15 +334,21 @@ class LinearMap:
         """The operator norm, exact to rounding.
 
         It is the largest singular value of ``W_cod^{1/2} M W_dom^{-1/2}``,
-        the matrix of L between the Euclidean images of the two metrics.
-        Raises ``ValidationError`` when the norm overflows.
+        the matrix of L between the Euclidean images of the two metrics;
+        when it has one row or one column, its ``math.hypot`` length (within
+        about an ulp, with no SVD).  Raises ``ValidationError`` when the norm
+        overflows.
         """
         # Each entry of the scaled product is at most the constructor's bound
         # sqrt(size) max|M_ij| sqrt(max w_cod / min w_dom), so below
         # NORM_BOUND_LIMIT nothing overflows: only the eager branch above that
         # limit needs np.errstate (and np.linalg.svd sets its own).
         root = np.sqrt(self.codomain.weights)[:, None] / np.sqrt(self.domain.weights)
-        norm = float(np.linalg.svd(self.matrix * root, compute_uv=False)[0])
+        scaled = self.matrix * root
+        if 1 in scaled.shape:  # a vector: its length, inf when that overflows
+            norm = math.hypot(*scaled.ravel().tolist())
+        else:
+            norm = float(np.linalg.svd(scaled, compute_uv=False)[0])
         if not math.isfinite(norm):
             raise ValidationError("matrix entries overflow the norm computation")
         return norm

@@ -225,7 +225,11 @@ class TestMixture:
         Ls.append(identity_map(H))
         Bs = [zero_operator(G) for G in spaces]
         resolvent_mixture(Bs, Ls, [0.3, 0.3, 0.3])
-        assert svd_calls == [(2, 3), (1, 3)]
+        # The one-row block's norm is its metric length: the gate cached it with no SVD.
+        assert svd_calls == [(2, 3)] and "norm~" in repr(Ls[1])
+        scaled = np.sqrt(spaces[1].weights)[:, None] * Ls[1].matrix / np.sqrt(H.weights)
+        exact = np.linalg.svd(scaled, compute_uv=False)[0]
+        assert abs(Ls[1].op_norm() - exact) <= 4 * np.finfo(float).eps * exact
         zeros = [LinearMap(H, G, np.zeros((G.dim, 3))) for G in spaces[:2]]
         for unsafe in (False, True):
             with pytest.raises(ContractionConditionError, match="nonzero"):

@@ -1,5 +1,7 @@
 """Spaces, adjoints, norms, projectors, stacking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,40 @@ class TestSpace:
         with pytest.raises(ValidationError):
             s.validate([np.nan, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_nonfinite_entry_is_refused_at_every_position(self, bad, n):
+        # Beside entries of 1e200 a long vector's vdot overflows by itself;
+        # the entrywise test behind it still finds the one bad entry.
+        s = Space(n)
+        for fill in (0.5, 1e200):
+            for i in range(n):
+                x = np.full(n, fill)
+                x[i] = bad
+                with pytest.raises(ValidationError, match="non-finite"):
+                    s.validate(x)
+                with pytest.raises(ValidationError, match="non-finite"):
+                    s.validate_rows([np.full(n, fill), x])
+
+    @pytest.mark.parametrize("copies", [1, 334], ids=["short", "long"])
+    def test_huge_and_subnormal_entries_are_accepted(self, copies):
+        tiny = np.nextafter(0.0, 1.0)
+        for entries in ([1e200, -1e200, 3.0], [tiny, -tiny, 1e-310], [1.7e308] * 3):
+            entries = entries * copies
+            s, x = Space(len(entries)), np.array(entries)
+            assert s.validate(x) is x
+            assert np.array_equal(s.validate(entries), x)
+            assert np.array_equal(s.validate_rows([x, entries]), [x, x])
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_huge_entries_raise_no_warning(self, n):
+        # ndarray.dot warns when the sum of squares overflows; np.vdot does not.
+        s, x = Space(n), np.full(n, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.validate(x) is x
+            assert np.array_equal(s.validate_rows([x]), [x])
+
     def test_inner_symmetric_positive_definite(self):
         g = rng()
         for _ in range(50):
@@ -175,6 +211,30 @@ class TestOpNorm:
         s = Space(2)
         with pytest.raises(ValidationError, match="overflow"):
             LinearMap(s, s, np.full((2, 2), 1.7e308))
+
+    def test_vector_shaped_maps_take_their_length_without_svd(self, svd_calls):
+        g = rng()
+        norms, scaled = [], []
+        for _ in range(100):
+            for dom_dim, cod_dim in ((5, 1), (1, 5), (1, 1)):  # one row, one column, 1 x 1
+                H, G = _random_space(g, max_dim=dom_dim), _random_space(g, max_dim=cod_dim)
+                M = g.standard_normal((G.dim, H.dim))
+                norms.append(LinearMap(H, G, M).op_norm())
+                scaled.append(M * (np.sqrt(G.weights)[:, None] / np.sqrt(H.weights)))
+        assert svd_calls == []
+        for norm, A in zip(norms, scaled):
+            exact = np.linalg.svd(A, compute_uv=False)[0]
+            assert abs(norm - exact) <= 4 * np.finfo(float).eps * exact
+
+    def test_huge_row_gets_its_length(self):
+        L = LinearMap(Space(3), Space(1), [[1e200, 1e200, 1e200]])
+        assert L.op_norm() == pytest.approx(np.sqrt(3.0) * 1e200, rel=4 * np.finfo(float).eps)
+
+    def test_vector_shaped_overflow_through_the_metric_is_refused_at_construction(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(Space(2), Space(1, [1e250]), [[1e200, 1e200]])
+        with pytest.raises(ValidationError, match="overflow"):
+            LinearMap(Space(1, [1e-250]), Space(2), [[1e200], [1e200]])
 
     def test_weighted_identity_norm_is_one_without_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
