@@ -384,8 +384,9 @@ def wiener_oracle(inst):
     """Direct solve of the Wiener stationarity system over V, for linear blocks.
 
     Only available when every forward map is a scaled identity ``c_k Id``,
-    whose family declares the constant derivative ``M_k = 1 - c_k`` of its
-    resolvent ``M_k y + p_k``, with ``p_k = J_1(0)``; the stationarity
+    whose family declares the constant derivative ``1 - c_k`` of its
+    resolvent ``(1 - c_k) y + p_k``, with ``p_k = J_1(0)``: its
+    ``derivative(1, 0, 1)`` is ``(1 - c_k) - 1 = -c_k``.  The stationarity
     condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0`` restricted to V's
     basis is then a small linear system.  Returns ``(x, rank_deficient)``.
     The system is singular when some direction of V is mapped to 0 by every
@@ -399,8 +400,8 @@ def wiener_oracle(inst):
     terms = []
     for L_k, B_k, w_k in inst.blocks:
         origin = B_k.space.zeros()
-        M_k, p_k = B_k.derivative(1.0, origin), B_k._evaluator(1.0, origin)
-        terms.append((L_k, p_k, w_k * (1.0 - M_k), w_k))
+        c_k, p_k = -B_k.derivative(1.0, origin, 1.0), B_k._evaluator(1.0, origin)
+        terms.append((L_k, p_k, w_k * c_k, w_k))
     return _solve_normal_equations(inst.V.basis, terms)
 
 

@@ -12,7 +12,9 @@ The first two are the only places the formulas are written: the proximal
 composition, cocomposition and mixture of :mod:`proxfun` are these
 constructions applied to ``subdifferential(g)``.  Each returns a plain
 :class:`ResolventFamily` of kind ``composed(<variant>)``, whose graph test
-is ``graph_residual`` like any other family's.
+is ``graph_residual`` like any other family's.  Beside each formula sits
+its derivative by the chain rule (``D_B`` taken at ``L x``, declared as in
+:mod:`operators`): ``L* D_B L`` and ``I - L* L + L* D_B L``.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures, which bounds the stacked map's norm) because that
@@ -45,12 +47,18 @@ def resolvent_composition(L, B, gamma=1.0, unsafe=False):
 
 def _composition(L, B, gamma):
     """The composition of ``B`` with ``L``, whose gate the caller has passed."""
-    g = B._check_scale(gamma)
+    g, D = B._check_scale(gamma), B.derivative
 
     def evaluator(_one, x):
         return L.adjoint_matrix @ B._evaluator(g, L.matrix @ x)
 
-    return ResolventFamily(L.domain, "composed(composition)", evaluator, scale_domain=1.0)
+    def derivative(_one, x, A):  # the chain rule: L* D_B(L x) L - I
+        LA = L.matrix @ A
+        return L.adjoint_matrix @ (D(g, L.matrix @ x, LA) + LA) - A
+
+    return ResolventFamily(L.domain, "composed(composition)", evaluator, scale_domain=1.0,
+                           derivative=None if D is None else derivative,
+                           constant_derivative=B.constant_derivative)
 
 
 def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
@@ -58,13 +66,18 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe)
-    g = B._check_scale(gamma)
+    g, D = B._check_scale(gamma), B.derivative
 
     def evaluator(_one, x):
         y = L.matrix @ x
         return x - L.adjoint_matrix @ y + L.adjoint_matrix @ B._evaluator(g, y)
 
-    return ResolventFamily(L.domain, "composed(cocomposition)", evaluator, scale_domain=1.0)
+    def derivative(_one, x, A):  # I - L* L + L* D_B(L x) L - I
+        return L.adjoint_matrix @ D(g, L.matrix @ x, L.matrix @ A)
+
+    return ResolventFamily(L.domain, "composed(cocomposition)", evaluator, scale_domain=1.0,
+                           derivative=None if D is None else derivative,
+                           constant_derivative=B.constant_derivative)
 
 
 def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):

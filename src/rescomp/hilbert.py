@@ -27,10 +27,6 @@ Everything else in the package is built on the three objects defined here:
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
 scale; the linear resolvents and quadratic proxes are built on both.
 
-:func:`displacement_jacobian` applies a resolvent derivative ``D``, given in
-one of the forms the catalog declares (a scalar, a diagonal, a matrix or a
-:class:`RankOne` correction), as ``(D - I) A``.
-
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
 :meth:`Space.validate` (shape, finiteness, float64), and a spanning set
@@ -55,7 +51,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -343,8 +338,11 @@ class LinearMap:
         # sqrt(size) max|M_ij| sqrt(max w_cod / min w_dom), so below
         # NORM_BOUND_LIMIT nothing overflows: only the eager branch above that
         # limit needs np.errstate (and np.linalg.svd sets its own).
-        root = np.sqrt(self.codomain.weights)[:, None] / np.sqrt(self.domain.weights)
-        scaled = self.matrix * root
+        cod, dom = np.sqrt(self.codomain.weights)[:, None], np.sqrt(self.domain.weights)
+        # The largest ratio cod / dom overflows for a subnormal w_dom against a huge w_cod,
+        # where a zero entry would meet 0 * inf = NaN: then scale by each factor in turn.
+        peak_ratio = math.sqrt(self.codomain.weight_max) / math.sqrt(self.domain.weight_min)
+        scaled = self.matrix * (cod / dom) if peak_ratio < math.inf else self.matrix * cod / dom
         if 1 in scaled.shape:  # a vector: its length, inf when that overflows
             norm = math.hypot(*scaled.ravel().tolist())
         else:
@@ -452,29 +450,6 @@ def shifted_inverse(M):
         return inv
 
     return inverse
-
-
-class RankOne(NamedTuple):
-    """The matrix ``scale (I - u v^T)``: a projection's derivative off a ball or halfspace."""
-
-    scale: float
-    u: np.ndarray
-    v: np.ndarray
-
-
-def displacement_jacobian(D, A):
-    """``(D - I) A`` for a derivative ``D`` and a matrix ``A`` whose rows are D's domain.
-
-    ``D`` is a scalar ``d`` (``d I``), a 1-D array (the diagonal), a 2-D
-    matrix or a :class:`RankOne`.  No form but the matrix is made dense.  A
-    product has no derivative of its own: the solvers apply each factor's
-    ``D_k`` to its rows of ``A``.
-    """
-    if isinstance(D, np.ndarray):
-        return D @ A - A if D.ndim == 2 else (D - 1.0)[:, None] * A
-    if isinstance(D, RankOne):
-        return (D.scale - 1.0) * A - D.scale * D.u[:, None] * (D.v @ A)
-    return (D - 1.0) * A
 
 
 def stack(maps, weights):

@@ -25,30 +25,31 @@ any kind have that one home: mixtures, separable sums, blockwise instances
 and the feasibility product of :mod:`~rescomp.bench` (the product of its
 sets' normal cones) are all ``product_family``.
 
-Every catalog constructor declares one ``derivative(gamma, y)``: an
-element of the generalized Jacobian of ``J_{gamma B}`` at ``y``, in one of
-the forms of :func:`~rescomp.hilbert.displacement_jacobian`.  The normal
-cones of boxes, balls and halfspaces and the ``abs`` soft threshold give
-0/1 diagonals or rank-one corrections that depend on ``y``.  Where the
-resolvent is affine (zero, scaled identity, linear, the normal cones of
-singletons and affine subspaces, quadratics, half squared distances and a
-Wiener block built from a number) the derivative is a constant and
-``constant_derivative`` is set: then ``J_{gamma B}(y) = D y + J_{gamma B}(0)``.
-The relaxed solvers fold such blocks into one fixed matrix per solve and
-build the Jacobian of their step from the others.  Derived families
-(scaled, inverse, composed, product) and a Wiener block with a callable
-forward map declare none (``derivative`` is None); a product lists its
-``factors`` as ``(family, slice)`` pairs instead, and the solvers apply
-each factor's derivative to that factor's block.
+A family declares ``derivative(gamma, y, A) = (D - I) A``, with ``D`` an
+element of the generalized Jacobian of ``J_{gamma B}`` at ``y`` and ``A``
+a matrix whose rows are the family's coordinates: all that the solvers'
+Newton candidates need.  Each member writes it for its own structure (a
+box or the ``abs`` soft threshold scales rows, a ball or a halfspace adds
+a rank-one term), and each derived family (``scaled``, ``inverse``,
+products, the compositions of :mod:`~rescomp.compositions`) by the chain
+rule beside its resolvent formula.  Where ``D`` does not depend on ``y``,
+``constant_derivative`` is set, so ``J_{gamma B}(y) = D y + J_{gamma B}(0)``
+and the relaxed solvers fold the block into one matrix per solve: zero,
+scaled identity, linear, the normal cones of singletons and affine
+subspaces, quadratics, half squared distances, a Wiener block built from a
+number, and a derived family exactly when its inner one is.  Only a Wiener
+block with a callable forward map, and a family built from one, declares
+none (``derivative`` is None).  A product also lists its ``(family,
+slice)`` ``factors``, so that the solvers can fold its affine factors.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
-one blockwise evaluator (of products and of the solvers' nonlinear
-blocks), ``_check_scale`` the one scale rule (:func:`~rescomp.hilbert._scale`,
-then the family's domain) and ``_firm_defect`` the one firm-nonexpansiveness
-test, of one pair or of a stack of pairs with every output validated:
-``make_wiener`` tests its 100 seeded pairs at once, and the property suites
-their pairs per map.
+one blockwise evaluator and derivative (of products and of the solvers'
+nonlinear blocks), ``_check_scale`` the one scale rule
+(:func:`~rescomp.hilbert._scale`, then the family's domain) and
+``_firm_defect`` the one firm-nonexpansiveness test, of one pair or of a
+stack of pairs with every output validated: ``make_wiener`` tests its 100
+seeded pairs at once, and the property suites their pairs per map.
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
@@ -83,10 +84,10 @@ class GraphPoint(NamedTuple):
 class ResolventFamily:
     """An operator ``B`` given by ``gamma -> J_{gamma B}``.
 
-    ``cset`` is the convex set of a normal cone, ``derivative(gamma, y)`` the
-    declared derivative of a catalog resolvent (``constant_derivative``: it
-    does not depend on ``y``), and ``factors`` the ``(family, slice)``
-    blocks of a product (each None when it does not apply).
+    ``cset`` is the convex set of a normal cone, ``derivative(gamma, y, A)``
+    the declared ``(D - I) A`` (``constant_derivative``: ``D`` does not depend
+    on ``y``), and ``factors`` the ``(family, slice)`` blocks of a product
+    (each None when it does not apply).
     """
 
     def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None,
@@ -158,28 +159,30 @@ class ResolventFamily:
     def scaled(self, c):
         """The operator ``c B`` for finite ``c > 0`` (graphs scale in the output)."""
         c = _scale("operator scaling", c)
-        if self.scale_domain == ALL_SCALES:
-            domain = ALL_SCALES
-        else:
-            domain = self.scale_domain / c
+        domain = ALL_SCALES if self.scale_domain == ALL_SCALES else self.scale_domain / c
+        D = self.derivative
         return ResolventFamily(
             self.space,
             f"scaled({c:g},{self.kind})",
             lambda gamma, y: self._evaluator(gamma * c, y),
             scale_domain=domain,
+            derivative=None if D is None else (lambda gamma, y, A: D(gamma * c, y, A)),
+            constant_derivative=self.constant_derivative,
         )
 
     def inverse(self):
         """The inverse operator, via ``J_{gamma B^{-1}} = Id - gamma J_{B/gamma}(./gamma)``."""
-        if self.scale_domain == ALL_SCALES:
-            domain = ALL_SCALES
-        else:
-            domain = 1.0 / self.scale_domain
+        domain = ALL_SCALES if self.scale_domain == ALL_SCALES else 1.0 / self.scale_domain
+        D = self.derivative
         return ResolventFamily(
             self.space,
             f"inverse({self.kind})",
             lambda gamma, x: x - gamma * self._evaluator(1.0 / gamma, x / gamma),
             scale_domain=domain,
+            # Its derivative is I - D_B(1/gamma, x/gamma), so (D - I) A = -(D_B A).
+            derivative=None if D is None else (
+                lambda gamma, x, A: -(D(1.0 / gamma, x / gamma, A) + A)),
+            constant_derivative=self.constant_derivative,
         )
 
     def __repr__(self):
@@ -194,7 +197,7 @@ class ResolventFamily:
 def zero_operator(space):
     """``B = 0``: the resolvent is the identity at every scale."""
     return ResolventFamily(space, "zero", lambda gamma, y: y.copy(),
-                           derivative=lambda gamma, y: 1.0, constant_derivative=True)
+                           derivative=lambda gamma, y, A: 0.0 * A, constant_derivative=True)
 
 
 def scaled_identity(space, c):
@@ -204,7 +207,8 @@ def scaled_identity(space, c):
         raise ValidationError(f"scaled identity needs c >= 0 to stay monotone, got {c}")
     return ResolventFamily(
         space, f"identity-scaled({c:g})", lambda gamma, y: y / (1.0 + gamma * c),
-        derivative=lambda gamma, y: 1.0 / (1.0 + gamma * c), constant_derivative=True,
+        derivative=lambda gamma, y, A: (1.0 / (1.0 + gamma * c) - 1.0) * A,
+        constant_derivative=True,
     )
 
 
@@ -216,7 +220,7 @@ def normal_cone(cset):
         f"normal-cone({cset.tag})",
         lambda gamma, y: cset._project(y),
         cset=cset,
-        derivative=None if derivative is None else (lambda gamma, y: derivative(y)),
+        derivative=None if derivative is None else (lambda gamma, y, A: derivative(y, A)),
         constant_derivative=cset.constant_derivative,
     )
 
@@ -231,7 +235,8 @@ def linear_monotone(space, M):
     M, _ = check_monotone(space, M, "linear operator")
     inverse = shifted_inverse(M)
     return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y,
-                           derivative=lambda gamma, y: inverse(gamma), constant_derivative=True)
+                           derivative=lambda gamma, y, A: inverse(gamma) @ A - A,
+                           constant_derivative=True)
 
 
 def subdifferential(g):
@@ -256,8 +261,8 @@ def make_wiener(space, F, p):
         c = _real("wiener forward scale", F)
         if not 0.0 <= c <= 1.0:
             raise ValidationError(_WIENER_REJECTED)
-        return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p,
-                               scale_domain=1.0, derivative=lambda gamma, y: 1.0 - c,
+        return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p, scale_domain=1.0,
+                               derivative=lambda gamma, y, A: (1.0 - c - 1.0) * A,
                                constant_derivative=True)
     if not callable(F):
         raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
@@ -283,7 +288,7 @@ def _firm_defect(space, T, a, b):
 
 
 def _blockwise(factors):
-    """The evaluator of the product of ``(family, slice)`` factors: each block by its own."""
+    """``(evaluator, derivative)`` of a product of ``(family, slice)`` factors, block by block."""
 
     def evaluator(gamma, y):
         out = np.empty_like(y)
@@ -291,15 +296,22 @@ def _blockwise(factors):
             out[sl] = fam._evaluator(gamma, y[sl])
         return out
 
-    return evaluator
+    def derivative(gamma, y, A):
+        out = np.empty_like(A)
+        for fam, sl in factors:
+            out[sl] = fam.derivative(gamma, y[sl], A[sl])
+        return out
+
+    declared = all(fam.derivative is not None for fam, _sl in factors)
+    return evaluator, derivative if declared else None
 
 
 def product_family(families, weights=None):
     """Blockwise operator ``B(y) = B_1 y_1 x ... x B_p y_p`` on the product space.
 
-    The resolvent acts block by block; the product supports a scale exactly
-    when every factor does, so one scale check on the product covers the
-    factors' raw evaluators.
+    The resolvent and its derivative act block by block; the product supports
+    a scale exactly when every factor does, so one scale check on the product
+    covers the factors' raw evaluators.
     """
     families = list(families)
     if not families:
@@ -307,15 +319,12 @@ def product_family(families, weights=None):
     spaces = [f.space for f in families]
     space = product_space(spaces, weights)
     slices = block_slices(spaces)
-    domains = {f.scale_domain for f in families}
-    if len(domains) == 1:
-        scale_domain = domains.pop()
-    else:
-        fixed = {d for d in domains if d != ALL_SCALES}
-        if len(fixed) > 1:
-            raise ValidationError("factors pin incompatible resolvent scales")
-        scale_domain = fixed.pop()
-
+    fixed = {f.scale_domain for f in families} - {ALL_SCALES}
+    if len(fixed) > 1:
+        raise ValidationError("factors pin incompatible resolvent scales")
     factors = list(zip(families, slices))
-    return ResolventFamily(space, "product", _blockwise(factors), scale_domain=scale_domain,
+    evaluator, derivative = _blockwise(factors)
+    return ResolventFamily(space, "product", evaluator,
+                           scale_domain=fixed.pop() if fixed else ALL_SCALES, derivative=derivative,
+                           constant_derivative=all(f.constant_derivative for f in families),
                            factors=factors)

@@ -56,7 +56,8 @@ class ProxFunction:
     """A proper lsc convex function given by the resolvent family of its subdifferential.
 
     The resolvent of ``subdifferential`` is the prox, and its declared
-    ``derivative`` is the derivative of the prox.
+    ``derivative(gamma, x, A)`` applies ``D - I`` to ``A``, ``D`` the
+    derivative of the prox at ``x``.
     """
 
     def __init__(self, tag, subdifferential, value=None, conjugate_value=None,
@@ -133,8 +134,8 @@ def one_norm(space):
         thresh = gamma / w
         return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
 
-    def derivative(gamma, x):
-        return (np.abs(x) > gamma / w).astype(float)
+    def derivative(gamma, x, A):
+        return ((np.abs(x) > gamma / w) - 1.0)[:, None] * A
 
     def conj_value(y):
         # conjugate is the indicator of {y : |w_i y_i| <= 1 for all i}
@@ -183,7 +184,8 @@ def quadratic(space, Q, b=None):
         minimizer = np.linalg.solve(Q, b)
 
     family = ResolventFamily(space, "subdifferential(quadratic)", prox,
-                             derivative=lambda gamma, x: inverse(gamma), constant_derivative=True)
+                             derivative=lambda gamma, x, A: inverse(gamma) @ A - A,
+                             constant_derivative=True)
     return ProxFunction("quadratic", family, value=value, conjugate_value=conj_value,
                         minimizer=minimizer)
 
@@ -196,7 +198,7 @@ def half_squared_distance(space, p):
         return (x + gamma * p) / (1.0 + gamma)
 
     family = ResolventFamily(space, "subdifferential(half-sq-dist)", prox,
-                             derivative=lambda gamma, x: 1.0 / (1.0 + gamma),
+                             derivative=lambda gamma, x, A: (1.0 / (1.0 + gamma) - 1.0) * A,
                              constant_derivative=True)
     return ProxFunction(
         "half-sq-dist",

@@ -17,13 +17,11 @@ A singleton, a box and a ball give ``support(y) = sup_{x in C} <x, y>``
 None.  Constructors refuse NaN data, data that leaves a set empty and an
 infinite ball radius.
 
-Each catalog set also gives ``_derivative(x)``, an element of the
-generalized Jacobian of its projection at ``x``, in one of the forms of
-:func:`~rescomp.hilbert.displacement_jacobian`: a 0/1 diagonal for a box,
-``I`` or a :class:`~rescomp.hilbert.RankOne` correction for a ball or a
-halfspace, and the constant ``0`` or ``P`` of a singleton or an affine
-subspace (``constant_derivative`` marks these).  A subclass that gives none
-leaves ``_derivative`` None.
+Each catalog set also gives ``_derivative(x, A) = (D - I) A``, with ``D`` an
+element of the generalized Jacobian of its projection at ``x`` and ``A`` a
+matrix whose rows are the set's coordinates: a box scales rows, a ball or a
+halfspace adds a rank-one term outside the set, and a singleton or an affine
+subspace gives the constant ``-A`` or ``P A - A`` (``constant_derivative``).
 """
 
 from __future__ import annotations
@@ -31,14 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import RankOne, SubspaceProjector, _real
+from .hilbert import SubspaceProjector, _real
 
 
 class ConvexSet:
     """Base class: a nonempty closed convex subset of ``space``."""
 
     tag = "abstract"
-    _derivative = None  # x -> derivative of the projection at x, in a subclass that has one
+    _derivative = None  # (x, A) -> (D - I) A, D the projection's derivative at x, where declared
     constant_derivative = False  # the projection is affine: _derivative ignores x
     support = None  # y -> sup_{x in C} <x, y>, in a subclass with a closed form
 
@@ -83,8 +81,8 @@ class Box(ConvexSet):
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def _derivative(self, x):
-        return ((self.lower <= x) & (x <= self.upper)).astype(float)
+    def _derivative(self, x, A):
+        return (((self.lower <= x) & (x <= self.upper)) - 1.0)[:, None] * A
 
     def support(self, y):
         # The bound each component of y pushes towards; a zero component adds
@@ -113,12 +111,14 @@ class Ball(ConvexSet):
             return x.copy()
         return self.center + (self.radius / nd) * d
 
-    def _derivative(self, x):
+    def _derivative(self, x, A):
+        # Outside, D = s (I - d v^T) with s = radius / ||d|| and v = W d / ||d||^2.
         d = x - self.center
         nd = self.space._norm(d)
         if nd <= self.radius:
-            return 1.0
-        return RankOne(self.radius / nd, d, (self.space.weights * d) / nd**2)
+            return 0.0 * A
+        s, v = self.radius / nd, (self.space.weights * d) / nd**2
+        return (s - 1.0) * A - s * d[:, None] * (v @ A)
 
     def support(self, y):
         return self.space._inner(self.center, y) + self.radius * self.space._norm(y)
@@ -146,10 +146,12 @@ class Halfspace(ConvexSet):
             return x.copy()
         return x - (excess / self._nn) * self.normal
 
-    def _derivative(self, x):
+    def _derivative(self, x, A):
+        # Outside, D = I - n v^T with v = W n / ||n||^2.
         if self.space._inner(self.normal, x) <= self.offset:
-            return 1.0
-        return RankOne(1.0, self.normal, (self.space.weights * self.normal) / self._nn)
+            return 0.0 * A
+        v = (self.space.weights * self.normal) / self._nn
+        return 0.0 * A - self.normal[:, None] * (v @ A)
 
 
 class AffineSubspace(ConvexSet):
@@ -166,8 +168,8 @@ class AffineSubspace(ConvexSet):
     def _project(self, x):
         return self.anchor + self.projector.matrix @ (x - self.anchor)
 
-    def _derivative(self, x):
-        return self.projector.matrix
+    def _derivative(self, x, A):
+        return self.projector.matrix @ A - A
 
 
 class Singleton(ConvexSet):
@@ -183,8 +185,8 @@ class Singleton(ConvexSet):
     def _project(self, x):
         return self.point.copy()
 
-    def _derivative(self, x):
-        return 0.0
+    def _derivative(self, x, A):
+        return -1.0 * A
 
     def support(self, y):
         return self.space._inner(self.point, y)

@@ -43,10 +43,9 @@ one loop for the coordinate solvers.  Each update tries up to two
 candidates before the plain step:
 
 * the semismooth Newton candidate ``c - J(c)^-1 g(c)`` (Li, Sun & Toh
-  2018).  ``J(c) = G + A_N* (D_N(A_N c) - I) A_N`` is built from the
-  derivatives the nonlinear blocks declare, row block by row block (a
-  diagonal scales rows, a ball or halfspace adds a rank-one term), and
-  solved by one ``r x r`` LU factorization; only a singular ``J`` takes a
+  2018).  ``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the last factor the
+  nonlinear blocks' declared ``derivative(gamma, A_N c, A_N)``, is solved
+  by one ``r x r`` LU factorization; only a singular ``J`` takes a
   least-squares solve with a relative rank cutoff.  When every block is
   affine, ``J = G`` is constant and the first candidate is the exact fixed
   point ``c_0 - G^-1 g(c_0)``, so such a run converges in one update.
@@ -87,7 +86,7 @@ import numpy as np
 
 from .compositions import resolvent_composition, resolvent_cocomposition
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import _count, _real, check_contraction, displacement_jacobian, stack
+from .hilbert import _count, _real, check_contraction, stack
 from .operators import _blockwise, product_family
 
 _LAMBDA_EPS = 1e-3
@@ -456,9 +455,9 @@ def _coordinate_step(pieces, gamma, r):
     once here; the other blocks are stacked into one ``A_N`` and evaluated
     per step through their raw evaluators.  Every block's scale is checked.
     Returns ``(step, jacobian)``: ``jacobian(c)`` is the ``r x r`` matrix
-    ``G + A_N* (D_N(A_N c) - I) A_N``, built block by block from the
-    declared derivatives (the constant ``G`` when every block is affine),
-    and None when a nonlinear block declares no derivative.
+    ``G + A_N* (D_N(A_N c) - I) A_N`` from the declared derivatives (the
+    constant ``G`` when every block is affine), and None when a nonlinear
+    block declares no derivative.
     """
     G, h = np.zeros((r, r)), np.zeros(r)
     rows, adjs, blocks = [], [], []
@@ -467,7 +466,7 @@ def _coordinate_step(pieces, gamma, r):
         B_k._check_scale(gamma)
         if B_k.constant_derivative:
             origin = np.zeros(len(A_k))
-            G += A_k_adj @ displacement_jacobian(B_k.derivative(gamma, origin), A_k)
+            G += A_k_adj @ B_k.derivative(gamma, origin, A_k)
             h += A_k_adj @ B_k._evaluator(gamma, origin)
             continue
         rows.append(A_k)
@@ -477,20 +476,17 @@ def _coordinate_step(pieces, gamma, r):
     if not blocks:
         return (lambda c: G @ c + h), (lambda c: G)
     A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
-    resolve = blocks[0][0]._evaluator if len(blocks) == 1 else _blockwise(blocks)
+    if len(blocks) == 1:
+        resolve, derivative = blocks[0][0]._evaluator, blocks[0][0].derivative
+    else:
+        resolve, derivative = _blockwise(blocks)
 
     def nonlinear(c):
         y = A_N @ c
         return A_N_adj @ (resolve(gamma, y) - y)
 
-    jacobian = None
-    if all(B_k.derivative is not None for B_k, _ in blocks):
-        def jacobian(c):
-            y = A_N @ c
-            DA = np.empty_like(A_N)
-            for B_k, sl in blocks:
-                DA[sl] = displacement_jacobian(B_k.derivative(gamma, y[sl]), A_N[sl])
-            return G + A_N_adj @ DA
+    jacobian = None if derivative is None else (
+        lambda c: G + A_N_adj @ derivative(gamma, A_N @ c, A_N))
 
     if len(blocks) == len(pieces):  # nothing folded
         return nonlinear, jacobian

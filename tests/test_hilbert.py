@@ -236,6 +236,15 @@ class TestOpNorm:
         with pytest.raises(ValidationError, match="overflow"):
             LinearMap(Space(1, [1e-250]), Space(2), [[1e200], [1e200]])
 
+    @pytest.mark.parametrize("codomain, matrix, norm", [
+        (Space(2, [1e308, 1.0]), [[0.0, 0.0], [0.0, 1.0]], 1.0),
+        (Space(1, [1e308]), [[0.0, 1.0]], 1e154),
+    ], ids=["zero-entry-against-overflowing-ratio", "finite-norm-beyond-the-ratio"])
+    def test_metric_ratio_that_overflows_is_taken_factor_by_factor(self, codomain, matrix, norm):
+        # sqrt(1e308) / sqrt(5e-324) overflows: a zero entry times that ratio would be NaN.
+        L = LinearMap(Space(2, [5e-324, 1.0]), codomain, matrix)
+        assert L.op_norm() == pytest.approx(norm, rel=4 * np.finfo(float).eps)
+
     def test_weighted_identity_norm_is_one_without_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("identity_map took an SVD")

@@ -12,7 +12,7 @@ from rescomp.compositions import (
     resolvent_mixture,
 )
 from rescomp.errors import DimensionMismatchError, ScaleRestrictionError, ValidationError
-from rescomp.hilbert import LinearMap, Space, SubspaceProjector, displacement_jacobian, identity_map
+from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map
 from rescomp.operators import (
     GraphPoint,
     linear_monotone,
@@ -23,7 +23,14 @@ from rescomp.operators import (
     subdifferential,
     zero_operator,
 )
-from rescomp.proxfun import half_squared_distance, indicator, one_norm, quadratic
+from rescomp.proxfun import (
+    ProxFunction,
+    half_squared_distance,
+    indicator,
+    one_norm,
+    quadratic,
+    separable,
+)
 from rescomp.properties import (
     suite_monotone_graph,
     suite_moreau_identity,
@@ -31,6 +38,7 @@ from rescomp.properties import (
     suite_zeros_fixed_points,
 )
 from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
+from rescomp.solvers import RelaxedInstance
 
 R1 = Space(1)
 
@@ -253,7 +261,7 @@ class TestWienerConstruction:
         B = make_wiener(R1, 0.9, [1.0])
         y = np.array([4.0])
         assert np.array_equal(B._evaluator(1.0, y), y - 0.9 * y + 1.0)
-        assert B.constant_derivative and B.derivative(1.0, y) == 1.0 - 0.9
+        assert B.constant_derivative and B.derivative(1.0, y, 1.0) == 1.0 - 0.9 - 1.0
         assert np.array_equal(B._evaluator(1.0, R1.zeros()), [1.0])
 
     def test_bool_forward_map_is_refused(self):
@@ -368,7 +376,7 @@ class TestBlockwise:
         expected = np.concatenate([fams[0].resolvent(0.7, y[:1]), fams[1].resolvent(0.7, y[1:3]),
                                    fams[2].resolvent(0.7, y[3:])])
         assert np.array_equal(prod.resolvent(0.7, y), expected)
-        assert np.array_equal(operators._blockwise(prod.factors)(0.7, y), expected)
+        assert np.array_equal(operators._blockwise(prod.factors)[0](0.7, y), expected)
 
 
 class TestRemovedParameters:
@@ -383,15 +391,16 @@ class TestRemovedParameters:
 W3 = Space(3, [0.5, 1.0, 2.0])
 
 
-def dense(D, n):
-    """A declared derivative ``D`` in any of its forms as an ``n x n`` matrix."""
-    return displacement_jacobian(D, np.eye(n)) + np.eye(n)
+def dense(B, gamma, y):
+    """``B``'s declared derivative ``D`` at ``y`` as an ``n x n`` matrix, ``(D - I) I + I``."""
+    eye = np.eye(len(y))
+    return B.derivative(gamma, y, eye) + eye
 
 
 def _apply_affine(B, gamma, y):
     """``D y + J(0)``: the affine resolvent read from a constant derivative and the evaluator."""
     origin = np.zeros(len(y))
-    return dense(B.derivative(gamma, origin), len(y)) @ y + B._evaluator(gamma, origin)
+    return dense(B, gamma, origin) @ y + B._evaluator(gamma, origin)
 
 
 def affine_catalog():
@@ -428,7 +437,7 @@ class TestAffineForms:
             want = B._evaluator(gamma, y)
             got = _apply_affine(B, gamma, y)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            assert np.array_equal(B.derivative(gamma, y), B.derivative(gamma, -y))
+            assert np.array_equal(dense(B, gamma, y), dense(B, gamma, -y))
 
     def test_scale_forward_wiener_matches_evaluator(self):
         p = np.array([0.3, -1.2, 2.0])
@@ -452,20 +461,25 @@ class TestAffineForms:
         wiener = make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3))
         assert wiener.derivative is None and not wiener.constant_derivative
 
-    def test_derived_families_declare_nothing(self):
-        B = scaled_identity(W3, 1.0)
+    def test_derived_families_declare_the_form_of_their_inner_family(self):
+        # A derived family declares a derivative, constant exactly when its inner family's is,
+        # and none when its inner family declares none.
         L = LinearMap(W3, W3, 0.5 * np.eye(3))
-        derived = [
-            B.scaled(2.0),
-            B.inverse(),
-            product_family([B, zero_operator(W3)], [0.5, 0.5]),
-            resolvent_composition(L, B),
-            resolvent_cocomposition(L, B),
-            resolvent_mixture([B, B], [L, L], [0.5, 0.5]),
-            resolvent_average([B, B], [0.5, 0.5]),
-        ]
-        for fam in derived:
-            assert fam.derivative is None and not fam.constant_derivative, fam.kind
+        inner = [scaled_identity(W3, 1.0), normal_cone(Ball(W3, np.zeros(3), 1.0)),
+                 make_wiener(W3, lambda y: 0.5 * y, W3.zeros())]
+        for B in inner:
+            derived = [
+                B.scaled(2.0),
+                B.inverse(),
+                product_family([B, zero_operator(W3)], [0.5, 0.5]),
+                resolvent_composition(L, B),
+                resolvent_cocomposition(L, B),
+                resolvent_mixture([B, B], [L, L], [0.5, 0.5]),
+                resolvent_average([B, B], [0.5, 0.5]),
+            ]
+            for fam in derived:
+                assert (fam.derivative is None) == (B.derivative is None), (B.kind, fam.kind)
+                assert fam.constant_derivative == B.constant_derivative, (B.kind, fam.kind)
 
     def test_product_lists_its_factors(self):
         s1, s2 = Space(1), Space(2)
@@ -570,6 +584,49 @@ def derivative_catalog():
     ]
 
 
+def derived_catalog():
+    """``(name, family, gammas, kink)`` for every derived family, each over the box, ball and
+    halfspace normal cones, the ``abs`` subdifferential and the linear member of
+    :func:`derivative_catalog`; ``kink(gamma, x)`` is the distance of the inner family's
+    argument from its kinks (``inf`` for the linear member, which has none)."""
+    rng = np.random.default_rng(31)
+    H = Space(4, [0.7, 1.3, 0.4, 2.0])
+    L1, L2 = (LinearMap(H, W3, rng.standard_normal((3, 4))) for _ in range(2))
+    L1, L2 = L1.scaled(0.9 / L1.op_norm()), L2.scaled(0.6 / L2.op_norm())
+    V = SubspaceProjector(H, rng.standard_normal((2, 4)))
+    S1, S2 = Space(1, [3.0]), Space(2, [0.5, 2.0])
+    scales = [0.5, 1.0, 2.0]
+    out = []
+    for name, B, _gammas, kink in derivative_catalog():
+        if name not in ("normal-cone(box)", "normal-cone(ball)", "normal-cone(halfspace)",
+                        "subdifferential(abs-l1)", "linear"):
+            continue
+        k = kink or (lambda gamma, y: np.inf)
+        g = ProxFunction(B.kind, B)
+        out += [
+            (f"scaled[{name}]", B.scaled(1.7), scales, lambda gm, y, k=k: k(1.7 * gm, y)),
+            (f"inverse[{name}]", B.inverse(), scales, lambda gm, y, k=k: k(1.0 / gm, y / gm)),
+            (f"conjugate[{name}]", g.conjugate().subdifferential, scales,
+             lambda gm, y, k=k: k(1.0 / gm, y / gm)),
+            (f"product[{name}]", product_family([zero_operator(S1), B], [2.0, 0.5]), scales,
+             lambda gm, y, k=k: k(gm, y[1:])),
+            (f"separable[{name}]",
+             separable([g, half_squared_distance(S2, [0.3, -0.4])], [0.5, 1.5]).subdifferential,
+             scales, lambda gm, y, k=k: k(gm, y[:3])),
+            (f"composition[{name}]", resolvent_composition(L1, B, 0.8), [1.0],
+             lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
+            (f"cocomposition[{name}]", resolvent_cocomposition(L1, B, 0.8), [1.0],
+             lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
+            (f"mixture[{name}]", resolvent_mixture([B, B], [L1, L2], [0.6, 1.0]), [1.0],
+             lambda gm, x, k=k: min(k(1.0, L1.matrix @ x), k(1.0, L2.matrix @ x))),
+            (f"average[{name}]", resolvent_average([B, B], [0.3, 0.7], 1.3), [1.0],
+             lambda gm, x, k=k: k(1.3, x)),
+            (f"relaxed[{name}]", RelaxedInstance(V, L1, B, 0.8).relaxed_family(), [1.0],
+             lambda gm, x, k=k: k(0.8, L1.matrix @ (V.matrix @ x))),
+        ]
+    return out
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("name, B, gammas, kink", derivative_catalog(),
                              ids=[entry[0] for entry in derivative_catalog()])
@@ -588,11 +645,29 @@ class TestDerivatives:
                     continue
                 columns = [(B._evaluator(gamma, y + h * e) - B._evaluator(gamma, y - h * e))
                            / (2.0 * h) for e in np.eye(n)]
-                D = dense(B.derivative(gamma, y), n)
+                D = dense(B, gamma, y)
                 assert np.max(np.abs(D - np.array(columns).T)) <= 1e-7, (gamma, y)
                 patterns.add(tuple(np.all(D == np.eye(n), axis=0)))
                 tested += 1
         assert (len(patterns) > 1) == (kink is not None)
+
+    @pytest.mark.parametrize("name, B, gammas, kink", derived_catalog(),
+                             ids=[entry[0] for entry in derived_catalog()])
+    def test_derived_family_matches_a_central_difference(self, name, B, gammas, kink):
+        # The derivative each derived family declares from its inner one, against the
+        # resolvent it evaluates, away from the inner family's kinks.
+        rng = np.random.default_rng(47)
+        n, h = B.space.dim, 1e-6
+        for gamma in gammas:
+            tested = 0
+            while tested < 10:
+                y = 2.0 * rng.standard_normal(n)
+                if kink(gamma, y) < 1e-3:
+                    continue
+                columns = [(B._evaluator(gamma, y + h * e) - B._evaluator(gamma, y - h * e))
+                           / (2.0 * h) for e in np.eye(n)]
+                assert np.max(np.abs(dense(B, gamma, y) - np.array(columns).T)) <= 1e-7, (gamma, y)
+                tested += 1
 
     def test_constant_members_reproduce_their_affine_forms(self):
         # The (M, b) each y-independent member declared before derivatives
@@ -605,28 +680,27 @@ class TestDerivatives:
         Q, b = (R @ R.T) / w[:, None], rng.standard_normal(3)
         point, anchor, c = rng.standard_normal(3), rng.standard_normal(3), 0.6
         line = AffineSubspace(W3, anchor, [rng.standard_normal(3)])
-        P = line.projector.matrix
+        P, eye = line.projector.matrix, np.eye(3)
         for gamma in (0.5, 1.0, 2.0):
-            inv_lin = np.linalg.inv(np.eye(3) + gamma * M_lin)
-            inv_q = np.linalg.inv(np.eye(3) + gamma * Q)
+            inv_lin = np.linalg.inv(eye + gamma * M_lin)
+            inv_q = np.linalg.inv(eye + gamma * Q)
             cases = [
-                (zero_operator(W3), 1.0, 0.0),
-                (scaled_identity(W3, 1.7), 1.0 / (1.0 + gamma * 1.7), 0.0),
+                (zero_operator(W3), eye, 0.0),
+                (scaled_identity(W3, 1.7), eye / (1.0 + gamma * 1.7), 0.0),
                 (linear_monotone(W3, M_lin), inv_lin, 0.0),
-                (normal_cone(Singleton(W3, point)), 0.0, point),
+                (normal_cone(Singleton(W3, point)), 0.0 * eye, point),
                 (normal_cone(line), P, anchor - P @ anchor),
-                (subdifferential(indicator(Singleton(W3, point))), 0.0, point),
+                (subdifferential(indicator(Singleton(W3, point))), 0.0 * eye, point),
                 (subdifferential(quadratic(W3, Q, b)), inv_q, gamma * (inv_q @ b)),
-                (subdifferential(half_squared_distance(W3, point)), 1.0 / (1.0 + gamma),
+                (subdifferential(half_squared_distance(W3, point)), eye / (1.0 + gamma),
                  (gamma / (1.0 + gamma)) * point),
             ]
             if gamma == 1.0:
-                cases.append((make_wiener(W3, c, point), 1.0 - c, point))
+                cases.append((make_wiener(W3, c, point), (1.0 - c) * eye, point))
             for B, M, offset in cases:
                 origin = W3.zeros()
                 assert B.constant_derivative, B.kind
-                D = B.derivative(gamma, rng.standard_normal(3))
-                assert np.shape(D) == np.shape(M), B.kind
+                D = dense(B, gamma, rng.standard_normal(3))
                 assert np.allclose(D, M, rtol=1e-14, atol=1e-15), B.kind
                 assert np.allclose(B._evaluator(gamma, origin), offset, rtol=1e-14,
                                    atol=1e-15), B.kind

@@ -10,7 +10,7 @@ from rescomp.errors import (
     ScaleRestrictionError,
     ValidationError,
 )
-from rescomp.hilbert import LinearMap, Space, displacement_jacobian, identity_map, stack
+from rescomp.hilbert import LinearMap, Space, identity_map, stack
 from rescomp.proxfun import (
     ProxFunction,
     conjugate_prox,
@@ -147,8 +147,8 @@ class TestAffineProx:
     def test_affine_form_matches_prox(self, g, gamma):
         rng = np.random.default_rng(8)
         origin = W3.zeros()
-        D = displacement_jacobian(g.subdifferential.derivative(gamma, origin), np.eye(3))
-        M, b = D + np.eye(3), g._prox(gamma, origin)
+        D = g.subdifferential.derivative(gamma, origin, np.eye(3)) + np.eye(3)
+        M, b = D, g._prox(gamma, origin)
         for _ in range(10):
             x = 3.0 * rng.standard_normal(3)
             want = g._prox(gamma, x)
@@ -160,19 +160,24 @@ class TestAffineProx:
         assert fam is g.subdifferential and fam._evaluator is g._prox
         assert fam.constant_derivative and fam.derivative is not None
 
-    def test_nonlinear_and_derived_functions_declare_nothing(self):
+    def test_nonlinear_functions_declare_no_affine_form_and_derived_ones_inherit(self):
         nonlinear = [
             one_norm(W3),
             indicator(Box(W3, -np.ones(3), np.ones(3))),
             indicator(Ball(W3, np.zeros(3), 1.0)),
             indicator(Halfspace(W3, np.ones(3), 0.5)),
         ]
-        affine = half_squared_distance(W3, np.ones(3))
-        derived = [affine.conjugate(), separable([affine, affine], [0.5, 0.5])]
-        for g in nonlinear + derived:
+        for g in nonlinear:
             assert not g.subdifferential.constant_derivative, g.tag
-        for g in derived:
-            assert g.subdifferential.derivative is None, g.tag
+        # A conjugate or a separable sum declares a derivative, constant exactly when its
+        # members' are.
+        affine = half_squared_distance(W3, np.ones(3))
+        derived = [(affine.conjugate(), True), (one_norm(W3).conjugate(), False),
+                   (separable([affine, affine], [0.5, 0.5]), True),
+                   (separable([affine, one_norm(W3)], [0.5, 0.5]), False)]
+        for g, constant in derived:
+            assert g.subdifferential.derivative is not None, g.tag
+            assert g.subdifferential.constant_derivative == constant, g.tag
 
 
 class TestSubdifferentialIsTheFamily:
@@ -188,10 +193,11 @@ class TestSubdifferentialIsTheFamily:
                      Ball(W3, np.zeros(3), 1.0), Halfspace(W3, np.ones(3), 0.5)):
             assert subdifferential(indicator(cset)).cset is cset
 
-    def test_conjugates_declare_no_affine_form(self):
+    def test_conjugates_declare_the_form_of_their_function(self):
         for g in affine_prox_catalog() + [one_norm(W3)]:
             conjugate = g.conjugate().subdifferential
-            assert conjugate.derivative is None and not conjugate.constant_derivative, g.tag
+            assert conjugate.derivative is not None, g.tag
+            assert conjugate.constant_derivative == g.subdifferential.constant_derivative, g.tag
 
     def test_separable_prox_is_the_written_out_blockwise_prox(self):
         rng = np.random.default_rng(12)

@@ -1,7 +1,9 @@
 """Proximal point engine, relaxed instances, residuals, verification."""
 
 import csv
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from rescomp.bench import (
 )
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
-from rescomp.operators import make_wiener, normal_cone, scaled_identity, subdifferential
+from rescomp.operators import (
+    ResolventFamily,
+    linear_monotone,
+    make_wiener,
+    normal_cone,
+    scaled_identity,
+    subdifferential,
+)
 from rescomp.proxfun import one_norm
 from rescomp.properties import (
     _random_split_instance,
@@ -160,10 +169,20 @@ def kind_instance(kind, n):
     return generate_instance(InstanceSpec.from_dict(config))
 
 
+def benchmark_workloads():
+    """The benchmark's seeded configuration generator, ``benchmarks/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def without_derivatives(inst):
-    """``inst`` with each block's family wrapped so that it declares no derivative: the
+    """``inst`` with each block's family rebuilt bare, declaring no derivative: the
     same steps, with nothing folded and no Newton candidate."""
-    blocks = [(L, fam.scaled(1.0), w) for L, fam, w in inst.blocks]
+    blocks = [(L, ResolventFamily(fam.space, fam.kind, fam._evaluator, fam.scale_domain), w)
+              for L, fam, w in inst.blocks]
     return RelaxedInstance.from_blocks(inst.V, blocks, inst.gamma, kind=inst.kind)
 
 
@@ -757,6 +776,28 @@ class TestAnderson:
         assert aa.newton_candidates == 0 and aa.rank_G is None
         assert 0 < trace.newton_candidates <= trace.iterations <= aa.iterations
         assert inst.space.norm(x - x_aa) <= 1e-10
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    @pytest.mark.parametrize("variant", ["catalog", "scaled(1.0)", "inverse"])
+    def test_a_block_built_through_the_calculus_keeps_its_newton_candidates(self, variant,
+                                                                               solver):
+        # The kinds-small common-zero-n50 instance of the benchmark, block 0 (linear, matrix
+        # M) as the catalog member, as B.scaled(1.0) and as linear_monotone(M^-1).inverse():
+        # each declares its derivative, so all three take the catalog's 4 Newton updates.
+        config = dict(benchmark_workloads().kinds_small(0))["common-zero-n50"]
+        inst = generate_instance(InstanceSpec.from_dict(config))
+        (L0, B0, w0), *rest = inst.blocks
+        B = {"catalog": B0, "scaled(1.0)": B0.scaled(1.0),
+             "inverse": linear_monotone(B0.space, np.linalg.inv(config["sets"][0]["matrix"]))
+             .inverse()}[variant]
+        assert B.constant_derivative
+        derived = RelaxedInstance.from_blocks(inst.V, [(L0, B, w0), *rest], inst.gamma,
+                                              kind=inst.kind)
+        schedule = Schedule(tol=1e-9, max_iterations=100_000, anderson=True)
+        x, trace = solver(derived, derived.space.zeros(), schedule)
+        assert (trace.reason, trace.iterations, trace.newton_candidates) == ("converged", 4, 4)
+        x_catalog, _ = solver(inst, inst.space.zeros(), schedule)
+        assert inst.space.norm(x - x_catalog) <= 1e-8
 
     def test_newton_candidate_must_lower_the_residual(self):
         # step(z) = b - z with a Jacobian 100 times too small: every Newton
