@@ -10,7 +10,7 @@ where ``kind`` is one of ``split-feasibility``, ``common-zero``,
 sets, operators, Wiener blocks or convex functions; see README).
 ``schedule`` holds ``lambda`` (the ``lam`` of :class:`Schedule`),
 ``max_iterations`` and ``tol``; ``output`` the optional string paths
-``trace`` and ``report``.  A run takes the Anderson stage of the solver,
+``trace`` and ``report``.  A run takes the solver's Newton candidates,
 except with the norm gate bypassed (``unsafe``), where the steps need not
 be nonexpansive and the plain relaxed steps run instead.
 
@@ -43,7 +43,6 @@ from .errors import RescompError, ValidationError
 from .hilbert import LinearMap, Space, SubspaceProjector, _count, _scale, identity_map
 from .sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from .solvers import (
-    ANDERSON_MEMORY,
     RelaxedInstance,
     Schedule,
     solve_relaxed,
@@ -164,7 +163,7 @@ class InstanceSpec:
                 raise ValidationError(f"field 'output': {key!r} must be a string path, got {path!r}")
 
     def build_schedule(self, unsafe=False):
-        """The run's :class:`Schedule`, from its keys: Anderson, or the plain steps when ``unsafe``.
+        """The run's :class:`Schedule`, from its keys: Newton, or the plain steps when ``unsafe``.
 
         With the norm gate bypassed the step need not be nonexpansive, so
         the safeguard's convergence guarantee does not hold, and the plain
@@ -172,7 +171,7 @@ class InstanceSpec:
         """
         _known("schedule", self.schedule, {"lambda", "max_iterations", "tol"})
         keys = {"lam" if key == "lambda" else key: value for key, value in self.schedule.items()}
-        return Schedule(**keys, anderson=not unsafe)
+        return Schedule(**keys, newton=not unsafe)
 
 
 def _known(what, data, keys):
@@ -262,11 +261,11 @@ _TAGS = {
         "half-sq-dist": (proxfun.half_squared_distance, "point"),
         "indicator": (lambda _, cset: proxfun.indicator(cset), "set"),
     },
-    # The number c of c Id, or a set's raw projection, as it runs inside the
-    # solver's kernel: make_wiener validates its outputs in its spot checks.
+    # The number c of c Id, or the set whose projection is the forward map:
+    # make_wiener decides either exactly and declares its derivative.
     "wiener forward": {
         "scale": (lambda _, c: c, "c"),
-        "projection": (lambda _, cset: cset._project, "set"),
+        "projection": (lambda _, cset: cset, "set"),
     },
     "wiener block": {None: (operators.make_wiener, "f", "point")},
 }
@@ -434,8 +433,8 @@ class RunReport:
     trace_path: str | None
     x0_projected: bool
     certificates: dict
-    memory: int     # the Anderson window of the run; 0: the plain relaxed steps
-    fallbacks: int  # Newton and Anderson candidates the safeguard rejected
+    newton: bool    # whether the run tried Newton candidates; False: the plain relaxed steps
+    fallbacks: int  # Newton candidates the safeguard rejected
     newton_candidates: int  # Newton candidates taken
     rank_G: int | None      # rank the last Newton solve reported; None: none tried
 
@@ -467,8 +466,8 @@ def certificates(inst):
     into the codomain metric (0 when ``A`` has fewer than r rows).  A run
     of plain steps (``--unsafe-norm``) with ``lambda = 1`` contracts by
     about ``1 - sigma_min^2`` per step, or more slowly when the blocks have
-    less curvature; the Anderson stage of the other runs usually needs far
-    fewer steps.
+    less curvature; the Newton candidates of the other runs usually need
+    far fewer steps.
     """
     r = inst.V.rank
     s = np.linalg.svd(inst.A * np.sqrt(inst.L.codomain.weights)[:, None], compute_uv=False)
@@ -515,7 +514,7 @@ def execute(spec, unsafe=False):
             trace_path=None,
             x0_projected=trace.x0_projected,
             certificates=certificates(inst),
-            memory=ANDERSON_MEMORY if schedule.anderson else 0,
+            newton=schedule.newton,
             fallbacks=trace.fallbacks,
             newton_candidates=trace.newton_candidates,
             rank_G=trace.rank_G,

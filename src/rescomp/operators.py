@@ -37,10 +37,11 @@ rule beside its resolvent formula.  Where ``D`` does not depend on ``y``,
 and the relaxed solvers fold the block into one matrix per solve: zero,
 scaled identity, linear, the normal cones of singletons and affine
 subspaces, quadratics, half squared distances, a Wiener block built from a
-number, and a derived family exactly when its inner one is.  Only a Wiener
-block with a callable forward map, and a family built from one, declares
-none (``derivative`` is None).  A product also lists its ``(family,
-slice)`` ``factors``, so that the solvers can fold its affine factors.
+number or from a singleton or affine set, and a derived family exactly when
+its inner one is.  Only a Wiener block with a callable forward map, and a
+family built from one, declares none (``derivative`` is None).  A product
+also lists its ``(family, slice)`` ``factors``, so that the solvers can fold
+its affine factors.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
@@ -48,8 +49,9 @@ one blockwise evaluator and derivative (of products and of the solvers'
 nonlinear blocks), ``_check_scale`` the one scale rule
 (:func:`~rescomp.hilbert._scale`, then the family's domain) and
 ``_firm_defect`` the one firm-nonexpansiveness test, of one pair or of a
-stack of pairs with every output validated: ``make_wiener`` tests its 100
-seeded pairs at once, and the property suites their pairs per map.
+stack of pairs with every output validated: ``make_wiener`` tests the 100
+seeded pairs of a callable forward map at once, and the property suites
+their pairs per map.
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
@@ -64,8 +66,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ScaleRestrictionError, ValidationError
+from .errors import DimensionMismatchError, ScaleRestrictionError, ValidationError
 from .hilbert import _real, _scale, block_slices, check_monotone, product_space, shifted_inverse
+from .sets import ConvexSet
 
 ALL_SCALES = "all"
 
@@ -251,10 +254,14 @@ def make_wiener(space, F, p):
     ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  A number ``F = c``
     (not a bool) is the map ``c Id``: firm nonexpansiveness is then decided
     exactly (``0 <= c <= 1``), and the one ``c`` gives both the evaluator
-    ``y - c y + p`` and the constant derivative ``1 - c``.  A callable ``F``
-    is the caller's responsibility; it is spot checked here on
-    ``_WIENER_SPOT_CHECKS`` random pairs drawn with seed 0, tested at once
-    (which validates without proving), and the family declares no derivative.
+    ``y - c y + p`` and the constant derivative ``1 - c``.  A
+    :class:`~rescomp.sets.ConvexSet` of ``space`` is its projection ``P_C``,
+    firmly nonexpansive by theorem: its derivative is ``I - D_C(y)``, so
+    ``(D - I) A = -(C._derivative(y, A) + A)``, constant exactly when the
+    set's is (singleton, affine subspace).  A callable ``F`` is the caller's
+    responsibility; it is spot checked here on ``_WIENER_SPOT_CHECKS`` random
+    pairs drawn with seed 0, tested at once (which validates without
+    proving), and the family declares no derivative.
     """
     p = space.validate(p).copy()
     if isinstance(F, numbers.Real):
@@ -264,8 +271,16 @@ def make_wiener(space, F, p):
         return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p, scale_domain=1.0,
                                derivative=lambda gamma, y, A: (1.0 - c - 1.0) * A,
                                constant_derivative=True)
+    if isinstance(F, ConvexSet):
+        if F.space != space:
+            raise DimensionMismatchError("wiener forward set lives in another space")
+        D = F._derivative
+        return ResolventFamily(
+            space, "wiener", lambda gamma, y: y - F._project(y) + p, scale_domain=1.0,
+            derivative=None if D is None else (lambda gamma, y, A: -(D(y, A) + A)),
+            constant_derivative=F.constant_derivative)
     if not callable(F):
-        raise ValidationError(f"wiener forward map F must be a number or callable, got {F!r}")
+        raise ValidationError(f"wiener forward map F must be a number, set or callable, got {F!r}")
     pairs = np.random.default_rng(0).standard_normal((_WIENER_SPOT_CHECKS, 2, space.dim))
     if _firm_defect(space, F, pairs[:, 0], pairs[:, 1]).max() > _WIENER_TOL:
         raise ValidationError(_WIENER_REJECTED)

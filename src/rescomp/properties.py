@@ -623,7 +623,7 @@ def suite_residual_agreement(rng, i):
     inst = _random_split_instance(rng)
     x, trace = solve_relaxed(
         inst, inst.space.zeros(),
-        Schedule(lam=1.0, max_iterations=500_000, tol=1e-12, anderson=True),
+        Schedule(lam=1.0, max_iterations=500_000, tol=1e-12, newton=True),
     )
     fam = inst.relaxed_family()
     yield inst.fixed_point_residual(x)
@@ -674,7 +674,7 @@ def _random_wiener_instance(rng):
 def suite_oracle_agreement(rng, i):
     inst = _random_split_instance(rng)
     ref, _flag = least_squares_oracle(inst)
-    x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
+    x, _trace = solve_relaxed(inst, inst.space.zeros(), Schedule(tol=1e-12, newton=True))
     yield inst.space.norm(x - ref)
 
 

@@ -8,9 +8,9 @@ Box projections clip per coordinate (valid because metrics are diagonal);
 balls and halfspaces are defined with respect to the metric norm.
 
 :meth:`ConvexSet.project` validates, then calls the subclass's raw
-``_project``, which normal cones (and so indicators) call directly.  A
-product of sets is the ``product_family`` of their normal cones (see
-:mod:`~rescomp.operators`); it needs no set of its own.
+``_project``, which normal cones (and so indicators) and Wiener blocks
+call directly.  A product of sets is the ``product_family`` of their normal
+cones (see :mod:`~rescomp.operators`); it needs no set of its own.
 
 A singleton, a box and a ball give ``support(y) = sup_{x in C} <x, y>``
 (``inf`` allowed), the conjugate of their indicator; other sets leave it

@@ -38,38 +38,29 @@ overflow and invalid-value warnings.  Inputs are validated once; a run
 is single threaded and deterministic.  :class:`RelaxedInstance` checks the
 hypotheses; :func:`write_atomically` writes traces and run reports.
 
-``Schedule(anderson=True)`` adds a safeguarded acceleration stage to the
-one loop for the coordinate solvers.  Each update tries up to two
-candidates before the plain step:
+``Schedule(newton=True)`` accelerates the one loop for the coordinate
+solvers.  Each update first tries the semismooth Newton candidate
+``c - J(c)^-1 g(c)`` (Li, Sun & Toh 2018), then the plain step.
+``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the last factor the nonlinear
+blocks' declared ``derivative(gamma, A_N c, A_N)``, is solved by one
+``r x r`` LU factorization; only a singular ``J`` takes a least-squares
+solve with a relative rank cutoff.  When every block is affine,
+``J = G`` is constant and the first candidate is the exact fixed point
+``c_0 - G^-1 g(c_0)``, so such a run converges in one update.  When a
+nonlinear block declares no derivative (a Wiener block with a callable
+forward map) there is no candidate, and the run takes the plain steps.
 
-* the semismooth Newton candidate ``c - J(c)^-1 g(c)`` (Li, Sun & Toh
-  2018).  ``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the last factor the
-  nonlinear blocks' declared ``derivative(gamma, A_N c, A_N)``, is solved
-  by one ``r x r`` LU factorization; only a singular ``J`` takes a
-  least-squares solve with a relative rank cutoff.  When every block is
-  affine, ``J = G`` is constant and the first candidate is the exact fixed
-  point ``c_0 - G^-1 g(c_0)``, so such a run converges in one update.
-  When a nonlinear block declares no derivative there is no Newton
-  candidate;
-* a type-II Anderson candidate (on an affine step it is GMRES; Walker &
-  Ni 2011).  The last ``min(ANDERSON_MEMORY, r)`` differences of
-  ``f = lambda_n g`` and of ``c + f`` sit in preallocated buffers, and the
-  candidate comes from their Tikhonov-regularized least-squares fit (the
-  weight is relative, so no decision depends on the scale of the data).
-
-A candidate is taken only if its residual is at most
-``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates taken so
-far (Zhang, O'Donoghue & Boyd 2020).  A Newton candidate must also lower
-the residual, and a zero Newton direction is not tried: on a singular
-``J`` the bound alone would take, up to about ``_SAFEGUARD_D`` times, a
-candidate that does not move.
-``Trace.fallbacks`` counts the rejections.  A rejected Anderson candidate
-also drops the differences.  A non-finite candidate never passes, and a
-plain step that goes non-finite still ends the run with ``non-finite``.
-``Trace.newton_candidates`` counts the Newton candidates taken and
-``Trace.rank_G`` gives the rank the last Newton solve reported.
-``anderson=False``, the library default, is the plain iteration, bit for
-bit; :func:`proximal_point` refuses Anderson.
+A candidate is taken only if its residual is below the current one and
+at most ``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates
+taken so far (Zhang, O'Donoghue & Boyd 2020).  A zero Newton direction is
+not tried: on a singular ``J`` the bound alone would take, up to about
+``_SAFEGUARD_D`` times, a candidate that does not move.
+``Trace.fallbacks`` counts the rejections.  A non-finite candidate never
+passes, and a plain step that goes non-finite still ends the run with
+``non-finite``.  ``Trace.newton_candidates`` counts the candidates taken
+and ``Trace.rank_G`` gives the rank the last Newton solve reported.
+``newton=False``, the library default, is the plain iteration, bit for
+bit; :func:`proximal_point` refuses Newton.
 """
 
 from __future__ import annotations
@@ -96,11 +87,6 @@ _MEMBERSHIP_TOL = 1e-10
 # bounds are summable, so a run keeps the global convergence of plain steps.
 _SAFEGUARD_D = 1e6
 _SAFEGUARD_EPS = 1e-6
-# Tikhonov weight of the Anderson least-squares solve, relative to the trace
-# of its normal matrix, so that scaling the data by t changes nothing.
-_ANDERSON_REG = 1e-10
-# Anderson window: the differences kept (capped at the rank of V).
-ANDERSON_MEMORY = 10
 
 
 @dataclass
@@ -110,9 +96,9 @@ class Schedule:
     ``lam`` is either one constant or an explicit per-iteration sequence;
     every value must lie in ``[1e-3, 2 - 1e-3]``, which keeps the sum of
     ``lambda_n (2 - lambda_n)`` divergent.  When a finite sequence is
-    given, its length caps the number of updates.  ``anderson`` turns on
-    the Anderson stage of the coordinate solvers (False, the default, runs
-    the plain relaxed steps).  ``max_iterations`` must be a nonnegative
+    given, its length caps the number of updates.  ``newton`` turns on
+    the Newton candidates of the coordinate solvers (False, the default,
+    runs the plain relaxed steps).  ``max_iterations`` must be a nonnegative
     integer (an integral float is accepted, a bool is not) and ``tol`` a
     nonnegative number; anything else raises ``ValidationError``.
     """
@@ -120,7 +106,7 @@ class Schedule:
     lam: float | list = 1.0
     max_iterations: int = 100_000
     tol: float = 1e-10
-    anderson: bool = False
+    newton: bool = False
 
     def __post_init__(self):
         self.max_iterations = _count("max_iterations", self.max_iterations)
@@ -163,7 +149,7 @@ class Trace:
     reason: str = "running"
     iterations: int = 0
     x0_projected: bool = False
-    fallbacks: int = 0  # Newton and Anderson candidates the safeguard rejected
+    fallbacks: int = 0  # Newton candidates the safeguard rejected
     newton_candidates: int = 0  # Newton candidates taken
     rank_G: int | None = None   # rank the last Newton solve reported; None: none tried
     inexact_weighted_sum: float = 0.0  # sum of lambda_n ||c_n|| when perturbed
@@ -203,39 +189,19 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
     with None after the loop; the caller fills ``var_residual``.  Returns
     ``(z, trace)``.
 
-    With ``schedule.anderson`` each update first tries the Newton candidate
-    ``z - jacobian(z)^-1 step(z)`` when ``jacobian`` is given and the
-    direction is nonzero, then the Anderson candidate of
-    :func:`_anderson_candidate` on ``z -> z + f(z)``, ``f = lambda_n step``
-    (see the module docstring).  ``step`` must then be a pure function of
-    ``z``: a rejected candidate costs one evaluation that is not a step.
+    With ``schedule.newton`` and a ``jacobian``, each update first tries the
+    Newton candidate ``z - jacobian(z)^-1 step(z)`` when that direction is
+    nonzero (see the module docstring).  ``step`` must then be a pure
+    function of ``z``: a rejected candidate costs one evaluation that is not
+    a step.
     """
     lam = schedule.lam
     unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
     lams = itertools.repeat(float(lam)) if np.isscalar(lam) else iter(lam)
     cap, tol, clock = schedule.update_cap(), schedule.tol, time.perf_counter_ns
     fp, wall = trace.fp_residual.append, trace.wall_ns.append
-    m = min(ANDERSON_MEMORY, len(z)) if schedule.anderson else 0
-    if m:  # circular buffers of the last m differences, one a row; k in use, row j next
-        dF, dG = np.empty((m, len(z))), np.empty((m, len(z)))
-        f_last = g_last = None
-        k = j = accepted = 0
-
-        def safeguarded(candidate, ceiling=math.inf):
-            """``(step, residual)`` at a candidate the safeguard takes, else None.
-
-            The residual must also lie below ``ceiling``.
-            """
-            nonlocal accepted
-            s_c = step(candidate)
-            r_c = norm(s_c)
-            if r_c < ceiling and \
-                    r_c <= _SAFEGUARD_D * first * (accepted + 1) ** -(1 + _SAFEGUARD_EPS):
-                accepted += 1
-                return s_c, r_c
-            trace.fallbacks += 1
-            return None
-
+    if not schedule.newton:
+        jacobian = None
     start = clock()
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,32 +226,20 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
                 break
             f = s if unit else next(lams) * s
             n += 1
-            if not m:
-                z = z + f
-            else:
-                g = z + f
-                if f_last is not None:
-                    dF[j] = f - f_last
-                    dG[j] = g - g_last
-                    j = (j + 1) % m
-                    k = min(k + 1, m)
-                f_last, g_last = f, g
-                if jacobian is not None:
-                    delta = _newton_direction(jacobian(z), s, trace)
-                    if delta is not None and delta.any():  # a zero one would not move z
-                        candidate = z - delta
-                        if (found := safeguarded(candidate, residual)) is not None:
-                            trace.newton_candidates += 1
-                            z, (s, residual) = candidate, found
-                            continue
-                if k:
-                    candidate = _anderson_candidate(dF[:k], dG[:k], f, g)
-                    if candidate is not None:
-                        if (found := safeguarded(candidate)) is not None:
-                            z, (s, residual) = candidate, found
-                            continue
-                        k = j = 0
-                z = g
+            if jacobian is not None:
+                delta = _newton_direction(jacobian(z), s, trace)
+                if delta is not None and delta.any():  # a zero one would not move z
+                    candidate = z - delta
+                    s_c = step(candidate)
+                    r_c = norm(s_c)
+                    bound = _SAFEGUARD_D * first * \
+                        (trace.newton_candidates + 1) ** -(1 + _SAFEGUARD_EPS)
+                    if r_c < residual and r_c <= bound:  # False on NaN
+                        trace.newton_candidates += 1
+                        z, s, residual = candidate, s_c, r_c
+                        continue
+                    trace.fallbacks += 1
+            z = z + f
             s = step(z)
             residual = norm(s)
     trace.iterations = n
@@ -312,20 +266,6 @@ def _newton_direction(J, s, trace):
     return delta
 
 
-def _anderson_candidate(dF, dG, f, g):
-    """``g - dG^T gamma`` with ``gamma`` the regularized least-squares fit of ``dF^T gamma ~ f``.
-
-    The rows of ``dF`` and ``dG`` are the differences; None when they all vanished.
-    """
-    M = dF @ dF.T
-    diagonal = M.ravel()[::len(M) + 1]  # a view into M
-    diagonal += _ANDERSON_REG * diagonal.sum()
-    try:
-        return g - np.linalg.solve(M, dF @ f) @ dG
-    except np.linalg.LinAlgError:  # singular: every difference is zero (or underflowed)
-        return None
-
-
 def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_iterates=False):
     """Relaxed fixed-point iteration ``x <- x + lambda_n (J x - x)``.
 
@@ -338,11 +278,11 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_ite
     Returns ``(x_final, trace)``.  ``x0``, ``reference`` and each error
     ``c_n`` are validated; the step ``J x_n - x_n`` is only checked for its
     shape, and a non-finite one ends the run with reason ``non-finite``.
-    The iteration is the plain one: an ``anderson`` schedule raises
+    The iteration is the plain one: a ``newton`` schedule raises
     ``ValidationError``.
     """
-    if schedule.anderson:
-        raise ValidationError("proximal_point runs the plain steps only; use anderson=False")
+    if schedule.newton:
+        raise ValidationError("proximal_point runs the plain steps only; use newton=False")
     x = space.validate(x0).copy()
     ref = None if reference is None else space.validate(reference)
     drawn = []  # the errors c_0, c_1, ... in the order the steps used them

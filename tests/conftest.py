@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,3 +28,13 @@ def svd_calls(monkeypatch):
 @pytest.fixture
 def qr_calls(monkeypatch):
     return _shapes_passed(monkeypatch, "qr")
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's seeded configuration generator, ``benchmarks/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

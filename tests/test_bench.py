@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from rescomp import bench, cli, properties
+from rescomp import cli, properties
 from rescomp.bench import (
     EXACTNESS_TOL,
     InstanceSpec,
@@ -30,7 +30,6 @@ from rescomp.operators import normal_cone
 from rescomp.properties import ACCEPTANCE_SPEC_DICT, run_properties, suite_determinism, suite_oracle_agreement
 from rescomp.sets import AffineSubspace, Ball, ConvexSet, Halfspace, Singleton
 from rescomp.solvers import (
-    ANDERSON_MEMORY,
     RelaxedInstance,
     Schedule,
     solve_relaxed,
@@ -286,11 +285,11 @@ class TestInstanceSpec:
         with pytest.raises(ValidationError, match="schedule"):
             InstanceSpec.from_dict(acceptance_dict(schedule=schedule))
 
-    def test_config_runs_anderson_unless_unsafe(self):
+    def test_config_runs_newton_unless_unsafe(self):
         absent = {k: v for k, v in acceptance_dict().items() if k != "schedule"}
         for data in (acceptance_dict(schedule={}), absent):  # Schedule holds the defaults
             spec = InstanceSpec.from_dict(data)
-            assert spec.build_schedule() == Schedule(anderson=True)
+            assert spec.build_schedule() == Schedule(newton=True)
             assert spec.build_schedule(unsafe=True) == Schedule()
 
 
@@ -370,7 +369,10 @@ class TestGenerate:
         assert scaled.constant_derivative
         box = {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
         projected = generate_instance(spec({"tag": "projection", "set": box})).blocks[0][1]
-        assert projected.derivative is None and not projected.constant_derivative
+        assert projected.derivative is not None and not projected.constant_derivative
+        point = {"tag": "singleton", "point": [0.0, 1.0]}
+        assert generate_instance(spec({"tag": "projection", "set": point})).blocks[0][1] \
+            .constant_derivative
         with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
             generate_instance(spec({"tag": "scale", "c": 1.5}))
 
@@ -388,18 +390,18 @@ class TestGenerate:
             "subspace": [[1.0, 0.0], [0.0, 1.0]],
         })
 
-        validating_projection = (lambda _, cset: cset.project, "set")  # one that validates
-        with monkeypatch.context() as patch:
-            patch.setitem(bench._TAGS["wiener forward"], "projection", validating_projection)
-            validating, _ = execute(spec)
         calls = []
         project = ConvexSet.project
         monkeypatch.setattr(ConvexSet, "project",
                             lambda self, x: calls.append(x) or project(self, x))
-        report, _ = execute(spec)
+        report, trace = execute(spec)
+        plain, _ = execute(spec, unsafe=True)  # the plain steps
         assert calls == []
-        assert report.converged and report.iterations > 0
-        assert report.to_json() == validating.to_json()
+        assert report.converged and plain.converged
+        # The box block declares its derivative, so every update is a Newton candidate.
+        assert 0 < trace.newton_candidates == report.iterations < plain.iterations
+        assert report.fallbacks == 0
+        assert np.linalg.norm(np.subtract(report.final_iterate, plain.final_iterate)) <= 1e-8
 
     def test_halfspace_and_affine_set_tags(self):
         spec = InstanceSpec.from_dict(acceptance_dict(
@@ -596,28 +598,27 @@ class TestReportJson:
         # The gate passes either way; unsafe only switches to the plain steps.
         spec = InstanceSpec.from_dict(acceptance_dict())
         finals = []
-        # Both blocks are affine, so the Anderson run's one update is the Newton
+        # Both blocks are affine, so the first run's one update is the Newton
         # candidate, the exact fixed point.
-        for unsafe, memory, newton, rank in ((False, ANDERSON_MEMORY, 1, 1),
-                                             (True, 0, 0, None)):
+        for unsafe, newton, candidates, rank in ((False, True, 1, 1), (True, False, 0, None)):
             report, trace = execute(spec, unsafe=unsafe)
             parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
-            assert parsed["memory"] == memory
+            assert parsed["newton"] is newton and "memory" not in parsed
             assert parsed["fallbacks"] == trace.fallbacks
-            assert (parsed["newton_candidates"], parsed["rank_G"]) == (newton, rank)
-            assert (trace.newton_candidates, trace.rank_G) == (newton, rank)
+            assert (parsed["newton_candidates"], parsed["rank_G"]) == (candidates, rank)
+            assert (trace.newton_candidates, trace.rank_G) == (candidates, rank)
             assert "exact_candidate" not in parsed
             assert parsed["converged"] and parsed["oracle"]["distance"] <= 1e-6
             finals.append(np.array(parsed["final_iterate"]))
         assert parsed["fallbacks"] == 0 and parsed["iterations"] == 34
         assert np.linalg.norm(finals[0] - finals[1]) <= 1e-8
 
-    def test_anderson_solves_the_expansive_instance(self):
-        # The Anderson stage, which config runs take only with the gate in
-        # force, converges where the plain steps of the unsafe run diverge.
+    def test_newton_solves_the_expansive_instance(self):
+        # The Newton candidates, which config runs take only with the gate in
+        # force, converge where the plain steps of the unsafe run diverge.
         spec = InstanceSpec.from_dict(NONFINITE_SPEC_DICT)
         inst = generate_instance(spec, unsafe=True)
-        x, trace = solve_relaxed(inst, inst.space.zeros(), Schedule(anderson=True))
+        x, trace = solve_relaxed(inst, inst.space.zeros(), Schedule(newton=True))
         assert trace.reason == "converged"
         assert x == pytest.approx([1 / 3, 1 / 3], abs=1e-10)
         assert verify_exact_relaxation(inst, x, EXACTNESS_TOL).verdict == "S1 attained"
@@ -628,6 +629,48 @@ class TestReportJson:
         parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
         assert parsed["certificates"]["rank_V"] == 2
         assert parsed["certificates"]["sigma_min_LU"] == pytest.approx(3.0)
+
+
+def projection_wiener(workloads, n, seed, forward_set):
+    """The kinds-small ``wiener-n<n>`` config of seed 0 with each block's forward map, in
+    block order, the projection onto ``forward_set(c)``, ``c`` a standard normal draw from
+    ``default_rng(seed)``."""
+    config = dict(workloads.kinds_small(0))[f"wiener-n{n}"]
+    rng = np.random.default_rng(seed)
+    for block, space in zip(config["sets"], config["spaces"]["blocks"]):
+        block["f"] = {"tag": "projection", "set": forward_set(rng.standard_normal(space["dim"]))}
+    return config
+
+
+class TestProjectionWiener:
+    """Config Wiener blocks whose forward map is the projection onto a set."""
+
+    def test_solvable_ball_forward_takes_one_newton_update(self, workloads):
+        spec = InstanceSpec.from_dict(projection_wiener(
+            workloads, 4, 1, lambda c: {"tag": "ball", "center": c.tolist(), "radius": 30.0}))
+        report, trace = execute(spec)
+        plain, _ = execute(spec, unsafe=True)  # the plain steps
+        assert (report.reason, report.iterations, trace.newton_candidates) == ("converged", 1, 1)
+        assert plain.converged and plain.iterations > 1
+        assert np.linalg.norm(np.subtract(report.final_iterate, plain.final_iterate)) <= 1e-8
+
+    def test_far_box_forward_runs_out_with_exit_two(self, workloads, tmp_path):
+        # Unit boxes at standard normal centres with V the whole space: no
+        # relaxed solution, and the iterates run off to ||x|| ~ 1e16, where the
+        # displacement y - P_C(y) + p - y can round to an exact 0.  No candidate
+        # may stop the run there: it exits 2 at the cap.
+        config = projection_wiener(
+            workloads, 4, 17,
+            lambda c: {"tag": "box", "lower": (c - 0.5).tolist(), "upper": (c + 0.5).tolist()})
+        config["subspace"] = np.eye(4).tolist()
+        config["schedule"]["max_iterations"] = 2000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        lines = []
+        assert run(str(path), out=lines.append) == 2
+        report = json.loads(lines[0], parse_constant=_reject_constant)
+        assert (report["reason"], report["iterations"]) == ("max_iterations", 2000)
+        assert lines[1:] == ["tolerance failure: did not converge within the iteration budget"]
 
 
 class TestRun:

@@ -273,15 +273,33 @@ class TestWienerConstruction:
         with pytest.raises(ValidationError, match="forward map F"):
             make_wiener(Space(2), F, [0.0, 0.0])
 
-    def test_declared_scale_skips_the_spot_checks(self, monkeypatch):
-        space, checks = Space(1), []
+    def test_declared_scale_and_sets_skip_the_spot_checks(self, monkeypatch):
+        space, checks = Space(2, [0.5, 2.0]), []
         defect = operators._firm_defect
         monkeypatch.setattr(operators, "_firm_defect",
                             lambda space, T, a, b: checks.append(len(a)) or defect(space, T, a, b))
-        make_wiener(space, 0.5, [0.0])
+        make_wiener(space, 0.5, [0.0, 0.0])
+        for cset in (Singleton(space, [1.0, 2.0]), Box(space, [0.0, 0.0], [1.0, 1.0]),
+                     Ball(space, [0.0, 1.0], 0.5), Halfspace(space, [1.0, -1.0], 0.2),
+                     AffineSubspace(space, [0.0, 1.0], [[1.0, 1.0]])):
+            make_wiener(space, cset, [0.0, 0.0])
         assert checks == []
-        make_wiener(space, lambda y: 0.5 * y, [0.0])
+        make_wiener(space, lambda y: 0.5 * y, [0.0, 0.0])
         assert checks == [100]
+
+    def test_set_forward_is_its_projection(self):
+        space = Space(2, [0.5, 2.0])
+        ball, p = Ball(space, [0.0, 1.0], 0.5), np.array([0.3, -0.2])
+        B = make_wiener(space, ball, p)
+        for y in (np.array([4.0, -1.0]), np.array([0.1, 1.2])):
+            assert np.array_equal(B._evaluator(1.0, y), y - ball._project(y) + p)
+        with pytest.raises(ScaleRestrictionError):
+            B.resolvent(2.0, p)
+
+    def test_set_from_another_space_is_refused(self):
+        for other in (Space(3), Space(2, [1.0, 1.0])):
+            with pytest.raises(DimensionMismatchError, match="another space"):
+                make_wiener(Space(2, [0.5, 2.0]), Box(other, -1.0, 1.0), [0.0, 0.0])
 
 
 class TestFirmDefect:
@@ -460,6 +478,10 @@ class TestAffineForms:
         assert not subdifferential(one_norm(W3)).constant_derivative
         wiener = make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3))
         assert wiener.derivative is None and not wiener.constant_derivative
+        for cset in (Box(W3, -np.ones(3), np.ones(3)), Ball(W3, np.zeros(3), 1.0),
+                     Halfspace(W3, np.ones(3), 0.5)):
+            wiener = make_wiener(W3, cset, rng.standard_normal(3))
+            assert wiener.derivative is not None and not wiener.constant_derivative
 
     def test_derived_families_declare_the_form_of_their_inner_family(self):
         # A derived family declares a derivative, constant exactly when its inner family's is,
@@ -581,6 +603,12 @@ def derivative_catalog():
         ("subdifferential(indicator(ball))", subdifferential(indicator(ball)), scales,
          ball_kink),
         ("wiener(scale)", make_wiener(W3, 0.6, rng.standard_normal(3)), [1.0], None),
+        ("wiener(box)", make_wiener(W3, box, rng.standard_normal(3)), [1.0], box_kink),
+        ("wiener(ball)", make_wiener(W3, ball, rng.standard_normal(3)), [1.0], ball_kink),
+        ("wiener(halfspace)", make_wiener(W3, half, rng.standard_normal(3)), [1.0],
+         lambda gamma, y: abs(W3.inner(half.normal, y) - half.offset)),
+        ("wiener(singleton)", make_wiener(W3, Singleton(W3, rng.standard_normal(3)),
+                                          rng.standard_normal(3)), [1.0], None),
     ]
 
 
@@ -636,7 +664,8 @@ class TestDerivatives:
         # eps / h + h^2 ||J'''||.
         rng = np.random.default_rng(41)
         n, h = B.space.dim, 1e-6
-        patterns = set()  # which blocks are the identity: a nonlinear member meets several
+        # Which columns of D are those of I and which are 0: a nonlinear member meets several.
+        patterns = set()
         for gamma in gammas:
             tested = 0
             while tested < 20:
@@ -647,7 +676,7 @@ class TestDerivatives:
                            / (2.0 * h) for e in np.eye(n)]
                 D = dense(B, gamma, y)
                 assert np.max(np.abs(D - np.array(columns).T)) <= 1e-7, (gamma, y)
-                patterns.add(tuple(np.all(D == np.eye(n), axis=0)))
+                patterns.add((*np.all(D == np.eye(n), axis=0), *np.all(D == 0.0, axis=0)))
                 tested += 1
         assert (len(patterns) > 1) == (kink is not None)
 
@@ -696,7 +725,12 @@ class TestDerivatives:
                  (gamma / (1.0 + gamma)) * point),
             ]
             if gamma == 1.0:
-                cases.append((make_wiener(W3, c, point), (1.0 - c) * eye, point))
+                cases += [
+                    (make_wiener(W3, c, point), (1.0 - c) * eye, point),
+                    # y - P_C(y) + p for the forward maps P_{point} and P_line
+                    (make_wiener(W3, Singleton(W3, anchor), point), eye, point - anchor),
+                    (make_wiener(W3, line, point), eye - P, point - (anchor - P @ anchor)),
+                ]
             for B, M, offset in cases:
                 origin = W3.zeros()
                 assert B.constant_derivative, B.kind

@@ -1,9 +1,7 @@
 """Proximal point engine, relaxed instances, residuals, verification."""
 
 import csv
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,15 +165,6 @@ def kind_instance(kind, n):
     config["spaces"]["blocks"] = [{"dim": m, "weights": G.weights.tolist()} for G in blocks]
     config.update(maps=maps, sets=sets, subspace=[H.random(rng).tolist() for _ in range(m)])
     return generate_instance(InstanceSpec.from_dict(config))
-
-
-def benchmark_workloads():
-    """The benchmark's seeded configuration generator, ``benchmarks/workloads.py``."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def without_derivatives(inst):
@@ -605,8 +594,8 @@ def coordinate_norm(g):
     return math.sqrt(g.dot(g))
 
 
-class TestAnderson:
-    """``Schedule(anderson=True)``: safeguarded type-II Anderson on the coordinate step."""
+class TestNewton:
+    """``Schedule(newton=True)``: safeguarded semismooth Newton candidates on the coordinate step."""
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_default_schedule_is_the_plain_steps(self, solver):
@@ -614,7 +603,7 @@ class TestAnderson:
             inst, x0 = coordinate_instance(tags)
             ref = inst.V.apply(np.ones(inst.space.dim))
             xa, ta = solver(inst, x0, Schedule(), reference=ref, keep_iterates=True)
-            xb, tb = solver(inst, x0, Schedule(anderson=False), reference=ref,
+            xb, tb = solver(inst, x0, Schedule(newton=False), reference=ref,
                             keep_iterates=True)
             assert np.array_equal(xa, xb)
             assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
@@ -640,7 +629,7 @@ class TestAnderson:
         inst = kind_instance(kind, n)
         tol = 1e-10
         x_km, km = solver(inst, inst.space.zeros(), Schedule(tol=tol / 1000))
-        x, trace = solver(inst, inst.space.zeros(), Schedule(tol=tol, anderson=True))
+        x, trace = solver(inst, inst.space.zeros(), Schedule(tol=tol, newton=True))
         assert km.reason == trace.reason == "converged"
         assert trace.iterations < km.iterations
         q = km.fp_residual[-1] / km.fp_residual[-2]
@@ -659,7 +648,7 @@ class TestAnderson:
         cases += [(inst, wiener_oracle(inst)[0])
                   for inst in (kind_instance("wiener", 4), kind_instance("wiener", 50))]
         for inst, ref in cases:
-            x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, anderson=True))
+            x, trace = solver(inst, inst.space.zeros(), Schedule(tol=1e-12, newton=True))
             assert (trace.reason, trace.iterations, trace.fallbacks) == ("converged", 1, 0)
             assert trace.newton_candidates == 1 and trace.rank_G == inst.V.rank
             limit = max(1e-12, np.finfo(float).eps / certificates(inst)["sigma_min_LU"] ** 2)
@@ -668,17 +657,17 @@ class TestAnderson:
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_zero_cap_takes_no_exact_update(self, solver):
         inst = affine_singleton_instances()[0]
-        x, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=0, anderson=True))
+        x, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=0, newton=True))
         assert (trace.reason, trace.iterations, trace.rank_G) == ("max_iterations", 0, None)
         assert trace.newton_candidates == 0 and not np.any(x)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_exact_fixed_point_scales_with_the_targets(self, solver):
         inst, x0 = coordinate_instance(("point",) * 4)
-        x, trace = solver(inst, x0, Schedule(anderson=True))
+        x, trace = solver(inst, x0, Schedule(newton=True))
         for t in (1e-6, 1e6):
             inst_t, x0_t = coordinate_instance(("point",) * 4, scale=t)
-            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * t, anderson=True))
+            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * t, newton=True))
             assert (trace_t.reason, trace_t.iterations, trace_t.rank_G) == \
                 (trace.reason, trace.iterations, trace.rank_G) == ("converged", 1, 25)
             assert inst.space.norm(x_t - t * x) <= 1e-12 * t * inst.space.norm(x)
@@ -693,12 +682,13 @@ class TestAnderson:
         fams = [normal_cone(Singleton(R1, [1.0])), make_wiener(R1, 0.0, [1.0])]
         inst = RelaxedInstance.from_blocks(SubspaceProjector.full(R2),
                                            zip(maps, fams, [0.5, 0.5]), 1.0)
-        x, trace = solver(inst, R2.zeros(), Schedule(max_iterations=200, anderson=True))
+        x, trace = solver(inst, R2.zeros(), Schedule(max_iterations=200, newton=True))
         assert (trace.reason, trace.iterations, trace.rank_G) == ("max_iterations", 200, 1)
         assert trace.fp_residual[-1] == pytest.approx(0.5, rel=1e-12)
         assert x[0] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(x))
 
-    @pytest.mark.parametrize("D", [solvers._SAFEGUARD_D, 0.1], ids=["default", "binding"])
+    # D = 0.01 rejects Newton candidates that D = 0.1 would take on this instance.
+    @pytest.mark.parametrize("D", [solvers._SAFEGUARD_D, 0.01], ids=["default", "binding"])
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_accepted_candidates_meet_the_safeguard(self, solver, D, monkeypatch):
         records = []  # (c, step(c)) and (c, None) for jacobian(c), in the order the loop asked
@@ -720,56 +710,51 @@ class TestAnderson:
         monkeypatch.setattr(solvers, "_coordinate_step", recording)
         monkeypatch.setattr(solvers, "_SAFEGUARD_D", D)
         inst, x0 = coordinate_instance(("box", "ball", "point", "ball"))
-        # With derivatives each update tries a Newton candidate; without, only Anderson's.
-        for case, newton in ((inst, True), (without_derivatives(inst), False)):
-            records.clear()
-            _, trace = solver(case, x0, Schedule(anderson=True))
-            # Replay: from an iterate (z, s) the loop evaluates the plain step
-            # z + s, or candidates until one is taken: first the Newton one,
-            # right after jacobian(z), then the Anderson one, and z + s when
-            # both are rejected.  A taken candidate c is followed by jacobian(c)
-            # (with derivatives), or by an evaluation other than z + s (without).
-            (z, s), rest = records[0], records[1:]
-            first, steps, accepted, taken_newton, rejected = coordinate_norm(s), 0, 0, 0, 0
-            after_jacobian = False
-            for i, (c, sc) in enumerate(rest):
-                if sc is None:
-                    assert newton and np.array_equal(c, z) and not after_jacobian
-                    after_jacobian = True
+        _, trace = solver(inst, x0, Schedule(newton=True))
+        # Replay: from an iterate (z, s) each update asks jacobian(z), then
+        # evaluates its Newton candidate c (none when the direction is zero)
+        # and, when c is rejected, the plain step z + s.  A taken candidate is
+        # followed by jacobian(c), or ends the run.
+        (z, s), rest = records[0], records[1:]
+        first, steps, taken, rejected = coordinate_norm(s), 0, 0, 0
+        for i, (c, sc) in enumerate(rest):
+            if sc is None:
+                assert np.array_equal(c, z)
+                continue
+            if not np.array_equal(c, z + s):
+                assert rest[i - 1][1] is None  # right after jacobian(z)
+                if i + 1 < len(rest) and rest[i + 1][1] is not None:
+                    rejected += 1
                     continue
-                is_newton, after_jacobian = after_jacobian, False
-                plain = z + s
-                if not np.array_equal(c, plain):
-                    if i + 1 < len(rest):
-                        following = rest[i + 1]
-                        if (following[1] is not None) if newton else \
-                                np.array_equal(following[0], plain):
-                            rejected += 1
-                            continue
-                    bound = D * first * (accepted + 1) ** -(1 + solvers._SAFEGUARD_EPS)
-                    assert coordinate_norm(sc) <= bound
-                    if is_newton:  # a Newton candidate must also lower the residual
-                        assert coordinate_norm(sc) < coordinate_norm(s)
-                        taken_newton += 1
-                    accepted += 1
-                z, s = c, sc
-                steps += 1
-            assert trace.reason == "converged"
-            assert (steps, rejected, taken_newton) == \
-                (trace.iterations, trace.fallbacks, trace.newton_candidates)
-            assert accepted > 0 and (taken_newton > 0) == newton
-            if not newton:
-                assert (rejected > 0) == (D < 1.0)
+                bound = D * first * (taken + 1) ** -(1 + solvers._SAFEGUARD_EPS)
+                assert coordinate_norm(sc) <= bound
+                assert coordinate_norm(sc) < coordinate_norm(s)  # it lowers the residual
+                taken += 1
+            z, s = c, sc
+            steps += 1
+        assert trace.reason == "converged"
+        assert (steps, rejected, taken) == \
+            (trace.iterations, trace.fallbacks, trace.newton_candidates)
+        assert taken > 0 and (rejected > 0) == (D < 1.0)
+        # Without derivatives there is no candidate: every evaluation is the plain z + s.
+        records.clear()
+        _, plain = solver(without_derivatives(inst), x0, Schedule(newton=True))
+        (z, s), rest = records[0], records[1:]
+        for c, sc in rest:
+            assert sc is not None and np.array_equal(c, z + s)
+            z, s = c, sc
+        assert plain.reason == "converged" and len(rest) == plain.iterations
+        assert plain.fallbacks == plain.newton_candidates == 0
 
     # feasibility-product has no blocks to strip of their derivatives
     @pytest.mark.parametrize("kind, n, solver", [
         (kind, n, solver) for kind in KINDS if kind != "feasibility-product"
         for n in (4, 50) for solver in (solve_relaxed, solve_blocks)
     ])
-    def test_newton_and_anderson_reach_the_same_point(self, kind, n, solver):
-        # Stripped of its derivatives, an instance runs the Anderson stage alone.
+    def test_newton_and_the_plain_steps_reach_the_same_point(self, kind, n, solver):
+        # Stripped of its derivatives, an instance takes the plain steps alone.
         inst = kind_instance(kind, n)
-        schedule = Schedule(tol=1e-13, anderson=True)
+        schedule = Schedule(tol=1e-13, newton=True)
         x, trace = solver(inst, inst.space.zeros(), schedule)
         x_aa, aa = solver(without_derivatives(inst), inst.space.zeros(), schedule)
         assert trace.reason == aa.reason == "converged"
@@ -780,11 +765,11 @@ class TestAnderson:
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     @pytest.mark.parametrize("variant", ["catalog", "scaled(1.0)", "inverse"])
     def test_a_block_built_through_the_calculus_keeps_its_newton_candidates(self, variant,
-                                                                               solver):
+                                                                               solver, workloads):
         # The kinds-small common-zero-n50 instance of the benchmark, block 0 (linear, matrix
         # M) as the catalog member, as B.scaled(1.0) and as linear_monotone(M^-1).inverse():
         # each declares its derivative, so all three take the catalog's 4 Newton updates.
-        config = dict(benchmark_workloads().kinds_small(0))["common-zero-n50"]
+        config = dict(workloads.kinds_small(0))["common-zero-n50"]
         inst = generate_instance(InstanceSpec.from_dict(config))
         (L0, B0, w0), *rest = inst.blocks
         B = {"catalog": B0, "scaled(1.0)": B0.scaled(1.0),
@@ -793,7 +778,7 @@ class TestAnderson:
         assert B.constant_derivative
         derived = RelaxedInstance.from_blocks(inst.V, [(L0, B, w0), *rest], inst.gamma,
                                               kind=inst.kind)
-        schedule = Schedule(tol=1e-9, max_iterations=100_000, anderson=True)
+        schedule = Schedule(tol=1e-9, max_iterations=100_000, newton=True)
         x, trace = solver(derived, derived.space.zeros(), schedule)
         assert (trace.reason, trace.iterations, trace.newton_candidates) == ("converged", 4, 4)
         x_catalog, _ = solver(inst, inst.space.zeros(), schedule)
@@ -804,7 +789,7 @@ class TestAnderson:
         # candidate z + 100 step(z) has 99 times the residual, well inside the
         # summable bound, so only the descent test rejects it.
         b = np.array([1.0, -2.0])
-        schedule = Schedule(anderson=True, tol=1e-12)
+        schedule = Schedule(newton=True, tol=1e-12)
         z, trace = _iterate(lambda z: b - z, np.zeros(2), schedule, coordinate_norm, Trace(),
                             jacobian=lambda z: -0.01 * np.eye(2))
         assert trace.reason == "converged" and np.allclose(z, b, atol=1e-12)
@@ -824,15 +809,16 @@ class TestAnderson:
         inst = RelaxedInstance.from_blocks(SubspaceProjector.full(H),
                                            [(L, subdifferential(one_norm(H)), 1.0)], 1.0)
         x0 = np.array([100.0, 50.0])
-        x, trace = solve_relaxed(inst, x0, Schedule(anderson=True))
+        x, trace = solve_relaxed(inst, x0, Schedule(newton=True))
         _, plain = solve_relaxed(inst, x0, Schedule())
         assert trace.reason == plain.reason == "converged"
         assert trace.iterations <= plain.iterations
         assert trace.fallbacks == 0 and trace.newton_candidates > 0
         assert inst.space.norm(x) <= 1e-10
 
-    def test_non_finite_candidate_is_never_accepted(self, monkeypatch):
-        # The plain map z -> (z + b) / 2 whose step is NaN away from its plain iterates.
+    def test_non_finite_candidate_is_never_accepted(self):
+        # The plain map z -> (z + b) / 2, whose step is NaN away from its plain
+        # iterates: each update's Newton candidate, the fixed point b, reads NaN.
         b = np.array([1.0, -2.0])
         last = []
 
@@ -843,55 +829,24 @@ class TestAnderson:
             last.append((z, s))
             return s
 
-        monkeypatch.setattr(solvers, "ANDERSON_MEMORY", 5)
-        z, trace = _iterate(step, np.zeros(2), Schedule(anderson=True), coordinate_norm, Trace())
+        z, trace = _iterate(step, np.zeros(2), Schedule(newton=True), coordinate_norm, Trace(),
+                            jacobian=lambda z: -0.5 * np.eye(2))
         last.clear()
         z_km, km = _iterate(step, np.zeros(2), Schedule(), coordinate_norm, Trace())
         assert trace.reason == km.reason == "converged"
         assert np.array_equal(z, z_km) and trace.fp_residual == km.fp_residual
-        assert trace.fallbacks == trace.iterations - 1 > 0
-
-    def test_rejection_clears_the_memory(self, monkeypatch):
-        # step(z) = b - M z; the first candidate is NaN, so it is rejected and
-        # the next candidate is fitted to the one difference made after it.
-        M, b = np.array([[0.6, 0.2], [0.1, 0.3]]), np.array([1.0, -1.0])
-        points = []
-
-        def step(z):
-            points.append(z)
-            return np.full(2, np.nan) if len(points) == 3 else b - M @ z
-
-        monkeypatch.setattr(solvers, "ANDERSON_MEMORY", 2)
-        schedule = Schedule(anderson=True, max_iterations=3, tol=0.0)
-        _, trace = _iterate(step, np.zeros(2), schedule, coordinate_norm, Trace())
-        z1, z2, candidate = points[1], points[3], points[4]
-        s1, s2 = b - M @ z1, b - M @ z2
-        assert trace.fallbacks == 1 and np.array_equal(z2, z1 + s1)
-        expected = solvers._anderson_candidate((s2 - s1)[None], (z2 + s2 - (z1 + s1))[None],
-                                               s2, z2 + s2)
-        assert np.array_equal(candidate, expected)
-
-    @pytest.mark.parametrize("step, reason", [(lambda z: np.array([1.0, 0.0]), "max_iterations"),
-                                              (lambda z: -0.5 * z, "converged")],
-                             ids=["constant", "underflow"])
-    def test_vanishing_differences_take_the_plain_step(self, step, reason):
-        # Zero differences (a constant step), and differences that underflow on
-        # the way to the fixed point 0 at tol 0, leave nothing to fit.
-        schedule = Schedule(tol=0.0, max_iterations=3000, anderson=True)
-        z, trace = _iterate(step, np.array([1.0, 2.0]), schedule, coordinate_norm, Trace())
-        assert trace.reason == reason
-        assert np.all(np.isfinite(z)) and trace.fallbacks == 0
+        assert trace.fallbacks == trace.iterations > 0 and trace.newton_candidates == 0
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     @pytest.mark.parametrize("tags", TestAffineFold.VARIANTS, ids=TestAffineFold.IDS)
     def test_scaling_the_data_changes_no_decision(self, solver, tags):
         # Powers of two near 1e-6 and 1e6 scale every float exactly, so any
-        # absolute threshold in the Anderson stage would show as a changed step.
+        # absolute threshold in the Newton stage would show as a changed step.
         inst, x0 = coordinate_instance(tags)
-        x, trace = solver(inst, x0, Schedule(anderson=True))
+        x, trace = solver(inst, x0, Schedule(newton=True))
         for scale in (2.0**-20, 2.0**20):
             inst_t, x0_t = coordinate_instance(tags, scale=scale)
-            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * scale, anderson=True))
+            x_t, trace_t = solver(inst_t, x0_t, Schedule(tol=1e-10 * scale, newton=True))
             assert (trace_t.reason, trace_t.iterations, trace_t.fallbacks) == \
                 (trace.reason, trace.iterations, trace.fallbacks)
             assert np.array_equal(x_t, scale * x)
@@ -899,15 +854,15 @@ class TestAnderson:
     @pytest.mark.parametrize("tags", TestAffineFold.VARIANTS, ids=TestAffineFold.IDS)
     def test_stacked_and_blockwise_agree_at_convergence(self, tags):
         inst, x0 = coordinate_instance(tags)
-        schedule = Schedule(tol=1e-13, anderson=True)
+        schedule = Schedule(tol=1e-13, newton=True)
         xa, ta = solve_relaxed(inst, x0, schedule)
         xb, tb = solve_blocks(inst, x0, schedule)
         assert ta.reason == tb.reason == "converged"
         assert inst.space.norm(xa - xb) <= 1e-10
 
-    def test_proximal_point_refuses_anderson(self):
-        with pytest.raises(ValidationError, match="anderson"):
-            proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(anderson=True))
+    def test_proximal_point_refuses_newton(self):
+        with pytest.raises(ValidationError, match="newton"):
+            proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(newton=True))
 
 
 class TestResidualsAndVerification:
