@@ -10,7 +10,9 @@ iterates lie in V, so the solvers iterate on the coordinates ``c`` of
 
     y_n = A c_n
     g_n = A* (J_{gamma B} y_n - y_n)
-    c_{n+1} = c_n + lambda_n g_n
+    c_{n+1} = c_n + lambda g_n
+
+with ``lambda`` the one relaxation constant of the :class:`Schedule`.
 
 ``U g_n = proj_V L* (J_{gamma B} y_n - y_n)`` is the step on ``x``, and as
 ``U`` is W-orthonormal, ``||g_n||_2 = ||J x_n - x_n||_W`` is the
@@ -43,12 +45,13 @@ solvers.  Each update first tries the semismooth Newton candidate
 ``c - J(c)^-1 g(c)`` (Li, Sun & Toh 2018), then the plain step.
 ``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the last factor the nonlinear
 blocks' declared ``derivative(gamma, A_N c, A_N)``, is solved by one
-``r x r`` LU factorization; only a singular ``J`` takes a least-squares
-solve with a relative rank cutoff.  When every block is affine,
-``J = G`` is constant and the first candidate is the exact fixed point
-``c_0 - G^-1 g(c_0)``, so such a run converges in one update.  When a
-nonlinear block declares no derivative (a Wiener block with a callable
-forward map) there is no candidate, and the run takes the plain steps.
+``r x r`` LU factorization; only a singular nonzero ``J`` takes a
+least-squares solve with a relative rank cutoff, and a zero ``J`` gives no
+candidate.  When every block is affine, ``J = G`` is constant and the
+first candidate is the exact fixed point ``c_0 - G^-1 g(c_0)``, so such a
+run converges in one update.  When a nonlinear block declares no
+derivative (a Wiener block with a callable forward map) there is no
+candidate, and the run takes the plain steps.
 
 A candidate is taken only if its residual is below the current one and
 at most ``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates
@@ -66,7 +69,6 @@ bit; :func:`proximal_point` refuses Newton.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import tempfile
@@ -91,19 +93,18 @@ _SAFEGUARD_EPS = 1e-6
 
 @dataclass
 class Schedule:
-    """Relaxation parameters and stopping rules for a proximal point run.
+    """Relaxation parameter and stopping rules for a proximal point run.
 
-    ``lam`` is either one constant or an explicit per-iteration sequence;
-    every value must lie in ``[1e-3, 2 - 1e-3]``, which keeps the sum of
-    ``lambda_n (2 - lambda_n)`` divergent.  When a finite sequence is
-    given, its length caps the number of updates.  ``newton`` turns on
-    the Newton candidates of the coordinate solvers (False, the default,
-    runs the plain relaxed steps).  ``max_iterations`` must be a nonnegative
+    ``lam`` is one number in ``[1e-3, 2 - 1e-3]``, the relaxation of every
+    update, which keeps the sum of ``lam (2 - lam)`` divergent; a list or any
+    other non-number raises ``ValidationError``.  ``newton`` turns on the
+    Newton candidates of the coordinate solvers (False, the default, runs
+    the plain relaxed steps).  ``max_iterations`` must be a nonnegative
     integer (an integral float is accepted, a bool is not) and ``tol`` a
     nonnegative number; anything else raises ``ValidationError``.
     """
 
-    lam: float | list = 1.0
+    lam: float = 1.0
     max_iterations: int = 100_000
     tol: float = 1e-10
     newton: bool = False
@@ -113,28 +114,11 @@ class Schedule:
         self.tol = _real("tolerance", self.tol)
         if not self.tol >= 0:  # NaN too
             raise ValidationError(f"tolerance must be nonnegative, got {self.tol!r}")
-        if np.isscalar(self.lam):
-            values = [_real("relaxation parameter", self.lam)]
-        else:
-            self.lam = [_real("relaxation parameter", v) for v in self.lam]
-            values = self.lam
-            if not values:
-                raise ValidationError("empty relaxation schedule")
-        for v in values:
-            if not (_LAMBDA_EPS - 1e-12 <= v <= 2.0 - _LAMBDA_EPS + 1e-12):
-                raise ValidationError(
-                    f"relaxation parameter {v} outside [{_LAMBDA_EPS}, {2 - _LAMBDA_EPS}]"
-                )
-
-    def update_cap(self):
-        if np.isscalar(self.lam):
-            return self.max_iterations
-        return min(self.max_iterations, len(self.lam))
-
-    def lambda_at(self, n):
-        if np.isscalar(self.lam):
-            return float(self.lam)
-        return self.lam[n]
+        self.lam = v = _real("relaxation parameter", self.lam)
+        if not (_LAMBDA_EPS - 1e-12 <= v <= 2.0 - _LAMBDA_EPS + 1e-12):
+            raise ValidationError(
+                f"relaxation parameter {v} outside [{_LAMBDA_EPS}, {2 - _LAMBDA_EPS}]"
+            )
 
 
 @dataclass
@@ -152,7 +136,6 @@ class Trace:
     fallbacks: int = 0  # Newton candidates the safeguard rejected
     newton_candidates: int = 0  # Newton candidates taken
     rank_G: int | None = None   # rank the last Newton solve reported; None: none tried
-    inexact_weighted_sum: float = 0.0  # sum of lambda_n ||c_n|| when perturbed
 
     def to_csv(self, path):
         """Write ``iter, fp_residual, var_residual, dist_ref, wall_ns`` rows atomically."""
@@ -181,7 +164,7 @@ def write_atomically(path, write):
 
 
 def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=None):
-    """The one relaxed fixed-point loop ``z <- z + lambda_n step(z)``.
+    """The one relaxed fixed-point loop ``z <- z + lambda step(z)``.
 
     ``norm(step(z))`` is the residual that stops the run.  A step records
     ``fp_residual``, ``wall_ns`` and, when given, ``distance(z)`` and the
@@ -195,10 +178,8 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
     function of ``z``: a rejected candidate costs one evaluation that is not
     a step.
     """
-    lam = schedule.lam
-    unit = np.isscalar(lam) and float(lam) == 1.0  # z + s == z + 1.0 * s, bit for bit
-    lams = itertools.repeat(float(lam)) if np.isscalar(lam) else iter(lam)
-    cap, tol, clock = schedule.update_cap(), schedule.tol, time.perf_counter_ns
+    lam, cap, tol = schedule.lam, schedule.max_iterations, schedule.tol
+    clock = time.perf_counter_ns
     fp, wall = trace.fp_residual.append, trace.wall_ns.append
     if not schedule.newton:
         jacobian = None
@@ -224,7 +205,6 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
             if n >= cap:
                 trace.reason = "max_iterations"
                 break
-            f = s if unit else next(lams) * s
             n += 1
             if jacobian is not None:
                 delta = _newton_direction(jacobian(z), s, trace)
@@ -239,7 +219,7 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
                         z, s, residual = candidate, s_c, r_c
                         continue
                     trace.fallbacks += 1
-            z = z + f
+            z = z + s if lam == 1.0 else z + lam * s  # z + s == z + 1.0 * s, bit for bit
             s = step(z)
             residual = norm(s)
     trace.iterations = n
@@ -252,12 +232,16 @@ def _newton_direction(J, s, trace):
     """``J^-1 s`` by one LU solve; for a singular ``J`` the least-squares ``J^+ s``.
 
     The least-squares solve cuts singular values off relative to the largest.
-    Records the rank in ``trace.rank_G``; None when ``J`` is not finite.
+    A zero ``J``, whose least-squares direction is zero, takes no solve.
+    Records the rank in ``trace.rank_G``; None when ``J`` is zero or not finite.
     """
     try:
         delta = np.linalg.solve(J, s)
         trace.rank_G = len(s)
     except np.linalg.LinAlgError:  # exactly singular, or not finite
+        if not J.any():  # NaN counts as nonzero
+            trace.rank_G = 0
+            return None
         try:
             delta, _, rank, _ = np.linalg.lstsq(J, s, rcond=None)
         except np.linalg.LinAlgError:
@@ -266,18 +250,15 @@ def _newton_direction(J, s, trace):
     return delta
 
 
-def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_iterates=False):
-    """Relaxed fixed-point iteration ``x <- x + lambda_n (J x - x)``.
+def proximal_point(space, J, x0, schedule, reference=None, keep_iterates=False):
+    """Relaxed fixed-point iteration ``x <- x + lambda (J x - x)`` with exact evaluations of ``J``.
 
     ``J`` must be firmly nonexpansive (resolvents and norm-gated composed
-    resolvents from this package qualify).  When ``errors`` is given, the
-    evaluation ``J x_n + c_n`` is used instead and the weighted error sum
-    ``sum lambda_n ||c_n||`` is logged in the trace -- summability is the
-    caller's responsibility and is reported, never enforced.
+    resolvents from this package qualify).
 
-    Returns ``(x_final, trace)``.  ``x0``, ``reference`` and each error
-    ``c_n`` are validated; the step ``J x_n - x_n`` is only checked for its
-    shape, and a non-finite one ends the run with reason ``non-finite``.
+    Returns ``(x_final, trace)``.  ``x0`` and ``reference`` are validated;
+    the step ``J x_n - x_n`` is only checked for its shape, and a non-finite
+    one ends the run with reason ``non-finite``.
     The iteration is the plain one: a ``newton`` schedule raises
     ``ValidationError``.
     """
@@ -285,18 +266,9 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_ite
         raise ValidationError("proximal_point runs the plain steps only; use newton=False")
     x = space.validate(x0).copy()
     ref = None if reference is None else space.validate(reference)
-    drawn = []  # the errors c_0, c_1, ... in the order the steps used them
 
     def step(x):
-        jx = J(x)
-        if errors is not None:
-            n = len(drawn)
-            c = errors(n) if callable(errors) else (
-                errors[n] if n < len(errors) else space.zeros()
-            )
-            drawn.append(c)
-            jx = jx + c
-        s = jx - x
+        s = J(x) - x
         if s.shape != x.shape:
             raise DimensionMismatchError(
                 f"J returned a step of shape {s.shape} in a space of dimension {space.dim}"
@@ -309,10 +281,6 @@ def proximal_point(space, J, x0, schedule, errors=None, reference=None, keep_ite
         lift=np.copy if keep_iterates else None,
     )
     trace.var_residual = [None] * (trace.iterations + 1)
-    trace.inexact_weighted_sum = sum(
-        (schedule.lambda_at(n) * space.norm(c) for n, c in enumerate(drawn[:trace.iterations])),
-        0.0,
-    )
     return x, trace
 
 
@@ -434,7 +402,7 @@ def _coordinate_step(pieces, gamma, r):
 
 
 def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
-    """Run ``c <- c + lambda_n step(c)`` from the coordinates of ``proj_V x0``.
+    """Run ``c <- c + lambda step(c)`` from the coordinates of ``proj_V x0``.
 
     ``jacobian`` gives the Newton candidates (see :func:`_iterate`).
     Returns ``(U c, trace)``; the trace is flagged when ``x0`` is off V.

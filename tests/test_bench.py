@@ -51,7 +51,7 @@ NONFINITE_SPEC_DICT = {
 # Schedules that the config boundary refuses with ValidationError.
 BAD_SCHEDULES = [
     {"max_iterations": "abc"}, {"lambda": "abc"}, {"tol": float("nan")}, {"max_iterations": 2.7},
-    {"memory": 0}, {"anderson": False}, [1.0],
+    {"memory": 0}, {"anderson": False}, [1.0], {"lambda": [1.0, 1.0]},
 ]
 
 
@@ -654,11 +654,14 @@ class TestProjectionWiener:
         assert plain.converged and plain.iterations > 1
         assert np.linalg.norm(np.subtract(report.final_iterate, plain.final_iterate)) <= 1e-8
 
-    def test_far_box_forward_runs_out_with_exit_two(self, workloads, tmp_path):
+    def test_far_box_forward_runs_out_with_exit_two(self, workloads, tmp_path, monkeypatch):
         # Unit boxes at standard normal centres with V the whole space: no
         # relaxed solution, and the iterates run off to ||x|| ~ 1e16, where the
         # displacement y - P_C(y) + p - y can round to an exact 0.  No candidate
-        # may stop the run there: it exits 2 at the cap.
+        # may stop the run there: it exits 2 at the cap.  Out there every
+        # Jacobian is zero, and a zero Jacobian takes no least-squares solve.
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         config = projection_wiener(
             workloads, 4, 17,
             lambda c: {"tag": "box", "lower": (c - 0.5).tolist(), "upper": (c + 0.5).tolist()})
@@ -671,6 +674,7 @@ class TestProjectionWiener:
         report = json.loads(lines[0], parse_constant=_reject_constant)
         assert (report["reason"], report["iterations"]) == ("max_iterations", 2000)
         assert lines[1:] == ["tolerance failure: did not converge within the iteration budget"]
+        assert len(calls) <= 5
 
 
 class TestRun:

@@ -187,7 +187,7 @@ def affine_singleton_instances():
 class TestSchedule:
     def test_defaults(self):
         s = Schedule()
-        assert s.lambda_at(0) == 1.0 and s.tol == 1e-10
+        assert s.lam == 1.0 and s.tol == 1e-10
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -197,19 +197,18 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             Schedule(lam=[1.0, 1.9995])
 
-    def test_list_schedule_caps_updates(self):
-        s = Schedule(lam=[1.0, 1.5, 0.5], max_iterations=100)
-        assert s.update_cap() == 3
-        assert s.lambda_at(1) == 1.5
-
     def test_rejects_empty_list(self):
         with pytest.raises(ValidationError):
             Schedule(lam=[])
 
+    def test_lambda_is_a_float(self):
+        assert type(Schedule(lam=1).lam) is float and Schedule(lam=1).lam == 1.0
+        assert type(Schedule(lam=np.float64(1.3)).lam) is float
+
     @pytest.mark.parametrize("kwargs", [
         {"max_iterations": "abc"}, {"max_iterations": 2.7}, {"max_iterations": -1},
         {"max_iterations": True}, {"lam": "abc"}, {"lam": [1.0, "abc"]},
-        {"tol": float("nan")}, {"tol": "1e-10"},
+        {"tol": float("nan")}, {"tol": "1e-10"}, {"lam": [1.0, 1.0]},
     ])
     def test_rejects_malformed_values(self, kwargs):
         with pytest.raises(ValidationError):
@@ -244,14 +243,12 @@ class TestProximalPoint:
         assert x == pytest.approx(x0)
         assert trace.fp_residual == [0.0]
 
-    def test_inexact_evaluations_are_logged(self):
-        errs = [np.array([0.5**n]) for n in range(50)]
-        x, trace = proximal_point(
-            R1, lambda v: 0.5 * v, np.ones(1), Schedule(max_iterations=30, tol=1e-15),
-            errors=errs,
-        )
-        expected = sum(np.abs(errs[n][0]) for n in range(trace.iterations))
-        assert trace.inexact_weighted_sum == pytest.approx(expected)
+    def test_removed_parameters(self):
+        # The steps use exact evaluations of J: no error stream, and no sum of it.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(),
+                           errors=[np.zeros(1)])
+        assert not hasattr(Trace(), "inexact_weighted_sum")
 
     def test_max_iterations_reason(self):
         _, trace = proximal_point(
@@ -400,26 +397,6 @@ class TestSolveRelaxed:
             diffs = np.diff(trace.fp_residual)
             assert np.all(diffs <= 1e-9)
 
-    def test_lambda_list_schedule(self):
-        inst = acceptance_instance()
-        lams = [1.5, 1.0, 0.5, 1.0, 1.2] * 20
-        x, trace = solve_relaxed(inst, R2.zeros(), Schedule(lam=lams, tol=1e-10))
-        assert trace.reason == "converged"
-        assert x == pytest.approx([2.0, 2.0], abs=1e-8)
-
-    def test_inexact_resolvent_hook_still_converges(self):
-        # summable perturbations of the relaxed resolvent keep convergence
-        inst = acceptance_instance()
-        rng = np.random.default_rng(5)
-        direction = inst.V.apply(rng.standard_normal(2))
-        errs = lambda n: (0.5**n) * direction
-        x, trace = proximal_point(
-            R2, inst.relaxed_resolvent, R2.zeros(), Schedule(tol=1e-12), errors=errs
-        )
-        assert trace.reason == "converged"
-        assert x == pytest.approx([2.0, 2.0], abs=1e-6)
-        assert trace.inexact_weighted_sum <= 2.0 * R2.norm(direction) + 1e-9
-
     def test_engine_equivalence_suite(self):
         res = suite_engine_equivalence(np.random.default_rng([19, 0]), 500)
         assert res.passed, res.line()
@@ -495,25 +472,6 @@ class TestCoordinateKernel:
             assert ta.iterations == tb.iterations == 80
             for u, v in zip(ta.iterates, tb.iterates):
                 assert inst.space.norm(u - v) <= 1e-12
-
-    @staticmethod
-    def check_constant_equals_list(solver, lam):
-        inst, x0 = coordinate_instance()
-        xa, ta = solver(inst, x0, Schedule(lam=lam, max_iterations=40, tol=0.0),
-                        keep_iterates=True)
-        xb, tb = solver(inst, x0, Schedule(lam=[lam] * 40, tol=0.0), keep_iterates=True)
-        assert np.array_equal(xa, xb)
-        assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
-        assert ta.reason == tb.reason and ta.iterations == tb.iterations == 40
-        assert all(np.array_equal(u, v) for u, v in zip(ta.iterates, tb.iterates))
-
-    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_constant_lambda_equals_list(self, solver):
-        self.check_constant_equals_list(solver, 1.3)
-
-    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_unit_lambda_equals_list(self, solver):
-        self.check_constant_equals_list(solver, 1.0)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_x0_off_v_is_projected_and_flagged(self, solver):
