@@ -473,6 +473,38 @@ class TestCoordinateKernel:
             for u, v in zip(ta.iterates, tb.iterates):
                 assert inst.space.norm(u - v) <= 1e-12
 
+    @staticmethod
+    def check_every_update_uses_lambda(solver, lam, monkeypatch):
+        # Record each point the coordinate step is taken at and the step there;
+        # the run must move by ``lam * step`` at every update, bit for bit.
+        calls, build = [], solvers._coordinate_step
+
+        def recording(*args):
+            step, jacobian = build(*args)
+
+            def recorded(c):
+                s = step(c)
+                calls.append((c.copy(), s.copy()))
+                return s
+            return recorded, jacobian
+        monkeypatch.setattr(solvers, "_coordinate_step", recording)
+        inst, x0 = coordinate_instance()
+        xa, ta = solver(inst, x0, Schedule(lam=lam, max_iterations=40, tol=0.0),
+                        keep_iterates=True)
+        assert (ta.reason, ta.iterations, len(calls)) == ("max_iterations", 40, 41)
+        for (c, s), (c_next, _) in zip(calls, calls[1:]):
+            assert np.array_equal(c_next, c + lam * s)
+        assert np.array_equal(xa, calls[-1][0] @ inst.V.basis)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_constant_lambda_moves_every_update(self, solver, monkeypatch):
+        self.check_every_update_uses_lambda(solver, 1.3, monkeypatch)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_unit_lambda_moves_every_update(self, solver, monkeypatch):
+        # lambda = 1 updates as z + s, which equals z + 1.0 * s bit for bit
+        self.check_every_update_uses_lambda(solver, 1.0, monkeypatch)
+
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_x0_off_v_is_projected_and_flagged(self, solver):
         inst, x0 = coordinate_instance()
