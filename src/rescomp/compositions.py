@@ -3,18 +3,32 @@
 Three constructions, all of which expose their resolvent in closed form:
 
 * composition: resolvent ``x -> L*(J_{gamma B}(L x))``;
-* cocomposition: resolvent ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``;
+* cocomposition: resolvent ``x -> x + L*(J_{gamma B}(L x) - L x)``;
 * mixture: resolvent ``x -> sum_k w_k L_k*(J_{gamma B_k}(L_k x))``, which
   *is* the composition of ``product_family(Bs, w)`` with ``stack(Ls, w)``
   and is built as one (the blockwise formula is a test oracle elsewhere).
 
 The first two are the only places the formulas are written: the proximal
 composition, cocomposition and mixture of :mod:`proxfun` are these
-constructions applied to ``subdifferential(g)``.  Each returns a plain
-:class:`ResolventFamily` of kind ``composed(<variant>)``, whose graph test
-is ``graph_residual`` like any other family's.  Beside each formula sits
-its derivative by the chain rule (``D_B`` taken at ``L x``, declared as in
-:mod:`operators`): ``L* D_B L`` and ``I - L* L + L* D_B L``.
+constructions applied to ``subdifferential(g)``, and the relaxed solvers
+of :mod:`solvers` iterate the cocomposition's step on V's coordinates.
+Each returns a plain :class:`ResolventFamily` of kind
+``composed(<variant>)``, whose graph test is ``graph_residual`` like any
+other family's.  Beside each formula sits its derivative by the chain rule
+(``D_B`` taken at ``L x``, declared as in :mod:`operators`): ``L* D_B L``
+and ``I + L* (D_B - I) L``.
+
+``_cocomposition_step`` writes the cocomposition's step and its Jacobian
+once, for any matrix ``L`` and adjoint ``L*``.  A factor ``B_k`` of ``B``
+(``B`` itself when it is not a product) with a constant derivative
+``D_k`` has the affine resolvent ``J(y) = D_k y + J(0)`` (see
+:mod:`operators`): its part of the step is ``G x + h``, with
+``G = L_k* (D_k - I) L_k`` and ``h = L_k* J(0)`` summed once, at
+construction.  Only the other factors, stacked into ``L_N``, are
+evaluated, a single one directly with no scatter into a stacked vector:
+the step is ``G x + h + L_N* (J_N(L_N x) - L_N x)`` and its Jacobian the
+dense ``G + L_N* (D_N(L_N x) - I) L_N``, None when a factor declares no
+derivative.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures, which bounds the stacked map's norm) because that
@@ -32,9 +46,12 @@ concurrently.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import NORM_GATE_TOL, _real, _scale, check_contraction, identity_map, stack
-from .operators import ResolventFamily, product_family
+from .hilbert import (NORM_GATE_TOL, _real, _scale, block_slices, check_contraction, identity_map,
+                      stack)
+from .operators import ResolventFamily, _blockwise, product_family
 
 
 def resolvent_composition(L, B, gamma=1.0, unsafe=False):
@@ -62,22 +79,49 @@ def _composition(L, B, gamma):
 
 
 def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
-    """The operator whose resolvent is ``x -> x - L*(L x) + L*(J_{gamma B}(L x))``."""
+    """The operator whose resolvent is ``x -> x + L*(J_{gamma B}(L x) - L x)``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
     check_contraction([L], unsafe=unsafe)
-    g, D = B._check_scale(gamma), B.derivative
-
-    def evaluator(_one, x):
-        y = L.matrix @ x
-        return x - L.adjoint_matrix @ y + L.adjoint_matrix @ B._evaluator(g, y)
-
-    def derivative(_one, x, A):  # I - L* L + L* D_B(L x) L - I
-        return L.adjoint_matrix @ D(g, L.matrix @ x, L.matrix @ A)
-
-    return ResolventFamily(L.domain, "composed(cocomposition)", evaluator, scale_domain=1.0,
-                           derivative=None if D is None else derivative,
+    step, jacobian = _cocomposition_step(L.matrix, L.adjoint_matrix, B, gamma)
+    return ResolventFamily(L.domain, "composed(cocomposition)", lambda _one, x: x + step(x),
+                           scale_domain=1.0, derivative=None if jacobian is None else (
+                               lambda _one, x, A: jacobian(x) @ A),
                            constant_derivative=B.constant_derivative)
+
+
+def _cocomposition_step(A, A_adj, B, gamma):
+    """``(step, jacobian)`` of ``x -> A_adj (J_{gamma B}(A x) - A x)``, folded as said above."""
+    gamma = B._check_scale(gamma)  # a product's scale rule covers its factors
+    G = h = 0.0  # the folded sums, arrays once a factor is folded
+    factors = B.factors or [(B, slice(None))]
+    nonlinear = [(B_k, sl) for B_k, sl in factors if not B_k.constant_derivative]
+    for B_k, sl in factors:
+        if B_k.constant_derivative:
+            origin = np.zeros(len(A[sl]))
+            G += A_adj[:, sl] @ B_k.derivative(gamma, origin, A[sl])
+            h += A_adj[:, sl] @ B_k._evaluator(gamma, origin)
+    if not nonlinear:
+        return (lambda x: G @ x + h), (lambda x: G)
+    if len(nonlinear) == 1:
+        B_N, sl = nonlinear[0]
+        A_N, A_N_adj = A[sl], A_adj[:, sl]
+        resolve, derivative = B_N._evaluator, B_N.derivative
+    else:  # the nonlinear factors, blockwise on their stacked rows
+        A_N = np.vstack([A[sl] for _B_k, sl in nonlinear])
+        A_N_adj = np.hstack([A_adj[:, sl] for _B_k, sl in nonlinear])
+        fams = [B_k for B_k, _sl in nonlinear]
+        resolve, derivative = _blockwise(list(zip(fams, block_slices([f.space for f in fams]))))
+
+    def nonlinear_step(x):
+        y = A_N @ x
+        return A_N_adj @ (resolve(gamma, y) - y)
+
+    jacobian = None if derivative is None else (
+        lambda x: G + A_N_adj @ derivative(gamma, A_N @ x, A_N))
+    if len(nonlinear) == len(factors):  # nothing folded
+        return nonlinear_step, jacobian
+    return (lambda x: G @ x + h + nonlinear_step(x)), jacobian
 
 
 def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):

@@ -274,7 +274,7 @@ def proximal_composition_prox(L, g, x):
 
 
 def proximal_cocomposition_prox(L, g, x):
-    """Prox of the cocomposition: ``x - L*(L x) + L*(prox_g(L x))``.
+    """Prox of the cocomposition: ``x + L*(prox_g(L x) - L x)``.
 
     Each call builds and gates the cocomposition; a caller that iterates
     builds ``resolvent_cocomposition(L, g.subdifferential)`` once and

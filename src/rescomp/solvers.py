@@ -19,14 +19,9 @@ with ``lambda`` the one relaxation constant of the :class:`Schedule`.
 fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
 lifted at the end, and per step only for kept iterates or a reference.
 
-A block of ``B`` whose declared derivative ``D`` is constant (its
-resolvent is affine, ``J(y) = D y + J(0)``; see :mod:`operators`) needs no
-evaluation per step: its part of ``g_n`` is ``G c_n + h`` with
-``G = A* (D - I) A`` and ``h = A* J(0)``, summed over such blocks once per
-solve.  Only the other blocks, stacked into ``A_N``, are evaluated, a
-single one directly with no scatter into a stacked vector:
-
-    g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)
+The step is that of the resolvent cocomposition of ``B`` with ``A``
+(:mod:`compositions`), built once per solve with the affine blocks folded:
+``g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)``.
 
 One private loop drives these solvers and :func:`proximal_point`.  A step
 records only ``fp_residual`` and ``wall_ns`` (and ``dist_ref`` and kept
@@ -43,11 +38,10 @@ hypotheses; :func:`write_atomically` writes traces and run reports.
 ``Schedule(newton=True)`` accelerates the one loop for the coordinate
 solvers.  Each update first tries the semismooth Newton candidate
 ``c - J(c)^-1 g(c)`` (Li, Sun & Toh 2018), then the plain step.
-``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the last factor the nonlinear
-blocks' declared ``derivative(gamma, A_N c, A_N)``, is solved by one
-``r x r`` LU factorization; only a singular nonzero ``J`` takes a
-least-squares solve with a relative rank cutoff, and a zero ``J`` gives no
-candidate.  When every block is affine, ``J = G`` is constant and the
+``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the cocomposition's Jacobian, is
+solved by one ``r x r`` LU factorization; only a singular nonzero ``J``
+takes a least-squares solve with a relative rank cutoff, and a zero ``J``
+gives no candidate.  When every block is affine, ``J = G`` is constant and the
 first candidate is the exact fixed point ``c_0 - G^-1 g(c_0)``, so such a
 run converges in one update.  When a nonlinear block declares no
 derivative (a Wiener block with a callable forward map) there is no
@@ -71,16 +65,16 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
+import shutil
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compositions import resolvent_composition, resolvent_cocomposition
+from .compositions import _cocomposition_step, resolvent_cocomposition, resolvent_composition
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import _count, _real, check_contraction, stack
-from .operators import _blockwise, product_family
+from .operators import product_family
 
 _LAMBDA_EPS = 1e-3
 _MEMBERSHIP_TOL = 1e-10
@@ -150,11 +144,18 @@ class Trace:
 
 
 def write_atomically(path, write):
-    """Replace ``path`` atomically by a temp file that ``write(fh)`` fills, text as given."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Replace ``path`` atomically by a temp file that ``write(fh)`` fills, text as given.
+
+    The file gets the mode ``open(path, "w")`` would leave: that of an
+    existing ``path``, else ``0o666`` less the umask.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -354,53 +355,6 @@ class RelaxedInstance:
         return self.L.codomain._norm(y - self.B._resolve(self.gamma, y))
 
 
-def _coordinate_step(pieces, gamma, r):
-    """The coordinate step ``c -> sum_k A_k* (J_{gamma B_k}(A_k c) - A_k c)`` and its Jacobian.
-
-    ``pieces`` yields ``(A_k, A_k*, B_k)``.  A block whose derivative
-    ``D_k`` is constant contributes the fixed ``G_k c + h_k``, with
-    ``G_k = A_k* (D_k - I) A_k`` and ``h_k = A_k* J_{gamma B_k}(0)``, summed
-    once here; the other blocks are stacked into one ``A_N`` and evaluated
-    per step through their raw evaluators.  Every block's scale is checked.
-    Returns ``(step, jacobian)``: ``jacobian(c)`` is the ``r x r`` matrix
-    ``G + A_N* (D_N(A_N c) - I) A_N`` from the declared derivatives (the
-    constant ``G`` when every block is affine), and None when a nonlinear
-    block declares no derivative.
-    """
-    G, h = np.zeros((r, r)), np.zeros(r)
-    rows, adjs, blocks = [], [], []
-    start = 0
-    for A_k, A_k_adj, B_k in pieces:
-        B_k._check_scale(gamma)
-        if B_k.constant_derivative:
-            origin = np.zeros(len(A_k))
-            G += A_k_adj @ B_k.derivative(gamma, origin, A_k)
-            h += A_k_adj @ B_k._evaluator(gamma, origin)
-            continue
-        rows.append(A_k)
-        adjs.append(A_k_adj)
-        blocks.append((B_k, slice(start, start + len(A_k))))
-        start += len(A_k)
-    if not blocks:
-        return (lambda c: G @ c + h), (lambda c: G)
-    A_N, A_N_adj = np.vstack(rows), np.hstack(adjs)
-    if len(blocks) == 1:
-        resolve, derivative = blocks[0][0]._evaluator, blocks[0][0].derivative
-    else:
-        resolve, derivative = _blockwise(blocks)
-
-    def nonlinear(c):
-        y = A_N @ c
-        return A_N_adj @ (resolve(gamma, y) - y)
-
-    jacobian = None if derivative is None else (
-        lambda c: G + A_N_adj @ derivative(gamma, A_N @ c, A_N))
-
-    if len(blocks) == len(pieces):  # nothing folded
-        return nonlinear, jacobian
-    return (lambda c: G @ c + h + nonlinear(c)), jacobian
-
-
 def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
     """Run ``c <- c + lambda step(c)`` from the coordinates of ``proj_V x0``.
 
@@ -434,10 +388,7 @@ def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     ``U c``.
     """
     A = inst.A
-    A_adj = A.T * inst.L.codomain.weights
-    factors = inst.B.factors or [(inst.B, slice(None))]
-    step, jacobian = _coordinate_step([(A[sl], A_adj[:, sl], B_k) for B_k, sl in factors],
-                                      inst.gamma, A.shape[1])
+    step, jacobian = _cocomposition_step(A, A.T * inst.L.codomain.weights, inst.B, inst.gamma)
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
                                  keep_iterates, jacobian)
 
@@ -451,11 +402,9 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     if not inst.blocks:
         raise ValidationError("instance carries no block structure")
     U = inst.V.basis.T
-    pieces = []
-    for L_k, B_k, w_k in inst.blocks:
-        A_k = L_k.matrix @ U
-        pieces.append((A_k, w_k * A_k.T * L_k.codomain.weights, B_k))
-    step, jacobian = _coordinate_step(pieces, inst.gamma, U.shape[1])
+    A = [L_k.matrix @ U for L_k, _B_k, _w_k in inst.blocks]
+    A_adj = [w_k * A_k.T * L_k.codomain.weights for A_k, (L_k, _B_k, w_k) in zip(A, inst.blocks)]
+    step, jacobian = _cocomposition_step(np.vstack(A), np.hstack(A_adj), inst.B, inst.gamma)
     return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
                                  keep_iterates, jacobian)
 

@@ -622,6 +622,7 @@ def derived_catalog():
     L1, L2 = (LinearMap(H, W3, rng.standard_normal((3, 4))) for _ in range(2))
     L1, L2 = L1.scaled(0.9 / L1.op_norm()), L2.scaled(0.6 / L2.op_norm())
     V = SubspaceProjector(H, rng.standard_normal((2, 4)))
+    M3 = rng.standard_normal((4, 4))  # H -> the 1 + 3 dimensional product of the entries below
     S1, S2 = Space(1, [3.0]), Space(2, [0.5, 2.0])
     scales = [0.5, 1.0, 2.0]
     out = []
@@ -631,13 +632,15 @@ def derived_catalog():
             continue
         k = kink or (lambda gamma, y: np.inf)
         g = ProxFunction(B.kind, B)
+        product = product_family([zero_operator(S1), B], [2.0, 0.5])
+        L3 = LinearMap(H, product.space, M3)
+        L3 = L3.scaled(0.9 / L3.op_norm())
         out += [
             (f"scaled[{name}]", B.scaled(1.7), scales, lambda gm, y, k=k: k(1.7 * gm, y)),
             (f"inverse[{name}]", B.inverse(), scales, lambda gm, y, k=k: k(1.0 / gm, y / gm)),
             (f"conjugate[{name}]", g.conjugate().subdifferential, scales,
              lambda gm, y, k=k: k(1.0 / gm, y / gm)),
-            (f"product[{name}]", product_family([zero_operator(S1), B], [2.0, 0.5]), scales,
-             lambda gm, y, k=k: k(gm, y[1:])),
+            (f"product[{name}]", product, scales, lambda gm, y, k=k: k(gm, y[1:])),
             (f"separable[{name}]",
              separable([g, half_squared_distance(S2, [0.3, -0.4])], [0.5, 1.5]).subdifferential,
              scales, lambda gm, y, k=k: k(gm, y[:3])),
@@ -645,6 +648,9 @@ def derived_catalog():
              lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
             (f"cocomposition[{name}]", resolvent_cocomposition(L1, B, 0.8), [1.0],
              lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
+            # the zero factor is folded into G and h, the other one is too when it is affine
+            (f"cocomposition[product[{name}]]", resolvent_cocomposition(L3, product, 0.8), [1.0],
+             lambda gm, x, k=k, L3=L3: k(0.8, (L3.matrix @ x)[1:])),
             (f"mixture[{name}]", resolvent_mixture([B, B], [L1, L2], [0.6, 1.0]), [1.0],
              lambda gm, x, k=k: min(k(1.0, L1.matrix @ x), k(1.0, L2.matrix @ x))),
             (f"average[{name}]", resolvent_average([B, B], [0.3, 0.7], 1.3), [1.0],

@@ -416,8 +416,14 @@ class TestProxCompositionFormulas:
             # unchanged arithmetic: equal to the last bit
             assert np.array_equal(proximal_composition_prox(L, g, x),
                                   L.adjoint_apply(g.prox(1.0, y)))
-            assert np.array_equal(proximal_cocomposition_prox(L, g, x),
-                                  x - L.adjoint_apply(y) + L.adjoint_apply(g.prox(1.0, y)))
+            # the cocomposition's step: folded once when the prox is affine
+            fam = g.subdifferential
+            if fam.constant_derivative:
+                fold = L.adjoint_matrix @ fam.derivative(1.0, G.zeros(), L.matrix)
+                expected = x + (fold @ x + L.adjoint_apply(g.prox(1.0, G.zeros())))
+            else:
+                expected = x + L.adjoint_apply(g.prox(1.0, y) - y)
+            assert np.array_equal(proximal_cocomposition_prox(L, g, x), expected)
             # the mixture runs the stacked map: equal up to rounding
             p = int(rng.integers(1, 4))
             spaces = [_random_space(rng, max_dim=3) for _ in range(p)]

@@ -14,6 +14,7 @@ from rescomp.bench import (
     least_squares_oracle,
     wiener_oracle,
 )
+from rescomp.compositions import _cocomposition_step
 from rescomp.errors import ContractionConditionError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import LinearMap, Space, SubspaceProjector, identity_map, product_space
 from rescomp.operators import (
@@ -21,6 +22,7 @@ from rescomp.operators import (
     linear_monotone,
     make_wiener,
     normal_cone,
+    product_family,
     scaled_identity,
     subdifferential,
 )
@@ -37,7 +39,6 @@ from rescomp.solvers import (
     RelaxedInstance,
     Schedule,
     Trace,
-    _coordinate_step,
     _iterate,
     _solve_in_coordinates,
     proximal_point,
@@ -477,7 +478,7 @@ class TestCoordinateKernel:
     def check_every_update_uses_lambda(solver, lam, monkeypatch):
         # Record each point the coordinate step is taken at and the step there;
         # the run must move by ``lam * step`` at every update, bit for bit.
-        calls, build = [], solvers._coordinate_step
+        calls, build = [], solvers._cocomposition_step
 
         def recording(*args):
             step, jacobian = build(*args)
@@ -487,7 +488,7 @@ class TestCoordinateKernel:
                 calls.append((c.copy(), s.copy()))
                 return s
             return recorded, jacobian
-        monkeypatch.setattr(solvers, "_coordinate_step", recording)
+        monkeypatch.setattr(solvers, "_cocomposition_step", recording)
         inst, x0 = coordinate_instance()
         xa, ta = solver(inst, x0, Schedule(lam=lam, max_iterations=40, tol=0.0),
                         keep_iterates=True)
@@ -572,12 +573,13 @@ class TestAffineFold:
 
     @pytest.mark.parametrize("scale", [None, 0.5])
     def test_scale_checked_on_every_block(self, scale):
-        A, A_adj = np.ones((1, 2)), np.ones((2, 1))
-        pieces = [(A, A_adj, normal_cone(Singleton(R1, [1.0]))),
-                  (A, A_adj, make_wiener(R1, scale or (lambda y: 0.5 * y), [0.0]))]
-        _coordinate_step(pieces, 1.0, 2)
+        # The product's one scale check covers its Wiener factor, pinned to scale 1.
+        B = product_family([normal_cone(Singleton(R1, [1.0])),
+                            make_wiener(R1, scale or (lambda y: 0.5 * y), [0.0])])
+        A = np.ones((2, 2))
+        _cocomposition_step(A, A, B, 1.0)
         with pytest.raises(ScaleRestrictionError):
-            _coordinate_step(pieces, 2.0, 2)
+            _cocomposition_step(A, A, B, 2.0)
 
 
 def coordinate_norm(g):
@@ -682,7 +684,7 @@ class TestNewton:
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_accepted_candidates_meet_the_safeguard(self, solver, D, monkeypatch):
         records = []  # (c, step(c)) and (c, None) for jacobian(c), in the order the loop asked
-        build = solvers._coordinate_step
+        build = solvers._cocomposition_step
 
         def recording(*args):
             step, jacobian = build(*args)
@@ -697,7 +699,7 @@ class TestNewton:
                 return jacobian(c)
             return recorded, None if jacobian is None else recorded_jacobian
 
-        monkeypatch.setattr(solvers, "_coordinate_step", recording)
+        monkeypatch.setattr(solvers, "_cocomposition_step", recording)
         monkeypatch.setattr(solvers, "_SAFEGUARD_D", D)
         inst, x0 = coordinate_instance(("box", "ball", "point", "ball"))
         _, trace = solver(inst, x0, Schedule(newton=True))
@@ -958,6 +960,18 @@ class TestTrace:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][2] == "" and rows[1][3] == ""
+
+    def test_file_mode_is_that_of_a_plain_open(self, tmp_path):
+        # A new file gets 0o666 less the umask, an existing one keeps its mode.
+        _, trace = proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule())
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        (tmp_path / "t.csv").chmod(0o640)
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "t.csv"]
 
     @pytest.mark.parametrize("short", ["var_residual", "dist_ref", "wall_ns"])
     def test_ragged_columns_raise(self, tmp_path, short):

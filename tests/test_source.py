@@ -66,3 +66,13 @@ def test_every_private_definition_is_referenced():
               for line, name in _top_level(tree)
               if PRIVATE.fullmatch(name) and name not in referenced]
     assert not unused, f"private definitions nothing in src/ references: {unused}"
+
+
+def test_the_solvers_write_no_resolvent_or_jacobian_formula():
+    # Their step and its Jacobian are the resolvent cocomposition's, from
+    # compositions: the solvers read no family's raw evaluator, derivative or
+    # factors, and import no blockwise evaluator.
+    tree = TREES["solvers.py"]
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not read & {"_evaluator", "derivative", "factors"}
+    assert "_blockwise" not in {name for _line, name in _imported(tree)}
