@@ -329,16 +329,16 @@ def normal_equations(basis, terms):
     ``terms`` yields ``(L_k, p_k, a_k, b_k)``.  Row ``i`` of
     ``A_k = basis @ L_k.matrix.T`` is ``L_k u_i``, so
     ``M[i, j] = sum_k a_k <L_k u_i, L_k u_j>_{G_k}`` in the metric of each
-    codomain ``G_k``, and likewise for ``rhs``.
+    codomain ``G_k``, and likewise for ``rhs``.  The ``A_k`` are stacked side
+    by side, from the stacked ``L_k``, and each column is weighted by its
+    codomain's metric and its block's ``a_k`` or ``b_k``, so the sums over
+    ``k`` are one product each.
     """
-    k = basis.shape[0]
-    M = np.zeros((k, k))
-    rhs = np.zeros(k)
-    for L_k, p_k, a_k, b_k in terms:
-        A = basis @ L_k.matrix.T
-        AW = A * L_k.codomain.weights
-        M += a_k * (AW @ A.T)
-        rhs += b_k * (AW @ p_k)
+    maps, points, a, b = zip(*terms)
+    A = basis @ np.vstack([L_k.matrix for L_k in maps]).T
+    W = [L_k.codomain.weights for L_k in maps]
+    M = (A * np.concatenate([a_k * W_k for a_k, W_k in zip(a, W)])) @ A.T
+    rhs = A @ np.concatenate([b_k * W_k * p_k for b_k, W_k, p_k in zip(b, W, points)])
     return M, rhs
 
 

@@ -28,7 +28,11 @@ construction.  Only the other factors, stacked into ``L_N``, are
 evaluated, a single one directly with no scatter into a stacked vector:
 the step is ``G x + h + L_N* (J_N(L_N x) - L_N x)`` and its Jacobian the
 dense ``G + L_N* (D_N(L_N x) - I) L_N``, None when a factor declares no
-derivative.
+derivative.  When all of ``B`` folds, or none of it does, ``B`` is taken
+whole as its one factor, on the caller's ``L`` and ``L*``: ``G`` and ``h``
+are then one product each, and an unfolded step is
+``L* (J(L x) - L x)`` with the Jacobian ``L* (D(L x) - I) L``, through
+``B``'s own evaluator and derivative, with nothing stacked.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures, which bounds the stacked map's norm) because that
@@ -91,16 +95,23 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
 
 
 def _cocomposition_step(A, A_adj, B, gamma):
-    """``(step, jacobian)`` of ``x -> A_adj (J_{gamma B}(A x) - A x)``, folded as said above."""
+    """``(step, jacobian)`` of ``x -> A_adj (J_{gamma B}(A x) - A x)``, folded as said above.
+
+    ``B``'s affine factors are folded when it has nonlinear ones too; a
+    ``B`` that is all affine or has no affine factor is one factor.
+    """
     gamma = B._check_scale(gamma)  # a product's scale rule covers its factors
-    G = h = 0.0  # the folded sums, arrays once a factor is folded
-    factors = B.factors or [(B, slice(None))]
+    factors = B.factors
+    if not factors or B.constant_derivative or not any(
+            B_k.constant_derivative for B_k, _sl in factors):
+        factors = [(B, slice(None))]  # all of B folds or none of it does: B is one factor
+    folded = [(B_k, sl) for B_k, sl in factors if B_k.constant_derivative]
     nonlinear = [(B_k, sl) for B_k, sl in factors if not B_k.constant_derivative]
-    for B_k, sl in factors:
-        if B_k.constant_derivative:
-            origin = np.zeros(len(A[sl]))
-            G += A_adj[:, sl] @ B_k.derivative(gamma, origin, A[sl])
-            h += A_adj[:, sl] @ B_k._evaluator(gamma, origin)
+    G = h = 0.0  # the folded sums, arrays once a factor is folded
+    for B_k, sl in folded:
+        origin = np.zeros(len(A[sl]))
+        G += A_adj[:, sl] @ B_k.derivative(gamma, origin, A[sl])
+        h += A_adj[:, sl] @ B_k._evaluator(gamma, origin)
     if not nonlinear:
         return (lambda x: G @ x + h), (lambda x: G)
     if len(nonlinear) == 1:
@@ -117,11 +128,13 @@ def _cocomposition_step(A, A_adj, B, gamma):
         y = A_N @ x
         return A_N_adj @ (resolve(gamma, y) - y)
 
-    jacobian = None if derivative is None else (
-        lambda x: G + A_N_adj @ derivative(gamma, A_N @ x, A_N))
-    if len(nonlinear) == len(factors):  # nothing folded
-        return nonlinear_step, jacobian
-    return (lambda x: G @ x + h + nonlinear_step(x)), jacobian
+    def nonlinear_jacobian(x):
+        return A_N_adj @ derivative(gamma, A_N @ x, A_N)
+
+    if not folded:
+        return nonlinear_step, None if derivative is None else nonlinear_jacobian
+    return (lambda x: G @ x + h + nonlinear_step(x)), None if derivative is None else (
+        lambda x: G + nonlinear_jacobian(x))
 
 
 def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):

@@ -541,7 +541,9 @@ class SubspaceProjector:
 
     def residual_norm(self, x):
         """Metric distance from ``x`` to the subspace."""
-        x = self.space.validate(x)
+        return self._residual_norm(self.space.validate(x))
+
+    def _residual_norm(self, x):
         return self.space._norm(x - self.matrix @ x)
 
     def __repr__(self):

@@ -22,9 +22,13 @@ element of the generalized Jacobian of its projection at ``x`` and ``A`` a
 matrix whose rows are the set's coordinates: a box scales rows, a ball or a
 halfspace adds a rank-one term outside the set, and a singleton or an affine
 subspace gives the constant ``-A`` or ``P A - A`` (``constant_derivative``).
+Where the projection is constant (a zero-radius ball, a box coordinate with
+``lower == upper``) ``D`` is 0.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -77,12 +81,15 @@ class Box(ConvexSet):
         # Each comparison is False on NaN; lower = inf or upper = -inf leaves the box empty.
         if not np.all((self.lower <= self.upper) & (self.lower < np.inf) & (self.upper > -np.inf)):
             raise ValidationError("empty box: needs lower <= upper, lower < inf, upper > -inf")
+        # The lower bound the derivative tests: +inf where lower == upper, as the
+        # projection is constant on such a coordinate and D = 0 there.
+        self._free_lower = np.where(self.lower < self.upper, self.lower, np.inf)
 
     def _project(self, x):
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def _derivative(self, x, A):
-        return (((self.lower <= x) & (x <= self.upper)) - 1.0)[:, None] * A
+        return (((self._free_lower <= x) & (x <= self.upper)) - 1.0)[:, None] * A
 
     def support(self, y):
         # The bound each component of y pushes towards; a zero component adds
@@ -112,13 +119,19 @@ class Ball(ConvexSet):
         return self.center + (self.radius / nd) * d
 
     def _derivative(self, x, A):
-        # Outside, D = s (I - d v^T) with s = radius / ||d|| and v = W d / ||d||^2.
+        # Outside, D = s (I - d v^T) with s = radius / ||d|| and v = W d / ||d||^2;
+        # a zero radius gives the constant projection, D = 0.
+        if self.radius == 0.0:
+            return -1.0 * A
         d = x - self.center
-        nd = self.space._norm(d)
+        Wd = self.space.weights * d
+        nd = math.sqrt(Wd.dot(d))
         if nd <= self.radius:
             return 0.0 * A
-        s, v = self.radius / nd, (self.space.weights * d) / nd**2
-        return (s - 1.0) * A - s * d[:, None] * (v @ A)
+        s = self.radius / nd
+        out = (s - 1.0) * A
+        out -= (s * d)[:, None] * ((Wd / nd**2) @ A)
+        return out
 
     def support(self, y):
         return self.space._inner(self.center, y) + self.radius * self.space._norm(y)
@@ -151,7 +164,7 @@ class Halfspace(ConvexSet):
         if self.space._inner(self.normal, x) <= self.offset:
             return 0.0 * A
         v = (self.space.weights * self.normal) / self._nn
-        return 0.0 * A - self.normal[:, None] * (v @ A)
+        return -self.normal[:, None] * (v @ A)
 
 
 class AffineSubspace(ConvexSet):

@@ -21,7 +21,9 @@ lifted at the end, and per step only for kept iterates or a reference.
 
 The step is that of the resolvent cocomposition of ``B`` with ``A``
 (:mod:`compositions`), built once per solve with the affine blocks folded:
-``g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)``.
+``g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)``.  A start ``x0 = 0``
+is the origin of V: its coordinates are ``c_0 = 0``, taken with no
+product with the basis and no membership test.
 
 One private loop drives these solvers and :func:`proximal_point`.  A step
 records only ``fp_residual`` and ``wall_ns`` (and ``dist_ref`` and kept
@@ -346,12 +348,17 @@ class RelaxedInstance:
         return resolvent_composition(self.V.as_map(), coco, 1.0)
 
     def fixed_point_residual(self, x):
-        x = self.space.validate(x)
+        return self._fixed_point_residual(self.space.validate(x))
+
+    def _fixed_point_residual(self, x):
         return self.space._norm(self._relaxed_resolvent(x) - x)
 
     def original_residual(self, x):
         """``||L x - J_{gamma B}(L x)||`` -- zero iff ``x`` solves the original problem."""
-        y = self.L.matrix @ self.space.validate(x)
+        return self._original_residual(self.space.validate(x))
+
+    def _original_residual(self, x):
+        y = self.L.matrix @ x
         return self.L.codomain._norm(y - self.B._resolve(self.gamma, y))
 
 
@@ -365,9 +372,12 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, ja
     x = space.validate(x0)
     ref = None if reference is None else space.validate(reference)
     trace = Trace()
-    c = basis @ (space.weights * x)
-    if space._norm(x - c @ basis) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
-        trace.x0_projected = True
+    if not x.any():  # the origin lies in V and its coordinates are 0, exactly
+        c = np.zeros(len(basis))
+    else:
+        c = basis @ (space.weights * x)
+        if space._norm(x - c @ basis) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
+            trace.x0_projected = True
     c, trace = _iterate(
         step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
         distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
@@ -444,14 +454,14 @@ def verify_exact_relaxation(inst, x, tol, known_feasible=None):
     the original problem, as the exact relaxation says it must.
     """
     x = inst.space.validate(x)
-    relaxed = inst.fixed_point_residual(x)
-    original = inst.original_residual(x)
-    membership = inst.V.residual_norm(x)
+    relaxed = inst._fixed_point_residual(x)
+    original = inst._original_residual(x)
+    membership = inst.V._residual_norm(x)
     is_solution = relaxed <= tol and membership <= tol
     s1_attained = None
     if known_feasible is not None:
         cert = inst.space.validate(known_feasible)
-        if inst.original_residual(cert) > tol or inst.V.residual_norm(cert) > tol:
+        if inst._original_residual(cert) > tol or inst.V._residual_norm(cert) > tol:
             raise ValidationError("supplied certificate does not solve the original problem")
         s1_attained = bool(original <= tol)
     if not is_solution:

@@ -30,6 +30,11 @@ def qr_calls(monkeypatch):
     return _shapes_passed(monkeypatch, "qr")
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    return _shapes_passed(monkeypatch, "solve")
+
+
 @pytest.fixture(scope="session")
 def workloads():
     """The benchmark's seeded configuration generator, ``benchmarks/workloads.py``."""

@@ -111,6 +111,23 @@ class TestSpecificSets:
             got = M @ x + cset.project(space.zeros())
             assert got == pytest.approx(cset.project(x), abs=1e-14)
 
+    @pytest.mark.parametrize("case", ["zero-radius-ball", "pinned-box-coordinate"])
+    def test_constant_projection_has_a_zero_derivative(self, case):
+        # At a zero-radius ball's centre, and on a box coordinate with lower == upper,
+        # the projection is constant: D = 0 there, so (D - I) A = -A, as a central
+        # difference of the projection shows.
+        space = Space(3, [0.5, 1.0, 2.5])
+        point = np.array([0.3, -1.2, 0.7])
+        if case == "zero-radius-ball":
+            cset, want = Ball(space, point, 0.0), np.zeros((3, 3))
+        else:
+            cset, want = Box(space, [0.3, -2.0, -2.0], [0.3, 2.0, 2.0]), np.diag([0.0, 1.0, 1.0])
+        h = 1e-6
+        columns = [(cset.project(point + h * e) - cset.project(point - h * e)) / (2.0 * h)
+                   for e in np.eye(3)]
+        assert np.max(np.abs(np.array(columns).T - want)) <= 1e-9
+        assert np.array_equal(cset._derivative(point, np.eye(3)) + np.eye(3), want)
+
     def test_unbounded_box(self):
         space = Space(2)
         cset = Box(space, [0.0, -np.inf], [np.inf, 0.0])

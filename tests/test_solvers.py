@@ -507,6 +507,17 @@ class TestCoordinateKernel:
         self.check_every_update_uses_lambda(solver, 1.0, monkeypatch)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_zero_start_is_the_origin_of_v(self, solver):
+        inst, _ = coordinate_instance()
+        _, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=2),
+                          keep_iterates=True)
+        assert not trace.x0_projected and not np.any(trace.iterates[0])
+        A = inst.A
+        step, _ = _cocomposition_step(A, A.T * inst.L.codomain.weights, inst.B, inst.gamma)
+        assert trace.fp_residual[0] == pytest.approx(
+            coordinate_norm(step(np.zeros(inst.V.rank))), rel=1e-12)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_x0_off_v_is_projected_and_flagged(self, solver):
         inst, x0 = coordinate_instance()
         _, inside = solver(inst, x0, Schedule(max_iterations=2), keep_iterates=True)
@@ -580,6 +591,75 @@ class TestAffineFold:
         _cocomposition_step(A, A, B, 1.0)
         with pytest.raises(ScaleRestrictionError):
             _cocomposition_step(A, A, B, 2.0)
+
+
+class TestCocompositionStep:
+    """``_cocomposition_step`` against the written-out step ``A* (J(A c) - A c)`` and its
+    Jacobian ``A* (D(A c) - I) A``, in each of its cases."""
+
+    CASES = {
+        "all-folded": ("point",) * 4,
+        "none-folded": ("box", "ball", "half", "ball"),
+        "mixed": ("box", "ball", "point", "ball"),
+        "one-nonlinear": ("point", "box", "point", "point"),
+        "single-block": ("ball",),
+        "non-product": "ball",
+        "non-product-affine": "point",
+    }
+    UNFOLDED = ["none-folded", "single-block", "non-product"]
+
+    @staticmethod
+    def written_out(case):
+        """``(A, A*, B, gamma, c)``; a non-product ``B`` is the normal cone of one set."""
+        tags = TestCocompositionStep.CASES[case]
+        if isinstance(tags, tuple):
+            inst, x0 = coordinate_instance(tags)
+            A = inst.A
+            return A, A.T * inst.L.codomain.weights, inst.B, inst.gamma, inst.V.basis @ (
+                inst.space.weights * x0)
+        rng = np.random.default_rng(7)
+        G = Space(30, rng.uniform(0.5, 2.0, size=30))
+        cset = Ball(G, np.ones(30), 0.2) if tags == "ball" else Singleton(G, G.random(rng))
+        A = rng.standard_normal((30, 12)) / np.sqrt(30)
+        return A, A.T * G.weights, normal_cone(cset), 0.8, rng.standard_normal(12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_written_out_forms(self, case):
+        A, A_adj, B, gamma, c = self.written_out(case)
+        step, jacobian = _cocomposition_step(A, A_adj, B, gamma)
+        for z in (c, 0.0 * c, 3.0 * c):
+            y = A @ z
+            want_step = A_adj @ (B._evaluator(gamma, y) - y)
+            want_jacobian = A_adj @ B.derivative(gamma, y, A)
+            assert np.max(np.abs(step(z) - want_step)) <= 1e-12 * np.max(np.abs(want_step))
+            assert np.max(np.abs(jacobian(z) - want_jacobian)) <= \
+                1e-12 * np.max(np.abs(want_jacobian))
+
+    @pytest.mark.parametrize("case", UNFOLDED)
+    def test_nothing_folded_is_the_written_out_forms_bit_for_bit(self, case):
+        A, A_adj, B, gamma, c = self.written_out(case)
+        step, jacobian = _cocomposition_step(A, A_adj, B, gamma)
+        y = A @ c
+        assert np.array_equal(step(c), A_adj @ (B._evaluator(gamma, y) - y))
+        assert np.array_equal(jacobian(c), A_adj @ B.derivative(gamma, y, A))
+
+    def test_kinds_small_updates(self, workloads, solve_calls):
+        # The benchmark's kinds-small configs of seed 0, from x0 = 0: every update is a
+        # Newton candidate, and each takes one LU solve.
+        pins, solves = {}, 0
+        for name, config in workloads.kinds_small(0):
+            spec = InstanceSpec.from_dict(config)
+            inst = generate_instance(spec)
+            before = len(solve_calls)
+            _, trace = solve_relaxed(inst, inst.space.zeros(), spec.build_schedule())
+            solves += len(solve_calls) - before
+            assert trace.reason == "converged" and not trace.x0_projected
+            pins[name] = (trace.iterations, trace.newton_candidates, trace.fallbacks)
+        assert pins == {f"{kind}-n{n}": (k, k, 0) for n in (4, 50) for kind, k in [
+            ("split-feasibility-mixed", 4), ("split-feasibility-singletons", 1),
+            ("common-zero", 4), ("feasibility-product", 3), ("wiener", 1),
+            ("prox-mixture", 1 if n == 4 else 2)]}
+        assert sum(k for k, _, _ in pins.values()) == solves == 29
 
 
 def coordinate_norm(g):
