@@ -382,25 +382,27 @@ def least_squares_oracle(inst):
 def wiener_oracle(inst):
     """Direct solve of the Wiener stationarity system over V, for linear blocks.
 
-    Only available when every forward map is a scaled identity ``c_k Id``,
-    whose family declares the constant derivative ``1 - c_k`` of its
-    resolvent ``(1 - c_k) y + p_k``, with ``p_k = J_1(0)``: its
-    ``derivative(1, 0, 1)`` is ``(1 - c_k) - 1 = -c_k``.  The stationarity
-    condition ``sum_k w_k L_k* (c_k L_k x - p_k) = 0`` restricted to V's
-    basis is then a small linear system.  Returns ``(x, rank_deficient)``.
+    Only available when every forward map is a scaled identity ``c_k Id``
+    (a number, or the projection onto a singleton, ``c_k = 0``): its family
+    declares the constant derivative ``(1 - c_k) Id`` of its resolvent
+    ``(1 - c_k) y + p_k``, with ``p_k = J_1(0)``, so ``D - I`` read on the
+    block's identity matrix is exactly ``-c_k I``; any other block raises
+    ``ValidationError``.  The stationarity condition
+    ``sum_k w_k L_k* (c_k L_k x - p_k) = 0`` restricted to V's basis is
+    then a small linear system.  Returns ``(x, rank_deficient)``.
     The system is singular when some direction of V is mapped to 0 by every
     ``L_k`` with ``c_k > 0`` (as when every ``c_k = 0``); ``x`` is then its
     least-squares solution.
     """
     if inst.kind != "wiener" or not inst.blocks:
         raise ValidationError("wiener_oracle needs a wiener instance built from blocks")
-    if not all(B_k.constant_derivative for _L_k, B_k, _w_k in inst.blocks):
-        raise ValidationError("wiener_oracle needs scaled-identity forward maps")
     terms = []
     for L_k, B_k, w_k in inst.blocks:
-        origin = B_k.space.zeros()
-        c_k, p_k = -B_k.derivative(1.0, origin, 1.0), B_k._evaluator(1.0, origin)
-        terms.append((L_k, p_k, w_k * c_k, w_k))
+        origin, eye = B_k.space.zeros(), np.eye(B_k.space.dim)
+        D = B_k.derivative(1.0, origin, eye) if B_k.constant_derivative else None
+        if D is None or not np.array_equal(D, D[0, 0] * eye):
+            raise ValidationError("wiener_oracle needs scaled-identity forward maps")
+        terms.append((L_k, B_k._evaluator(1.0, origin), w_k * -float(D[0, 0]), w_k))
     return _solve_normal_equations(inst.V.basis, terms)
 
 
@@ -431,7 +433,6 @@ class RunReport:
     verdict: str
     oracle: dict | None
     trace_path: str | None
-    x0_projected: bool
     certificates: dict
     newton: bool    # whether the run tried Newton candidates; False: the plain relaxed steps
     fallbacks: int  # Newton candidates the safeguard rejected
@@ -512,7 +513,6 @@ def execute(spec, unsafe=False):
             verdict=report_check.verdict,
             oracle=oracle_entry,
             trace_path=None,
-            x0_projected=trace.x0_projected,
             certificates=certificates(inst),
             newton=schedule.newton,
             fallbacks=trace.fallbacks,

@@ -24,8 +24,8 @@ Everything else in the package is built on the three objects defined here:
 :func:`_scale` is the one reader of a resolvent scale or a weight, finite and positive.
 
 :func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
-:func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, cached per
-scale; the linear resolvents and quadratic proxes are built on both.
+:func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, kept for the
+last scale; the linear resolvents and quadratic proxes are built on both.
 
 Vectors are plain 1-D ``numpy`` arrays, validated once at the public
 boundary: public methods and constructors pass them through
@@ -48,6 +48,7 @@ race on it only compute it twice.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -68,10 +69,6 @@ NORM_GATE_TOL = 1e-9
 # A norm bound below this is comfortably finite: the factor 2 below DBL_MAX
 # absorbs the rounding of the bound and of the SVD that may later compute it.
 NORM_BOUND_LIMIT = 0.5 * sys.float_info.max
-
-# Scales whose inverse shifted_inverse keeps; a full cache is emptied, so a
-# caller sweeping many scales holds at most this many matrices.
-INVERSE_CACHE_SIZE = 16
 
 # Space.validate takes the math.hypot of a vector up to this length as a Python
 # list, cheaper than np.vdot below about 30 entries; a longer one takes np.vdot.
@@ -381,10 +378,10 @@ class LinearMap:
             raise DimensionMismatchError("spaces do not chain in compose()")
         return LinearMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
-    def is_isometry(self, tol=1e-10):
-        """Whether L* L == Id holds numerically."""
+    def is_isometry(self):
+        """Whether L* L == Id holds numerically (entrywise within 1e-10)."""
         gram = self.adjoint_matrix @ self.matrix
-        return bool(np.max(np.abs(gram - np.eye(self.domain.dim))) <= tol)
+        return bool(np.max(np.abs(gram - np.eye(self.domain.dim))) <= 1e-10)
 
     def __repr__(self):
         # A repr never forces the SVD: the norm shows once something has read it.
@@ -426,28 +423,23 @@ def check_monotone(space, M, what):
 
 
 def shifted_inverse(M):
-    """``gamma -> (Id + gamma M)^{-1}`` as a dense matrix, cached per ``gamma``.
+    """``gamma -> (Id + gamma M)^{-1}`` as a dense matrix, kept for the last ``gamma``.
 
     ``M`` must be monotone in some diagonal metric ``W`` (callers check
     this with :func:`check_monotone`).  Then
     ``<(Id + gamma M) x, x>_W >= ||x||_W^2``, so the inverse has W-norm at
     most 1 and condition number at most ``1 + gamma ||M||``: one explicit
     inverse per scale is as accurate as a factorization, and each later
-    evaluation is a single matrix-vector product.  Filling the cache twice
-    for one scale is harmless, so concurrent callers need no lock.
+    evaluation is a single matrix-vector product.  The solvers and property
+    suites evaluate each family at one scale, so one entry is the whole
+    cache; the ``lru_cache`` that holds it is thread-safe.
     """
     M = np.asarray(M, dtype=float)
     eye = np.eye(M.shape[0])
-    cache = {}
 
+    @functools.lru_cache(maxsize=1)
     def inverse(gamma):
-        inv = cache.get(gamma)
-        if inv is None:
-            if len(cache) >= INVERSE_CACHE_SIZE:
-                cache.clear()
-            inv = np.linalg.inv(eye + gamma * M)
-            cache[gamma] = inv
-        return inv
+        return np.linalg.inv(eye + gamma * M)
 
     return inverse
 

@@ -55,8 +55,8 @@ their pairs per map.
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
-idempotent per-scale inverse cache of :func:`hilbert.shifted_inverse`,
-which is safe to race).
+inverse for the last scale in :func:`hilbert.shifted_inverse`'s
+thread-safe one-entry cache).
 """
 
 from __future__ import annotations
@@ -232,8 +232,8 @@ def linear_monotone(space, M):
     """A monotone linear operator ``M``: the resolvent solves ``(Id + gamma M) x = y``.
 
     Monotonicity in the metric means the symmetric part of ``W M`` is PSD;
-    this is validated at construction.  ``(Id + gamma M)^{-1}`` is cached
-    per scale.
+    this is validated at construction.  ``(Id + gamma M)^{-1}`` is kept
+    for the last scale.
     """
     M, _ = check_monotone(space, M, "linear operator")
     inverse = shifted_inverse(M)

@@ -155,7 +155,7 @@ def quadratic(space, Q, b=None):
 
     ``Q`` must be self-adjoint positive semidefinite with respect to the
     metric.  The prox is ``(Id + gamma Q)^{-1}(x + gamma b)``, with the
-    inverse cached per scale.
+    inverse kept for the last scale.
     """
     Q, min_eig = check_monotone(space, Q, "quadratic form")
     WQ = space.weights[:, None] * Q
@@ -296,7 +296,7 @@ def proximal_mixture_prox(gs, Ls, weights, x):
     return resolvent_mixture(Bs, Ls, weights).resolvent(1.0, x)
 
 
-def proximal_composition_value(L, g, x, inner_tol=1e-10, unsafe=False):
+def proximal_composition_value(L, g, x, inner_tol=1e-10):
     """Value of the proximal composition of ``g`` with ``L`` at ``x``.
 
     Evaluates ``min { g(y) + ||y||^2/2 : L* y = x } - ||x||^2/2``
@@ -308,7 +308,7 @@ def proximal_composition_value(L, g, x, inner_tol=1e-10, unsafe=False):
     Returns ``inf`` when the affine constraint ``L* y = x`` is infeasible
     (least-squares residual above 1e-8).
     """
-    check_contraction([L], unsafe=unsafe)
+    check_contraction([L])
     if not g.has_value:
         raise CapabilityError("proximal_composition_value needs a value oracle")
     g.subdifferential._check_scale(0.5)  # the inner solve takes prox_{g/2}

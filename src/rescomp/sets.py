@@ -55,9 +55,6 @@ class ConvexSet:
         """Projection of a validated vector (no checks)."""
         raise NotImplementedError
 
-    def contains(self, x, tol=1e-8):
-        return self._distance(self.space.validate(x)) <= tol
-
     def distance(self, x):
         return self._distance(self.space.validate(x))
 

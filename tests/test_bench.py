@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from rescomp.bench import (
     generate_instance,
     least_squares_oracle,
     normal_equations,
+    oracle_command,
     run,
     wiener_oracle,
 )
@@ -198,6 +200,30 @@ ZERO_WIENER = {
     "sets": [{"f": {"tag": "scale", "c": 0.0}, "point": [1.0]},
              {"f": {"tag": "scale", "c": 0.0}, "point": [3.0]}],
     "schedule": {"max_iterations": 50},
+}
+
+
+# A Wiener block whose forward map projects onto a line: its derivative is
+# constant but no scaled identity, so the instance has no closed-form oracle.
+AFFINE_WIENER = {
+    "kind": "wiener", "spaces": {"domain": {"dim": 2}, "blocks": [{"dim": 2}, {"dim": 2}]},
+    "weights": [0.5, 0.5], "subspace": [[1.0, 1.0]],
+    "sets": [{"f": {"tag": "projection", "set": {"tag": "affine", "anchor": [0.0, 1.0],
+                                                 "directions": [[1.0, 0.0]]}},
+              "point": [1.0, 0.0]},
+             {"f": {"tag": "scale", "c": 0.5}, "point": [3.0, 1.0]}],
+    "schedule": {"max_iterations": 200},
+}
+
+# Forward sets of R^3 for Wiener projection blocks, the last three affine.
+FORWARD_SETS = {
+    "singleton": {"tag": "singleton", "point": [1.0, 0.0, 0.0]},
+    "box": {"tag": "box", "lower": [-1.0, 0.0, 0.0], "upper": [0.0, 1.0, 2.0]},
+    "ball": {"tag": "ball", "center": [0.0, 1.0, 0.0], "radius": 1.0},
+    "halfspace": {"tag": "halfspace", "normal": [1.0, 1.0, 0.0], "offset": 1.0},
+    "line": {"tag": "affine", "anchor": [0.0, 1.0, 0.0], "directions": [[1.0, 0.0, 0.0]]},
+    "plane": {"tag": "affine", "anchor": [0.0, 0.0, 1.0],
+              "directions": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
 }
 
 
@@ -653,6 +679,40 @@ class TestProjectionWiener:
         assert (report.reason, report.iterations, trace.newton_candidates) == ("converged", 1, 1)
         assert plain.converged and plain.iterations > 1
         assert np.linalg.norm(np.subtract(report.final_iterate, plain.final_iterate)) <= 1e-8
+
+    def test_affine_forward_has_no_oracle(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(AFFINE_WIENER))
+        lines = []
+        assert run(str(path), out=lines.append) == 0
+        report = json.loads(lines[0])
+        assert (report["verdict"], report["oracle"]) == ("relaxed only", None)
+        lines = []
+        assert oracle_command(str(path), out=lines.append) == 1
+        assert lines == ["error: wiener_oracle needs scaled-identity forward maps"]
+
+    def test_every_pair_of_forward_sets_runs_without_raising(self, tmp_path):
+        # Only a pair of singletons (c = 0 twice) has an oracle; its system is singular.
+        path = tmp_path / "config.json"
+        for first, second in itertools.product(FORWARD_SETS, repeat=2):
+            path.write_text(json.dumps({
+                "kind": "wiener",
+                "spaces": {"domain": {"dim": 3}, "blocks": [{"dim": 3}, {"dim": 3}]},
+                "weights": [0.5, 0.5], "subspace": [[1.0, 1.0, 1.0]],
+                "sets": [{"f": {"tag": "projection", "set": FORWARD_SETS[first]},
+                          "point": [1.0, 0.0, 2.0]},
+                         {"f": {"tag": "projection", "set": FORWARD_SETS[second]},
+                          "point": [3.0, 1.0, 0.0]}],
+                "schedule": {"max_iterations": 200},
+            }))
+            has_oracle = first == second == "singleton"
+            for unsafe in (False, True):
+                lines = []
+                assert run(str(path), unsafe=unsafe, out=lines.append) in (0, 2)
+                assert (json.loads(lines[0])["oracle"] is not None) == has_oracle
+            lines = []
+            assert oracle_command(str(path), out=lines.append) == (0 if has_oracle else 1)
+            assert lines[0].startswith("{" if has_oracle else "error: wiener_oracle needs")
 
     def test_far_box_forward_runs_out_with_exit_two(self, workloads, tmp_path, monkeypatch):
         # Unit boxes at standard normal centres with V the whole space: no

@@ -522,7 +522,8 @@ class TestSettableValues:
         lambda L, g, x: proximal_cocomposition_prox(L, g, x, unsafe=True),
         lambda L, g, x: proximal_mixture_prox([g], [L], [1.0], x, unsafe=True),
         lambda L, g, x: proximal_composition_value(L, g, x, max_iterations=10),
-    ], ids=["composition", "cocomposition", "mixture", "value-max-iterations"])
+        lambda L, g, x: proximal_composition_value(L, g, x, unsafe=True),
+    ], ids=["composition", "cocomposition", "mixture", "value-max-iterations", "value-unsafe"])
     def test_removed_parameters(self, call):
         with pytest.raises(TypeError, match="unexpected keyword"):
             call(identity_map(R1), one_norm(R1), [1.0])

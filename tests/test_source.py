@@ -76,3 +76,21 @@ def test_the_solvers_write_no_resolvent_or_jacobian_formula():
     read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not read & {"_evaluator", "derivative", "factors"}
     assert "_blockwise" not in {name for _line, name in _imported(tree)}
+
+
+def _is_number_literal(node):
+    """Whether ``node`` is a numeric literal such as ``1.0`` or ``-1``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex))
+
+
+def test_derivative_is_always_applied_to_a_matrix():
+    # derivative(gamma, y, A) returns (D - I) A for a matrix A; a number in
+    # A's place reads D only for a scalar family and breaks on a set's projector.
+    calls = [f"{module}:{node.lineno}" for module, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "derivative" and len(node.args) >= 3
+             and _is_number_literal(node.args[2])]
+    assert not calls, f"derivative called with a number for its matrix: {calls}"
