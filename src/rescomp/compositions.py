@@ -19,26 +19,19 @@ other family's.  Beside each formula sits its derivative by the chain rule
 and ``I + L* (D_B - I) L``.
 
 ``_cocomposition_step`` writes the cocomposition's step and its Jacobian
-once, for any matrix ``L`` and adjoint ``L*``.  A factor ``B_k`` of ``B``
-(``B`` itself when it is not a product) with a constant derivative
-``D_k`` has the affine resolvent ``J(y) = D_k y + J(0)`` (see
-:mod:`operators`): its part of the step is ``G x + h``, with
-``G = L_k* (D_k - I) L_k`` and ``h = L_k* J(0)`` summed once, at
-construction.  Only the other factors, stacked into ``L_N``, are
-evaluated, a single one directly with no scatter into a stacked vector:
-the step is ``G x + h + L_N* (J_N(L_N x) - L_N x)`` and its Jacobian the
-dense ``G + L_N* (D_N(L_N x) - I) L_N``, None when a factor declares no
-derivative.  When all of ``B`` folds, or none of it does, ``B`` is taken
-whole as its one factor, on the caller's ``L`` and ``L*``: ``G`` and ``h``
-are then one product each, and an unfolded step is
-``L* (J(L x) - L x)`` with the Jacobian ``L* (D(L x) - I) L``, through
-``B``'s own evaluator and derivative, with nothing stacked.
+once, for any matrix ``L`` and adjoint ``L*``, in two cases.  A ``B`` with
+a constant derivative ``D`` (a product of affine factors included) has the
+affine resolvent ``J(y) = D y + J(0)`` (see :mod:`operators`), so it is
+folded whole at construction: the step is ``G x + h`` and its Jacobian
+``G``, with ``G = L* (D - I) L`` and ``h = L* J(0)``.  Any other ``B`` is
+evaluated whole, through its own evaluator and derivative: the step is
+``L* (J(L x) - L x)`` and its Jacobian ``L* (D(L x) - I) L``, None when
+``B`` declares no derivative.
 
 Every constructor gates on ``0 < ||L|| <= 1`` (or the weighted-sum
 condition for mixtures, which bounds the stacked map's norm) because that
 is what makes the composed resolvent firmly nonexpansive and the composed
-operator monotone; the ``unsafe`` flag of the composition, cocomposition
-and mixture lifts the upper bound for exploration, never the lower one.
+operator monotone, and none of them offers a bypass.
 The scale parameter is frozen at construction: the family parametrized by
 gamma is a different operator for each gamma, so a composed operator only
 answers for its native resolvent at scale 1.  The inner scale is checked
@@ -53,16 +46,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .hilbert import (NORM_GATE_TOL, _real, _scale, block_slices, check_contraction, identity_map,
-                      stack)
-from .operators import ResolventFamily, _blockwise, product_family
+from .hilbert import NORM_GATE_TOL, _real, _scale, check_contraction, identity_map, stack
+from .operators import ResolventFamily, product_family
 
 
-def resolvent_composition(L, B, gamma=1.0, unsafe=False):
+def resolvent_composition(L, B, gamma=1.0):
     """The operator whose resolvent is ``x -> L*(J_{gamma B}(L x))``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe)
+    check_contraction([L])
     return _composition(L, B, gamma)
 
 
@@ -82,11 +74,11 @@ def _composition(L, B, gamma):
                            constant_derivative=B.constant_derivative)
 
 
-def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
+def resolvent_cocomposition(L, B, gamma=1.0):
     """The operator whose resolvent is ``x -> x + L*(J_{gamma B}(L x) - L x)``."""
     if L.codomain != B.space:
         raise DimensionMismatchError("L must map into the space of B")
-    check_contraction([L], unsafe=unsafe)
+    check_contraction([L])
     step, jacobian = _cocomposition_step(L.matrix, L.adjoint_matrix, B, gamma)
     return ResolventFamily(L.domain, "composed(cocomposition)", lambda _one, x: x + step(x),
                            scale_domain=1.0, derivative=None if jacobian is None else (
@@ -95,49 +87,22 @@ def resolvent_cocomposition(L, B, gamma=1.0, unsafe=False):
 
 
 def _cocomposition_step(A, A_adj, B, gamma):
-    """``(step, jacobian)`` of ``x -> A_adj (J_{gamma B}(A x) - A x)``, folded as said above.
-
-    ``B``'s affine factors are folded when it has nonlinear ones too; a
-    ``B`` that is all affine or has no affine factor is one factor.
-    """
-    gamma = B._check_scale(gamma)  # a product's scale rule covers its factors
-    factors = B.factors
-    if not factors or B.constant_derivative or not any(
-            B_k.constant_derivative for B_k, _sl in factors):
-        factors = [(B, slice(None))]  # all of B folds or none of it does: B is one factor
-    folded = [(B_k, sl) for B_k, sl in factors if B_k.constant_derivative]
-    nonlinear = [(B_k, sl) for B_k, sl in factors if not B_k.constant_derivative]
-    G = h = 0.0  # the folded sums, arrays once a factor is folded
-    for B_k, sl in folded:
-        origin = np.zeros(len(A[sl]))
-        G += A_adj[:, sl] @ B_k.derivative(gamma, origin, A[sl])
-        h += A_adj[:, sl] @ B_k._evaluator(gamma, origin)
-    if not nonlinear:
+    """``(step, jacobian)`` of ``x -> A_adj (J_{gamma B}(A x) - A x)``: an affine ``B`` folded."""
+    gamma, D = B._check_scale(gamma), B.derivative  # a product's scale rule covers its factors
+    if B.constant_derivative:
+        origin = np.zeros(len(A))
+        G = A_adj @ D(gamma, origin, A)
+        h = A_adj @ B._evaluator(gamma, origin)
         return (lambda x: G @ x + h), (lambda x: G)
-    if len(nonlinear) == 1:
-        B_N, sl = nonlinear[0]
-        A_N, A_N_adj = A[sl], A_adj[:, sl]
-        resolve, derivative = B_N._evaluator, B_N.derivative
-    else:  # the nonlinear factors, blockwise on their stacked rows
-        A_N = np.vstack([A[sl] for _B_k, sl in nonlinear])
-        A_N_adj = np.hstack([A_adj[:, sl] for _B_k, sl in nonlinear])
-        fams = [B_k for B_k, _sl in nonlinear]
-        resolve, derivative = _blockwise(list(zip(fams, block_slices([f.space for f in fams]))))
 
-    def nonlinear_step(x):
-        y = A_N @ x
-        return A_N_adj @ (resolve(gamma, y) - y)
+    def step(x):
+        y = A @ x
+        return A_adj @ (B._evaluator(gamma, y) - y)
 
-    def nonlinear_jacobian(x):
-        return A_N_adj @ derivative(gamma, A_N @ x, A_N)
-
-    if not folded:
-        return nonlinear_step, None if derivative is None else nonlinear_jacobian
-    return (lambda x: G @ x + h + nonlinear_step(x)), None if derivative is None else (
-        lambda x: G + nonlinear_jacobian(x))
+    return step, None if D is None else (lambda x: A_adj @ D(gamma, A @ x, A))
 
 
-def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
+def resolvent_mixture(Bs, Ls, weights, gamma=1.0):
     """Weighted mixture with resolvent ``sum_k w_k L_k* J_{gamma B_k} L_k``.
 
     With all maps equal to the identity and weights summing to one this is
@@ -153,7 +118,7 @@ def resolvent_mixture(Bs, Ls, weights, gamma=1.0, unsafe=False):
             raise DimensionMismatchError("each map must land in its operator's space")
     # ||stack||^2 <= sum_k w_k ||L_k||^2, and the stack is zero only when every
     # L_k is: this gate implies the stacked map's own, which is not taken again.
-    check_contraction(Ls, weights, unsafe=unsafe)
+    check_contraction(Ls, weights)
     return _composition(stack(Ls, weights), product_family(Bs, weights), gamma)
 
 

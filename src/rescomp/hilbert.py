@@ -23,7 +23,7 @@ Everything else in the package is built on the three objects defined here:
 :func:`_real` and :func:`_count` read a scalar strictly (a bool is refused);
 :func:`_scale` is the one reader of a resolvent scale or a weight, finite and positive.
 
-:func:`check_monotone` tests that a matrix ``M`` is monotone in a metric and
+:func:`check_monotone` tests that a finite matrix ``M`` is monotone in a metric and
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, kept for the
 last scale; the linear resolvents and quadratic proxes are built on both.
 
@@ -412,6 +412,8 @@ def check_monotone(space, M, what):
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
         raise ValidationError(f"{what} has wrong shape")
+    if not np.isfinite(M).all():  # eigvalsh gives NaN, which no comparison refuses
+        raise ValidationError(f"{what} has non-finite entries")
     WM = space.weights[:, None] * M
     sym = 0.5 * (WM + WM.T)
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))

@@ -34,20 +34,20 @@ a rank-one term), and each derived family (``scaled``, ``inverse``,
 products, the compositions of :mod:`~rescomp.compositions`) by the chain
 rule beside its resolvent formula.  Where ``D`` does not depend on ``y``,
 ``constant_derivative`` is set, so ``J_{gamma B}(y) = D y + J_{gamma B}(0)``
-and a cocomposition (which the relaxed solvers iterate) folds the block
-into one matrix: zero, scaled identity, linear, the normal cones of
-singletons and affine subspaces, quadratics, half squared distances, a
-Wiener block built from a number or from a singleton or affine set, and a
-derived family exactly when its inner one is.  Only a Wiener block with a
-callable forward map, and a family built from one, declares none
-(``derivative`` is None).  A product also lists its ``(family, slice)``
-``factors``, so that the cocomposition can fold its affine factors.
+and a cocomposition (which the relaxed solvers iterate) folds such a
+family whole into one matrix: zero, scaled identity, linear, the normal
+cones of singletons and affine subspaces, quadratics, half squared
+distances, a Wiener block built from a number or from a singleton or
+affine set, and a derived family or a product exactly when every family
+it is built from is.  Only a Wiener block with a callable forward map, and
+a family built from one, declares none (``derivative`` is None).  A
+product also lists its ``(family, slice)`` ``factors``, whose slices the
+separable sum of :mod:`~rescomp.proxfun` reads.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
-one blockwise evaluator and derivative (of products and of the
-cocomposition's nonlinear factors), ``_check_scale`` the one scale rule
-(:func:`~rescomp.hilbert._scale`, then the family's domain) and
+blockwise evaluator and derivative of products, ``_check_scale`` the one
+scale rule (:func:`~rescomp.hilbert._scale`, then the family's domain) and
 ``_firm_defect`` the one firm-nonexpansiveness test, of one pair or of a
 stack of pairs with every output validated: ``make_wiener`` tests the 100
 seeded pairs of a callable forward map at once, and the property suites

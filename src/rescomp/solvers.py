@@ -20,10 +20,11 @@ fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
 lifted at the end, and per step only for kept iterates or a reference.
 
 The step is that of the resolvent cocomposition of ``B`` with ``A``
-(:mod:`compositions`), built once per solve with the affine blocks folded:
-``g_n = G c_n + h + A_N* (J_N(A_N c_n) - A_N c_n)``.  A start ``x0 = 0``
-is the origin of V: its coordinates are ``c_0 = 0``, taken with no
-product with the basis and no membership test.
+(:mod:`compositions`), built once per solve: ``g_n = A* (J(A c_n) - A c_n)``
+through ``B``'s own evaluator, or ``G c_n + h`` for an affine ``B``, folded
+at construction.  A start ``x0`` begins at ``c_0 = U^T W x0``, the
+coordinates of its projection onto V; ``x0 = 0`` is the origin of V, whose
+coordinates ``c_0 = 0`` take no product with the basis.
 
 One private loop drives these solvers and :func:`proximal_point`.  A step
 records only ``fp_residual`` and ``wall_ns`` (and ``dist_ref`` and kept
@@ -40,14 +41,14 @@ hypotheses; :func:`write_atomically` writes traces and run reports.
 ``Schedule(newton=True)`` accelerates the one loop for the coordinate
 solvers.  Each update first tries the semismooth Newton candidate
 ``c - J(c)^-1 g(c)`` (Li, Sun & Toh 2018), then the plain step.
-``J(c) = G + A_N* (D_N(A_N c) - I) A_N``, the cocomposition's Jacobian, is
-solved by one ``r x r`` LU factorization; only a singular nonzero ``J``
-takes a least-squares solve with a relative rank cutoff, and a zero ``J``
-gives no candidate.  When every block is affine, ``J = G`` is constant and the
-first candidate is the exact fixed point ``c_0 - G^-1 g(c_0)``, so such a
-run converges in one update.  When a nonlinear block declares no
-derivative (a Wiener block with a callable forward map) there is no
-candidate, and the run takes the plain steps.
+``J(c) = A* (D(A c) - I) A``, the cocomposition's Jacobian (``G`` for an
+affine ``B``), is solved by one ``r x r`` LU factorization; only a
+singular nonzero ``J`` takes a least-squares solve with a relative rank
+cutoff, and a zero ``J`` gives no candidate.  When every block is affine,
+``J = G`` is constant and the first candidate is the exact fixed point
+``c_0 - G^-1 g(c_0)``, so such a run converges in one update.  When a
+nonlinear block declares no derivative (a Wiener block with a callable
+forward map) there is no candidate, and the run takes the plain steps.
 
 A candidate is taken only if its residual is below the current one and
 at most ``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates
@@ -79,7 +80,6 @@ from .hilbert import _count, _real, check_contraction, stack
 from .operators import product_family
 
 _LAMBDA_EPS = 1e-3
-_MEMBERSHIP_TOL = 1e-10
 # The safeguard on every candidate, ||step(c)|| <= D ||step(c_0)|| (i + 1)^-(1 + eps) of
 # Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020), with their D and eps: the
 # bounds are summable, so a run keeps the global convergence of plain steps.
@@ -128,7 +128,6 @@ class Trace:
     iterates: list = field(default_factory=list)      # kept only on request
     reason: str = "running"
     iterations: int = 0
-    x0_projected: bool = False
     fallbacks: int = 0  # Newton candidates the safeguard rejected
     newton_candidates: int = 0  # Newton candidates taken
     rank_G: int | None = None   # rank the last Newton solve reported; None: none tried
@@ -363,23 +362,18 @@ class RelaxedInstance:
 
 
 def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
-    """Run ``c <- c + lambda step(c)`` from the coordinates of ``proj_V x0``.
+    """Run ``c <- c + lambda step(c)`` from ``c = U^T W x0``, the coordinates of ``proj_V x0``.
 
     ``jacobian`` gives the Newton candidates (see :func:`_iterate`).
-    Returns ``(U c, trace)``; the trace is flagged when ``x0`` is off V.
+    Returns ``(U c, trace)``.
     """
     space, basis = inst.space, inst.V.basis  # basis = U^T
     x = space.validate(x0)
     ref = None if reference is None else space.validate(reference)
-    trace = Trace()
-    if not x.any():  # the origin lies in V and its coordinates are 0, exactly
-        c = np.zeros(len(basis))
-    else:
-        c = basis @ (space.weights * x)
-        if space._norm(x - c @ basis) > _MEMBERSHIP_TOL * (1.0 + space._norm(x)):
-            trace.x0_projected = True
+    # the origin lies in V and its coordinates are 0, exactly
+    c = basis @ (space.weights * x) if x.any() else np.zeros(len(basis))
     c, trace = _iterate(
-        step, c, schedule, lambda g: math.sqrt(g.dot(g)), trace,
+        step, c, schedule, lambda g: math.sqrt(g.dot(g)), Trace(),
         distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
         lift=basis.T.dot if keep_iterates else None, jacobian=jacobian,
     )
@@ -390,12 +384,11 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, ja
 def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
     """Run the relaxation recursion on the stacked formulation.
 
-    ``x0`` should lie in V; if it does not, it is projected and the trace
-    is flagged.  Returns ``(x, trace)``; at convergence ``x`` satisfies
-    the fixed-point characterization of the relaxed problem within the
-    schedule tolerance.  ``var_residual`` is ``fp_residual / gamma``: the
-    membership term of :func:`variational_residual` vanishes on iterates
-    ``U c``.
+    An ``x0`` off V is projected onto V, the first iterate.  Returns
+    ``(x, trace)``; at convergence ``x`` satisfies the fixed-point
+    characterization of the relaxed problem within the schedule tolerance.
+    ``var_residual`` is ``fp_residual / gamma``: the membership term of
+    :func:`variational_residual` vanishes on iterates ``U c``.
     """
     A = inst.A
     step, jacobian = _cocomposition_step(A, A.T * inst.L.codomain.weights, inst.B, inst.gamma)

@@ -6,10 +6,12 @@ bad input is still rejected at every entry point, and the number of
 ``Space.validate`` calls does not grow with iterations or power steps.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from rescomp.bench import InstanceSpec
+from rescomp.bench import InstanceSpec, run
 from rescomp.compositions import resolvent_composition, resolvent_mixture, strong_monotonicity_modulus
 from rescomp.errors import CapabilityError, DimensionMismatchError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import (LinearMap, Space, SubspaceProjector, check_contraction,
@@ -291,7 +293,8 @@ class TestScaleFreeDecisions:
 
 
 class TestNaNData:
-    """A comparison that a NaN fails guards every scalar a set or modulus is built from."""
+    """A comparison that a NaN fails guards every scalar a set or modulus is built from, and
+    a finiteness test every matrix of a monotone linear operator or quadratic form."""
 
     @pytest.mark.parametrize("lower, upper", [
         ([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
@@ -323,6 +326,31 @@ class TestNaNData:
     def test_strong_monotonicity_modulus(self, alpha, norm_l):
         with pytest.raises(ValidationError):
             strong_monotonicity_modulus(alpha, norm_l)
+
+    MATRICES = [(linear_monotone, "linear operator"), (quadratic, "quadratic form")]
+
+    @pytest.mark.parametrize("build, what", MATRICES, ids=["linear", "quadratic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_monotone_matrix(self, build, what, bad):
+        # eigvalsh gives NaN here, and the monotonicity test alone would pass it.
+        with pytest.raises(ValidationError, match=f"{what} has non-finite entries"):
+            build(Space(2), [[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("kind, cset, what", [
+        ("common-zero", {"tag": "linear", "matrix": [[np.nan, 0.0], [0.0, 1.0]]},
+         "linear operator"),
+        ("prox-mixture", {"tag": "quadratic", "q": [[np.inf, 0.0], [0.0, 1.0]]},
+         "quadratic form"),
+    ], ids=["linear-nan", "quadratic-inf"])
+    def test_monotone_matrix_in_a_config(self, tmp_path, kind, cset, what):
+        # json writes and reads NaN and Infinity, so a config can carry them.
+        config = {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
+                  "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        lines = []
+        assert run(str(path), out=lines.append) == 1
+        assert lines == [f"error: field 'sets[0]': {what} has non-finite entries"]
 
 
 class TestValidateConverts:

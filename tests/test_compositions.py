@@ -84,9 +84,6 @@ class TestComposition:
         L = LinearMap(R1, R1, [[2.0]])
         with pytest.raises(ContractionConditionError):
             resolvent_composition(L, scaled_identity(R1, 1.0))
-        A = resolvent_composition(L, scaled_identity(R1, 1.0), unsafe=True)
-        # L*(J_B(L x)) = 2 * ((2 x) / 2) = 2 x
-        assert A.resolvent(1.0, [1.0]) == pytest.approx([2.0])
 
     def test_space_mismatch(self):
         L = LinearMap(R1, Space(2), [[1.0], [0.0]])
@@ -95,9 +92,8 @@ class TestComposition:
 
     def test_zero_map_rejected(self):
         L = LinearMap(R1, R1, [[0.0]])
-        for unsafe in (False, True):
-            with pytest.raises(ContractionConditionError):
-                resolvent_composition(L, scaled_identity(R1, 1.0), unsafe=unsafe)
+        with pytest.raises(ContractionConditionError):
+            resolvent_composition(L, scaled_identity(R1, 1.0))
 
     def test_frozen_scale(self):
         A = resolvent_composition(identity_map(R1), scaled_identity(R1, 1.0), gamma=0.5)
@@ -133,9 +129,8 @@ class TestCocomposition:
 
     def test_zero_map_rejected(self):
         L = LinearMap(R1, R1, [[0.0]])
-        for unsafe in (False, True):
-            with pytest.raises(ContractionConditionError):
-                resolvent_cocomposition(L, scaled_identity(R1, 1.0), unsafe=unsafe)
+        with pytest.raises(ContractionConditionError):
+            resolvent_cocomposition(L, scaled_identity(R1, 1.0))
 
     def test_zero_operator_gives_identity_resolvent(self):
         s = Space(2, [2.0, 0.5])
@@ -231,21 +226,16 @@ class TestMixture:
         exact = np.linalg.svd(scaled, compute_uv=False)[0]
         assert abs(Ls[1].op_norm() - exact) <= 4 * np.finfo(float).eps * exact
         zeros = [LinearMap(H, G, np.zeros((G.dim, 3))) for G in spaces[:2]]
-        for unsafe in (False, True):
-            with pytest.raises(ContractionConditionError, match="nonzero"):
-                resolvent_mixture(Bs[:2], zeros, [0.5, 0.5], unsafe=unsafe)
+        with pytest.raises(ContractionConditionError, match="nonzero"):
+            resolvent_mixture(Bs[:2], zeros, [0.5, 0.5])
         with pytest.raises(ContractionConditionError, match="sum_k w_k"):
             resolvent_mixture(Bs, Ls, [0.3, 0.3, 1.0])
-        resolvent_mixture(Bs, Ls, [0.3, 0.3, 1.0], unsafe=True)
 
     def test_weight_norm_gate(self):
         with pytest.raises(ContractionConditionError):
             resolvent_mixture(
                 [zero_operator(R1)] * 2, [identity_map(R1)] * 2, [1.0, 1.0]
             )
-        resolvent_mixture(
-            [zero_operator(R1)] * 2, [identity_map(R1)] * 2, [1.0, 1.0], unsafe=True
-        )
 
     def test_average_matches_resolvent_sum(self):
         res = suite_resolvent_average(np.random.default_rng([13, 4]), 300)

@@ -405,6 +405,15 @@ class TestRemovedParameters:
         with pytest.raises(TypeError, match="unexpected keyword"):
             compose_chain(identity_map(R1), identity_map(R1), B, unsafe=True)
 
+    def test_compositions_take_no_gate_bypass(self):
+        B, L = zero_operator(R1), identity_map(R1)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            resolvent_composition(L, B, unsafe=True)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            resolvent_cocomposition(L, B, unsafe=True)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            resolvent_mixture([B], [L], [1.0], unsafe=True)
+
 
 W3 = Space(3, [0.5, 1.0, 2.0])
 
@@ -648,7 +657,7 @@ def derived_catalog():
              lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
             (f"cocomposition[{name}]", resolvent_cocomposition(L1, B, 0.8), [1.0],
              lambda gm, x, k=k: k(0.8, L1.matrix @ x)),
-            # the zero factor is folded into G and h, the other one is too when it is affine
+            # folded whole into G and h when the other factor is affine, else evaluated whole
             (f"cocomposition[product[{name}]]", resolvent_cocomposition(L3, product, 0.8), [1.0],
              lambda gm, x, k=k, L3=L3: k(0.8, (L3.matrix @ x)[1:])),
             (f"mixture[{name}]", resolvent_mixture([B, B], [L1, L2], [0.6, 1.0]), [1.0],

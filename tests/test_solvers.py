@@ -386,10 +386,11 @@ class TestSolveRelaxed:
         assert trace.iterations == 0
         assert x == pytest.approx([2.0, 2.0])
 
-    def test_x0_outside_v_is_projected_and_flagged(self):
+    def test_x0_outside_v_is_projected(self):
         inst = acceptance_instance()
-        _, trace = solve_relaxed(inst, [1.0, 0.0], Schedule(max_iterations=5))
-        assert trace.x0_projected
+        _, trace = solve_relaxed(inst, [1.0, 0.0], Schedule(max_iterations=5),
+                                 keep_iterates=True)
+        assert trace.iterates[0] == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_residuals_nonincreasing_for_small_lambda(self):
         inst = acceptance_instance()
@@ -511,29 +512,28 @@ class TestCoordinateKernel:
         inst, _ = coordinate_instance()
         _, trace = solver(inst, inst.space.zeros(), Schedule(max_iterations=2),
                           keep_iterates=True)
-        assert not trace.x0_projected and not np.any(trace.iterates[0])
+        assert not np.any(trace.iterates[0])
         A = inst.A
         step, _ = _cocomposition_step(A, A.T * inst.L.codomain.weights, inst.B, inst.gamma)
         assert trace.fp_residual[0] == pytest.approx(
             coordinate_norm(step(np.zeros(inst.V.rank))), rel=1e-12)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_x0_off_v_is_projected_and_flagged(self, solver):
+    def test_x0_off_v_is_projected(self, solver):
         inst, x0 = coordinate_instance()
         _, inside = solver(inst, x0, Schedule(max_iterations=2), keep_iterates=True)
-        assert not inside.x0_projected
+        assert inside.iterates[0] == pytest.approx(x0, abs=1e-13)
         off = x0 + np.random.default_rng(1).standard_normal(inst.space.dim)
         _, trace = solver(inst, off, Schedule(max_iterations=2), keep_iterates=True)
-        assert trace.x0_projected
         assert trace.iterates[0] == pytest.approx(inst.V.apply(off), abs=1e-13)
 
 
 class TestAffineFold:
-    """Affine blocks are folded into ``G c + h``; the iteration is unchanged."""
+    """An affine ``B`` is folded into ``G c + h``; the iteration is unchanged."""
 
     VARIANTS = [("point",) * 4, ("box", "ball", "point", "ball"), ("box", "ball", "half", "ball")]
     IDS = ["affine", "mixed", "nonlinear"]
-    # One nonlinear block (evaluated with no scatter), and affine blocks with h = 0.
+    # One nonlinear block, and affine blocks with h = 0.
     MORE = [("point", "box", "point", "point"), ("ball",), ("origin",) * 4,
             ("origin", "box", "origin", "origin")]
     MORE_IDS = ["one-nonlinear", "single-block", "affine-no-offset", "mixed-no-offset"]
@@ -560,19 +560,23 @@ class TestAffineFold:
         assert inst.space.norm(xa - xb) <= 1e-12 * (1.0 + inst.space.norm(xb))
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_affine_blocks_are_not_evaluated(self, solver, monkeypatch):
-        inst, x0 = coordinate_instance(self.VARIANTS[1])
+    @pytest.mark.parametrize("tags, evaluations", [(VARIANTS[1], 11), (VARIANTS[0], 1)],
+                             ids=["mixed", "affine"])
+    def test_block_evaluations(self, solver, tags, evaluations, monkeypatch):
+        # A mixed product is evaluated whole at each of the 11 steps; an all-affine one
+        # once per block, at 0, for the offset J(0) of its fold.
+        inst, x0 = coordinate_instance(tags)
         calls, points = {}, []
         for k, (_L, fam, _w) in enumerate(inst.blocks):
             def counted(gamma, y, k=k, evaluate=fam._evaluator):
                 calls[k] = calls.get(k, 0) + 1
-                points.append((k, y.copy()))
+                points.append(y.copy())
                 return evaluate(gamma, y)
             monkeypatch.setattr(fam, "_evaluator", counted)
         solver(inst, x0, Schedule(max_iterations=10, tol=0.0))
-        # The affine block is evaluated once, at 0, for the offset J(0) of its fold.
-        assert calls == {0: 11, 1: 11, 2: 1, 3: 11}
-        assert [np.any(y) for k, y in points if k == 2] == [False]
+        assert calls == dict.fromkeys(range(4), evaluations)
+        if evaluations == 1:
+            assert not any(np.any(y) for y in points)
 
     def test_single_block_step_is_the_unfolded_step(self):
         inst, x0 = coordinate_instance(("ball",))
@@ -606,7 +610,7 @@ class TestCocompositionStep:
         "non-product": "ball",
         "non-product-affine": "point",
     }
-    UNFOLDED = ["none-folded", "single-block", "non-product"]
+    UNFOLDED = ["none-folded", "mixed", "one-nonlinear", "single-block", "non-product"]
 
     @staticmethod
     def written_out(case):
@@ -653,7 +657,7 @@ class TestCocompositionStep:
             before = len(solve_calls)
             _, trace = solve_relaxed(inst, inst.space.zeros(), spec.build_schedule())
             solves += len(solve_calls) - before
-            assert trace.reason == "converged" and not trace.x0_projected
+            assert trace.reason == "converged"
             pins[name] = (trace.iterations, trace.newton_candidates, trace.fallbacks)
         assert pins == {f"{kind}-n{n}": (k, k, 0) for n in (4, 50) for kind, k in [
             ("split-feasibility-mixed", 4), ("split-feasibility-singletons", 1),

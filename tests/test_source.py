@@ -78,6 +78,14 @@ def test_the_solvers_write_no_resolvent_or_jacobian_formula():
     assert "_blockwise" not in {name for _line, name in _imported(tree)}
 
 
+def test_the_cocomposition_step_takes_b_whole():
+    # An affine B is folded whole and any other B evaluated whole: compositions
+    # reads no product's factors and imports no blockwise evaluator or slices.
+    tree = TREES["compositions.py"]
+    assert "factors" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not {"_blockwise", "block_slices"} & {name for _line, name in _imported(tree)}
+
+
 def _is_number_literal(node):
     """Whether ``node`` is a numeric literal such as ``1.0`` or ``-1``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
