@@ -86,11 +86,6 @@ def _numeric(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _all_finite(value):
-    """Whether every number of ``value``, read by :func:`_numbers`, is finite."""
-    return bool(np.isfinite(np.asarray(_numbers(value), dtype=float)).all())
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -152,8 +147,7 @@ class InstanceSpec:
         self.seed = _count("field 'seed'", self.seed)
         if not self.subspace and not product:
             raise ValidationError("field 'subspace': spanning vectors are required")
-        if self.subspace and not _field("subspace", _all_finite, self.subspace):
-            raise ValidationError("field 'subspace': non-finite entry")
+        _field("subspace", _numbers, self.subspace)  # finiteness: SubspaceProjector checks it
         for i, m in enumerate(self.maps or []):  # finiteness: LinearMap checks it
             _field(f"maps[{i}]", _numbers, m)
         _field("schedule", self.build_schedule)

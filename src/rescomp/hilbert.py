@@ -23,7 +23,8 @@ Everything else in the package is built on the three objects defined here:
 :func:`_real` and :func:`_count` read a scalar strictly (a bool is refused);
 :func:`_scale` is the one reader of a resolvent scale or a weight, finite and positive.
 
-:func:`check_monotone` tests that a finite matrix ``M`` is monotone in a metric and
+:func:`check_monotone` is the one matrix rule, read on ``W M / max|M|`` (finite
+for any finite ``M``) so that no decision depends on the scale of ``M``, and
 :func:`shifted_inverse` gives ``gamma -> (Id + gamma M)^{-1}``, kept for the
 last scale; the linear resolvents and quadratic proxes are built on both.
 
@@ -408,20 +409,24 @@ def identity_map(space):
 
 
 def check_monotone(space, M, what):
-    """``(M, least eigenvalue of the symmetric part of W M)``; raises unless M is monotone in W."""
+    """``(M, lowest, skew)`` of ``S = W (M / max|M|)``; raises unless ``lowest >= -1e-10``.
+
+    ``lowest`` (least eigenvalue of ``sym S``) and ``skew`` (largest entry of
+    ``S - S^T``) are divided by the largest entry of ``sym S``, or by 1 if zero.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
         raise ValidationError(f"{what} has wrong shape")
     if not np.isfinite(M).all():  # eigvalsh gives NaN, which no comparison refuses
         raise ValidationError(f"{what} has non-finite entries")
-    WM = space.weights[:, None] * M
-    sym = 0.5 * (WM + WM.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    # Relative to the largest entry, so the verdict does not depend on the scale
-    # of M; a zero matrix (0 < -0.0 is false) stays monotone.
-    if min_eig < -1e-10 * np.max(np.abs(sym)):
+    S = space.weights[:, None] * (M / (np.max(np.abs(M)) or 1.0))
+    sym = 0.5 * S + 0.5 * S.T  # halved first: no sum of two entries overflows
+    size = np.max(np.abs(sym)) or 1.0
+    lowest = float(np.linalg.eigvalsh(sym)[0] / size)
+    if lowest < -1e-10:  # a zero matrix (0 < -0.0 is false) stays monotone
         raise ValidationError(f"{what} is not monotone in the metric")
-    return M, min_eig
+    with np.errstate(over="ignore"):  # weights near 1e308: an inf skew is refused all the same
+        return M, lowest, float(np.max(np.abs(S - S.T)) / size)
 
 
 def shifted_inverse(M):

@@ -148,12 +148,13 @@ class ResolventFamily:
         return self.graph_residual(point) <= tol
 
     def sample_graph(self, n, seed=0):
-        """``n`` pairs ``(J_B z, z - J_B z)``, which always lie in gra B."""
+        """``n`` pairs ``(J_B z, z - J_B z)`` in gra B; a drawn ``z`` is finite: no validation."""
+        gamma = self._check_scale(1.0)
         rng = np.random.default_rng(seed)
         out = []
         for _ in range(n):
             z = self.space.random(rng)
-            jz = self.resolvent(1.0, z)
+            jz = self._evaluator(gamma, z)
             out.append(GraphPoint(jz, z - jz))
         return out
 
@@ -235,7 +236,7 @@ def linear_monotone(space, M):
     this is validated at construction.  ``(Id + gamma M)^{-1}`` is kept
     for the last scale.
     """
-    M, _ = check_monotone(space, M, "linear operator")
+    M = check_monotone(space, M, "linear operator")[0]
     inverse = shifted_inverse(M)
     return ResolventFamily(space, "linear", lambda gamma, y: inverse(gamma) @ y,
                            derivative=lambda gamma, y, A: inverse(gamma) @ A - A,

@@ -153,16 +153,13 @@ def one_norm(space):
 def quadratic(space, Q, b=None):
     """``g(x) = (1/2)<Qx, x> - <b, x>`` in the metric inner product.
 
-    ``Q`` must be self-adjoint positive semidefinite with respect to the
-    metric.  The prox is ``(Id + gamma Q)^{-1}(x + gamma b)``, with the
-    inverse kept for the last scale.
+    ``Q`` must be self-adjoint positive semidefinite in the metric: ``skew``
+    at most 1e-10 by :func:`~rescomp.hilbert.check_monotone`, which also gives
+    ``lowest``; a minimizer and a conjugate need ``lowest > 1e-12``.  The prox
+    is ``(Id + gamma Q)^{-1}(x + gamma b)``, the inverse kept for the last scale.
     """
-    Q, min_eig = check_monotone(space, Q, "quadratic form")
-    WQ = space.weights[:, None] * Q
-    # Both tests are relative to the largest entry of sym(WQ), so they read the
-    # same at every scale of Q; a zero matrix is self-adjoint with no minimizer.
-    size = 0.5 * np.max(np.abs(WQ + WQ.T))
-    if np.max(np.abs(WQ - WQ.T)) > 1e-10 * size:
+    Q, lowest, skew = check_monotone(space, Q, "quadratic form")
+    if skew > 1e-10:
         raise ValidationError("quadratic form is not self-adjoint in the metric")
     b = space.zeros() if b is None else space.validate(b).copy()
     inverse = shifted_inverse(Q)
@@ -175,7 +172,7 @@ def quadratic(space, Q, b=None):
 
     conj_value = None
     minimizer = None
-    if min_eig > 1e-12 * size:
+    if lowest > 1e-12:
 
         def conj_value(y):
             z = np.linalg.solve(Q, y + b)

@@ -37,6 +37,9 @@ so the last iterate is still finite, and the loop silences numpy's
 overflow and invalid-value warnings.  Inputs are validated once; a run
 is single threaded and deterministic.  :class:`RelaxedInstance` checks the
 hypotheses; :func:`write_atomically` writes traces and run reports.
+The solution tests read ``J_{gamma B}(L x) - L x`` from one place,
+:meth:`RelaxedInstance._displacement`, the one site here that a family
+giving its displacement without cancellation at huge ``y`` would change.
 
 ``Schedule(newton=True)`` accelerates the one loop for the coordinate
 solvers.  Each update first tries the semismooth Newton candidate
@@ -327,19 +330,16 @@ class RelaxedInstance:
         inst.blocks = blocks
         return inst
 
-    def _inner_resolvent(self, x):
-        """``(Id - L* L + L* J_{gamma B} L)(x)`` -- the unprojected map."""
-        M, Mt = self.L.matrix, self.L.adjoint_matrix
-        y = M @ x
-        return x - Mt @ y + Mt @ self.B._resolve(self.gamma, y)
-
     def relaxed_resolvent(self, x):
         """The firmly nonexpansive map whose fixed points solve the relaxation."""
         return self._relaxed_resolvent(self.space.validate(x))
 
     def _relaxed_resolvent(self, x):
-        P = self.V.matrix
-        return P @ self._inner_resolvent(P @ x)
+        """``proj_V (Id - L* L + L* J_{gamma B} L) proj_V``, written out as the reference."""
+        P, M, Mt = self.V.matrix, self.L.matrix, self.L.adjoint_matrix
+        x = P @ x
+        y = M @ x
+        return P @ (x - Mt @ y + Mt @ self.B._resolve(self.gamma, y))
 
     def relaxed_family(self):
         """The relaxed operator built through the composition calculus."""
@@ -353,12 +353,13 @@ class RelaxedInstance:
         return self.space._norm(self._relaxed_resolvent(x) - x)
 
     def original_residual(self, x):
-        """``||L x - J_{gamma B}(L x)||`` -- zero iff ``x`` solves the original problem."""
-        return self._original_residual(self.space.validate(x))
+        """``||J_{gamma B}(L x) - L x||`` -- zero iff ``x`` solves the original problem."""
+        return self.L.codomain._norm(self._displacement(self.space.validate(x)))
 
-    def _original_residual(self, x):
+    def _displacement(self, x):
+        """``J_{gamma B}(L x) - L x``, the one place the solution tests subtract it."""
         y = self.L.matrix @ x
-        return self.L.codomain._norm(y - self.B._resolve(self.gamma, y))
+        return self.B._resolve(self.gamma, y) - y
 
 
 def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
@@ -419,8 +420,7 @@ def variational_residual(inst, x):
     ``N_V + L* o yosida o L``).
     """
     x = inst.space.validate(x)
-    y = inst.L.matrix @ x
-    yos = (y - inst.B._resolve(inst.gamma, y)) / inst.gamma
+    yos = -inst._displacement(x) / inst.gamma
     P = inst.V.matrix
     return inst.space._norm(x - P @ x) + inst.space._norm(P @ (inst.L.adjoint_matrix @ yos))
 
@@ -445,12 +445,13 @@ def verify_exact_relaxation(inst, x, tol, known_feasible=None):
     problem within ``tol`` raises ``ValidationError``.
     """
     x = inst.space.validate(x)
+    norm = inst.L.codomain._norm
     relaxed = inst._fixed_point_residual(x)
-    original = inst._original_residual(x)
+    original = norm(inst._displacement(x))
     membership = inst.V._residual_norm(x)
     if known_feasible is not None:
         cert = inst.space.validate(known_feasible)
-        if inst._original_residual(cert) > tol or inst.V._residual_norm(cert) > tol:
+        if norm(inst._displacement(cert)) > tol or inst.V._residual_norm(cert) > tol:
             raise ValidationError("supplied certificate does not solve the original problem")
     if not (relaxed <= tol and membership <= tol):  # a NaN residual is not a solution
         verdict = "not a solution"

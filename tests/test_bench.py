@@ -203,6 +203,24 @@ ZERO_WIENER = {
 }
 
 
+def matrix_config(kind, cset):
+    """A one-block config on R^2 whose block is ``cset``, V the first axis."""
+    return {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
+            "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+
+
+# Blocks of matrix_config that the config boundary refuses: non-finite entries,
+# which JSON readers accept, and finite entries whose W M once overflowed.
+MATRIX_BLOCKS = {
+    "nan-linear": ("common-zero", {"tag": "linear", "matrix": [[math.nan, 0.0], [0.0, 1.0]]}),
+    "inf-quadratic": ("prox-mixture", {"tag": "quadratic", "q": [[math.inf, 0.0], [0.0, 1.0]]}),
+    "concave-linear": ("common-zero", {"tag": "linear", "matrix": [[-1e308, 0.0], [0.0, 1.0]]}),
+    "concave-quadratic": ("prox-mixture", {"tag": "quadratic", "q": [[-1e308, 0.0], [0.0, 1.0]]}),
+    "skew-quadratic": ("prox-mixture",
+                       {"tag": "quadratic", "q": [[1e308, 1e308], [-1e308, 1e308]]}),
+}
+
+
 # A Wiener block whose forward map projects onto a line: its derivative is
 # constant but no scaled identity, so the instance has no closed-form oracle.
 AFFINE_WIENER = {
@@ -302,9 +320,20 @@ class TestInstanceSpec:
         with pytest.raises(ValidationError, match="gamma"):
             InstanceSpec.from_dict(acceptance_dict(gamma=0.0))
 
-    def test_nonfinite_entries(self):
-        with pytest.raises(ValidationError, match="subspace"):
-            InstanceSpec.from_dict(acceptance_dict(subspace=[[1.0, float("nan")]]))
+    def test_nonfinite_entries(self, tmp_path):
+        # The types are read at load and the finiteness where the projector is built.
+        data = acceptance_dict(subspace=[[1.0, float("nan")]])
+        with pytest.raises(ValidationError, match="field 'subspace': .*non-finite"):
+            generate_instance(InstanceSpec.from_dict(data))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        lines = []
+        assert run(str(cfg), out=lines.append) == 1
+        assert lines == ["error: field 'subspace': spanning set has non-finite entries"]
+
+    def test_subspace_types_are_read_at_load(self):
+        with pytest.raises(ValidationError, match="field 'subspace': every entry must be a number"):
+            InstanceSpec.from_dict(acceptance_dict(**BAD_VALUES["subspace-numeric-strings"]))
 
     @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
     def test_bad_schedule(self, schedule):
@@ -668,6 +697,16 @@ def projection_wiener(workloads, n, seed, forward_set):
     return config
 
 
+def far_box_wiener(workloads):
+    """Unit boxes at ``default_rng(17)`` centres with V the whole space: no solution; 2000 updates."""
+    config = projection_wiener(
+        workloads, 4, 17,
+        lambda c: {"tag": "box", "lower": (c - 0.5).tolist(), "upper": (c + 0.5).tolist()})
+    config["subspace"] = np.eye(4).tolist()
+    config["schedule"]["max_iterations"] = 2000
+    return config
+
+
 class TestProjectionWiener:
     """Config Wiener blocks whose forward map is the projection onto a set."""
 
@@ -722,13 +761,8 @@ class TestProjectionWiener:
         # Jacobian is zero, and a zero Jacobian takes no least-squares solve.
         lstsq, calls = np.linalg.lstsq, []
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        config = projection_wiener(
-            workloads, 4, 17,
-            lambda c: {"tag": "box", "lower": (c - 0.5).tolist(), "upper": (c + 0.5).tolist()})
-        config["subspace"] = np.eye(4).tolist()
-        config["schedule"]["max_iterations"] = 2000
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(far_box_wiener(workloads)))
         lines = []
         assert run(str(path), out=lines.append) == 2
         report = json.loads(lines[0], parse_constant=_reject_constant)
@@ -1221,16 +1255,33 @@ class TestCli:
 class TestProcessEntry:
     """``rescomp`` and ``python -m rescomp.cli`` run ``cli.entry``, which freezes the collector on exit."""
 
-    @pytest.mark.parametrize("config, flags, code", [
-        (ACCEPTANCE_SPEC_DICT, [], 0),
-        (None, [], 1),
-        (NONFINITE_SPEC_DICT, ["--unsafe-norm"], 2),
-    ], ids=["acceptance", "malformed", "non-finite"])
-    def test_process_matches_in_process_run(self, tmp_path, capsys, config, flags, code):
+    # (command, config, flags, code): config None is malformed JSON, and a callable
+    # builds the config from the benchmark's generator.
+    @pytest.mark.parametrize("command, config, flags, code", [
+        ("solve", ACCEPTANCE_SPEC_DICT, [], 0),
+        ("solve", None, [], 1),
+        ("solve", NONFINITE_SPEC_DICT, ["--unsafe-norm"], 2),
+        ("solve", acceptance_dict(output="ab"), [], 1),
+        ("solve", acceptance_dict(sets=[{"tag": "singleton"}, *ACCEPTANCE_SPEC_DICT["sets"][1:]]),
+         [], 1),
+        ("solve", acceptance_dict(**BAD_VALUES["quadratic-b-typo"]), [], 1),
+        ("solve", acceptance_dict(schedule={"lambda": [1.0, 1.0]}), [], 1),
+        ("solve", ZERO_WIENER, [], 2),
+        ("solve", far_box_wiener, [], 2),
+        ("solve", AFFINE_WIENER, [], 0),
+        ("oracle", AFFINE_WIENER, [], 1),
+        *(("solve", matrix_config(kind, cset), [], 1) for kind, cset in MATRIX_BLOCKS.values()),
+    ], ids=["acceptance", "malformed", "non-finite", "bad-output", "missing-point",
+            "quadratic-typo", "lambda-list", "zero-wiener", "far-box-wiener", "affine-wiener",
+            "affine-wiener-oracle", *MATRIX_BLOCKS])
+    def test_process_matches_in_process_run(self, tmp_path, capsys, workloads, command, config,
+                                            flags, code):
         cfg = tmp_path / "config.json"
+        if callable(config):
+            config = config(workloads)
         cfg.write_text("{" if config is None else json.dumps(config))
         trace = tmp_path / "t.csv"
-        argv = ["solve", str(cfg), "--trace", str(trace), *flags]
+        argv = [command, str(cfg), *(["--trace", str(trace)] if command == "solve" else []), *flags]
         assert main(argv) == code
         expected = capsys.readouterr().out.encode()
         rows = trace.read_text().splitlines() if trace.exists() else None

@@ -15,7 +15,7 @@ from rescomp.bench import InstanceSpec, run
 from rescomp.compositions import resolvent_composition, resolvent_mixture, strong_monotonicity_modulus
 from rescomp.errors import CapabilityError, DimensionMismatchError, ScaleRestrictionError, ValidationError
 from rescomp.hilbert import (LinearMap, Space, SubspaceProjector, check_contraction,
-                             identity_map, product_space)
+                             check_monotone, identity_map, product_space)
 from rescomp.operators import (
     linear_monotone,
     make_wiener,
@@ -39,6 +39,17 @@ BAD = [
     ([[1.0, 2.0, 3.0]], DimensionMismatchError),
     (5.0, DimensionMismatchError),
 ]
+
+
+def _run_matrix_config(tmp_path, kind, cset):
+    """The exit code and printed lines of a one-block config on R^2 whose block is ``cset``."""
+    # json writes and reads NaN and Infinity, so a config can carry them.
+    config = {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
+              "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    lines = []
+    return run(str(path), out=lines.append), lines
 
 
 def _sets(space):
@@ -267,6 +278,37 @@ class TestScaleFreeDecisions:
         assert g.minimizer() == pytest.approx([1.0 / t, 0.0], rel=1e-15)
         assert g.conjugate().value([0.0, 0.0]) == pytest.approx(0.5 / t, rel=1e-15)
 
+    @pytest.mark.parametrize("kind, cset, error", [
+        ("common-zero", {"tag": "linear", "matrix": [[-1e308, 0.0], [0.0, 1.0]]},
+         "linear operator is not monotone in the metric"),
+        ("prox-mixture", {"tag": "quadratic", "q": [[-1e308, 0.0], [0.0, 1.0]]},
+         "quadratic form is not monotone in the metric"),
+        ("prox-mixture", {"tag": "quadratic", "q": [[1e308, 1e308], [-1e308, 1e308]]},
+         "quadratic form is not self-adjoint in the metric"),
+    ], ids=["linear-concave", "quadratic-concave", "quadratic-skew"])
+    def test_a_huge_finite_matrix_in_a_config(self, tmp_path, kind, cset, error):
+        # W M overflowed here, and each config ran to "S1 attained" with exit 0.
+        assert _run_matrix_config(tmp_path, kind, cset) == (1, [f"error: field 'sets[0]': {error}"])
+
+    def test_check_monotone_reads_every_scale_alike(self):
+        # M = W^-1 (P + K): monotone in the metric of G without being symmetric.
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((2, 2))
+        K = rng.standard_normal((2, 2))
+        M = (A @ A.T + K - K.T) / G.weights[:, None]
+        _, lowest, skew = check_monotone(G, M, "M")
+        assert lowest > 0.0 and skew > 1e-10
+        for t in (1e-300, 1.0, 1e300):
+            _, low_t, skew_t = check_monotone(G, t * M, "M")
+            assert abs(low_t - lowest) <= 1e-12 and abs(skew_t - skew) <= 1e-12
+            with pytest.raises(ValidationError, match="M is not monotone in the metric"):
+                check_monotone(G, -t * M, "M")
+
+    def test_a_skew_matrix_under_huge_weights(self):
+        # S - S^T overflows to inf here: refused, with no overflow warning.
+        with pytest.raises(ValidationError, match="quadratic form is not self-adjoint"):
+            quadratic(Space(2, [1e308, 1e308]), [[1.0, 1.0], [-1.0, 1.0]])
+
     def test_a_zero_matrix_stays_monotone(self):
         linear_monotone(Space(2), np.zeros((2, 2)))
         with pytest.raises(CapabilityError, match="no recorded minimizer"):
@@ -343,14 +385,8 @@ class TestNaNData:
          "quadratic form"),
     ], ids=["linear-nan", "quadratic-inf"])
     def test_monotone_matrix_in_a_config(self, tmp_path, kind, cset, what):
-        # json writes and reads NaN and Infinity, so a config can carry them.
-        config = {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
-                  "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        lines = []
-        assert run(str(path), out=lines.append) == 1
-        assert lines == [f"error: field 'sets[0]': {what} has non-finite entries"]
+        assert _run_matrix_config(tmp_path, kind, cset) == (
+            1, [f"error: field 'sets[0]': {what} has non-finite entries"])
 
 
 class TestValidateConverts:
@@ -416,6 +452,13 @@ class TestValidationBudget:
             monkeypatch.undo()
         assert validations[0] == validations[1]
         assert validations[0] <= 2
+
+    def test_sample_graph_checks_its_scale_once_and_validates_nothing(self, monkeypatch):
+        B = linear_monotone(G, np.eye(2))
+        validations = _Counter(monkeypatch, Space, "validate")
+        scale_checks = _Counter(monkeypatch, type(B), "_check_scale")
+        assert len(B.sample_graph(11)) == 11
+        assert (validations.calls, scale_checks.calls) == (0, 1)
 
     def test_subspace_projector_validates_the_spanning_set_once(self, monkeypatch):
         # One array check of shape and finiteness, never a pass per vector.
