@@ -412,7 +412,7 @@ def check_monotone(space, M, what):
     """``(M, lowest, skew)`` of ``S = W (M / max|M|)``; raises unless ``lowest >= -1e-10``.
 
     ``lowest`` (least eigenvalue of ``sym S``) and ``skew`` (largest entry of
-    ``S - S^T``) are divided by the largest entry of ``sym S``, or by 1 if zero.
+    ``S - S^T``) are divided by ``max|sym S|``: a nonzero skew over ``sym S = 0`` reads inf.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (space.dim, space.dim):
@@ -421,12 +421,13 @@ def check_monotone(space, M, what):
         raise ValidationError(f"{what} has non-finite entries")
     S = space.weights[:, None] * (M / (np.max(np.abs(M)) or 1.0))
     sym = 0.5 * S + 0.5 * S.T  # halved first: no sum of two entries overflows
-    size = np.max(np.abs(sym)) or 1.0
-    lowest = float(np.linalg.eigvalsh(sym)[0] / size)
-    if lowest < -1e-10:  # a zero matrix (0 < -0.0 is false) stays monotone
+    size = np.max(np.abs(sym))
+    lowest = float(np.linalg.eigvalsh(sym)[0] / (size or 1.0))
+    if lowest < -1e-10:  # a zero sym S (0 < -0.0 is false) stays monotone
         raise ValidationError(f"{what} is not monotone in the metric")
-    with np.errstate(over="ignore"):  # weights near 1e308: an inf skew is refused all the same
-        return M, lowest, float(np.max(np.abs(S - S.T)) / size)
+    with np.errstate(over="ignore", divide="ignore"):  # an inf skew is refused all the same
+        skew = np.max(np.abs(S - S.T))
+        return M, lowest, float(skew and skew / size)  # 0 when S = S^T, with no 0 / 0
 
 
 def shifted_inverse(M):

@@ -37,6 +37,7 @@ from rescomp.solvers import (
     solve_relaxed,
     verify_exact_relaxation,
 )
+from test_boundary import MATRIX_CONFIGS  # the refused one-block configs and their messages
 
 
 # ||L|| = 3 with the gate bypassed (--unsafe-norm): x <- -8 x + 3 p diverges.
@@ -200,24 +201,6 @@ ZERO_WIENER = {
     "sets": [{"f": {"tag": "scale", "c": 0.0}, "point": [1.0]},
              {"f": {"tag": "scale", "c": 0.0}, "point": [3.0]}],
     "schedule": {"max_iterations": 50},
-}
-
-
-def matrix_config(kind, cset):
-    """A one-block config on R^2 whose block is ``cset``, V the first axis."""
-    return {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
-            "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
-
-
-# Blocks of matrix_config that the config boundary refuses: non-finite entries,
-# which JSON readers accept, and finite entries whose W M once overflowed.
-MATRIX_BLOCKS = {
-    "nan-linear": ("common-zero", {"tag": "linear", "matrix": [[math.nan, 0.0], [0.0, 1.0]]}),
-    "inf-quadratic": ("prox-mixture", {"tag": "quadratic", "q": [[math.inf, 0.0], [0.0, 1.0]]}),
-    "concave-linear": ("common-zero", {"tag": "linear", "matrix": [[-1e308, 0.0], [0.0, 1.0]]}),
-    "concave-quadratic": ("prox-mixture", {"tag": "quadratic", "q": [[-1e308, 0.0], [0.0, 1.0]]}),
-    "skew-quadratic": ("prox-mixture",
-                       {"tag": "quadratic", "q": [[1e308, 1e308], [-1e308, 1e308]]}),
 }
 
 
@@ -1270,10 +1253,10 @@ class TestProcessEntry:
         ("solve", far_box_wiener, [], 2),
         ("solve", AFFINE_WIENER, [], 0),
         ("oracle", AFFINE_WIENER, [], 1),
-        *(("solve", matrix_config(kind, cset), [], 1) for kind, cset in MATRIX_BLOCKS.values()),
+        *(("solve", config, [], 1) for config, _ in MATRIX_CONFIGS.values()),
     ], ids=["acceptance", "malformed", "non-finite", "bad-output", "missing-point",
             "quadratic-typo", "lambda-list", "zero-wiener", "far-box-wiener", "affine-wiener",
-            "affine-wiener-oracle", *MATRIX_BLOCKS])
+            "affine-wiener-oracle", *MATRIX_CONFIGS])
     def test_process_matches_in_process_run(self, tmp_path, capsys, workloads, command, config,
                                             flags, code):
         cfg = tmp_path / "config.json"

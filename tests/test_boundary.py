@@ -6,7 +6,9 @@ bad input is still rejected at every entry point, and the number of
 ``Space.validate`` calls does not grow with iterations or power steps.
 """
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,15 +43,45 @@ BAD = [
 ]
 
 
-def _run_matrix_config(tmp_path, kind, cset):
-    """The exit code and printed lines of a one-block config on R^2 whose block is ``cset``."""
-    # json writes and reads NaN and Infinity, so a config can carry them.
-    config = {"kind": kind, "spaces": {"domain": {"dim": 2}}, "weights": [1.0],
-              "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+def matrix_config(kind, cset, domain=None):
+    """A one-block config on R^2 (``domain`` its space) whose block is ``cset``, V the first axis."""
+    return {"kind": kind, "spaces": {"domain": domain or {"dim": 2}}, "weights": [1.0],
+            "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+
+
+# One-block configs that the config boundary refuses, each with its message.  JSON
+# readers accept NaN and Infinity; the finite matrices near 1e308 once overflowed
+# W M and ran to "S1 attained"; a skew Q under tiny weights was once accepted.
+MATRIX_CONFIGS = {
+    "linear-nan": (matrix_config("common-zero", {"tag": "linear",
+                                                 "matrix": [[math.nan, 0.0], [0.0, 1.0]]}),
+                   "linear operator has non-finite entries"),
+    "quadratic-inf": (matrix_config("prox-mixture", {"tag": "quadratic",
+                                                     "q": [[math.inf, 0.0], [0.0, 1.0]]}),
+                      "quadratic form has non-finite entries"),
+    "linear-concave": (matrix_config("common-zero", {"tag": "linear",
+                                                     "matrix": [[-1e308, 0.0], [0.0, 1.0]]}),
+                       "linear operator is not monotone in the metric"),
+    "quadratic-concave": (matrix_config("prox-mixture", {"tag": "quadratic",
+                                                         "q": [[-1e308, 0.0], [0.0, 1.0]]}),
+                          "quadratic form is not monotone in the metric"),
+    "quadratic-skew": (matrix_config("prox-mixture", {"tag": "quadratic",
+                                                      "q": [[1e308, 1e308], [-1e308, 1e308]]}),
+                       "quadratic form is not self-adjoint in the metric"),
+    "quadratic-skew-tiny-weights": (
+        matrix_config("prox-mixture", {"tag": "quadratic", "q": [[0.0, 1.0], [-1.0, 0.0]]},
+                      {"dim": 2, "weights": [1e-11, 1e-11]}),
+        "quadratic form is not self-adjoint in the metric"),
+}
+
+
+@pytest.mark.parametrize("config, error", MATRIX_CONFIGS.values(), ids=list(MATRIX_CONFIGS))
+def test_matrix_in_a_config(tmp_path, config, error):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config))  # json writes and reads NaN and Infinity
     lines = []
-    return run(str(path), out=lines.append), lines
+    assert run(str(path), out=lines.append) == 1
+    assert lines == [f"error: field 'sets[0]': {error}"]
 
 
 def _sets(space):
@@ -278,18 +310,6 @@ class TestScaleFreeDecisions:
         assert g.minimizer() == pytest.approx([1.0 / t, 0.0], rel=1e-15)
         assert g.conjugate().value([0.0, 0.0]) == pytest.approx(0.5 / t, rel=1e-15)
 
-    @pytest.mark.parametrize("kind, cset, error", [
-        ("common-zero", {"tag": "linear", "matrix": [[-1e308, 0.0], [0.0, 1.0]]},
-         "linear operator is not monotone in the metric"),
-        ("prox-mixture", {"tag": "quadratic", "q": [[-1e308, 0.0], [0.0, 1.0]]},
-         "quadratic form is not monotone in the metric"),
-        ("prox-mixture", {"tag": "quadratic", "q": [[1e308, 1e308], [-1e308, 1e308]]},
-         "quadratic form is not self-adjoint in the metric"),
-    ], ids=["linear-concave", "quadratic-concave", "quadratic-skew"])
-    def test_a_huge_finite_matrix_in_a_config(self, tmp_path, kind, cset, error):
-        # W M overflowed here, and each config ran to "S1 attained" with exit 0.
-        assert _run_matrix_config(tmp_path, kind, cset) == (1, [f"error: field 'sets[0]': {error}"])
-
     def test_check_monotone_reads_every_scale_alike(self):
         # M = W^-1 (P + K): monotone in the metric of G without being symmetric.
         rng = np.random.default_rng(7)
@@ -298,11 +318,22 @@ class TestScaleFreeDecisions:
         M = (A @ A.T + K - K.T) / G.weights[:, None]
         _, lowest, skew = check_monotone(G, M, "M")
         assert lowest > 0.0 and skew > 1e-10
-        for t in (1e-300, 1.0, 1e300):
-            _, low_t, skew_t = check_monotone(G, t * M, "M")
+        for t, s in itertools.product((1e-300, 1.0, 1e300), repeat=2):
+            space = Space(2, s * G.weights)
+            _, low_t, skew_t = check_monotone(space, t * M, "M")
             assert abs(low_t - lowest) <= 1e-12 and abs(skew_t - skew) <= 1e-12
             with pytest.raises(ValidationError, match="M is not monotone in the metric"):
-                check_monotone(G, -t * M, "M")
+                check_monotone(space, -t * M, "M")
+
+    @pytest.mark.parametrize("weights, Q", [
+        ([1e-11, 1e-11], [[0.0, 1.0], [-1.0, 0.0]]),
+        ([1.0, 1e-12], [[0.0, 1.0], [-1e12, 0.0]]),  # W Q the rotation generator
+    ], ids=["tiny-weights", "uneven-weights"])
+    def test_a_skew_matrix_under_small_weights(self, weights, Q):
+        # sym(W Q) is zero: any nonzero skew is refused, however small the weights.
+        with pytest.raises(ValidationError, match="quadratic form is not self-adjoint"):
+            quadratic(Space(2, weights), Q)
+        linear_monotone(Space(2, weights), Q)  # a skew operator is monotone
 
     def test_a_skew_matrix_under_huge_weights(self):
         # S - S^T overflows to inf here: refused, with no overflow warning.
@@ -377,16 +408,6 @@ class TestNaNData:
         # eigvalsh gives NaN here, and the monotonicity test alone would pass it.
         with pytest.raises(ValidationError, match=f"{what} has non-finite entries"):
             build(Space(2), [[bad, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("kind, cset, what", [
-        ("common-zero", {"tag": "linear", "matrix": [[np.nan, 0.0], [0.0, 1.0]]},
-         "linear operator"),
-        ("prox-mixture", {"tag": "quadratic", "q": [[np.inf, 0.0], [0.0, 1.0]]},
-         "quadratic form"),
-    ], ids=["linear-nan", "quadratic-inf"])
-    def test_monotone_matrix_in_a_config(self, tmp_path, kind, cset, what):
-        assert _run_matrix_config(tmp_path, kind, cset) == (
-            1, [f"error: field 'sets[0]': {what} has non-finite entries"])
 
 
 class TestValidateConverts:
