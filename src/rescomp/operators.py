@@ -39,19 +39,15 @@ family whole into one matrix: zero, scaled identity, linear, the normal
 cones of singletons and affine subspaces, quadratics, half squared
 distances, a Wiener block built from a number or from a singleton or
 affine set, and a derived family or a product exactly when every family
-it is built from is.  Only a Wiener block with a callable forward map, and
-a family built from one, declares none (``derivative`` is None).  A
+it is built from is.  Only a family given a bare evaluator, and any
+family built from one, declares none (``derivative`` is None).  A
 product also lists its ``(family, slice)`` ``factors``, whose slices the
 separable sum of :mod:`~rescomp.proxfun` reads.
 
 Only :meth:`ResolventFamily.resolvent` validates; derived and product
 families call their factors' raw ``_evaluator``.  ``_blockwise`` is the
-blockwise evaluator and derivative of products, ``_check_scale`` the one
-scale rule (:func:`~rescomp.hilbert._scale`, then the family's domain) and
-``_firm_defect`` the one firm-nonexpansiveness test, of one pair or of a
-stack of pairs with every output validated: ``make_wiener`` tests the 100
-seeded pairs of a callable forward map at once, and the property suites
-their pairs per map.
+blockwise evaluator and derivative of products, and ``_check_scale`` the
+one scale rule (:func:`~rescomp.hilbert._scale`, then the family's domain).
 
 Families are immutable after construction and evaluation is pure, so
 they may be shared across threads (the linear catalog member keeps the
@@ -72,10 +68,6 @@ from .sets import ConvexSet
 
 ALL_SCALES = "all"
 
-_WIENER_SPOT_CHECKS = 100
-_WIENER_TOL = 1e-8
-_WIENER_REJECTED = "supplied map failed the firm-nonexpansiveness spot check"
-
 
 class GraphPoint(NamedTuple):
     """A candidate pair ``(x, xstar)`` for membership in a graph."""
@@ -90,7 +82,9 @@ class ResolventFamily:
     ``cset`` is the convex set of a normal cone, ``derivative(gamma, y, A)``
     the declared ``(D - I) A`` (``constant_derivative``: ``D`` does not depend
     on ``y``), and ``factors`` the ``(family, slice)`` blocks of a product
-    (each None when it does not apply).
+    (each None when it does not apply).  Nothing here checks that a bare
+    ``evaluator`` is firmly nonexpansive, as a resolvent is: that is the
+    caller's to vouch for.
     """
 
     def __init__(self, space, kind, evaluator, scale_domain=ALL_SCALES, cset=None,
@@ -249,7 +243,7 @@ def subdifferential(g):
 
 
 def make_wiener(space, F, p):
-    """The operator ``(Id - F + p)^{-1} - Id`` for firmly nonexpansive ``F``.
+    """The operator ``(Id - F + p)^{-1} - Id`` for a firmly nonexpansive ``F`` it can prove.
 
     Its resolvent exists in closed form only at scale one:
     ``J_B = Id - F + p``, hence ``yosida(1, .) = F - p``.  A number ``F = c``
@@ -259,48 +253,29 @@ def make_wiener(space, F, p):
     :class:`~rescomp.sets.ConvexSet` of ``space`` is its projection ``P_C``,
     firmly nonexpansive by theorem: its derivative is ``I - D_C(y)``, so
     ``(D - I) A = -(C._derivative(y, A) + A)``, constant exactly when the
-    set's is (singleton, affine subspace).  A callable ``F`` is the caller's
-    responsibility; it is spot checked here on ``_WIENER_SPOT_CHECKS`` random
-    pairs drawn with seed 0, tested at once (which validates without
-    proving), and the family declares no derivative.
+    set's is (singleton, affine subspace).  Anything else is refused.  A
+    forward map this cannot prove is the caller's to vouch for, as the bare
+    family ``ResolventFamily(space, "wiener", lambda gamma, y: y - F(y) + p,
+    scale_domain=1.0)``, which declares no derivative.
     """
     p = space.validate(p).copy()
     if isinstance(F, numbers.Real):
         c = _real("wiener forward scale", F)
-        if not 0.0 <= c <= 1.0:
-            raise ValidationError(_WIENER_REJECTED)
+        if not 0.0 <= c <= 1.0:  # NaN too
+            raise ValidationError(
+                f"wiener forward scale must lie in [0, 1] to be firmly nonexpansive, got {c}")
         return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p, scale_domain=1.0,
                                derivative=lambda gamma, y, A: (1.0 - c - 1.0) * A,
                                constant_derivative=True)
-    if isinstance(F, ConvexSet):
-        if F.space != space:
-            raise DimensionMismatchError("wiener forward set lives in another space")
-        D = F._derivative
-        return ResolventFamily(
-            space, "wiener", lambda gamma, y: y - F._project(y) + p, scale_domain=1.0,
-            derivative=None if D is None else (lambda gamma, y, A: -(D(y, A) + A)),
-            constant_derivative=F.constant_derivative)
-    if not callable(F):
-        raise ValidationError(f"wiener forward map F must be a number, set or callable, got {F!r}")
-    pairs = np.random.default_rng(0).standard_normal((_WIENER_SPOT_CHECKS, 2, space.dim))
-    if _firm_defect(space, F, pairs[:, 0], pairs[:, 1]).max() > _WIENER_TOL:
-        raise ValidationError(_WIENER_REJECTED)
-    return ResolventFamily(space, "wiener", lambda gamma, y: y - F(y) + p, scale_domain=1.0)
-
-
-def _firm_defect(space, T, a, b):
-    """``||Ta - Tb||^2 + ||(a - Ta) - (b - Tb)||^2 - ||a - b||^2``: at most 0 for a firm ``T``.
-
-    ``a`` and ``b`` are one pair of points, or ``(k, dim)`` stacks of ``k`` pairs that give
-    ``k`` defects (``T`` is applied row by row).  Every output is validated, so a non-finite
-    one raises rather than give a NaN defect.
-    """
-    if a.ndim == 1:
-        ta, tb = space.validate(T(a)), space.validate(T(b))
-    else:
-        ta, tb = (space.validate_rows([T(x) for x in rows]) for rows in (a, b))
-    sq = space._squared_norms
-    return sq(ta - tb) + sq((a - ta) - (b - tb)) - sq(a - b)
+    if not isinstance(F, ConvexSet):
+        raise ValidationError(f"wiener forward map F must be a number or a convex set, got {F!r}")
+    if F.space != space:
+        raise DimensionMismatchError("wiener forward set lives in another space")
+    D = F._derivative
+    return ResolventFamily(
+        space, "wiener", lambda gamma, y: y - F._project(y) + p, scale_domain=1.0,
+        derivative=None if D is None else (lambda gamma, y, A: -(D(y, A) + A)),
+        constant_derivative=F.constant_derivative)
 
 
 def _blockwise(factors):

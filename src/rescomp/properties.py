@@ -8,7 +8,8 @@ what ``rescomp props`` calls; the pytest suite reuses individual suites.
 A suite is written as one trial: a generator ``check(rng, i)`` that draws
 trial ``i`` and yields its defects.  ``_suite`` runs the trials and keeps
 the worst defect, so a NaN defect fails its suite.  ``trials=0`` passes
-vacuously with a warning.
+vacuously with a warning.  ``_firm_defect`` is the suites' one
+firm-nonexpansiveness test, of one pair or of a stack of pairs per map.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .compositions import (
     strong_monotonicity_modulus,
 )
 from .hilbert import LinearMap, Space, SubspaceProjector, _count, identity_map, stack
-from .operators import GraphPoint, _firm_defect
+from .operators import GraphPoint, ResolventFamily
 from .sets import Ball, Box, Halfspace, Singleton
 from .solvers import RelaxedInstance, Schedule, proximal_point, solve_blocks, solve_relaxed, variational_residual
 
@@ -82,6 +83,21 @@ def _suite(name, tol, per=1):
         return suite
 
     return decorate
+
+
+def _firm_defect(space, T, a, b):
+    """``||Ta - Tb||^2 + ||(a - Ta) - (b - Tb)||^2 - ||a - b||^2``: at most 0 for a firm ``T``.
+
+    ``a`` and ``b`` are one pair of points, or ``(k, dim)`` stacks of ``k`` pairs that give
+    ``k`` defects (``T`` is applied row by row).  Every output is validated, so a non-finite
+    one raises rather than give a NaN defect.
+    """
+    if a.ndim == 1:
+        ta, tb = space.validate(T(a)), space.validate(T(b))
+    else:
+        ta, tb = (space.validate_rows([T(x) for x in rows]) for rows in (a, b))
+    sq = space._squared_norms
+    return sq(ta - tb) + sq((a - ta) - (b - tb)) - sq(a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +676,10 @@ def _random_wiener_instance(rng):
     fams = []
     for g in spaces:
         c = float(rng.uniform(0.2, 0.9))
-        # a callable forward map, so the solvers evaluate the blocks, not their forms
-        fams.append(ops.make_wiener(g, (lambda cc: (lambda y: cc * y))(c), g.random(rng)))
+        point = g.random(rng)
+        # a bare family of F = c Id declares no derivative, so the solvers evaluate the blocks
+        fams.append(ResolventFamily(g, "wiener", lambda gamma, y, c=c, point=point:
+                                    y - c * y + point, scale_domain=1.0))
     return RelaxedInstance.from_blocks(V, zip(Ls, fams, w), 1.0, kind="wiener")
 
 

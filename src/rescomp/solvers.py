@@ -50,8 +50,8 @@ singular nonzero ``J`` takes a least-squares solve with a relative rank
 cutoff, and a zero ``J`` gives no candidate.  When every block is affine,
 ``J = G`` is constant and the first candidate is the exact fixed point
 ``c_0 - G^-1 g(c_0)``, so such a run converges in one update.  When a
-nonlinear block declares no derivative (a Wiener block with a callable
-forward map) there is no candidate, and the run takes the plain steps.
+nonlinear block declares no derivative (a family built from a bare
+evaluator) there is no candidate, and the run takes the plain steps.
 
 A candidate is taken only if its residual is below the current one and
 at most ``_SAFEGUARD_D ||g_0|| (i + 1)^-(1 + eps)``, ``i`` the candidates

@@ -6,6 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rescomp.operators import ResolventFamily
+
+
+def bare_wiener(space, c, p):
+    """The Wiener block of ``F = c Id`` as a bare family: the same evaluator as
+    ``make_wiener(space, c, p)``, but no derivative, so the solvers evaluate it."""
+    p = space.validate(p)
+    return ResolventFamily(space, "wiener", lambda gamma, y: y - c * y + p, scale_domain=1.0)
+
 
 def _shapes_passed(monkeypatch, name):
     """The shapes of the matrices passed to ``np.linalg.<name>`` while the test runs."""

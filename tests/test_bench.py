@@ -37,7 +37,7 @@ from rescomp.solvers import (
     solve_relaxed,
     verify_exact_relaxation,
 )
-from test_boundary import MATRIX_CONFIGS  # the refused one-block configs and their messages
+from test_boundary import REFUSED_CONFIGS  # the refused one-block configs and their messages
 
 
 # ||L|| = 3 with the gate bypassed (--unsafe-norm): x <- -8 x + 3 p diverges.
@@ -411,7 +411,7 @@ class TestGenerate:
         point = {"tag": "singleton", "point": [0.0, 1.0]}
         assert generate_instance(spec({"tag": "projection", "set": point})).blocks[0][1] \
             .constant_derivative
-        with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
+        with pytest.raises(ValidationError, match=r"scale must lie in \[0, 1\]"):
             generate_instance(spec({"tag": "scale", "c": 1.5}))
 
     def test_wiener_projection_forward_is_not_validated_per_step(self, monkeypatch):
@@ -1253,10 +1253,10 @@ class TestProcessEntry:
         ("solve", far_box_wiener, [], 2),
         ("solve", AFFINE_WIENER, [], 0),
         ("oracle", AFFINE_WIENER, [], 1),
-        *(("solve", config, [], 1) for config, _ in MATRIX_CONFIGS.values()),
+        *(("solve", config, [], 1) for config, _ in REFUSED_CONFIGS.values()),
     ], ids=["acceptance", "malformed", "non-finite", "bad-output", "missing-point",
             "quadratic-typo", "lambda-list", "zero-wiener", "far-box-wiener", "affine-wiener",
-            "affine-wiener-oracle", *MATRIX_CONFIGS])
+            "affine-wiener-oracle", *REFUSED_CONFIGS])
     def test_process_matches_in_process_run(self, tmp_path, capsys, workloads, command, config,
                                             flags, code):
         cfg = tmp_path / "config.json"

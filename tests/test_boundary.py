@@ -43,40 +43,50 @@ BAD = [
 ]
 
 
-def matrix_config(kind, cset, domain=None):
-    """A one-block config on R^2 (``domain`` its space) whose block is ``cset``, V the first axis."""
+def one_block_config(kind, block, domain=None):
+    """A one-block config on R^2 (``domain`` its space) whose block is ``block``, V the first axis."""
     return {"kind": kind, "spaces": {"domain": domain or {"dim": 2}}, "weights": [1.0],
-            "subspace": [[1.0, 0.0]], "sets": [cset], "schedule": {"max_iterations": 50}}
+            "subspace": [[1.0, 0.0]], "sets": [block], "schedule": {"max_iterations": 50}}
+
+
+def wiener_scale_row(c):
+    """A one-block Wiener config whose forward map is ``c Id``, and the message refusing ``c``."""
+    return (one_block_config("wiener", {"f": {"tag": "scale", "c": c}, "point": [0.0, 0.0]}),
+            f"wiener forward scale must lie in [0, 1] to be firmly nonexpansive, got {c}")
 
 
 # One-block configs that the config boundary refuses, each with its message.  JSON
 # readers accept NaN and Infinity; the finite matrices near 1e308 once overflowed
-# W M and ran to "S1 attained"; a skew Q under tiny weights was once accepted.
-MATRIX_CONFIGS = {
-    "linear-nan": (matrix_config("common-zero", {"tag": "linear",
-                                                 "matrix": [[math.nan, 0.0], [0.0, 1.0]]}),
+# W M and ran to "S1 attained"; a skew Q under tiny weights was once accepted; an
+# out-of-range Wiener scale once named a spot check that never ran.
+REFUSED_CONFIGS = {
+    "linear-nan": (one_block_config("common-zero", {"tag": "linear",
+                                                    "matrix": [[math.nan, 0.0], [0.0, 1.0]]}),
                    "linear operator has non-finite entries"),
-    "quadratic-inf": (matrix_config("prox-mixture", {"tag": "quadratic",
-                                                     "q": [[math.inf, 0.0], [0.0, 1.0]]}),
+    "quadratic-inf": (one_block_config("prox-mixture", {"tag": "quadratic",
+                                                        "q": [[math.inf, 0.0], [0.0, 1.0]]}),
                       "quadratic form has non-finite entries"),
-    "linear-concave": (matrix_config("common-zero", {"tag": "linear",
-                                                     "matrix": [[-1e308, 0.0], [0.0, 1.0]]}),
+    "linear-concave": (one_block_config("common-zero", {"tag": "linear",
+                                                        "matrix": [[-1e308, 0.0], [0.0, 1.0]]}),
                        "linear operator is not monotone in the metric"),
-    "quadratic-concave": (matrix_config("prox-mixture", {"tag": "quadratic",
-                                                         "q": [[-1e308, 0.0], [0.0, 1.0]]}),
+    "quadratic-concave": (one_block_config("prox-mixture", {"tag": "quadratic",
+                                                            "q": [[-1e308, 0.0], [0.0, 1.0]]}),
                           "quadratic form is not monotone in the metric"),
-    "quadratic-skew": (matrix_config("prox-mixture", {"tag": "quadratic",
-                                                      "q": [[1e308, 1e308], [-1e308, 1e308]]}),
+    "quadratic-skew": (one_block_config("prox-mixture", {"tag": "quadratic",
+                                                         "q": [[1e308, 1e308], [-1e308, 1e308]]}),
                        "quadratic form is not self-adjoint in the metric"),
     "quadratic-skew-tiny-weights": (
-        matrix_config("prox-mixture", {"tag": "quadratic", "q": [[0.0, 1.0], [-1.0, 0.0]]},
-                      {"dim": 2, "weights": [1e-11, 1e-11]}),
+        one_block_config("prox-mixture", {"tag": "quadratic", "q": [[0.0, 1.0], [-1.0, 0.0]]},
+                         {"dim": 2, "weights": [1e-11, 1e-11]}),
         "quadratic form is not self-adjoint in the metric"),
+    "wiener-scale-above-one": wiener_scale_row(1.5),
+    "wiener-scale-negative": wiener_scale_row(-0.5),
+    "wiener-scale-nan": wiener_scale_row(math.nan),
 }
 
 
-@pytest.mark.parametrize("config, error", MATRIX_CONFIGS.values(), ids=list(MATRIX_CONFIGS))
-def test_matrix_in_a_config(tmp_path, config, error):
+@pytest.mark.parametrize("config, error", REFUSED_CONFIGS.values(), ids=list(REFUSED_CONFIGS))
+def test_refused_one_block_config(tmp_path, config, error):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))  # json writes and reads NaN and Infinity
     lines = []

@@ -40,6 +40,8 @@ from rescomp.properties import (
 from rescomp.sets import AffineSubspace, Ball, Box, Halfspace, Singleton
 from rescomp.solvers import RelaxedInstance
 
+from conftest import bare_wiener
+
 R1 = Space(1)
 
 
@@ -54,11 +56,11 @@ class TestResolvent:
             assert B.resolvent(gamma, [2.5]) == pytest.approx([1.0])
 
     def test_wiener_closed_form(self):
-        B = make_wiener(R1, lambda y: 0.5 * y, [0.0])
+        B = make_wiener(R1, 0.5, [0.0])
         assert B.resolvent(1.0, [4.0]) == pytest.approx([2.0])
 
     def test_wiener_rejects_other_scales(self):
-        B = make_wiener(R1, lambda y: 0.5 * y, [0.0])
+        B = make_wiener(R1, 0.5, [0.0])
         with pytest.raises(ScaleRestrictionError):
             B.resolvent(2.0, [4.0])
 
@@ -224,30 +226,26 @@ class TestGraph:
 
 class TestWienerConstruction:
     def test_identity_forward_zero_target(self):
-        B = make_wiener(R1, lambda y: y, [0.0])
+        B = make_wiener(R1, 1.0, [0.0])
         # the resolvent is the zero map, so only 0 is fixed
         assert B.resolvent(1.0, [13.0]) == pytest.approx([0.0])
         assert B.resolvent(1.0, [0.0]) == pytest.approx([0.0])
 
     def test_half_identity_shifted(self):
-        B = make_wiener(R1, lambda y: 0.5 * y, [1.0])
+        B = make_wiener(R1, 0.5, [1.0])
         assert B.resolvent(1.0, [4.0]) == pytest.approx([3.0])
         assert B.yosida(1.0, [4.0]) == pytest.approx([1.0])
 
     def test_projection_forward_zero_set(self):
         cset = Box(R1, [0.0], [1.0])
-        B = make_wiener(R1, cset.project, [0.5])
+        B = make_wiener(R1, cset, [0.5])
         # zeros of B solve proj(y) = 0.5, i.e. y = 0.5
         assert B.resolvent(1.0, [0.5]) == pytest.approx([0.5])
         assert abs(B.resolvent(1.0, [2.0])[0] - 2.0) > 0.1
 
-    def test_spot_check_rejects_expansive_map(self):
-        with pytest.raises(ValidationError):
-            make_wiener(R1, lambda y: 2.0 * y, [0.0])
-
-    @pytest.mark.parametrize("c", [-0.5, 1.5])
+    @pytest.mark.parametrize("c", [-0.5, 1.5, np.nan])
     def test_declared_scale_outside_unit_interval_rejected(self, c):
-        with pytest.raises(ValidationError, match="firm-nonexpansiveness"):
+        with pytest.raises(ValidationError, match=r"scale must lie in \[0, 1\] .*got " + str(c)):
             make_wiener(R1, c, [0.0])
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -257,7 +255,7 @@ class TestWienerConstruction:
 
     def test_form_and_evaluator_come_from_one_c(self):
         with pytest.raises(TypeError):  # no second copy of c beside the forward map
-            make_wiener(R1, lambda y: 0.9 * y, [1.0], scale=0.5)
+            make_wiener(R1, 0.9, [1.0], scale=0.5)
         B = make_wiener(R1, 0.9, [1.0])
         y = np.array([4.0])
         assert np.array_equal(B._evaluator(1.0, y), y - 0.9 * y + 1.0)
@@ -268,24 +266,14 @@ class TestWienerConstruction:
         with pytest.raises(ValidationError, match="must be a number"):
             make_wiener(R1, True, [0.0])
 
-    @pytest.mark.parametrize("F", ["0.5", None, [0.5]], ids=["string", "none", "list"])
-    def test_forward_map_neither_number_nor_callable_is_refused(self, F):
-        with pytest.raises(ValidationError, match="forward map F"):
+    # A callable is refused whether or not it is firmly nonexpansive: nothing here
+    # can prove it is, so it takes the bare family (see make_wiener).
+    @pytest.mark.parametrize("F", [lambda y: 2.0 * y, lambda y: 0.5 * y,
+                                   Box(Space(2), -1.0, 1.0).project, "0.5", None, [0.5]],
+                             ids=["expansive", "firm", "set-project", "string", "none", "list"])
+    def test_forward_map_neither_number_nor_set_is_refused(self, F):
+        with pytest.raises(ValidationError, match="F must be a number or a convex set"):
             make_wiener(Space(2), F, [0.0, 0.0])
-
-    def test_declared_scale_and_sets_skip_the_spot_checks(self, monkeypatch):
-        space, checks = Space(2, [0.5, 2.0]), []
-        defect = operators._firm_defect
-        monkeypatch.setattr(operators, "_firm_defect",
-                            lambda space, T, a, b: checks.append(len(a)) or defect(space, T, a, b))
-        make_wiener(space, 0.5, [0.0, 0.0])
-        for cset in (Singleton(space, [1.0, 2.0]), Box(space, [0.0, 0.0], [1.0, 1.0]),
-                     Ball(space, [0.0, 1.0], 0.5), Halfspace(space, [1.0, -1.0], 0.2),
-                     AffineSubspace(space, [0.0, 1.0], [[1.0, 1.0]])):
-            make_wiener(space, cset, [0.0, 0.0])
-        assert checks == []
-        make_wiener(space, lambda y: 0.5 * y, [0.0, 0.0])
-        assert checks == [100]
 
     def test_set_forward_is_its_projection(self):
         space = Space(2, [0.5, 2.0])
@@ -303,23 +291,22 @@ class TestWienerConstruction:
 
 
 class TestFirmDefect:
-    """One firm-nonexpansiveness test serves ``make_wiener`` and the property suites."""
+    """One firm-nonexpansiveness test serves the property suites, its only callers."""
 
     def test_one_helper(self, monkeypatch):
-        # make_wiener tests its 100 pairs in one call, and F still sees every point.
-        assert properties._firm_defect is operators._firm_defect
-        calls, points = [], []
-        defect = operators._firm_defect
+        # It lives with the suites; a suite tests each map's ten pairs in one call.
+        assert not hasattr(operators, "_firm_defect")
+        calls = []
+        defect = properties._firm_defect
 
         def counted(space, T, a, b):
             calls.append((a.shape, b.shape))
             return defect(space, T, a, b)
 
-        monkeypatch.setattr(operators, "_firm_defect", counted)
-        project = Box(R1, [0.0], [1.0]).project
-        make_wiener(R1, lambda v: points.append(1) or project(v), [0.5])
-        assert calls == [((100, 1), (100, 1))]
-        assert len(points) == 200
+        monkeypatch.setattr(properties, "_firm_defect", counted)
+        assert properties.suite_composed_firm(np.random.default_rng(0), 30).passed
+        assert len(calls) == 3
+        assert all(a == b and a[0] == 10 for a, b in calls)
 
     def test_values(self):
         rng = np.random.default_rng(8)
@@ -327,9 +314,9 @@ class TestFirmDefect:
         ball = Ball(space, [0.0, 1.0, 0.0], 0.5)
         for _ in range(50):
             a, b = space.random(rng), space.random(rng)
-            assert operators._firm_defect(space, ball.project, a, b) <= 1e-12
+            assert properties._firm_defect(space, ball.project, a, b) <= 1e-12
             # 2 Id: ||2a - 2b||^2 + ||b - a||^2 - ||a - b||^2 = 4 ||a - b||^2
-            assert operators._firm_defect(space, lambda v: 2.0 * v, a, b) == pytest.approx(
+            assert properties._firm_defect(space, lambda v: 2.0 * v, a, b) == pytest.approx(
                 4.0 * space.norm(a - b) ** 2)
 
     @pytest.mark.parametrize("name", ["ball", "twice"])
@@ -337,14 +324,14 @@ class TestFirmDefect:
         space = Space(3, [0.5, 1.0, 2.0])
         T = Ball(space, [0.0, 1.0, 0.0], 0.5).project if name == "ball" else (lambda v: 2.0 * v)
         pairs = np.random.default_rng(8).standard_normal((50, 2, 3))
-        defects = operators._firm_defect(space, T, pairs[:, 0], pairs[:, 1])
+        defects = properties._firm_defect(space, T, pairs[:, 0], pairs[:, 1])
         assert defects.shape == (50,)
         for (a, b), got in zip(pairs, defects):
             ta, tb = T(a), T(b)
             terms = (space.norm(ta - tb) ** 2, space.norm((a - ta) - (b - tb)) ** 2,
                      space.norm(a - b) ** 2)
             assert abs(got - (terms[0] + terms[1] - terms[2])) <= 1e-14 * sum(terms)
-            assert abs(operators._firm_defect(space, T, a, b) - got) <= 1e-14 * sum(terms)
+            assert abs(properties._firm_defect(space, T, a, b) - got) <= 1e-14 * sum(terms)
 
     def test_one_bad_row_raises(self):
         space = Space(2)
@@ -355,14 +342,14 @@ class TestFirmDefect:
             return lambda v: bad(v) if v[0] == 1.0 else v
 
         with pytest.raises(ValidationError, match="non-finite"):
-            operators._firm_defect(space, bad_at_one(lambda v: v * np.nan), pairs[:, 0], pairs[:, 1])
+            properties._firm_defect(space, bad_at_one(lambda v: v * np.nan), pairs[:, 0], pairs[:, 1])
         for short in (bad_at_one(lambda v: v[:1]), lambda v: v[:1]):
             with pytest.raises(DimensionMismatchError, match="vectors of dim 2"):
-                operators._firm_defect(space, short, pairs[:, 0], pairs[:, 1])
+                properties._firm_defect(space, short, pairs[:, 0], pairs[:, 1])
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_stacked_draw_is_the_sequential_draw(self, dim):
-        # make_wiener and the suites draw their pairs in one call: the same numbers as
+        # The suites draw their pairs in one call: the same numbers as
         # drawing a, b, a, b, ... one point at a time.
         space, rng = Space(dim), np.random.default_rng(0)
         sequential = [space.random(rng) for _ in range(200)]
@@ -371,9 +358,7 @@ class TestFirmDefect:
 
     def test_a_nan_map_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            operators._firm_defect(R1, lambda v: np.full(1, np.nan), np.ones(1), np.zeros(1))
-        with pytest.raises(ValidationError, match="non-finite"):
-            make_wiener(R1, lambda v: np.full(1, np.nan), [0.0])
+            properties._firm_defect(R1, lambda v: np.full(1, np.nan), np.ones(1), np.zeros(1))
 
     def test_a_nan_map_fails_a_property_suite(self, monkeypatch):
         # Through the shared helper a NaN output raises; a NaN defect would
@@ -479,13 +464,13 @@ class TestAffineForms:
             )
 
     def test_nonlinear_catalog_members_declare_nothing(self):
-        # Nothing affine: their derivatives depend on y, or (a callable F) are not declared.
+        # Nothing affine: their derivatives depend on y, or (a bare family) are not declared.
         rng = np.random.default_rng(6)
         for cset in (Box(W3, -np.ones(3), np.ones(3)), Ball(W3, np.zeros(3), 1.0),
                      Halfspace(W3, np.ones(3), 0.5)):
             assert not normal_cone(cset).constant_derivative
         assert not subdifferential(one_norm(W3)).constant_derivative
-        wiener = make_wiener(W3, lambda y: 0.5 * y, rng.standard_normal(3))
+        wiener = bare_wiener(W3, 0.5, rng.standard_normal(3))
         assert wiener.derivative is None and not wiener.constant_derivative
         for cset in (Box(W3, -np.ones(3), np.ones(3)), Ball(W3, np.zeros(3), 1.0),
                      Halfspace(W3, np.ones(3), 0.5)):
@@ -497,7 +482,7 @@ class TestAffineForms:
         # and none when its inner family declares none.
         L = LinearMap(W3, W3, 0.5 * np.eye(3))
         inner = [scaled_identity(W3, 1.0), normal_cone(Ball(W3, np.zeros(3), 1.0)),
-                 make_wiener(W3, lambda y: 0.5 * y, W3.zeros())]
+                 bare_wiener(W3, 0.5, W3.zeros())]
         for B in inner:
             derived = [
                 B.scaled(2.0),

@@ -29,6 +29,7 @@ from rescomp.operators import (
 from rescomp.proxfun import one_norm
 from rescomp.properties import (
     _random_split_instance,
+    _random_wiener_instance,
     suite_block_stacked,
     suite_engine_equivalence,
     suite_fejer,
@@ -47,6 +48,8 @@ from rescomp.solvers import (
     variational_residual,
     verify_exact_relaxation,
 )
+
+from conftest import bare_wiener
 
 R1 = Space(1)
 R2 = Space(2)
@@ -68,8 +71,7 @@ def acceptance_instance(second_target=3.0):
 def wiener_instance():
     V = SubspaceProjector(R2, [[1.0, 0.0]])
     p = np.array([3.0, 1.0])
-    fwd = lambda y: 0.5 * y
-    return RelaxedInstance.from_blocks(V, [(identity_map(R2), make_wiener(R2, fwd, p), 1.0)],
+    return RelaxedInstance.from_blocks(V, [(identity_map(R2), bare_wiener(R2, 0.5, p), 1.0)],
                                        1.0, kind="wiener")
 
 
@@ -589,12 +591,20 @@ class TestAffineFold:
     @pytest.mark.parametrize("scale", [None, 0.5])
     def test_scale_checked_on_every_block(self, scale):
         # The product's one scale check covers its Wiener factor, pinned to scale 1.
-        B = product_family([normal_cone(Singleton(R1, [1.0])),
-                            make_wiener(R1, scale or (lambda y: 0.5 * y), [0.0])])
+        wiener = bare_wiener(R1, 0.5, [0.0]) if scale is None else make_wiener(R1, scale, [0.0])
+        B = product_family([normal_cone(Singleton(R1, [1.0])), wiener])
         A = np.ones((2, 2))
         _cocomposition_step(A, A, B, 1.0)
         with pytest.raises(ScaleRestrictionError):
             _cocomposition_step(A, A, B, 2.0)
+
+    def test_suite_wiener_blocks_are_evaluated(self):
+        # suite_block_stacked's Wiener blocks declare no derivative, so the
+        # cocomposition step evaluates them rather than folding them.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            for _L, fam, _w in _random_wiener_instance(rng).blocks:
+                assert fam.derivative is None and not fam.constant_derivative
 
 
 class TestCocompositionStep:

@@ -102,3 +102,26 @@ def test_derivative_is_always_applied_to_a_matrix():
              and node.func.attr == "derivative" and len(node.args) >= 3
              and _is_number_literal(node.args[2])]
     assert not calls, f"derivative called with a number for its matrix: {calls}"
+
+
+def _np_random_scopes(tree):
+    """The qualified name of the function or class around each ``np.random`` of a module."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "random"
+                    and isinstance(child.value, ast.Name) and child.value.id in {"np", "numpy"}
+                    or isinstance(child, ast.ImportFrom) and child.module == "numpy.random"):
+                yield scope
+            yield from visit(child, scope)
+
+    return set(visit(tree, ""))
+
+
+def test_only_the_suites_and_graph_sampling_draw():
+    # A constructor decides its input exactly or by theorem, never by sampling it.
+    drawn = {(module, scope) for module, tree in TREES.items() if module != "properties.py"
+             for scope in _np_random_scopes(tree)}
+    assert drawn <= {("operators.py", "ResolventFamily.sample_graph")}, drawn
