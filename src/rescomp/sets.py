@@ -135,7 +135,13 @@ class Ball(ConvexSet):
 
 
 class Halfspace(ConvexSet):
-    """``{x : <normal, x> <= offset}`` in the metric inner product."""
+    """``{x : <normal, x> <= offset}`` in the metric inner product.
+
+    The set computes with ``normal`` and ``offset`` scaled by the power of
+    two that brings the peak entry of ``normal`` into ``[0.5, 1)``: the same
+    set, and, being exact, the same projections wherever ``<normal, normal>``
+    neither overflows nor underflows.
+    """
 
     tag = "halfspace"
 
@@ -145,23 +151,24 @@ class Halfspace(ConvexSet):
         self.offset = _real("halfspace offset", offset)
         if not self.offset > -np.inf:  # NaN too; -inf leaves the halfspace empty
             raise ValidationError(f"halfspace offset must be a number above -inf, got {offset}")
-        nn = space.inner(self.normal, self.normal)
-        if nn == 0.0:
+        scale = math.ldexp(1.0, -math.frexp(np.abs(self.normal).max())[1])
+        self._n, self._b = scale * self.normal, scale * self.offset
+        self._nn = space._inner(self._n, self._n)
+        if self._nn == 0.0:
             raise ValidationError("halfspace normal must be nonzero")
-        self._nn = nn
 
     def _project(self, x):
-        excess = self.space._inner(self.normal, x) - self.offset
+        excess = self.space._inner(self._n, x) - self._b
         if excess <= 0.0:
             return x.copy()
-        return x - (excess / self._nn) * self.normal
+        return x - (excess / self._nn) * self._n
 
     def _derivative(self, x, A):
         # Outside, D = I - n v^T with v = W n / ||n||^2.
-        if self.space._inner(self.normal, x) <= self.offset:
+        if self.space._inner(self._n, x) <= self._b:
             return 0.0 * A
-        v = (self.space.weights * self.normal) / self._nn
-        return -self.normal[:, None] * (v @ A)
+        v = (self.space.weights * self._n) / self._nn
+        return -self._n[:, None] * (v @ A)
 
 
 class AffineSubspace(ConvexSet):

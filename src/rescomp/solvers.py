@@ -17,7 +17,7 @@ with ``lambda`` the one relaxation constant of the :class:`Schedule`.
 ``U g_n = proj_V L* (J_{gamma B} y_n - y_n)`` is the step on ``x``, and as
 ``U`` is W-orthonormal, ``||g_n||_2 = ||J x_n - x_n||_W`` is the
 fixed-point residual.  No ``proj_V`` is applied per step; ``x = U c`` is
-lifted at the end, and per step only for kept iterates or a reference.
+lifted at the end, and per step only for kept iterates.
 
 The step is that of the resolvent cocomposition of ``B`` with ``A``
 (:mod:`compositions`), built once per solve: ``g_n = A* (J(A c_n) - A c_n)``
@@ -26,15 +26,15 @@ at construction.  A start ``x0`` begins at ``c_0 = U^T W x0``, the
 coordinates of its projection onto V; ``x0 = 0`` is the origin of V, whose
 coordinates ``c_0 = 0`` take no product with the basis.
 
-One private loop drives these solvers and :func:`proximal_point`.  A step
-records only ``fp_residual`` and ``wall_ns`` (and ``dist_ref`` and kept
-iterates on request); ``var_residual`` (``fp_residual / gamma``, or None
-for :func:`proximal_point`) and a reference-free ``dist_ref`` are filled
-after the loop.  A run whose residual stops being finite (it diverges,
-e.g. with the norm gate bypassed) ends with reason ``non-finite`` and
-keeps its trace; the squared norm overflows long before any entry does,
-so the last iterate is still finite, and the loop silences numpy's
-overflow and invalid-value warnings.  Inputs are validated once; a run
+One private loop drives these solvers and :func:`proximal_point`, and its
+:class:`Trace` holds only what it measures: per step ``fp_residual``,
+``wall_ns`` and, on request, the kept iterate.  On the iterates ``U c`` of
+the coordinate solvers :func:`variational_residual` is ``fp_residual /
+gamma`` up to rounding.  A run whose residual stops being finite (it
+diverges, e.g. with the norm gate bypassed) ends with reason
+``non-finite`` and keeps its trace; the squared norm overflows long
+before any entry does, so the last iterate is still finite, and the loop
+silences numpy's overflow and invalid-value warnings.  Inputs are validated once; a run
 is single threaded and deterministic.  :class:`RelaxedInstance` checks the
 hypotheses; :func:`write_atomically` writes traces and run reports.
 The solution tests read ``J_{gamma B}(L x) - L x`` from one place,
@@ -122,11 +122,9 @@ class Schedule:
 
 @dataclass
 class Trace:
-    """Per-iteration diagnostics of a single solver run."""
+    """Per-iteration diagnostics of a single solver run: one row per iterate."""
 
     fp_residual: list = field(default_factory=list)
-    var_residual: list = field(default_factory=list)  # all None for proximal_point
-    dist_ref: list = field(default_factory=list)      # all None without a reference
     wall_ns: list = field(default_factory=list)
     iterates: list = field(default_factory=list)      # kept only on request
     reason: str = "running"
@@ -136,13 +134,12 @@ class Trace:
     rank_G: int | None = None   # rank the last Newton solve reported; None: none tried
 
     def to_csv(self, path):
-        """Write ``iter, fp_residual, var_residual, dist_ref, wall_ns`` rows atomically."""
+        """Write ``iter, fp_residual, wall_ns`` rows atomically."""
         def rows(fh):
             writer = csv.writer(fh)
-            writer.writerow(["iter", "fp_residual", "var_residual", "dist_ref", "wall_ns"])
-            columns = zip(self.fp_residual, self.var_residual, self.dist_ref, strict=True)
-            for i, (values, ns) in enumerate(zip(columns, self.wall_ns, strict=True)):
-                writer.writerow([i, *("" if v is None else repr(v) for v in values), ns])
+            writer.writerow(["iter", "fp_residual", "wall_ns"])
+            for i, (r, ns) in enumerate(zip(self.fp_residual, self.wall_ns, strict=True)):
+                writer.writerow([i, repr(r), ns])
 
         write_atomically(path, rows)
 
@@ -151,31 +148,33 @@ def write_atomically(path, write):
     """Replace ``path`` atomically by a temp file that ``write(fh)`` fills, text as given.
 
     The file gets the mode ``open(path, "w")`` would leave: that of an
-    existing ``path``, else ``0o666`` less the umask.
+    existing ``path``, else ``0o666`` less the umask.  An ``OSError`` names
+    ``path``, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            if os.path.exists(path):
-                shutil.copymode(path, tmp)
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                if os.path.exists(path):
+                    shutil.copymode(path, tmp)
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=None):
+def _iterate(step, z, schedule, norm, lift=None, jacobian=None):
     """The one relaxed fixed-point loop ``z <- z + lambda step(z)``.
 
-    ``norm(step(z))`` is the residual that stops the run.  A step records
-    ``fp_residual``, ``wall_ns`` and, when given, ``distance(z)`` and the
-    kept iterate ``lift(z)``.  Without ``distance``, ``dist_ref`` is filled
-    with None after the loop; the caller fills ``var_residual``.  Returns
-    ``(z, trace)``.
+    ``norm(step(z))`` is the residual that stops the run.  Each iterate
+    records ``fp_residual``, ``wall_ns`` and, when ``lift`` is given, the
+    kept iterate ``lift(z)``.  Returns ``(z, trace)``, the trace new.
 
     With ``schedule.newton`` and a ``jacobian``, each update first tries the
     Newton candidate ``z - jacobian(z)^-1 step(z)`` when that direction is
@@ -184,6 +183,7 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
     a step.
     """
     lam, cap, tol = schedule.lam, schedule.max_iterations, schedule.tol
+    trace = Trace()
     clock = time.perf_counter_ns
     fp, wall = trace.fp_residual.append, trace.wall_ns.append
     if not schedule.newton:
@@ -196,8 +196,6 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
         first = residual
         while True:
             fp(residual)
-            if distance is not None:
-                trace.dist_ref.append(distance(z))
             wall(clock() - start)
             if lift is not None:
                 trace.iterates.append(lift(z))
@@ -228,8 +226,6 @@ def _iterate(step, z, schedule, norm, trace, distance=None, lift=None, jacobian=
             s = step(z)
             residual = norm(s)
     trace.iterations = n
-    if distance is None:
-        trace.dist_ref = [None] * (n + 1)
     return z, trace
 
 
@@ -255,22 +251,21 @@ def _newton_direction(J, s, trace):
     return delta
 
 
-def proximal_point(space, J, x0, schedule, reference=None, keep_iterates=False):
+def proximal_point(space, J, x0, schedule, keep_iterates=False):
     """Relaxed fixed-point iteration ``x <- x + lambda (J x - x)`` with exact evaluations of ``J``.
 
     ``J`` must be firmly nonexpansive (resolvents and norm-gated composed
     resolvents from this package qualify).
 
-    Returns ``(x_final, trace)``.  ``x0`` and ``reference`` are validated;
-    the step ``J x_n - x_n`` is only checked for its shape, and a non-finite
-    one ends the run with reason ``non-finite``.
+    Returns ``(x_final, trace)``.  ``x0`` is validated; the step
+    ``J x_n - x_n`` is only checked for its shape, and a non-finite one
+    ends the run with reason ``non-finite``.
     The iteration is the plain one: a ``newton`` schedule raises
     ``ValidationError``.
     """
     if schedule.newton:
         raise ValidationError("proximal_point runs the plain steps only; use newton=False")
     x = space.validate(x0).copy()
-    ref = None if reference is None else space.validate(reference)
 
     def step(x):
         s = J(x) - x
@@ -280,13 +275,7 @@ def proximal_point(space, J, x0, schedule, reference=None, keep_iterates=False):
             )
         return s
 
-    x, trace = _iterate(
-        step, x, schedule, space._norm, Trace(),
-        distance=None if ref is None else (lambda x: space._norm(x - ref)),
-        lift=np.copy if keep_iterates else None,
-    )
-    trace.var_residual = [None] * (trace.iterations + 1)
-    return x, trace
+    return _iterate(step, x, schedule, space._norm, lift=np.copy if keep_iterates else None)
 
 
 class RelaxedInstance:
@@ -362,7 +351,7 @@ class RelaxedInstance:
         return self.B._resolve(self.gamma, y) - y
 
 
-def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, jacobian=None):
+def _solve_in_coordinates(inst, x0, schedule, step, keep_iterates, jacobian=None):
     """Run ``c <- c + lambda step(c)`` from ``c = U^T W x0``, the coordinates of ``proj_V x0``.
 
     ``jacobian`` gives the Newton candidates (see :func:`_iterate`).
@@ -370,34 +359,28 @@ def _solve_in_coordinates(inst, x0, schedule, step, reference, keep_iterates, ja
     """
     space, basis = inst.space, inst.V.basis  # basis = U^T
     x = space.validate(x0)
-    ref = None if reference is None else space.validate(reference)
     # the origin lies in V and its coordinates are 0, exactly
     c = basis @ (space.weights * x) if x.any() else np.zeros(len(basis))
-    c, trace = _iterate(
-        step, c, schedule, lambda g: math.sqrt(g.dot(g)), Trace(),
-        distance=None if ref is None else (lambda c: space._norm(c @ basis - ref)),
-        lift=basis.T.dot if keep_iterates else None, jacobian=jacobian,
-    )
-    trace.var_residual = [r / inst.gamma for r in trace.fp_residual]
+    c, trace = _iterate(step, c, schedule, lambda g: math.sqrt(g.dot(g)),
+                        lift=basis.T.dot if keep_iterates else None, jacobian=jacobian)
     return c @ basis, trace
 
 
-def solve_relaxed(inst, x0, schedule=None, reference=None, keep_iterates=False):
+def solve_relaxed(inst, x0, schedule=None, keep_iterates=False):
     """Run the relaxation recursion on the stacked formulation.
 
     An ``x0`` off V is projected onto V, the first iterate.  Returns
     ``(x, trace)``; at convergence ``x`` satisfies the fixed-point
     characterization of the relaxed problem within the schedule tolerance.
-    ``var_residual`` is ``fp_residual / gamma``: the membership term of
-    :func:`variational_residual` vanishes on iterates ``U c``.
+    At every iterate :func:`variational_residual` is ``fp_residual / gamma``
+    up to rounding: its membership term vanishes on iterates ``U c``.
     """
     A = inst.A
     step, jacobian = _cocomposition_step(A, A.T * inst.L.codomain.weights, inst.B, inst.gamma)
-    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates, jacobian)
+    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, keep_iterates, jacobian)
 
 
-def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
+def solve_blocks(inst, x0, schedule=None, keep_iterates=False):
     """Blockwise variant of :func:`solve_relaxed` for structured instances.
 
     With ``A_k = L_k U`` the step is ``sum_k w_k A_k* (J_{gamma B_k}(A_k c) - A_k c)``;
@@ -409,8 +392,7 @@ def solve_blocks(inst, x0, schedule=None, reference=None, keep_iterates=False):
     A = [L_k.matrix @ U for L_k, _B_k, _w_k in inst.blocks]
     A_adj = [w_k * A_k.T * L_k.codomain.weights for A_k, (L_k, _B_k, w_k) in zip(A, inst.blocks)]
     step, jacobian = _cocomposition_step(np.vstack(A), np.hstack(A_adj), inst.B, inst.gamma)
-    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, reference,
-                                 keep_iterates, jacobian)
+    return _solve_in_coordinates(inst, x0, schedule or Schedule(), step, keep_iterates, jacobian)
 
 
 def variational_residual(inst, x):

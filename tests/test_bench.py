@@ -774,7 +774,7 @@ class TestRun:
             assert report[key] >= 0.0
         assert trace_path.exists()
         header = trace_path.read_text().splitlines()[0]
-        assert header == "iter,fp_residual,var_residual,dist_ref,wall_ns"
+        assert header == "iter,fp_residual,wall_ns"
 
     def test_consistent_run_reports_exactness(self, tmp_path):
         cfg = acceptance_dict()
@@ -1160,7 +1160,8 @@ class TestCli:
         cfg.write_text(json.dumps(ACCEPTANCE_SPEC_DICT))
         trace = tmp_path / "missing" / "t.csv"
         assert main(["solve", str(cfg), "--trace", str(trace)]) == 1
-        assert capsys.readouterr().out.startswith("error: ")
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.endswith(f": {str(trace)!r}\n")
         assert not trace.parent.exists()
 
     def test_missing_report_directory(self, tmp_path, capsys):
@@ -1168,7 +1169,8 @@ class TestCli:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(acceptance_dict(output={"report": str(report)})))
         assert main(["solve", str(cfg)]) == 1
-        assert capsys.readouterr().out.startswith("error: ")
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.endswith(f": {str(report)!r}\n")
         assert not report.parent.exists()
 
     def test_converged_run_that_is_not_a_solution_exits_two(self, tmp_path, capsys):

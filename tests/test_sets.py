@@ -85,6 +85,30 @@ class TestSpecificSets:
         with pytest.raises(ValidationError):
             Halfspace(Space(2), [0.0, 0.0], 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("peak", [1e200, 1e-170])
+    def test_halfspace_at_any_scale_of_its_normal(self, peak):
+        # <n, n> overflows at 1e200 and underflows at 1e-170; the set is that of [1, 0].
+        space = Space(2)
+        cset = Halfspace(space, [peak, 0.0], 0.0)
+        assert np.array_equal(cset.project([1.0, 1.0]), [0.0, 1.0])
+        D = cset._derivative(np.array([1.0, 1.0]), np.eye(2)) + np.eye(2)
+        assert D == pytest.approx(np.diag([0.0, 1.0]), abs=1e-15)
+        assert np.array_equal(cset.normal, [peak, 0.0]) and cset.offset == 0.0
+
+    def test_halfspace_projection_ignores_a_power_of_two_scale(self):
+        # Scaling normal and offset by 2^k describes the same set, and the
+        # projections agree bit for bit, near overflow and underflow too.
+        rng = np.random.default_rng(14)
+        space = Space(3, [0.5, 1.0, 2.5])
+        normal, offset = space.random(rng) + 0.2, float(rng.uniform(-1.0, 1.0))
+        base = Halfspace(space, normal, offset)
+        for k in (-600, -1, 1, 600):
+            scaled = Halfspace(space, np.ldexp(normal, k), np.ldexp(offset, k))
+            for _ in range(20):
+                x = space.random(rng, scale=3.0)
+                assert np.array_equal(scaled.project(x), base.project(x)), k
+
     def test_box_projection_bit_identical_to_clip(self):
         rng = np.random.default_rng(12)
         space = Space(8)

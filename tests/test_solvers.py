@@ -248,10 +248,12 @@ class TestProximalPoint:
 
     def test_removed_parameters(self):
         # The steps use exact evaluations of J: no error stream, and no sum of it.
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(),
-                           errors=[np.zeros(1)])
-        assert not hasattr(Trace(), "inexact_weighted_sum")
+        # The trace records only what the loop measures: no distance to a reference.
+        for removed in ({"errors": [np.zeros(1)]}, {"reference": np.zeros(1)}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule(), **removed)
+        for column in ("inexact_weighted_sum", "dist_ref", "var_residual"):
+            assert not hasattr(Trace(), column)
 
     def test_max_iterations_reason(self):
         _, trace = proximal_point(
@@ -461,10 +463,19 @@ class TestCoordinateKernel:
             assert inst.V.residual_norm(x) <= 1e-14 * (1.0 + inst.space.norm(x))
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
-    def test_var_residual_is_scaled_fp_residual(self, solver):
+    def test_removed_parameters(self, solver):
         inst, x0 = coordinate_instance()
-        _, trace = solver(inst, x0, self.SCHEDULE)
-        assert trace.var_residual == [r / inst.gamma for r in trace.fp_residual]
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            solver(inst, x0, self.SCHEDULE, reference=x0)
+
+    @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
+    def test_var_residual_is_scaled_fp_residual(self, solver):
+        # The membership term of the variational residual vanishes on the iterates U c.
+        inst, x0 = coordinate_instance()
+        _, trace = solver(inst, x0, self.SCHEDULE, keep_iterates=True)
+        for x, r in zip(trace.iterates, trace.fp_residual, strict=True):
+            assert variational_residual(inst, x) == pytest.approx(r / inst.gamma, rel=1e-12,
+                                                                  abs=1e-15)
 
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks])
     def test_matches_proximal_point_on_relaxed_resolvent(self, solver):
@@ -687,16 +698,13 @@ class TestNewton:
     def test_default_schedule_is_the_plain_steps(self, solver):
         for tags in (("box", "ball", "point", "half"), ("point",) * 4):  # mixed, all affine
             inst, x0 = coordinate_instance(tags)
-            ref = inst.V.apply(np.ones(inst.space.dim))
-            xa, ta = solver(inst, x0, Schedule(), reference=ref, keep_iterates=True)
-            xb, tb = solver(inst, x0, Schedule(newton=False), reference=ref,
-                            keep_iterates=True)
+            xa, ta = solver(inst, x0, Schedule(), keep_iterates=True)
+            xb, tb = solver(inst, x0, Schedule(newton=False), keep_iterates=True)
             assert np.array_equal(xa, xb)
             assert (ta.reason, ta.iterations, ta.fallbacks) == (tb.reason, tb.iterations, 0)
             assert (ta.newton_candidates, ta.rank_G) == (tb.newton_candidates, tb.rank_G) \
                 == (0, None)
-            assert ta.fp_residual == tb.fp_residual and ta.var_residual == tb.var_residual
-            assert ta.dist_ref == tb.dist_ref
+            assert ta.fp_residual == tb.fp_residual
             assert all(np.array_equal(u, v)
                        for u, v in zip(ta.iterates, tb.iterates, strict=True))
 
@@ -876,7 +884,7 @@ class TestNewton:
         # summable bound, so only the descent test rejects it.
         b = np.array([1.0, -2.0])
         schedule = Schedule(newton=True, tol=1e-12)
-        z, trace = _iterate(lambda z: b - z, np.zeros(2), schedule, coordinate_norm, Trace(),
+        z, trace = _iterate(lambda z: b - z, np.zeros(2), schedule, coordinate_norm,
                             jacobian=lambda z: -0.01 * np.eye(2))
         assert trace.reason == "converged" and np.allclose(z, b, atol=1e-12)
         assert trace.newton_candidates == 0 and trace.fallbacks == trace.iterations > 0
@@ -915,10 +923,10 @@ class TestNewton:
             last.append((z, s))
             return s
 
-        z, trace = _iterate(step, np.zeros(2), Schedule(newton=True), coordinate_norm, Trace(),
+        z, trace = _iterate(step, np.zeros(2), Schedule(newton=True), coordinate_norm,
                             jacobian=lambda z: -0.5 * np.eye(2))
         last.clear()
-        z_km, km = _iterate(step, np.zeros(2), Schedule(), coordinate_norm, Trace())
+        z_km, km = _iterate(step, np.zeros(2), Schedule(), coordinate_norm)
         assert trace.reason == km.reason == "converged"
         assert np.array_equal(z, z_km) and trace.fp_residual == km.fp_residual
         assert trace.fallbacks == trace.iterations > 0 and trace.newton_candidates == 0
@@ -1008,52 +1016,39 @@ class TestTraceInvariants:
     """Every column has one row per evaluated iterate, whatever stopped the run."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("reference", [None, [2.0, 2.0]], ids=["no-ref", "ref"])
+    @pytest.mark.parametrize("keep", [False, True], ids=["no-iterates", "iterates"])
     @pytest.mark.parametrize("reason", ["converged", "max_iterations", "non-finite"])
     @pytest.mark.parametrize("solver", [solve_relaxed, solve_blocks, proximal_point])
-    def test_columns(self, solver, reason, reference):
+    def test_columns(self, solver, reason, keep):
         inst = divergent_instance() if reason == "non-finite" else acceptance_instance()
         schedule = Schedule(max_iterations=5, tol=0.0) if reason == "max_iterations" else Schedule()
         if solver is proximal_point:
             _, trace = proximal_point(inst.space, inst.relaxed_resolvent, R2.zeros(), schedule,
-                                      reference=reference)
+                                      keep_iterates=keep)
         else:
-            _, trace = solver(inst, R2.zeros(), schedule, reference=reference)
+            _, trace = solver(inst, R2.zeros(), schedule, keep_iterates=keep)
         assert trace.reason == reason
         rows = trace.iterations + 1
-        for column in (trace.fp_residual, trace.var_residual, trace.dist_ref, trace.wall_ns):
-            assert len(column) == rows
-        if solver is proximal_point:
-            assert trace.var_residual == [None] * rows
-        else:
-            assert trace.var_residual == [r / inst.gamma for r in trace.fp_residual]
-        if reference is None:
-            assert trace.dist_ref == [None] * rows
-        else:
-            assert all(np.isfinite(trace.dist_ref))
+        assert len(trace.fp_residual) == len(trace.wall_ns) == rows
+        assert len(trace.iterates) == (rows if keep else 0)
+        assert all(np.isfinite(x).all() for x in trace.iterates)
 
 
 class TestTrace:
-    def test_csv_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("solver", [solve_relaxed, proximal_point])
+    def test_csv_round_trip(self, tmp_path, solver):
         inst = acceptance_instance()
-        ref = np.array([2.0, 2.0])
-        _, trace = solve_relaxed(inst, R2.zeros(), Schedule(), reference=ref)
+        if solver is proximal_point:
+            _, trace = proximal_point(inst.space, inst.relaxed_resolvent, R2.zeros(), Schedule())
+        else:
+            _, trace = solve_relaxed(inst, R2.zeros(), Schedule())
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "fp_residual", "var_residual", "dist_ref", "wall_ns"]
-        assert len(rows) - 1 == len(trace.fp_residual)
-        assert float(rows[1][1]) == trace.fp_residual[0]
-        assert float(rows[1][3]) == pytest.approx(R2.norm(ref))
-
-    def test_missing_columns_are_empty(self, tmp_path):
-        _, trace = proximal_point(R1, lambda v: 0.5 * v, np.ones(1), Schedule())
-        path = tmp_path / "t.csv"
-        trace.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[1][2] == "" and rows[1][3] == ""
+        assert rows[0] == ["iter", "fp_residual", "wall_ns"]
+        assert rows[1:] == [[str(i), repr(r), str(ns)] for i, (r, ns)
+                            in enumerate(zip(trace.fp_residual, trace.wall_ns, strict=True))]
 
     def test_file_mode_is_that_of_a_plain_open(self, tmp_path):
         # A new file gets 0o666 less the umask, an existing one keeps its mode.
@@ -1067,10 +1062,9 @@ class TestTrace:
         assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "t.csv"]
 
-    @pytest.mark.parametrize("short", ["var_residual", "dist_ref", "wall_ns"])
+    @pytest.mark.parametrize("short", ["fp_residual", "wall_ns"])
     def test_ragged_columns_raise(self, tmp_path, short):
-        trace = Trace(fp_residual=[1.0, 0.5], var_residual=[None, None],
-                      dist_ref=[None, None], wall_ns=[10, 20])
+        trace = Trace(fp_residual=[1.0, 0.5], wall_ns=[10, 20])
         setattr(trace, short, [])
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError):
